@@ -16,7 +16,13 @@ quadrature precision.
 Nonlinear maps act through collocation: synthesize onto the grid, apply the
 pointwise map, project back.  Velocity jumps at impulse times are applied
 after the step that lands exactly on the impulse node; delayed reads at such
-nodes use the left-limit (pre-jump) value.
+nodes use the left-limit (pre-jump) value.  The memory term is the trapezoid
+sum of its convolution, which the exponential kernel turns into an exact
+O(1)-per-step recursion.
+
+Steering controls are stepped as cells along a leading array axis.  Since
+every window is shorter than the delay, a run resumed at the window start
+from a zero-control prefix reads its delayed states and memory forcing there.
 """
 
 from __future__ import annotations
@@ -218,18 +224,23 @@ class Trajectory:
     """Recorded run: states on the full grid [-delay, tau] plus diagnostics.
 
     States at impulse nodes are the post-jump values; the pre-jump pairs are
-    kept aside so delayed reads can use the left limit.
+    kept aside so delayed reads can use the left limit.  ``memory`` holds the
+    Volterra memory forcing per node.
     """
 
     times: np.ndarray
     w: np.ndarray
     v: np.ndarray
     control: np.ndarray
-    memory_norms: np.ndarray
+    memory: np.ndarray
     start_index: int
     step: float
     pre_impulse: dict
     impulse_events: list
+
+    @property
+    def memory_norms(self) -> np.ndarray:
+        return np.linalg.norm(self.memory, axis=1)
 
     @property
     def delay(self) -> float:
@@ -292,7 +303,7 @@ def memory_term(
 
     Composite trapezoid over the stored grid of kernel(t - s) * g(w(s - r)),
     collocated and projected.  Used as the cross-check path; the simulator
-    accumulates the same sums incrementally.
+    evaluates the same sums by the exact exponential-kernel recursion.
     """
     if t < 0:
         raise InvalidArgumentError("memory term is defined for t >= 0")
@@ -331,29 +342,29 @@ def apply_impulse(
     return BeamState(state.w.copy(), state.v + domain.spacing * (jump @ B))
 
 
-def _control_step_increments(control, modes: ModeSet, beta: float, h: float, thetas):
+def _control_step_increments(etas, modes: ModeSet, beta: float, h: float, thetas):
     """Exact window-control contributions of every step, raw coordinates.
 
     For a step starting with time-to-go theta the increment is
     integral_0^h exp(K (h - s)) b u(t + s) ds with u the closed-form window
     control; expanding both exponentials over the characteristic roots gives
-    a four-term sum per mode.  Returns (n_steps, N) arrays for w and v.
+    a four-term sum per mode.  ``etas`` holds one (N, 2) preimage per cell;
+    returns (n_cells, n_steps, N) arrays for w and v.
     """
     lam = modes.lambdas
     r1, r2 = damping_roots(lam, beta)
     c = 1.0 / (r1 - r2)
-    eta = control.eta
-    p = (lam * eta[:, 0] + r1 * eta[:, 1], lam * eta[:, 0] + r2 * eta[:, 1])
+    p = (lam * etas[..., 0] + r1 * etas[..., 1], lam * etas[..., 0] + r2 * etas[..., 1])
     rr = (r1, r2)
     vi = ((lam, r1), (lam, r2))
     thetas = np.asarray(thetas, dtype=float)[:, None]
-    out1 = np.zeros((thetas.shape[0], lam.size))
+    out1 = np.zeros((len(etas), thetas.shape[0], lam.size))
     out2 = np.zeros_like(out1)
     for i in range(2):
         si = 1.0 if i == 0 else -1.0
         for k in range(2):
             sk = 1.0 if k == 0 else -1.0
-            coef = si * sk * c * c * p[k]
+            coef = (si * sk * c * c * p[k])[:, None]
             term = (np.exp(rr[i] * h + rr[k] * thetas) - np.exp(rr[k] * (thetas - h))) / (
                 rr[i] + rr[k]
             )
@@ -362,13 +373,38 @@ def _control_step_increments(control, modes: ModeSet, beta: float, h: float, the
     return out1 / lam, out2
 
 
-def simulate(config: SimConfig, control=None) -> Trajectory:
-    """Integrate the full semilinear system over [-delay, tau].
+def _check_resume(config: SimConfig, prefix: Trajectory, cells, start_idx):
+    """Reject a prefix run or controls that a resumed window cannot continue."""
+    for what, want, got in (
+        ("step", config.step, prefix.step),
+        ("delay", config.delay, prefix.delay),
+        ("horizon", config.tau, float(prefix.times[-1])),
+        ("mode count", config.n_modes, prefix.w.shape[1]),
+    ):
+        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+            raise InvalidArgumentError(f"prefix run has {what} {got:g}, the config {want:g}")
+    if start_idx is None:
+        raise InvalidArgumentError("a resumed run needs a steering control")
+    if np.any(prefix.control[:start_idx]):
+        raise InvalidArgumentError("prefix run carries a control before the window")
+    if any(c.base is not None for c in cells):
+        raise InvalidArgumentError(
+            "a control with a base signal cannot resume from the zero-control prefix"
+        )
 
-    ``control`` is a steering ControlSignal or None (zero control).  Steps
-    whose start lies before the window start never evaluate the window
-    control, so trajectories for different regularisation parameters are
-    bitwise identical up to the window start.
+
+def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = None):
+    """Integrate the semilinear system; controls are cells on a leading axis.
+
+    ``control`` is None (zero control), a steering ControlSignal or, with
+    ``prefix``, a sequence of them on one window.  Without ``prefix`` the
+    run covers [-delay, tau] and returns its Trajectory.  ``prefix`` is a
+    recorded zero-control run of the same config; the run resumes at the
+    window start and returns the prefix continued through the window for a
+    single control, the terminal states for a sequence.  Steps whose start
+    lies before the window start never evaluate the window control, so
+    trajectories for different regularisation parameters are bitwise
+    identical up to the window start.
     """
     modes = config.modes()
     domain = config.domain()
@@ -382,140 +418,157 @@ def simulate(config: SimConfig, control=None) -> Trajectory:
     n_total = n_r + n_T + 1
     times = (np.arange(n_total) - idx0) * h
 
-    W = np.zeros((n_total, N))
-    V = np.zeros((n_total, N))
-    history = config.history or (lambda s: BeamState.zeros(N))
-    seg = HistorySegment.sample(history, config.delay, h, N)
-    W[: idx0 + 1] = seg.w
-    V[: idx0 + 1] = seg.v
+    batched = isinstance(control, (list, tuple))
+    cells = list(control) if batched else [control]
+    if not cells:
+        raise InvalidArgumentError("no cell controls given")
+    start_idx = None
+    if cells[0] is not None:
+        window = cells[0].window
+        if any(c.window != window for c in cells):
+            raise InvalidArgumentError("cell controls must share one window")
+        if abs(window.tau - config.tau) > 1e-9:
+            raise InvalidArgumentError("control window must end at the horizon")
+        config.validate_delta(window.delta)
+        start_idx = idx0 + exact_multiple(window.start, h, "the window start")
+    if prefix is not None:
+        _check_resume(config, prefix, cells, start_idx)
+    elif batched:
+        raise InvalidArgumentError("a batch of controls must resume from a prefix run")
+
+    # the arrays hold nodes lo.. of every cell, window-sized for a batch;
+    # stepping starts at node `first`
+    lo = start_idx if batched else 0
+    first = idx0 if prefix is None else start_idx
+    W = np.zeros((len(cells), n_total - lo, N))
+    V = np.zeros_like(W)
+    if prefix is None:
+        history = config.history or (lambda s: BeamState.zeros(N))
+        seg = HistorySegment.sample(history, config.delay, h, N)
+        W[0, : idx0 + 1] = seg.w
+        V[0, : idx0 + 1] = seg.v
+        pre_impulse, impulse_events, memory = {}, [], np.zeros((n_total, N))
+    else:
+        W[:, : first - lo + 1] = prefix.w[lo : first + 1]
+        V[:, : first - lo + 1] = prefix.v[lo : first + 1]
+        pre_impulse = dict(prefix.pre_impulse)
+        impulse_events = list(prefix.impulse_events)
+        memory = prefix.memory
+    past_w, past_v = (prefix.w, prefix.v) if batched else (W[0], V[0])
 
     imp_at = {
         idx0 + exact_multiple(t_k, h, "an impulse time"): k
         for k, t_k in enumerate(config.impulses.times)
     }
 
-    window = None
-    start_idx = None
-    if control is not None:
-        window = control.window
-        if abs(window.tau - config.tau) > 1e-9:
-            raise InvalidArgumentError("control window must end at the horizon")
-        config.validate_delta(window.delta)
-        start_idx = idx0 + exact_multiple(window.start, h, "the window start")
+    zero = np.zeros(N)
+    win_u = extra = base_u = None
+    if start_idx is not None:
+        win_t = times[start_idx:]
+        win_u = np.stack([c.window_coeffs(win_t) for c in cells])
+        if any(c.extra is not None for c in cells):
+            extra = np.array(
+                [[c.extra(float(t)) if c.extra else zero for t in win_t] for c in cells],
+                dtype=float,
+            )
+        if cells[0].base is not None:  # full runs only; resumed runs reject a base
+            base_u = np.array([cells[0].base_coeffs(t) for t in times[idx0 : start_idx + 1]])
+        cw, cv = _control_step_increments(
+            np.stack([c.eta for c in cells]), modes, config.beta, h, config.tau - win_t[:-1]
+        )
 
     a11, a12, a21, a22 = exp_entries(lam, config.beta, h)
     B = basis_matrix(domain, N)
     qw = domain.spacing
-
-    gproj = np.zeros((n_total, N)) if catalog.has_memory else None
-    control_rec = np.zeros((n_total, N))
-    memory_norms = np.zeros(n_total)
-    pre_impulse = {}
-    impulse_events = []
     has_f = catalog.f_kind != "zero"
 
-    if control is not None and start_idx is not None:
-        win_thetas = config.tau - times[start_idx : idx0 + n_T]
-        cw_steps, cv_steps = _control_step_increments(
-            control, modes, config.beta, h, win_thetas
-        )
+    def base_at(i):
+        return zero if base_u is None else base_u[i - idx0]
 
-    def fill_gproj(i):
-        gvals = catalog.g(B @ W[i - n_r])
-        gproj[i] = qw * (gvals @ B)
-
-    def memory_at(i):
-        m = i - idx0
-        if m == 0:
-            return np.zeros(N)
-        dt = (np.arange(m, -1, -1)) * h
-        weights = np.full(m + 1, h)
-        weights[0] = weights[-1] = h / 2.0
-        return (catalog.kernel(dt) * weights) @ gproj[idx0 : i + 1]
-
-    def u_at(i, window_active):
-        if control is None:
-            return np.zeros(N)
-        t = times[i]
-        if window_active:
-            return control.window_coeffs(t)
-        if t < 0:
-            return np.zeros(N)
-        return control.base_coeffs(t)
-
-    def delayed_pair(i):
-        j = i - n_r
-        if j in pre_impulse:
-            return pre_impulse[j]
-        return W[j], V[j]
-
-    def forcing(i, window_active):
-        """Velocity-slot forcing at node i, window control excluded."""
-        u = u_at(i, window_active)
-        F = np.zeros(N)
-        if control is not None:
-            if window_active:
-                if control.extra is not None:
-                    F = F + np.asarray(control.extra(float(times[i])), dtype=float)
-            elif times[i] >= 0:
-                F = F + u
+    def forcing(i, active):
+        """Velocity-slot forcing at node i per cell, window control excluded."""
+        if active:
+            u = win_u[:, i - start_idx]
+            F = zero if extra is None else extra[:, i - start_idx]
+        else:
+            u = F = base_at(i)
         if has_f:
-            wd, vd = delayed_pair(i)
-            fvals = catalog.f(times[i], B @ wd, B @ vd, B @ u)
+            wd, vd = pre_impulse.get(i - n_r) or (past_w[i - n_r], past_v[i - n_r])
+            fvals = catalog.f(times[i], B @ wd, B @ vd, u @ B.T)
             F = F + qw * (fvals @ B)
         if catalog.has_memory:
-            m = memory_at(i)
-            memory_norms[i] = np.linalg.norm(m)
-            F = F + m
-        return F, u
+            F = F + memory[i]
+        return F
 
-    if catalog.has_memory:
-        fill_gproj(idx0)
+    # Exact recursion for the trapezoid sum of the exponential kernel: acc
+    # carries kappa-free weights decay**(m - k) * h (h/2 for k = 0) times g_k.
+    recurse = prefix is None and catalog.has_memory
+    if recurse:
+        decay = np.exp(-catalog.gamma * h)
 
-    F_left = None
-    prev_active = None
-    for i in range(idx0, idx0 + n_T):
+        def g_proj(i):
+            return qw * (catalog.g(B @ W[0, i - n_r]) @ B)
+
+        acc = 0.5 * h * g_proj(idx0)
+
+    half = 0.5 * h
+    for i in range(first, n_total - 1):
         active = start_idx is not None and i >= start_idx
-        if F_left is None or active != prev_active:
-            F_left, u_left = forcing(i, active)
-            control_rec[i] = u_left
-        if catalog.has_memory:
-            fill_gproj(i + 1)
-        F_right, u_right = forcing(i + 1, active)
-        control_rec[i + 1] = u_right
+        if i == first or i == start_idx:
+            F_left = forcing(i, active)
+        if recurse:
+            g = g_proj(i + 1)
+            acc = decay * acc
+            memory[i + 1] = catalog.kappa * (acc + half * g)
+            acc = acc + h * g
+        F_right = forcing(i + 1, active)
 
-        w0, v0 = W[i], V[i]
-        half = 0.5 * h
+        k = i - lo
+        w0, v0 = W[:, k], V[:, k]
         w1 = a11 * w0 + a12 * v0 + half * a12 * F_left
         v1 = a21 * w0 + a22 * v0 + half * (a22 * F_left + F_right)
         if active:
-            w1 = w1 + cw_steps[i - start_idx]
-            v1 = v1 + cv_steps[i - start_idx]
-        W[i + 1] = w1
-        V[i + 1] = v1
+            w1 = w1 + cw[:, i - start_idx]
+            v1 = v1 + cv[:, i - start_idx]
 
         if i + 1 in imp_at:
-            k = imp_at[i + 1]
-            pre_impulse[i + 1] = (w1.copy(), v1.copy())
-            u_grid = B @ u_at(i + 1, active)
-            jump = config.impulses.jump(k, times[i + 1], B @ w1, B @ v1, u_grid)
+            # impulses precede every window, so only single-cell full runs meet one
+            n_imp = imp_at[i + 1]
+            wp, vp = w1[0], v1[0]
+            pre_impulse[i + 1] = (wp.copy(), vp.copy())
+            jump = config.impulses.jump(
+                n_imp, times[i + 1], B @ wp, B @ vp, B @ base_at(i + 1)
+            )
             dv = qw * (jump @ B)
-            V[i + 1] = v1 + dv
-            impulse_events.append((k, float(times[i + 1]), float(np.linalg.norm(dv))))
+            v1 = (vp + dv)[None]
+            impulse_events.append((n_imp, float(times[i + 1]), float(np.linalg.norm(dv))))
+        W[:, k + 1] = w1
+        V[:, k + 1] = v1
 
-        norm = np.sqrt(np.sum((lam * W[i + 1]) ** 2) + np.sum(V[i + 1] ** 2))
-        if norm > config.blowup_threshold:
-            raise BlowUpError(f"trajectory norm {norm:.3e} at t={times[i + 1]:.6f}")
+        norms = np.sqrt(np.sum((lam * w1) ** 2, axis=1) + np.sum(v1**2, axis=1))
+        c = int(np.argmax(norms))
+        if norms[c] > config.blowup_threshold:
+            cell = cells[c]
+            where = "" if cell is None else (
+                f" in the cell alpha={cell.alpha}, delta={cell.window.delta:g}"
+            )
+            raise BlowUpError(f"trajectory norm {norms[c]:.3e} at t={times[i + 1]:.6f}{where}")
 
         F_left = F_right
-        prev_active = active
 
+    if batched:
+        return [BeamState(w.copy(), v.copy()) for w, v in zip(W[:, -1], V[:, -1])]
+    control_rec = np.zeros((n_total, N))
+    if base_u is not None:
+        control_rec[idx0:start_idx] = base_u[:-1]
+    if win_u is not None:
+        control_rec[start_idx:] = win_u[0]
     return Trajectory(
         times=times,
-        w=W,
-        v=V,
+        w=W[0],
+        v=V[0],
         control=control_rec,
-        memory_norms=memory_norms,
+        memory=memory,
         start_index=idx0,
         step=h,
         pre_impulse=pre_impulse,

@@ -50,7 +50,8 @@ class ControlSignal:
     window values u_j(t) = b^T exp(K_j^T (tau - t)) eta_j are evaluated
     exactly wherever needed, the cached samples are a convenience only.
     ``extra`` is an optional additive window term (the auxiliary signal of
-    the general control sequence); ``base`` is the control on [0, tau-delta].
+    the general control sequence); ``base`` is the control on [0, tau-delta];
+    ``alpha`` is the regularisation it was synthesized with, if any.
     """
 
     window: SteerWindow
@@ -59,6 +60,7 @@ class ControlSignal:
     beta: float
     base: Optional[Callable[[float], np.ndarray]] = None
     extra: Optional[Callable[[float], np.ndarray]] = None
+    alpha: Optional[float] = None
     times: np.ndarray = field(init=False)
     values: np.ndarray = field(init=False)
 
@@ -168,7 +170,7 @@ def synthesize_control(
     if extra is not None:
         d = d - _window_integral_of(extra, win, modes, beta)
     eta = solve_regularized(gramians, problem.alpha, d)
-    return ControlSignal(win, eta, modes, beta, base=base, extra=extra)
+    return ControlSignal(win, eta, modes, beta, base=base, extra=extra, alpha=problem.alpha)
 
 
 def _mode_quadrature(win: SteerWindow, block: ModeBlock, nodes: int):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from beamsteer import (
     BeamState,
+    ControlSignal,
     ImpulseSchedule,
     NonlinearityCatalog,
     SimConfig,
@@ -118,13 +121,16 @@ def test_memory_term_constant_history_oracle():
     np.testing.assert_array_equal(got.w, np.zeros(4))
 
 
-def test_memory_term_matches_recorded_diagnostics():
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 30.0], ids=["gamma0", "gamma1", "gamma30"])
+@pytest.mark.parametrize("step", [1 / 600, 1 / 4800], ids=["h600", "h4800"])
+def test_memory_term_matches_recorded_diagnostics(step, gamma):
+    # the simulator's exponential recursion against the trapezoid re-sum
     cat = NonlinearityCatalog(
         f_kind="linear_growth", f_a=0.3, g_kind="sin",
-        kernel_kind="exponential", kappa=0.5, gamma=1.0,
+        kernel_kind="exponential", kappa=0.5, gamma=gamma,
     )
     hist = lambda s: BeamState(0.2 * np.cos(s) * np.ones(4) / np.arange(1, 5) ** 2, np.zeros(4))
-    cfg = _config(catalog=cat, history=hist)
+    cfg = _config(catalog=cat, history=hist, step=step)
     traj = simulate(cfg, None)
     domain, modes = cfg.domain(), cfg.modes()
     for t in (0.1, 0.5, 1.0):
@@ -229,6 +235,74 @@ def test_prefix_bitwise_invariance():
     assert np.array_equal(ta.v[: cut + 1], tb.v[: cut + 1])
     # and they do differ afterwards
     assert not np.array_equal(ta.v[cut + 1 :], tb.v[cut + 1 :])
+
+
+def _resume_setup():
+    cfg = _config(history=lambda s: BeamState(np.full(4, 0.1), np.zeros(4)))
+    base = simulate(cfg, None)
+    window = SteerWindow(1.0, 0.2)
+    z1 = BeamState.zeros(4)
+    z1.v[0] = 0.3
+    problem = SteeringProblem(base.state_at(window.start), z1, window, 1e-2)
+    return cfg, base, problem
+
+
+@pytest.mark.parametrize(
+    "change, what",
+    [
+        (dict(step=1 / 1200), "step"),
+        (dict(delay=0.25), "delay"),
+        (dict(tau=1.2), "horizon"),
+        (dict(n_modes=3), "mode count"),
+    ],
+    ids=["step", "delay", "horizon", "modes"],
+)
+def test_resume_rejects_prefix_of_another_config(change, what):
+    _, base, _ = _resume_setup()
+    other = _config(**change)
+    control = ControlSignal(
+        SteerWindow(other.tau, 0.2), np.zeros((other.n_modes, 2)), other.modes(), BETA
+    )
+    with pytest.raises(InvalidArgumentError, match=f"prefix run has {what}"):
+        simulate(other, control, prefix=base)
+
+
+def test_resume_rejects_cells_on_different_windows():
+    cfg, base, problem = _resume_setup()
+    modes = cfg.modes()
+    wide = synthesize_control(problem, modes, BETA)
+    short = SteeringProblem(base.state_at(0.9), problem.z1, SteerWindow(1.0, 0.1), 1e-2)
+    with pytest.raises(InvalidArgumentError, match="share one window"):
+        simulate(cfg, [wide, synthesize_control(short, modes, BETA)], prefix=base)
+
+
+def test_resume_rejects_window_not_ending_at_horizon():
+    cfg, base, _ = _resume_setup()
+    control = ControlSignal(SteerWindow(0.9, 0.2), np.zeros((4, 2)), cfg.modes(), BETA)
+    with pytest.raises(InvalidArgumentError, match="end at the horizon"):
+        simulate(cfg, [control], prefix=base)
+
+
+def test_resume_rejects_control_with_base_signal():
+    cfg, base, problem = _resume_setup()
+    control = synthesize_control(problem, cfg.modes(), BETA, base=lambda t: np.full(4, 0.1))
+    with pytest.raises(InvalidArgumentError, match="base signal"):
+        simulate(cfg, control, prefix=base)
+
+
+def test_blowup_in_batched_window_names_cell():
+    cfg, base, _ = _resume_setup()
+    modes = cfg.modes()
+    window = SteerWindow(1.0, 0.1)
+    z1 = BeamState.zeros(4)
+    z1.v[0] = 1e3  # far target: the weakly regularised cell needs a huge control
+    controls = [
+        synthesize_control(SteeringProblem(base.state_at(0.9), z1, window, alpha), modes, BETA)
+        for alpha in (1e-1, 1e-4)
+    ]
+    guarded = replace(cfg, blowup_threshold=100.0)
+    with pytest.raises(BlowUpError, match=r"at t=0\.9\d+ in the cell alpha=0\.0001, delta=0\.1"):
+        simulate(guarded, controls, prefix=base)
 
 
 def test_deflection_continuity_at_impulses():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from beamsteer import (
     parse_experiment,
     run_linear_suite,
     run_pullback_experiment,
+    simulate,
     steer_linear,
     suite_ok,
     summarize_rows,
@@ -105,6 +108,72 @@ def test_error_nl_halving_factor():
     for alpha in (1e-1, 1e-3, 1e-5):
         ratio = by[(0.2, alpha)].error_nl / by[(0.1, alpha)].error_nl
         assert 1.5 <= ratio <= 3.0
+
+
+def _base_run(spec):
+    """The sweep's zero-control base run and target, built as the harness does."""
+    rng = np.random.default_rng(spec.seed)
+    modes = spec.config.modes()
+    history = make_history(
+        spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng,
+        spec.history_mode,
+    )
+    config = replace(spec.config, history=history, delta=None, alpha=None)
+    base = simulate(config, None)
+    target = make_target(
+        spec.target_kind, modes, rng, spec.target_scale, spec.target_mode,
+        free_point=base.terminal(),
+    )
+    return config, base, target
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [
+        lambda: load_experiment(None),
+        lambda: _spec(catalog=NonlinearityCatalog(
+            g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=1.0)),
+        lambda: _spec(catalog=NonlinearityCatalog(
+            f_kind="linear_growth", f_a=0.5, g_kind="rational")),
+    ],
+    ids=["default", "f_zero", "kernel_zero"],
+)
+def test_batched_cells_match_from_scratch_runs(make_spec):
+    # every cell of the sweep, rerun from scratch over [-delay, tau]: the
+    # prefix must equal the base run bitwise, the terminal state and the
+    # row errors must match the batched window run
+    spec = make_spec()
+    config, base, target = _base_run(spec)
+    modes = config.modes()
+    rows = {(r.delta, r.alpha): r for r in run_pullback_experiment(spec)}
+    assert len(rows) == len(spec.deltas) * len(spec.alphas)
+    for delta in spec.deltas:
+        window = SteerWindow(config.tau, delta)
+        z_mid = base.state_at(window.start)
+        cut = base.index_at(window.start)
+        controls = [
+            synthesize_control(SteeringProblem(z_mid, target, window, alpha), modes, config.beta)
+            for alpha in spec.alphas
+        ]
+        batched = simulate(config, controls, prefix=base)
+        for control, z_batch in zip(controls, batched):
+            scratch = simulate(config, control)
+            assert np.array_equal(scratch.w[: cut + 1], base.w[: cut + 1])
+            assert np.array_equal(scratch.v[: cut + 1], base.v[: cut + 1])
+            z_tau = scratch.terminal()
+            assert energy_norm(z_tau - z_batch, modes) <= 1e-13 * energy_norm(z_tau, modes)
+            y_tau = steer_linear(z_mid, control, modes, config.beta)
+            row = rows[(delta, control.alpha)]
+            np.testing.assert_allclose(
+                [row.error_total, row.error_nl, row.error_lin],
+                [
+                    energy_norm(z_tau - target, modes),
+                    energy_norm(z_tau - y_tau, modes),
+                    energy_norm(y_tau - target, modes),
+                ],
+                rtol=1e-13,
+                atol=0.0,
+            )
 
 
 def test_emit_csv_empty(tmp_path):
