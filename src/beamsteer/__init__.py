@@ -35,15 +35,12 @@ from .semigroup import (
     block_matrix,
     damping_roots,
     decay_envelope,
-    energy_block_matrix,
     operator_norms,
 )
 from .gramian import (
     GramianSet,
-    ModeGramian,
     SteerWindow,
     assemble_gramian,
-    gramian_mode_closedform,
     gramian_mode_quadrature,
     solve_regularized,
 )
@@ -51,7 +48,6 @@ from .steering import (
     ControlSignal,
     SteeringProblem,
     alpha_sweep,
-    apply_control_map,
     approximate_right_inverse_check,
     control_energy,
     steer_linear,

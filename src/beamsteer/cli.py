@@ -14,27 +14,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .config import load_experiment
-from .dynamics import simulate
 from .errors import BlowUpError, ConfigError, InvalidArgumentError
-from .gramian import (
-    ModeBlock,
-    SteerWindow,
-    assemble_gramian,
-    gramian_mode_closedform,
-    gramian_mode_quadrature,
-    solve_regularized,
-)
+from .gramian import SteerWindow, assemble_gramian, solve_regularized
 from .harness import (
+    CROSS_PATH_TOL,
     emit_csv,
-    make_history,
+    gramian_cross_check,
     make_random_state,
     make_target,
     pullback_cell,
+    pullback_setup,
     run_linear_suite,
     run_pullback_experiment,
     suite_ok,
@@ -62,15 +55,8 @@ def _cmd_gramian_check(spec, args) -> int:
     ok = True
     for delta in sorted(spec.deltas, reverse=True):
         window = SteerWindow(spec.config.tau, delta)
-        gramians = assemble_gramian(modes, spec.config.beta, window)
-        cross = max(
-            np.abs(
-                gramian_mode_closedform(ModeBlock(lam, spec.config.beta), window).matrix
-                - gramian_mode_quadrature(ModeBlock(lam, spec.config.beta), window).matrix
-            ).max()
-            for lam in modes.lambdas
-        )
-        good = gramians.positive_definite and cross <= 1e-12
+        gramians, _, cross = gramian_cross_check(modes, spec.config.beta, window)
+        good = gramians.positive_definite and cross <= CROSS_PATH_TOL
         ok = ok and good
         _say(
             args,
@@ -108,26 +94,10 @@ def _cmd_steer(spec, args) -> int:
 
 
 def _cmd_pullback(spec, args) -> int:
-    config = spec.config
-    modes = config.modes()
-    rng = np.random.default_rng(spec.seed)
-    history = make_history(
-        spec.history_kind,
-        spec.history_amplitude,
-        config.delay,
-        modes,
-        rng,
-        spec.history_mode,
-    )
-    config = replace(config, history=history)
-    base = simulate(config, None)
-    target = make_target(
-        spec.target_kind, modes, rng, spec.target_scale, spec.target_mode,
-        free_point=base.terminal(),
-    )
+    config, base_traj, target = pullback_setup(spec)
     delta = max(spec.deltas)
     alpha = min(spec.alphas)
-    row, _ = pullback_cell(config, target, delta, alpha, base)
+    row, _ = pullback_cell(config, target, delta, alpha, base_traj)
     _say(args, f"pullback: delta={delta:g} alpha={alpha:g}")
     _say(args, f"  error_total = {row.error_total:.6e}  (epsilon = {spec.epsilon:g})")
     _say(args, f"  error_nl    = {row.error_nl:.6e}")

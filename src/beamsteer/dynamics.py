@@ -373,7 +373,7 @@ def _control_step_increments(etas, modes: ModeSet, beta: float, h: float, thetas
     return out1 / lam, out2
 
 
-def _check_resume(config: SimConfig, prefix: Trajectory, cells, start_idx):
+def _check_resume(config: SimConfig, prefix: Trajectory, start_idx):
     """Reject a prefix run or controls that a resumed window cannot continue."""
     for what, want, got in (
         ("step", config.step, prefix.step),
@@ -387,10 +387,6 @@ def _check_resume(config: SimConfig, prefix: Trajectory, cells, start_idx):
         raise InvalidArgumentError("a resumed run needs a steering control")
     if np.any(prefix.control[:start_idx]):
         raise InvalidArgumentError("prefix run carries a control before the window")
-    if any(c.base is not None for c in cells):
-        raise InvalidArgumentError(
-            "a control with a base signal cannot resume from the zero-control prefix"
-        )
 
 
 def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = None):
@@ -432,7 +428,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         config.validate_delta(window.delta)
         start_idx = idx0 + exact_multiple(window.start, h, "the window start")
     if prefix is not None:
-        _check_resume(config, prefix, cells, start_idx)
+        _check_resume(config, prefix, start_idx)
     elif batched:
         raise InvalidArgumentError("a batch of controls must resume from a prefix run")
 
@@ -462,17 +458,10 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     }
 
     zero = np.zeros(N)
-    win_u = extra = base_u = None
+    win_u = None
     if start_idx is not None:
         win_t = times[start_idx:]
         win_u = np.stack([c.window_coeffs(win_t) for c in cells])
-        if any(c.extra is not None for c in cells):
-            extra = np.array(
-                [[c.extra(float(t)) if c.extra else zero for t in win_t] for c in cells],
-                dtype=float,
-            )
-        if cells[0].base is not None:  # full runs only; resumed runs reject a base
-            base_u = np.array([cells[0].base_coeffs(t) for t in times[idx0 : start_idx + 1]])
         cw, cv = _control_step_increments(
             np.stack([c.eta for c in cells]), modes, config.beta, h, config.tau - win_t[:-1]
         )
@@ -482,16 +471,10 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     qw = domain.spacing
     has_f = catalog.f_kind != "zero"
 
-    def base_at(i):
-        return zero if base_u is None else base_u[i - idx0]
-
     def forcing(i, active):
         """Velocity-slot forcing at node i per cell, window control excluded."""
-        if active:
-            u = win_u[:, i - start_idx]
-            F = zero if extra is None else extra[:, i - start_idx]
-        else:
-            u = F = base_at(i)
+        u = win_u[:, i - start_idx] if active else zero
+        F = zero
         if has_f:
             wd, vd = pre_impulse.get(i - n_r) or (past_w[i - n_r], past_v[i - n_r])
             fvals = catalog.f(times[i], B @ wd, B @ vd, u @ B.T)
@@ -537,7 +520,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             wp, vp = w1[0], v1[0]
             pre_impulse[i + 1] = (wp.copy(), vp.copy())
             jump = config.impulses.jump(
-                n_imp, times[i + 1], B @ wp, B @ vp, B @ base_at(i + 1)
+                n_imp, times[i + 1], B @ wp, B @ vp, B @ zero
             )
             dv = qw * (jump @ B)
             v1 = (vp + dv)[None]
@@ -559,8 +542,6 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     if batched:
         return [BeamState(w.copy(), v.copy()) for w, v in zip(W[:, -1], V[:, -1])]
     control_rec = np.zeros((n_total, N))
-    if base_u is not None:
-        control_rec[idx0:start_idx] = base_u[:-1]
     if win_u is not None:
         control_rec[start_idx:] = win_u[0]
     return Trajectory(

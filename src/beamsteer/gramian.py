@@ -9,8 +9,9 @@ computed here in energy coordinates (the diagonal similarity diag(lambda, 1)
 absorbed on both the map and its adjoint), where the blocks are symmetric
 positive definite and the Euclidean norm agrees with the state-space energy
 norm.  Two independent evaluation paths are provided: an exact antiderivative
-using the eigen-expansion of exp(K s) b (production) and composite
-Gauss-Legendre quadrature (oracle).
+using the eigen-expansion of exp(K s) b, vectorised over the modes
+(production), and composite Gauss-Legendre quadrature per mode (the
+cross-check).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .semigroup import ModeBlock, _require_distinct_roots
+from .semigroup import ModeBlock, _require_distinct_roots, damping_roots, exp_entries
 from .spectral import ModeSet
 
 # Per-panel span |2 rho_2| * width kept below this so 64-node Gauss-Legendre
@@ -51,26 +52,6 @@ class SteerWindow:
 
 
 @dataclass(frozen=True)
-class ModeGramian:
-    """Symmetric 2x2 Gramian block of one mode, energy coordinates."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (2, 2):
-            raise InvalidArgumentError("Gramian block must be 2x2")
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    @property
-    def positive_definite(self) -> bool:
-        return bool(self.eigenvalues()[0] > 0)
-
-
-@dataclass(frozen=True)
 class GramianSet:
     """Per-mode Gramian blocks stacked as an (N, 2, 2) array."""
 
@@ -97,30 +78,18 @@ def quadrature_panels(block: ModeBlock, delta: float) -> int:
     return max(1, int(np.ceil(2.0 * abs(r2) * delta / PANEL_SPAN)))
 
 
-def _input_response(block: ModeBlock, s: np.ndarray):
-    """Columns exp(K s) b in energy coordinates, for an array of times s."""
-    r1, r2 = block.roots()
-    e1 = np.exp(r1 * s)
-    e2 = np.exp(r2 * s)
-    dr = r1 - r2
-    g1 = block.lam * (e1 - e2) / dr
-    g2 = (r1 * e1 - r2 * e2) / dr
-    return g1, g2
-
-
-def gramian_mode_quadrature(
-    block: ModeBlock, window: SteerWindow, nodes: int = 64
-) -> ModeGramian:
-    """Gramian block by composite Gauss-Legendre quadrature.
+def gramian_mode_quadrature(block: ModeBlock, window: SteerWindow, nodes: int = 64) -> np.ndarray:
+    """Gramian block of one mode by composite Gauss-Legendre quadrature.
 
     ``nodes`` points per panel; the panel count grows with the stiffness of
-    the mode so the rule stays converged for every retained mode.
+    the mode so the rule stays converged for every retained mode.  This is
+    the independent cross-check of :func:`assemble_gramian`.
     """
     if nodes < 2:
         raise InvalidArgumentError("quadrature needs at least 2 nodes")
     delta = window.delta
     if delta == 0:
-        return ModeGramian(np.zeros((2, 2)))
+        return np.zeros((2, 2))
     x, wts = np.polynomial.legendre.leggauss(nodes)
     Q = np.zeros((2, 2))
     panels = quadrature_panels(block, delta)
@@ -129,46 +98,32 @@ def gramian_mode_quadrature(
         lo = p * width
         s = lo + 0.5 * width * (x + 1.0)
         ww = 0.5 * width * wts
-        g1, g2 = _input_response(block, s)
+        _, g1, _, g2 = exp_entries(block.lam, block.beta, s, energy=True)
         Q[0, 0] += np.sum(ww * g1 * g1)
         Q[0, 1] += np.sum(ww * g1 * g2)
         Q[1, 1] += np.sum(ww * g2 * g2)
     Q[1, 0] = Q[0, 1]
-    return ModeGramian(0.5 * (Q + Q.T))
-
-
-def gramian_mode_closedform(block: ModeBlock, window: SteerWindow) -> ModeGramian:
-    """Gramian block by exact antiderivative evaluation.
-
-    Expanding exp(K s) b over the eigenvectors turns every entry into a sum
-    of terms c_i c_k (exp((rho_i + rho_k) delta) - 1) / (rho_i + rho_k).
-    """
-    _require_distinct_roots(block.beta)
-    delta = window.delta
-    if delta == 0:
-        return ModeGramian(np.zeros((2, 2)))
-    r1, r2 = block.roots()
-    c = 1.0 / (r1 - r2)
-    vecs = (np.array([block.lam, r1]), np.array([block.lam, r2]))
-    coef = (c, -c)
-    rhos = (r1, r2)
-    Q = np.zeros((2, 2))
-    for i in range(2):
-        for k in range(2):
-            rr = rhos[i] + rhos[k]
-            E = (np.exp(rr * delta) - 1.0) / rr
-            Q += coef[i] * coef[k] * E * np.outer(vecs[i], vecs[k])
-    return ModeGramian(0.5 * (Q + Q.T))
+    return 0.5 * (Q + Q.T)
 
 
 def assemble_gramian(modes: ModeSet, beta: float, window: SteerWindow) -> GramianSet:
-    """Closed-form Gramian blocks for every mode, with the spectral summary."""
-    blocks = np.stack(
-        [
-            gramian_mode_closedform(ModeBlock(lam, beta), window).matrix
-            for lam in modes.lambdas
-        ]
+    """Closed-form Gramian blocks for every mode, with the spectral summary.
+
+    Expanding exp(K s) b = sum_i c_i exp(rho_i s) v_i over the eigenvectors
+    v_i = (lambda, rho_i), c = +-1 / (rho_1 - rho_2), turns every block into
+    sum_ik c_i c_k (exp((rho_i + rho_k) delta) - 1) / (rho_i + rho_k) v_i v_k^T.
+    """
+    _require_distinct_roots(beta)
+    r = np.stack(damping_roots(modes.lambdas, beta))  # (2, N)
+    c = np.array([[1.0], [-1.0]]) / (r[0] - r[1])
+    vecs = np.stack([np.broadcast_to(modes.lambdas, r.shape), r], axis=-1)  # (2, N, 2)
+    rr = r[:, None] + r[None, :]
+    E = (np.exp(rr * window.delta) - 1.0) / rr
+    terms = (c[:, None] * c[None, :] * E)[..., None, None] * (
+        vecs[:, None, :, :, None] * vecs[None, :, :, None, :]
     )
+    Q = terms[0, 0] + terms[0, 1] + terms[1, 0] + terms[1, 1]
+    blocks = 0.5 * (Q + Q.transpose(0, 2, 1))
     min_eig = float(np.linalg.eigvalsh(blocks)[:, 0].min())
     return GramianSet(blocks, min_eig, bool(min_eig > 0 and window.delta > 0))
 

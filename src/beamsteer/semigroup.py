@@ -76,19 +76,15 @@ def block_matrix(block: ModeBlock) -> np.ndarray:
     return np.array([[0.0, 1.0], [-lam * lam, -2.0 * beta * lam]])
 
 
-def energy_block_matrix(block: ModeBlock) -> np.ndarray:
-    """Generator after the energy similarity, D K D^{-1} with D = diag(lam, 1)."""
-    lam, beta = block.lam, block.beta
-    return np.array([[0.0, lam], [-lam, -2.0 * beta * lam]])
-
-
-def exp_entries(lambdas, beta: float, t: float, energy: bool = False):
+def exp_entries(lambdas, beta: float, t, energy: bool = False):
     """Entries (a11, a12, a21, a22) of exp(K_j t) for every eigenvalue.
 
-    With ``energy=True`` the entries are those of the energy-similarity
-    transformed block exp(D K D^{-1} t).
+    ``t`` is a time or an array of times broadcasting against the
+    eigenvalues.  With ``energy=True`` the entries are those of the
+    energy-similarity transformed block exp(D K D^{-1} t); its second column
+    (a12, a22) is the input response exp(D K D^{-1} t) b.
     """
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise InvalidArgumentError("time must be nonnegative")
     _require_distinct_roots(beta)
     lam = np.asarray(lambdas, dtype=float)
@@ -98,9 +94,10 @@ def exp_entries(lambdas, beta: float, t: float, energy: bool = False):
     dr = r1 - r2
     a11 = (r1 * e2 - r2 * e1) / dr
     a22 = (r1 * e1 - r2 * e2) / dr
-    diff = (e1 - e2) / dr
     if energy:
-        return a11, lam * diff, -lam * diff, a22
+        a12 = lam * (e1 - e2) / dr
+        return a11, a12, -a12, a22
+    diff = (e1 - e2) / dr
     return a11, diff, -lam * lam * diff, a22
 
 

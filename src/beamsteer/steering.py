@@ -7,62 +7,40 @@ Given a start state y0 at tau - delta and a target z1, the control
 
 drives the linear dynamics so that the terminal mismatch satisfies the
 exact blockwise identity  y(tau) - z1 = -alpha (alpha I + Q)^{-1} d.
-Everything here works per mode in energy coordinates; control values are
-scalars per mode and coordinate-free.
+Since u = G* eta, the mapped control G u = G G* eta = Q eta and the energy
+||u||^2 = eta^T Q eta are exact in the closed-form Gramian, so nothing here
+integrates the control numerically.  Everything works per mode in energy
+coordinates; control values are scalars per mode and coordinate-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .gramian import (
-    GramianSet,
-    ModeBlock,
-    SteerWindow,
-    assemble_gramian,
-    quadrature_panels,
-    solve_regularized,
-)
-from .semigroup import apply_semigroup, damping_roots
+from .gramian import GramianSet, SteerWindow, assemble_gramian, solve_regularized
+from .semigroup import apply_semigroup, exp_entries
 from .spectral import BeamState, ModeSet, energy_coords, state_from_coords
-
-CACHE_SAMPLES = 256
-QUAD_NODES = 64
-
-
-def _response(lam, r1, r2, theta):
-    """Components of exp(K theta) b in energy coordinates (broadcasting)."""
-    e1 = np.exp(r1 * theta)
-    e2 = np.exp(r2 * theta)
-    dr = r1 - r2
-    return lam * (e1 - e2) / dr, (r1 * e1 - r2 * e2) / dr
 
 
 @dataclass
 class ControlSignal:
-    """Steering control: closed form on the window, optional base before it.
+    """Steering control on the window [tau - delta, tau], in closed form.
 
     ``eta`` holds the regularized preimage per mode (energy coordinates); the
-    window values u_j(t) = b^T exp(K_j^T (tau - t)) eta_j are evaluated
-    exactly wherever needed, the cached samples are a convenience only.
-    ``extra`` is an optional additive window term (the auxiliary signal of
-    the general control sequence); ``base`` is the control on [0, tau-delta];
-    ``alpha`` is the regularisation it was synthesized with, if any.
+    control u_j(t) = b^T exp(K_j^T (tau - t)) eta_j is evaluated exactly by
+    ``window_coeffs``.  ``alpha`` is the regularisation it was synthesized
+    with, if any.
     """
 
     window: SteerWindow
     eta: np.ndarray
     modes: ModeSet
     beta: float
-    base: Optional[Callable[[float], np.ndarray]] = None
-    extra: Optional[Callable[[float], np.ndarray]] = None
     alpha: Optional[float] = None
-    times: np.ndarray = field(init=False)
-    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
@@ -70,62 +48,15 @@ class ControlSignal:
             raise InvalidArgumentError("eta must have shape (N, 2)")
         if self.window.delta <= 0:
             raise InvalidArgumentError("control window must have positive length")
-        self.times = np.linspace(self.window.start, self.window.tau, CACHE_SAMPLES)
-        self.values = self.window_coeffs(self.times)
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidArgumentError("control values are not finite")
+        if not np.all(np.isfinite(self.eta)):
+            raise InvalidArgumentError("control preimage is not finite")
 
     def window_coeffs(self, t):
         """Per-mode control coefficients at time(s) t in [tau-delta, tau]."""
-        t = np.asarray(t, dtype=float)
-        theta = self.window.tau - t[..., None]
-        lam = self.modes.lambdas
-        r1, r2 = damping_roots(lam, self.beta)
-        g1, g2 = _response(lam, r1, r2, theta)
-        out = g1 * self.eta[:, 0] + g2 * self.eta[:, 1]
-        if self.extra is not None:
-            if t.ndim == 0:
-                out = out + np.asarray(self.extra(float(t)), dtype=float)
-            else:
-                out = out + np.stack([np.asarray(self.extra(float(s))) for s in t])
-        return out
-
-    def base_coeffs(self, t) -> np.ndarray:
-        if self.base is None:
-            return np.zeros(self.modes.count)
-        return np.asarray(self.base(float(t)), dtype=float)
-
-    def coeffs(self, t) -> np.ndarray:
-        """Control value at time t, window part taking over at tau - delta."""
-        if t >= self.window.start - 1e-12:
-            return self.window_coeffs(t)
-        return self.base_coeffs(t)
-
-    def __add__(self, other: "ControlSignal") -> "ControlSignal":
-        if (
-            self.window != other.window
-            or self.beta != other.beta
-            or self.modes.count != other.modes.count
-        ):
-            raise InvalidArgumentError("can only add controls on the same window")
-        extras = [f for f in (self.extra, other.extra) if f is not None]
-        bases = [f for f in (self.base, other.base) if f is not None]
-
-        def _sum(fns):
-            if not fns:
-                return None
-            if len(fns) == 1:
-                return fns[0]
-            return lambda t: fns[0](t) + fns[1](t)
-
-        return ControlSignal(
-            self.window,
-            self.eta + other.eta,
-            self.modes,
-            self.beta,
-            base=_sum(bases),
-            extra=_sum(extras),
-        )
+        # time-to-go, clipped where t overshoots tau by rounding
+        theta = np.maximum(self.window.tau - np.asarray(t, dtype=float)[..., None], 0.0)
+        _, g1, _, g2 = exp_entries(self.modes.lambdas, self.beta, theta, energy=True)
+        return g1 * self.eta[:, 0] + g2 * self.eta[:, 1]
 
 
 @dataclass(frozen=True)
@@ -149,15 +80,8 @@ def synthesize_control(
     modes: ModeSet,
     beta: float,
     gramians: GramianSet | None = None,
-    base: Optional[Callable[[float], np.ndarray]] = None,
-    extra: Optional[Callable[[float], np.ndarray]] = None,
 ) -> ControlSignal:
-    """Regularized steering control for the given problem.
-
-    With ``extra`` (an auxiliary window signal v) the preimage is computed
-    from d - G v, so the synthesized control is
-    G*(alpha I + Q)^{-1}(d - G v) + v.
-    """
+    """Regularized steering control for the given problem."""
     win = problem.window
     if win.delta <= 0:
         raise InvalidArgumentError("steering requires a window of positive length")
@@ -167,85 +91,30 @@ def synthesize_control(
         raise InvalidArgumentError("Gramian is not positive definite on this window")
     moved = apply_semigroup(problem.y0, win.delta, modes, beta)
     d = energy_coords(problem.z1, modes) - energy_coords(moved, modes)
-    if extra is not None:
-        d = d - _window_integral_of(extra, win, modes, beta)
     eta = solve_regularized(gramians, problem.alpha, d)
-    return ControlSignal(win, eta, modes, beta, base=base, extra=extra, alpha=problem.alpha)
-
-
-def _mode_quadrature(win: SteerWindow, block: ModeBlock, nodes: int):
-    """Composite Gauss-Legendre nodes/weights in time-to-go theta = tau - s."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    panels = quadrature_panels(block, win.delta)
-    width = win.delta / panels
-    thetas = np.concatenate(
-        [p * width + 0.5 * width * (x + 1.0) for p in range(panels)]
-    )
-    weights = np.tile(0.5 * width * w, panels)
-    return thetas, weights
-
-
-def _window_integral_of(u_fn, win: SteerWindow, modes: ModeSet, beta: float, nodes=QUAD_NODES):
-    """Mapped window signal G u = integral exp(K (tau-s)) b u(s) ds, per mode."""
-    lam = modes.lambdas
-    r1s, r2s = damping_roots(lam, beta)
-    out = np.zeros((modes.count, 2))
-    for j in range(modes.count):
-        block = ModeBlock(lam[j], beta)
-        thetas, weights = _mode_quadrature(win, block, nodes)
-        g1, g2 = _response(lam[j], r1s[j], r2s[j], thetas)
-        uvals = np.array([np.asarray(u_fn(float(win.tau - th)))[j] for th in thetas])
-        out[j, 0] = np.sum(weights * g1 * uvals)
-        out[j, 1] = np.sum(weights * g2 * uvals)
-    return out
-
-
-def apply_control_map(control: ControlSignal, modes: ModeSet, beta: float, nodes=QUAD_NODES):
-    """G u for a synthesized control, by composite quadrature per mode.
-
-    Returns energy coordinates, shape (N, 2).
-    """
-    win = control.window
-    lam = modes.lambdas
-    r1s, r2s = damping_roots(lam, beta)
-    out = np.zeros((modes.count, 2))
-    for j in range(modes.count):
-        block = ModeBlock(lam[j], beta)
-        thetas, weights = _mode_quadrature(win, block, nodes)
-        g1, g2 = _response(lam[j], r1s[j], r2s[j], thetas)
-        uvals = control.window_coeffs(win.tau - thetas)[:, j]
-        out[j, 0] = np.sum(weights * g1 * uvals)
-        out[j, 1] = np.sum(weights * g2 * uvals)
-    return out
+    return ControlSignal(win, eta, modes, beta, alpha=problem.alpha)
 
 
 def steer_linear(y0: BeamState, control: ControlSignal, modes: ModeSet, beta: float) -> BeamState:
     """Terminal state of the controlled linear dynamics on the window.
 
-    y(tau) = T(delta) y0 + integral of T(tau - s) B u(s) over the window,
-    the integral evaluated per mode by composite 64-node Gauss-Legendre
-    against the closed-form integrand.
+    y(tau) = T(delta) y0 + G u, and since u = G* eta the mapped control is
+    G G* eta = Q eta, exact in the closed-form Gramian blocks.
     """
     if y0.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
     win = control.window
+    blocks = assemble_gramian(modes, beta, win).blocks
     total = energy_coords(apply_semigroup(y0, win.delta, modes, beta), modes)
-    total += apply_control_map(control, modes, beta)
+    total += (blocks @ control.eta[:, :, None])[:, :, 0]
     return state_from_coords(total, modes)
 
 
-def control_energy(control: ControlSignal, modes: ModeSet, beta: float, nodes=QUAD_NODES) -> float:
-    """Squared-integral energy of the window control, summed over modes."""
-    win = control.window
-    lam = modes.lambdas
-    r1s, r2s = damping_roots(lam, beta)
-    total = 0.0
-    for j in range(modes.count):
-        block = ModeBlock(lam[j], beta)
-        thetas, weights = _mode_quadrature(win, block, nodes)
-        uvals = control.window_coeffs(win.tau - thetas)[:, j]
-        total += float(np.sum(weights * uvals**2))
-    return total
+def control_energy(control: ControlSignal, modes: ModeSet, beta: float) -> float:
+    """Squared-integral energy of the window control, eta^T Q eta summed over modes."""
+    eta = control.eta
+    blocks = assemble_gramian(modes, beta, control.window).blocks
+    return float(np.sum(eta[:, None, :] @ blocks @ eta[:, :, None]))
 
 
 def alpha_sweep(

@@ -5,7 +5,11 @@ exponential is Taylor series with scaling and squaring, quadratures are
 assembled from scratch.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from beamsteer import ModeSet
 
 
 def expm_squaring(A, order=24):
@@ -55,3 +59,34 @@ def gauss_integral(f, a, b, nodes=64, panels=1):
             val = wi * np.asarray(f(si), dtype=float)
             total = val if total is None else total + val
     return total
+
+
+def window_control_quadrature(control, nodes=64, span=50.0):
+    """Mapped control G u and energy of a window control, by quadrature.
+
+    Per mode, composite Gauss-Legendre over the time-to-go theta in
+    [0, delta] of exp(A theta) b u(tau - theta) and of u**2, with u sampled
+    from ``window_coeffs`` of the control restricted to that mode.  The response exp(A theta) b of the
+    energy-coordinate generator A = [[0, lam], [-lam, -2 beta lam]] comes
+    from numpy's eigendecomposition of A, not from the package's closed
+    forms.  Panels keep each panel's stiffest decay span below ``span``.
+    Returns G u as an (N, 2) array and the energy summed over modes.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    win = control.window
+    mapped = np.zeros((control.modes.count, 2))
+    energy = 0.0
+    for j, lam in enumerate(control.modes.lambdas):
+        A = np.array([[0.0, lam], [-lam, -2.0 * control.beta * lam]])
+        mu, V = np.linalg.eig(A)
+        panels = max(1, int(np.ceil(2.0 * np.abs(mu).max() * win.delta / span)))
+        width = win.delta / panels
+        theta = (np.arange(panels)[:, None] * width + 0.5 * width * (x + 1.0)).ravel()
+        weights = np.tile(0.5 * width * w, panels)
+        coeffs = np.linalg.solve(V, [0.0, 1.0])
+        response = V @ (np.exp(np.outer(mu, theta)) * coeffs[:, None])
+        single = replace(control, eta=control.eta[j : j + 1], modes=ModeSet(lam))
+        u = single.window_coeffs(win.tau - theta)[:, 0]
+        mapped[j] = response @ (weights * u)
+        energy += float(np.sum(weights * u * u))
+    return mapped, energy

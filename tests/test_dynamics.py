@@ -283,13 +283,6 @@ def test_resume_rejects_window_not_ending_at_horizon():
         simulate(cfg, [control], prefix=base)
 
 
-def test_resume_rejects_control_with_base_signal():
-    cfg, base, problem = _resume_setup()
-    control = synthesize_control(problem, cfg.modes(), BETA, base=lambda t: np.full(4, 0.1))
-    with pytest.raises(InvalidArgumentError, match="base signal"):
-        simulate(cfg, control, prefix=base)
-
-
 def test_blowup_in_batched_window_names_cell():
     cfg, base, _ = _resume_setup()
     modes = cfg.modes()

@@ -4,9 +4,9 @@ import pytest
 from beamsteer import (
     GramianSet,
     ModeBlock,
+    ModeSet,
     SteerWindow,
     assemble_gramian,
-    gramian_mode_closedform,
     gramian_mode_quadrature,
     laplacian_eigenvalues,
     solve_regularized,
@@ -14,6 +14,11 @@ from beamsteer import (
 from beamsteer.errors import IllConditionedError, InvalidArgumentError
 
 from oracles import expm_squaring, gauss_integral
+
+
+def _closed(block, window):
+    """Closed-form Gramian block of one mode."""
+    return assemble_gramian(ModeSet(block.lam), block.beta, window).blocks[0]
 
 
 def test_window_validation():
@@ -29,23 +34,23 @@ def test_window_validation():
 def test_short_window_limit():
     # as delta -> 0 the Gramian approaches delta * diag(0, 1)
     delta = 1e-8
-    q = gramian_mode_closedform(ModeBlock(1.0, 2.0), SteerWindow(1.0, delta)).matrix
+    q = _closed(ModeBlock(1.0, 2.0), SteerWindow(1.0, delta))
     np.testing.assert_allclose(q, delta * np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_closedform_matches_quadrature_reference_case():
     mb = ModeBlock(1.0, 2.0)
     win = SteerWindow(1.0, 1.0)
-    closed = gramian_mode_closedform(mb, win).matrix
-    quad = gramian_mode_quadrature(mb, win, nodes=64).matrix
+    closed = _closed(mb, win)
+    quad = gramian_mode_quadrature(mb, win, nodes=64)
     np.testing.assert_allclose(closed, quad, atol=1e-12)
 
 
 def test_quadrature_node_doubling_converged():
     mb = ModeBlock(1.0, 2.0)
     win = SteerWindow(1.0, 1.0)
-    q32 = gramian_mode_quadrature(mb, win, nodes=32).matrix
-    q64 = gramian_mode_quadrature(mb, win, nodes=64).matrix
+    q32 = gramian_mode_quadrature(mb, win, nodes=32)
+    q64 = gramian_mode_quadrature(mb, win, nodes=64)
     assert np.abs(q32 - q64).max() < 1e-12
 
 
@@ -53,8 +58,8 @@ def test_closedform_matches_quadrature_stiff_mode():
     # the stiffest retained mode of the standard experiment
     mb = ModeBlock(64.0 * np.pi**2, 2.0)
     win = SteerWindow(1.0, 0.2)
-    closed = gramian_mode_closedform(mb, win).matrix
-    quad = gramian_mode_quadrature(mb, win, nodes=64).matrix
+    closed = _closed(mb, win)
+    quad = gramian_mode_quadrature(mb, win, nodes=64)
     assert np.abs(closed - quad).max() <= 1e-12
 
 
@@ -71,21 +76,21 @@ def test_closedform_matches_independent_oracle():
         return np.outer(eb, eb)
 
     oracle = gauss_integral(integrand, 0.0, win.delta, nodes=64, panels=4)
-    np.testing.assert_allclose(gramian_mode_closedform(mb, win).matrix, oracle, atol=1e-12)
+    np.testing.assert_allclose(_closed(mb, win), oracle, atol=1e-12)
 
 
 def test_window_nesting_monotone():
     mb = ModeBlock(np.pi**2, 2.0)
-    big = gramian_mode_closedform(mb, SteerWindow(1.0, 1.0)).matrix
-    small = gramian_mode_closedform(mb, SteerWindow(1.0, 0.5)).matrix
+    big = _closed(mb, SteerWindow(1.0, 1.0))
+    small = _closed(mb, SteerWindow(1.0, 0.5))
     assert np.linalg.eigvalsh(big - small).min() >= -1e-12
 
 
 def test_zero_window_gives_zero_blocks():
     mb = ModeBlock(1.0, 2.0)
     win = SteerWindow(1.0, 0.0)
-    np.testing.assert_array_equal(gramian_mode_closedform(mb, win).matrix, np.zeros((2, 2)))
-    np.testing.assert_array_equal(gramian_mode_quadrature(mb, win).matrix, np.zeros((2, 2)))
+    np.testing.assert_array_equal(_closed(mb, win), np.zeros((2, 2)))
+    np.testing.assert_array_equal(gramian_mode_quadrature(mb, win), np.zeros((2, 2)))
     gset = assemble_gramian(laplacian_eigenvalues(1.0, 3), 2.0, win)
     assert not gset.positive_definite
 
@@ -99,14 +104,6 @@ def test_assemble_all_blocks_positive_definite():
     assert np.all(eigs[:, 0] > 0)
 
 
-def test_assemble_single_mode_reduces_to_block():
-    modes = laplacian_eigenvalues(1.0, 1)
-    win = SteerWindow(1.0, 0.3)
-    gset = assemble_gramian(modes, 2.0, win)
-    block = gramian_mode_closedform(ModeBlock(modes.lambdas[0], 2.0), win).matrix
-    np.testing.assert_array_equal(gset.blocks[0], block)
-
-
 def test_blocks_symmetric():
     modes = laplacian_eigenvalues(1.0, 8)
     for win in (SteerWindow(1.0, 0.2), SteerWindow(2.0, 1.0)):
@@ -116,7 +113,7 @@ def test_blocks_symmetric():
 
 def test_nearly_confluent_roots_rejected():
     with pytest.raises(IllConditionedError):
-        gramian_mode_closedform(ModeBlock(1.0, 1.0 + 1e-7), SteerWindow(1.0, 0.5))
+        assemble_gramian(ModeSet(1.0), 1.0 + 1e-7, SteerWindow(1.0, 0.5))
 
 
 def test_solve_regularized_zero_blocks():
