@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import load_experiment
 from .errors import BlowUpError, ConfigError, InvalidArgumentError
-from .gramian import SteerWindow, assemble_gramian, solve_regularized
+from .gramian import SteerWindow
 from .harness import (
     CROSS_PATH_TOL,
     emit_csv,
@@ -28,14 +28,14 @@ from .harness import (
     make_target,
     pullback_cell,
     pullback_setup,
+    residual_identity,
     run_linear_suite,
     run_pullback_experiment,
     suite_ok,
     summarize_rows,
 )
-from .semigroup import apply_semigroup
-from .spectral import energy_coords, energy_norm
-from .steering import SteeringProblem, steer_linear, synthesize_control
+from .spectral import energy_norm
+from .steering import SteeringProblem, steer_linear
 
 
 def _say(args, *text):
@@ -75,22 +75,16 @@ def _cmd_steer(spec, args) -> int:
     rng = np.random.default_rng(spec.seed)
     y0 = make_random_state(modes, rng, 1.0)
     z1 = make_target(spec.target_kind, modes, rng, spec.target_scale, spec.target_mode)
-    gramians = assemble_gramian(modes, config.beta, window)
-    control = synthesize_control(
-        SteeringProblem(y0, z1, window, alpha), modes, config.beta, gramians=gramians
-    )
-    y_tau = steer_linear(y0, control, modes, config.beta)
-    err = energy_norm(y_tau - z1, modes)
-    d = energy_coords(z1, modes) - energy_coords(
-        apply_semigroup(y0, delta, modes, config.beta), modes
-    )
-    formula = float(alpha * np.linalg.norm(solve_regularized(gramians, alpha, d)))
-    gap = abs(err - formula)
+    gramians, q_quad, _ = gramian_cross_check(modes, config.beta, window)
+    problem = SteeringProblem(y0, z1, window, alpha)
+    control, measured, formula = residual_identity(problem, modes, config.beta, gramians, q_quad)
+    err = energy_norm(steer_linear(y0, control, modes, config.beta) - z1, modes)
+    gap = abs(measured - formula)
     _say(args, f"steer: delta={delta:g} alpha={alpha:g}")
     _say(args, f"  terminal error        = {err:.6e}")
     _say(args, f"  residual formula      = {formula:.6e}")
     _say(args, f"  identity gap          = {gap:.3e}")
-    return 0 if gap <= 1e-8 else 1
+    return 0 if gap <= CROSS_PATH_TOL else 1
 
 
 def _cmd_pullback(spec, args) -> int:

@@ -10,15 +10,15 @@ alignment law (the step divides the delay, the horizon, the window start and
 every impulse time) makes all delayed reads exact grid lookups, so no
 interpolation is ever performed.  The state-dependent forcings are integrated
 by the trapezoid rule in s; the closed-form steering control is integrated
-exactly per step, so the linear steering path and the simulator agree to
-quadrature precision.
+exactly per step.
 
-Nonlinear maps act through collocation: synthesize onto the grid, apply the
-pointwise map, project back.  Velocity jumps at impulse times are applied
-after the step that lands exactly on the impulse node; delayed reads at such
-nodes use the left-limit (pre-jump) value.  The memory term is the trapezoid
-sum of its convolution, which the exponential kernel turns into an exact
-O(1)-per-step recursion.
+Every pointwise map (the nonlinearity f, the memory integrand g, the impulse
+jumps) acts through one collocation kernel: synthesize the coefficient arrays
+onto the grid, apply the map, project back.  Velocity jumps at impulse times
+are applied after the step that lands exactly on the impulse node; delayed
+reads at such nodes use the left-limit (pre-jump) value.  The memory term is
+the trapezoid sum of its convolution, which the exponential kernel turns into
+an exact O(1)-per-step recursion.
 
 Steering controls are stepped as cells along a leading array axis.  Since
 every window is shorter than the delay, a run resumed at the window start
@@ -28,6 +28,7 @@ from a zero-control prefix reads its delayed states and memory forcing there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,7 +64,7 @@ class NonlinearityCatalog:
     """Forcing nonlinearity, memory integrand and kernel, by named kind.
 
     Every member satisfies the growth bound
-    |f(t, y, v, u)| <= f_a * sqrt(y**2 + v**2) + f_b pointwise:
+    |f(y, v, u)| <= f_a * sqrt(y**2 + v**2) + f_b pointwise:
 
     * ``zero``          f = 0
     * ``linear_growth`` f = f_a * y * cos(u) + f_b
@@ -92,9 +93,9 @@ class NonlinearityCatalog:
         if self.f_a < 0 or self.f_b < 0 or self.kappa < 0 or self.gamma < 0:
             raise InvalidArgumentError("catalog parameters must be nonnegative")
 
-    def f(self, t, y, v, u):
+    def f(self, y, v, u):
         if self.f_kind == "zero":
-            return np.zeros_like(np.asarray(y, dtype=float))
+            return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(v), np.shape(u)))
         if self.f_kind == "linear_growth":
             return self.f_a * np.asarray(y) * np.cos(u) + self.f_b
         return self.f_a * np.sin(y) * np.cos(v) + self.f_b * np.cos(u)
@@ -155,7 +156,7 @@ class ImpulseSchedule:
     def last_time(self) -> float:
         return self.times[-1] if self.times else 0.0
 
-    def jump(self, k: int, t: float, w_grid, v_grid, u_grid):
+    def jump(self, k: int, w_grid, v_grid):
         """Pointwise velocity jump of impulse k on the collocation grid."""
         if not 0 <= k < self.count:
             raise InvalidArgumentError(f"impulse index {k} out of range")
@@ -176,8 +177,6 @@ class SimConfig:
     catalog: NonlinearityCatalog = field(default_factory=NonlinearityCatalog)
     impulses: ImpulseSchedule = field(default_factory=ImpulseSchedule)
     history: Optional[Callable[[float], BeamState]] = None
-    delta: Optional[float] = None
-    alpha: Optional[float] = None
     blowup_threshold: float = BLOWUP_THRESHOLD
 
     def __post_init__(self):
@@ -195,10 +194,6 @@ class SimConfig:
             if not 0 < t_k < self.tau:
                 raise InvalidArgumentError("impulse times must lie inside (0, tau)")
             exact_multiple(t_k, self.step, f"impulse time {t_k}")
-        if self.delta is not None:
-            self.validate_delta(self.delta)
-        if self.alpha is not None and not 0 < self.alpha <= 1:
-            raise InvalidArgumentError("alpha must lie in (0, 1]")
 
     def validate_delta(self, delta: float):
         """Check a steering-window length against the delay and impulses."""
@@ -269,27 +264,28 @@ class Trajectory:
         return self.state(self.times.size - 1)
 
 
-def evaluate_nonlinearity(
-    t: float,
-    delayed: BeamState,
-    u_coeffs: np.ndarray,
-    catalog: NonlinearityCatalog,
-    domain: SpatialDomain,
-    modes: ModeSet,
-) -> BeamState:
-    """Velocity-slot increment from the delayed forcing nonlinearity.
+def _collocate(B, spacing, fn, *coeffs):
+    """Synthesize ``coeffs`` on the grid, apply ``fn`` pointwise, project back.
 
-    Synthesizes the delayed deflection/velocity and the control on the
-    collocation grid, applies f pointwise and projects back.
+    ``B`` is the basis matrix of the grid; the leading axes (cells, samples)
+    of the coefficient arrays broadcast.
     """
-    if delayed.count != modes.count:
-        raise InvalidArgumentError("state and mode set sizes differ")
-    u_coeffs = np.asarray(u_coeffs, dtype=float)
-    if u_coeffs.shape != (modes.count,):
-        raise InvalidArgumentError("control coefficients have wrong length")
-    B = basis_matrix(domain, modes.count)
-    fvals = catalog.f(t, B @ delayed.w, B @ delayed.v, B @ u_coeffs)
-    return BeamState(np.zeros(modes.count), domain.spacing * (fvals @ B))
+    BT = B.T
+    return spacing * (fn(*[c @ BT for c in coeffs]) @ B)
+
+
+def _checked_basis(domain: SpatialDomain, modes: ModeSet, *coeffs) -> np.ndarray:
+    """Basis matrix of the grid, once every coefficient array ends in the mode axis."""
+    for c in coeffs:
+        if np.shape(c)[-1:] != (modes.count,):
+            raise InvalidArgumentError("coefficient arrays must end in the mode axis")
+    return basis_matrix(domain, modes.count)
+
+
+def evaluate_nonlinearity(w, v, u, catalog: NonlinearityCatalog, domain, modes) -> np.ndarray:
+    """Velocity increment of the forcing f at delayed state (w, v) and control u."""
+    B = _checked_basis(domain, modes, w, v, u)
+    return _collocate(B, domain.spacing, catalog.f, w, v, u)
 
 
 def memory_term(
@@ -316,8 +312,7 @@ def memory_term(
     if lo < 0:
         raise RuntimeError("trajectory does not hold the required history")
     B = basis_matrix(domain, modes.count)
-    gvals = catalog.g(trajectory.w[lo : i - n_r + 1] @ B.T)
-    gproj = domain.spacing * (gvals @ B)
+    gproj = _collocate(B, domain.spacing, catalog.g, trajectory.w[lo : i - n_r + 1])
     dt = (i - np.arange(i0, i + 1)) * trajectory.step
     weights = np.full(i - i0 + 1, trajectory.step)
     weights[0] = weights[-1] = trajectory.step / 2.0
@@ -325,21 +320,10 @@ def memory_term(
     return BeamState(np.zeros(modes.count), (kern * weights) @ gproj)
 
 
-def apply_impulse(
-    state: BeamState,
-    k: int,
-    u_coeffs: np.ndarray,
-    schedule: ImpulseSchedule,
-    domain: SpatialDomain,
-    modes: ModeSet,
-) -> BeamState:
-    """State after impulse k: deflection kept, velocity jumped."""
-    if not 0 <= k < schedule.count:
-        raise InvalidArgumentError(f"impulse index {k} out of range")
-    B = basis_matrix(domain, modes.count)
-    u_grid = B @ np.asarray(u_coeffs, dtype=float)
-    jump = schedule.jump(k, schedule.times[k], B @ state.w, B @ state.v, u_grid)
-    return BeamState(state.w.copy(), state.v + domain.spacing * (jump @ B))
+def apply_impulse(w, v, k: int, schedule: ImpulseSchedule, domain, modes) -> np.ndarray:
+    """Velocity jump of impulse k at state (w, v); the deflection is kept."""
+    B = _checked_basis(domain, modes, w, v)
+    return _collocate(B, domain.spacing, partial(schedule.jump, k), w, v)
 
 
 def _control_step_increments(etas, modes: ModeSet, beta: float, h: float, thetas):
@@ -469,30 +453,23 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     a11, a12, a21, a22 = exp_entries(lam, config.beta, h)
     B = basis_matrix(domain, N)
     qw = domain.spacing
-    has_f = catalog.f_kind != "zero"
+    has_f, has_memory = catalog.f_kind != "zero", catalog.has_memory
 
     def forcing(i, active):
         """Velocity-slot forcing at node i per cell, window control excluded."""
-        u = win_u[:, i - start_idx] if active else zero
-        F = zero
+        F = memory[i] if has_memory else zero
         if has_f:
+            u = win_u[:, i - start_idx] if active else zero
             wd, vd = pre_impulse.get(i - n_r) or (past_w[i - n_r], past_v[i - n_r])
-            fvals = catalog.f(times[i], B @ wd, B @ vd, u @ B.T)
-            F = F + qw * (fvals @ B)
-        if catalog.has_memory:
-            F = F + memory[i]
+            F = _collocate(B, qw, catalog.f, wd, vd, u) + F
         return F
 
     # Exact recursion for the trapezoid sum of the exponential kernel: acc
     # carries kappa-free weights decay**(m - k) * h (h/2 for k = 0) times g_k.
-    recurse = prefix is None and catalog.has_memory
+    recurse = prefix is None and has_memory
     if recurse:
         decay = np.exp(-catalog.gamma * h)
-
-        def g_proj(i):
-            return qw * (catalog.g(B @ W[0, i - n_r]) @ B)
-
-        acc = 0.5 * h * g_proj(idx0)
+        acc = 0.5 * h * _collocate(B, qw, catalog.g, W[0, idx0 - n_r])
 
     half = 0.5 * h
     for i in range(first, n_total - 1):
@@ -500,7 +477,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         if i == first or i == start_idx:
             F_left = forcing(i, active)
         if recurse:
-            g = g_proj(i + 1)
+            g = _collocate(B, qw, catalog.g, W[0, i + 1 - n_r])
             acc = decay * acc
             memory[i + 1] = catalog.kappa * (acc + half * g)
             acc = acc + h * g
@@ -519,10 +496,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             n_imp = imp_at[i + 1]
             wp, vp = w1[0], v1[0]
             pre_impulse[i + 1] = (wp.copy(), vp.copy())
-            jump = config.impulses.jump(
-                n_imp, times[i + 1], B @ wp, B @ vp, B @ zero
-            )
-            dv = qw * (jump @ B)
+            dv = apply_impulse(wp, vp, n_imp, config.impulses, domain, modes)
             v1 = (vp + dv)[None]
             impulse_events.append((n_imp, float(times[i + 1]), float(np.linalg.norm(dv))))
         W[:, k + 1] = w1
@@ -571,23 +545,14 @@ def verify_f_bound(
     declared constants, and fits an empirical affine envelope for reporting.
     """
     rng = np.random.default_rng(seed)
-    N = modes.count
     scales = 10.0 ** rng.uniform(-2, 1, size=samples)
-    coords = rng.standard_normal((samples, N, 2)) * scales[:, None, None]
-    Wc = coords[:, :, 0] / modes.lambdas
-    Vc = coords[:, :, 1]
-    Uc = rng.standard_normal((samples, N)) * scales[:, None]
-    ts = rng.uniform(0.0, 1.0, size=samples)
-
-    B = basis_matrix(domain, N)
-    yg = Wc @ B.T
-    vg = Vc @ B.T
-    ug = Uc @ B.T
+    coords = rng.standard_normal((samples, modes.count, 2)) * scales[:, None, None]
+    Uc = rng.standard_normal((samples, modes.count)) * scales[:, None]
+    increments = evaluate_nonlinearity(
+        coords[:, :, 0] / modes.lambdas, coords[:, :, 1], Uc, catalog, domain, modes
+    )
+    fnorm = np.linalg.norm(increments, axis=1)
     norms = np.linalg.norm(coords.reshape(samples, -1), axis=1)
-    fnorm = np.empty(samples)
-    for s in range(samples):
-        fvals = catalog.f(ts[s], yg[s], vg[s], ug[s])
-        fnorm[s] = np.linalg.norm(domain.spacing * (fvals @ B))
 
     a_decl, b_decl = catalog.bound_constants(domain, modes)
     violation = float(np.max(fnorm - (a_decl * norms + b_decl)))

@@ -17,6 +17,7 @@ cross-check).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,10 +73,10 @@ class GramianSet:
         return cls(blocks, min_eig, min_eig > 0)
 
 
-def quadrature_panels(block: ModeBlock, delta: float) -> int:
-    """Panels needed so each panel's stiffest decay span stays moderate."""
-    _, r2 = block.roots()
-    return max(1, int(np.ceil(2.0 * abs(r2) * delta / PANEL_SPAN)))
+@lru_cache(maxsize=8)
+def _gauss_rule(nodes: int):
+    """Gauss-Legendre rule on [-1, 1], once per node count; imports numpy.polynomial lazily."""
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def gramian_mode_quadrature(block: ModeBlock, window: SteerWindow, nodes: int = 64) -> np.ndarray:
@@ -90,20 +91,14 @@ def gramian_mode_quadrature(block: ModeBlock, window: SteerWindow, nodes: int = 
     delta = window.delta
     if delta == 0:
         return np.zeros((2, 2))
-    x, wts = np.polynomial.legendre.leggauss(nodes)
-    Q = np.zeros((2, 2))
-    panels = quadrature_panels(block, delta)
+    x, wts = _gauss_rule(nodes)
+    panels = max(1, int(np.ceil(2.0 * abs(block.roots()[1]) * delta / PANEL_SPAN)))
     width = delta / panels
-    for p in range(panels):
-        lo = p * width
-        s = lo + 0.5 * width * (x + 1.0)
-        ww = 0.5 * width * wts
-        _, g1, _, g2 = exp_entries(block.lam, block.beta, s, energy=True)
-        Q[0, 0] += np.sum(ww * g1 * g1)
-        Q[0, 1] += np.sum(ww * g1 * g2)
-        Q[1, 1] += np.sum(ww * g2 * g2)
-    Q[1, 0] = Q[0, 1]
-    return 0.5 * (Q + Q.T)
+    s = np.arange(panels)[:, None] * width + 0.5 * width * (x + 1.0)
+    ww = 0.5 * width * wts
+    _, g1, _, g2 = exp_entries(block.lam, block.beta, s, energy=True)
+    off = np.sum(ww * g1 * g2)
+    return np.array([[np.sum(ww * g1 * g1), off], [off, np.sum(ww * g2 * g2)]])
 
 
 def assemble_gramian(modes: ModeSet, beta: float, window: SteerWindow) -> GramianSet:

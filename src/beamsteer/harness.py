@@ -189,7 +189,7 @@ def pullback_setup(spec: ExperimentSpec):
         rng,
         spec.history_mode,
     )
-    config = replace(spec.config, history=history, delta=None, alpha=None)
+    config = replace(spec.config, history=history)
     base_traj = simulate(config, None)
     target = make_target(
         spec.target_kind,
@@ -214,6 +214,24 @@ def gramian_cross_check(modes: ModeSet, beta: float, window: SteerWindow):
         [gramian_mode_quadrature(ModeBlock(lam, beta), window, 64) for lam in modes.lambdas]
     )
     return gramians, q_quad, float(np.abs(gramians.blocks - q_quad).max())
+
+
+def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad):
+    """Regularisation residual of a steering problem by two independent paths.
+
+    Returns ``(control, measured, formula)``: the synthesized control,
+    ||T(delta) y0 + Q_quad eta - z1|| with the control mapped through the
+    quadrature blocks ``q_quad`` of :func:`gramian_cross_check`, and
+    alpha ||(alpha I + Q)^-1 d|| with the closed-form ``gramians``.
+    """
+    control = synthesize_control(problem, modes, beta, gramians=gramians)
+    z1c = energy_coords(problem.z1, modes)
+    free = energy_coords(apply_semigroup(problem.y0, problem.window.delta, modes, beta), modes)
+    mapped = (q_quad @ control.eta[:, :, None])[:, :, 0]
+    measured = float(np.linalg.norm(free + mapped - z1c))
+    alpha = problem.alpha
+    formula = float(alpha * np.linalg.norm(solve_regularized(gramians, alpha, z1c - free)))
+    return control, measured, formula
 
 
 def _cell_row(config, modes, target, control, z_mid, z_tau, seconds, timer) -> ResultRow:
@@ -363,17 +381,10 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
 
     # the identity checks map the control through the quadrature blocks, so
     # they test the closed forms instead of restating them
-    z1c = energy_coords(z1, modes)
-    free = energy_coords(apply_semigroup(y0, delta, modes, beta), modes)
-    d = z1c - free
     worst_identity = 0.0
     for alpha in (1.0, 1e-2, 1e-4):
-        control = synthesize_control(
-            SteeringProblem(y0, z1, window, alpha), modes, beta, gramians=gramians
-        )
-        mapped = (q_quad @ control.eta[:, :, None])[:, :, 0]
-        measured = float(np.linalg.norm(free + mapped - z1c))
-        formula = float(alpha * np.linalg.norm(solve_regularized(gramians, alpha, d)))
+        problem = SteeringProblem(y0, z1, window, alpha)
+        _, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad)
         worst_identity = max(worst_identity, abs(measured - formula))
     results.append(
         CheckResult(

@@ -118,7 +118,7 @@ def _base_run(spec):
         spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng,
         spec.history_mode,
     )
-    config = replace(spec.config, history=history, delta=None, alpha=None)
+    config = replace(spec.config, history=history)
     base = simulate(config, None)
     target = make_target(
         spec.target_kind, modes, rng, spec.target_scale, spec.target_mode,
