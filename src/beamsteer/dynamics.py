@@ -18,7 +18,16 @@ onto the grid, apply the map, project back.  Velocity jumps at impulse times
 are applied after the step that lands exactly on the impulse node; delayed
 reads at such nodes use the left-limit (pre-jump) value.  The memory term is
 the trapezoid sum of its convolution, which the exponential kernel turns into
-an exact O(1)-per-step recursion.
+an exact recursion.
+
+Stepping follows the method of steps: a slab of at most min(SLAB, delay/h)
+steps, cut at the window start and at impulse nodes, reads only delayed
+states fixed by earlier slabs.  Each slab collocates f and g at all its nodes
+at once, advances the memory recursion by a table of decay powers and every
+mode by z_k = A^k z_0 + sum_{j<k} A^(k-1-j) b_j, with A^k = exp(K k h) in
+closed form.  Slab arrays keep the full slab shape, zero-padded, and the
+products run per cell, so a node's value depends neither on where its slab
+ends nor on how many cells step together.
 
 Steering controls are stepped as cells along a leading array axis.  Since
 every window is shorter than the delay, a run resumed at the window start
@@ -49,6 +58,8 @@ G_KINDS = ("zero", "sin", "rational")
 KERNEL_KINDS = ("zero", "exponential")
 
 BLOWUP_THRESHOLD = 1e12
+# most steps one slab advances; a slab is also bounded by the delay
+SLAB = 32
 
 
 def exact_multiple(value: float, step: float, what: str) -> int:
@@ -373,6 +384,19 @@ def _check_resume(config: SimConfig, prefix: Trajectory, start_idx):
         raise InvalidArgumentError("prefix run carries a control before the window")
 
 
+def _lag_index(size):
+    """Mask of the slab-table entries (row k, column j) of lag k + 1 - j >= 0, and the lags."""
+    lag = np.arange(1, size + 1)[:, None] - np.arange(size + 1)
+    return lag >= 0, lag[lag >= 0]
+
+
+def _padded(a, rows):
+    """``a`` with zero rows appended along its node axis (-2) up to ``rows``."""
+    out = np.zeros(a.shape[:-2] + (rows,) + a.shape[-1:])
+    out[..., : a.shape[-2], :] = a
+    return out
+
+
 def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = None):
     """Integrate the semilinear system; controls are cells on a leading axis.
 
@@ -441,6 +465,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         for k, t_k in enumerate(config.impulses.times)
     }
 
+    size = min(SLAB, n_r)
     zero = np.zeros(N)
     win_u = None
     if start_idx is not None:
@@ -450,68 +475,83 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             np.stack([c.eta for c in cells]), modes, config.beta, h, config.tau - win_t[:-1]
         )
 
-    a11, a12, a21, a22 = exp_entries(lam, config.beta, h)
-    B = basis_matrix(domain, N)
-    qw = domain.spacing
+    # per mode, (z_0, b_0 .. b_{size-1}) -> z_1 .. z_size: row k of a slab
+    # table gives z_{k+1} = A^{k+1} z_0 + sum_{j<=k} A^{k-j} b_j, A^k = exp(K k h)
+    mask, lags = _lag_index(size)
+    powers = exp_entries(lam, config.beta, h * np.arange(size + 1)[:, None])
+    propagator = np.zeros((N, 2, size, 2, size + 1))
+    for (r, c), p in zip(np.ndindex(2, 2), powers):
+        propagator[:, r, :, c][:, mask] = p[lags].T
+    propagator = propagator.reshape(N, 2 * size, 2 * size + 2)
+    a12, a22 = powers[1][1], powers[3][1]
+    B, qw = basis_matrix(domain, N), domain.spacing
     has_f, has_memory = catalog.f_kind != "zero", catalog.has_memory
 
-    def forcing(i, active):
-        """Velocity-slot forcing at node i per cell, window control excluded."""
-        F = memory[i] if has_memory else zero
-        if has_f:
-            u = win_u[:, i - start_idx] if active else zero
-            wd, vd = pre_impulse.get(i - n_r) or (past_w[i - n_r], past_v[i - n_r])
-            F = _collocate(B, qw, catalog.f, wd, vd, u) + F
-        return F
-
-    # Exact recursion for the trapezoid sum of the exponential kernel: acc
-    # carries kappa-free weights decay**(m - k) * h (h/2 for k = 0) times g_k.
+    # Exact recursion for the trapezoid sum of the exponential kernel: the
+    # carry holds kappa-free weights decay**(m - k) * h (h/2 for k = 0) times
+    # g_k up to the slab start m; one table row per slab node adds the rest.
     recurse = prefix is None and has_memory
     if recurse:
-        decay = np.exp(-catalog.gamma * h)
-        acc = 0.5 * h * _collocate(B, qw, catalog.g, W[0, idx0 - n_r])
+        decay_table = np.zeros((size, size + 1))
+        decay_table[mask] = np.exp(-catalog.gamma * h) ** lags
+        decay_table[:, 1:] *= h
+        carry = 0.5 * h * _collocate(B, qw, catalog.g, W[0, idx0 - n_r])
 
+    stops = sorted(s for s in {n_total - 1, start_idx, *imp_at} if s is not None)
     half = 0.5 * h
-    for i in range(first, n_total - 1):
-        active = start_idx is not None and i >= start_idx
-        if i == first or i == start_idx:
-            F_left = forcing(i, active)
+    s0 = first
+    while s0 < n_total - 1:
+        s1 = min(s0 + size, next(s for s in stops if s > s0))
+        n = s1 - s0
+        active = start_idx is not None and s0 >= start_idx
         if recurse:
-            g = _collocate(B, qw, catalog.g, W[0, i + 1 - n_r])
-            acc = decay * acc
-            memory[i + 1] = catalog.kappa * (acc + half * g)
-            acc = acc + h * g
-        F_right = forcing(i + 1, active)
-
-        k = i - lo
-        w0, v0 = W[:, k], V[:, k]
-        w1 = a11 * w0 + a12 * v0 + half * a12 * F_left
-        v1 = a21 * w0 + a22 * v0 + half * (a22 * F_left + F_right)
+            g = _collocate(B, qw, catalog.g, _padded(W[0, s0 + 1 - n_r : s1 + 1 - n_r], size))
+            acc = decay_table @ np.concatenate([carry[None], g])
+            memory[s0 + 1 : s1 + 1] = catalog.kappa * (acc[:n] - half * g[:n])
+            carry = acc[n - 1]
+        # velocity-slot forcing at the slab's nodes s0..s1, per cell
+        F = _padded(memory[s0 : s1 + 1], size + 1) if has_memory else np.zeros((size + 1, N))
+        if has_f:
+            rows = slice(s0 - n_r, s1 - n_r + 1)
+            wd, vd = _padded(past_w[rows], size + 1), _padded(past_v[rows], size + 1)
+            for d, left in pre_impulse.items():
+                if s0 <= d + n_r <= s1:
+                    wd[d + n_r - s0], vd[d + n_r - s0] = left
+            u = _padded(win_u[:, s0 - start_idx : s1 - start_idx + 1], size + 1) if active else zero
+            F = _collocate(B, qw, catalog.f, wd, vd, u) + F
+        F = np.broadcast_to(F, (len(cells), size + 1, N))
+        bw = half * a12 * F[:, :-1]
+        bv = half * (a22 * F[:, :-1] + F[:, 1:])
         if active:
-            w1 = w1 + cw[:, i - start_idx]
-            v1 = v1 + cv[:, i - start_idx]
-
-        if i + 1 in imp_at:
+            bw = bw + _padded(cw[:, s0 - start_idx : s1 - start_idx], size)
+            bv = bv + _padded(cv[:, s0 - start_idx : s1 - start_idx], size)
+        x = np.concatenate([W[:, s0 - lo, None], bw, V[:, s0 - lo, None], bv], axis=1)
+        z = propagator @ np.ascontiguousarray(np.swapaxes(x, 1, 2))[..., None]
+        new = slice(s0 - lo + 1, s1 - lo + 1)
+        W[:, new] = np.swapaxes(z[:, :, :n, 0], 1, 2)
+        V[:, new] = np.swapaxes(z[:, :, size : size + n, 0], 1, 2)
+        if s1 in imp_at:
             # impulses precede every window, so only single-cell full runs meet one
-            n_imp = imp_at[i + 1]
-            wp, vp = w1[0], v1[0]
-            pre_impulse[i + 1] = (wp.copy(), vp.copy())
-            dv = apply_impulse(wp, vp, n_imp, config.impulses, domain, modes)
-            v1 = (vp + dv)[None]
-            impulse_events.append((n_imp, float(times[i + 1]), float(np.linalg.norm(dv))))
-        W[:, k + 1] = w1
-        V[:, k + 1] = v1
+            k = imp_at[s1]
+            wp, vp = W[0, s1 - lo].copy(), V[0, s1 - lo].copy()
+            pre_impulse[s1] = (wp, vp)
+            dv = apply_impulse(wp, vp, k, config.impulses, domain, modes)
+            V[0, s1 - lo] = vp + dv
+            impulse_events.append((k, float(times[s1]), float(np.linalg.norm(dv))))
 
-        norms = np.sqrt(np.sum((lam * w1) ** 2, axis=1) + np.sum(v1**2, axis=1))
-        c = int(np.argmax(norms))
-        if norms[c] > config.blowup_threshold:
+        norms = np.sqrt(np.sum((lam * W[:, new]) ** 2, axis=2) + np.sum(V[:, new] ** 2, axis=2))
+        tripped = ~(norms <= config.blowup_threshold)  # a NaN norm trips too
+        if tripped.any():
+            j = int(np.argmax(tripped.any(axis=0)))  # the first node that trips
+            c = int(np.argmax(norms[:, j]))  # argmax takes a NaN as the largest
             cell = cells[c]
             where = "" if cell is None else (
                 f" in the cell alpha={cell.alpha}, delta={cell.window.delta:g}"
             )
-            raise BlowUpError(f"trajectory norm {norms[c]:.3e} at t={times[i + 1]:.6f}{where}")
-
-        F_left = F_right
+            raise BlowUpError(
+                f"trajectory norm {norms[c, j]:.3e} at t={times[s0 + 1 + j]:.6f}{where}"
+            )
+        s0 = s1
 
     if batched:
         return [BeamState(w.copy(), v.copy()) for w, v in zip(W[:, -1], V[:, -1])]

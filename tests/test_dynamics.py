@@ -24,8 +24,9 @@ from beamsteer import (
     synthesize_control,
     verify_f_bound,
 )
+from beamsteer.dynamics import SLAB
 from beamsteer.errors import BlowUpError, InvalidArgumentError
-from oracles import f_bound_per_sample
+from oracles import f_bound_per_sample, simulate_stepwise
 
 BETA = 2.0
 # the catalogs of acceptance criterion 7
@@ -393,6 +394,72 @@ def test_blowup_guard_triggers():
     cfg = _config(catalog=cat)
     with pytest.raises(BlowUpError):
         simulate(cfg, None)
+
+
+def test_blowup_guard_trips_on_non_finite_state():
+    nan_history = lambda s: BeamState(np.full(4, np.nan), np.zeros(4))
+    cfg = _config(history=nan_history)
+    for run in (simulate, simulate_stepwise):
+        with pytest.raises(BlowUpError, match=r"norm nan at t=0\.001667$"):
+            run(cfg, None)
+
+
+def test_blowup_guard_names_first_trip_like_stepwise_oracle():
+    # a constant forcing crosses the threshold inside the first slab
+    cfg = _config(
+        catalog=NonlinearityCatalog(f_kind="linear_growth", f_b=50.0), blowup_threshold=1.0
+    )
+    messages = []
+    for run in (simulate, simulate_stepwise):
+        with pytest.raises(BlowUpError) as err:
+            run(cfg, None)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    trip = round(float(messages[0].rsplit("t=", 1)[1]) / cfg.step)
+    assert 0 < trip < SLAB
+
+
+STEPWISE_F = {
+    "zero": dict(),
+    "linear_growth": dict(f_kind="linear_growth", f_a=0.5, f_b=0.1),
+    "bounded_trig": dict(f_kind="bounded_trig", f_a=0.4, f_b=0.2),
+}
+STEPWISE_CASES = [
+    pytest.param(f, memory, 1 / 600, 0.3, 0.15, id=f"{f}-{'mem' if memory else 'nomem'}-h600")
+    for f in STEPWISE_F
+    for memory in (False, True)
+] + [
+    pytest.param("linear_growth", True, 1 / 4800, 0.3, 0.15, id="linear_growth-mem-h4800"),
+    # n_r = 6 < SLAB: the delay bounds the slabs
+    pytest.param("bounded_trig", True, 1 / 600, 0.01, 0.005, id="bounded_trig-mem-short_delay"),
+]
+
+
+@pytest.mark.parametrize("f_kind, memory, step, delay, delta", STEPWISE_CASES)
+def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta):
+    # at h = 1/600 the impulses at 0.25 and 0.55 and the window start 0.85
+    # fall inside slabs of 32 steps
+    memory_kw = dict(g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=1.0)
+    cat = NonlinearityCatalog(**STEPWISE_F[f_kind], **(memory_kw if memory else {}))
+    k = np.arange(1, 5)
+    hist = lambda s: BeamState(0.3 * np.cos(3 * s) / k**2, 0.2 * np.sin(2 * s) / k)
+    imp = ImpulseSchedule(times=(0.25, 0.55), gains=(0.1, -0.05))
+    cfg = _config(catalog=cat, impulses=imp, history=hist, step=step, delay=delay)
+    window = SteerWindow(cfg.tau, delta)
+    z1 = BeamState.zeros(4)
+    z1.v[0] = 0.5
+    free = simulate(cfg, None)
+    problem = SteeringProblem(free.state_at(window.start), z1, window, 1e-3)
+    modes = cfg.modes()
+    for control in (None, synthesize_control(problem, modes, BETA)):
+        got, ref = simulate(cfg, control), simulate_stepwise(cfg, control)
+        for a, b in ((got.w, ref.w), (got.v, ref.v), (got.memory, ref.memory)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        gap = energy_norm(got.terminal() - ref.terminal(), modes)
+        assert gap <= 1e-12 * energy_norm(ref.terminal(), modes)
+        assert got.pre_impulse.keys() == ref.pre_impulse.keys()
+        assert [e[:2] for e in got.impulse_events] == [e[:2] for e in ref.impulse_events]
+        np.testing.assert_array_equal(got.control, ref.control)
 
 
 def test_grid_alignment_enforced():
