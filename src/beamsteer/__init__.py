@@ -16,23 +16,19 @@ from .errors import (
 )
 from .spectral import (
     BeamState,
-    HistorySegment,
     ModeSet,
     SpatialDomain,
     basis_matrix,
     energy_coords,
     energy_norm,
     laplacian_eigenvalues,
-    project,
     state_from_coords,
-    synthesize,
 )
 from .semigroup import (
     DecayEnvelope,
     ModeBlock,
     apply_semigroup,
     block_exp,
-    block_matrix,
     damping_roots,
     decay_envelope,
     operator_norms,
@@ -60,7 +56,6 @@ from .dynamics import (
     Trajectory,
     apply_impulse,
     evaluate_nonlinearity,
-    memory_term,
     simulate,
     verify_f_bound,
 )

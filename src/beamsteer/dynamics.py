@@ -13,21 +13,23 @@ by the trapezoid rule in s; the closed-form steering control is integrated
 exactly per step.
 
 Every pointwise map (the nonlinearity f, the memory integrand g, the impulse
-jumps) acts through one collocation kernel: synthesize the coefficient arrays
-onto the grid, apply the map, project back.  Velocity jumps at impulse times
-are applied after the step that lands exactly on the impulse node; delayed
-reads at such nodes use the left-limit (pre-jump) value.  The memory term is
-the trapezoid sum of its convolution, which the exponential kernel turns into
-an exact recursion.
+jumps) acts through one collocation: synthesize the coefficient arrays onto
+the grid, apply the map, project back.  Velocity jumps at impulse times are
+applied after the step that lands exactly on the impulse node; delayed reads
+at such nodes use the left-limit (pre-jump) velocity, the deflection being
+continuous there.  The memory term is the trapezoid sum of its convolution,
+which the exponential kernel turns into an exact recursion.
 
-Stepping follows the method of steps: a slab of at most min(SLAB, delay/h)
-steps, cut at the window start and at impulse nodes, reads only delayed
-states fixed by earlier slabs.  Each slab collocates f and g at all its nodes
-at once, advances the memory recursion by a table of decay powers and every
-mode by z_k = A^k z_0 + sum_{j<k} A^(k-1-j) b_j, with A^k = exp(K k h) in
-closed form.  Slab arrays keep the full slab shape, zero-padded, and the
-products run per cell, so a node's value depends neither on where its slab
-ends nor on how many cells step together.
+The history on [-delay, 0] is an array-valued callable, evaluated once on
+all history nodes.  Stepping follows the method of steps: a slab of at most
+min(SLAB, delay/h) steps, cut at the window start and at impulse nodes, reads
+only delayed states fixed by earlier slabs.  Each slab synthesizes its
+delayed deflection once, which serves both f and g, collocates them at all
+its nodes at once, advances the memory recursion by a table of decay powers
+and every mode by z_k = A^k z_0 + sum_{j<k} A^(k-1-j) b_j, with
+A^k = exp(K k h) in closed form.  Slab arrays keep the full slab shape,
+zero-padded, and the products run per cell, so a node's value depends
+neither on where its slab ends nor on how many cells step together.
 
 Steering controls are stepped as cells along a leading array axis.  Since
 every window is shorter than the delay, a run resumed at the window start
@@ -43,10 +45,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentError
-from .semigroup import damping_roots, exp_entries
+from .semigroup import BETA_GAP, damping_roots, exp_entries
 from .spectral import (
     BeamState,
-    HistorySegment,
     ModeSet,
     SpatialDomain,
     basis_matrix,
@@ -176,7 +177,8 @@ class ImpulseSchedule:
 
 @dataclass
 class SimConfig:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run; ``history`` maps n times in
+    [-delay, 0] to (w, v) arrays of shape (n, n_modes), None being zero."""
 
     n_modes: int
     length: float
@@ -187,12 +189,14 @@ class SimConfig:
     step: float
     catalog: NonlinearityCatalog = field(default_factory=NonlinearityCatalog)
     impulses: ImpulseSchedule = field(default_factory=ImpulseSchedule)
-    history: Optional[Callable[[float], BeamState]] = None
+    history: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     blowup_threshold: float = BLOWUP_THRESHOLD
 
     def __post_init__(self):
-        if self.beta <= 1.0:
-            raise InvalidArgumentError("damping coefficient must exceed 1")
+        if not self.beta - 1.0 > BETA_GAP:
+            raise InvalidArgumentError(
+                f"damping coefficient must exceed 1 by more than BETA_GAP = {BETA_GAP:g}"
+            )
         if self.tau <= 0 or self.delay <= 0 or self.step <= 0:
             raise InvalidArgumentError("tau, delay and step must be positive")
         if self.grid_points < 2 * self.n_modes:
@@ -264,13 +268,6 @@ class Trajectory:
     def state_at(self, t: float) -> BeamState:
         return self.state(self.index_at(t))
 
-    def left_limit(self, i: int) -> BeamState:
-        """State at node i with pre-jump values at impulse nodes."""
-        if i in self.pre_impulse:
-            wp, vp = self.pre_impulse[i]
-            return BeamState(wp.copy(), vp.copy())
-        return self.state(i)
-
     def terminal(self) -> BeamState:
         return self.state(self.times.size - 1)
 
@@ -297,38 +294,6 @@ def evaluate_nonlinearity(w, v, u, catalog: NonlinearityCatalog, domain, modes) 
     """Velocity increment of the forcing f at delayed state (w, v) and control u."""
     B = _checked_basis(domain, modes, w, v, u)
     return _collocate(B, domain.spacing, catalog.f, w, v, u)
-
-
-def memory_term(
-    t: float,
-    trajectory: Trajectory,
-    catalog: NonlinearityCatalog,
-    domain: SpatialDomain,
-    modes: ModeSet,
-) -> BeamState:
-    """Volterra memory increment at time t, recomputed from a trajectory.
-
-    Composite trapezoid over the stored grid of kernel(t - s) * g(w(s - r)),
-    collocated and projected.  Used as the cross-check path; the simulator
-    evaluates the same sums by the exact exponential-kernel recursion.
-    """
-    if t < 0:
-        raise InvalidArgumentError("memory term is defined for t >= 0")
-    i = trajectory.index_at(t)
-    i0 = trajectory.start_index
-    if not catalog.has_memory or i == i0:
-        return BeamState.zeros(modes.count)
-    n_r = exact_multiple(trajectory.delay, trajectory.step, "the delay")
-    lo = i0 - n_r
-    if lo < 0:
-        raise RuntimeError("trajectory does not hold the required history")
-    B = basis_matrix(domain, modes.count)
-    gproj = _collocate(B, domain.spacing, catalog.g, trajectory.w[lo : i - n_r + 1])
-    dt = (i - np.arange(i0, i + 1)) * trajectory.step
-    weights = np.full(i - i0 + 1, trajectory.step)
-    weights[0] = weights[-1] = trajectory.step / 2.0
-    kern = catalog.kernel(dt)
-    return BeamState(np.zeros(modes.count), (kern * weights) @ gproj)
 
 
 def apply_impulse(w, v, k: int, schedule: ImpulseSchedule, domain, modes) -> np.ndarray:
@@ -447,10 +412,11 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     W = np.zeros((len(cells), n_total - lo, N))
     V = np.zeros_like(W)
     if prefix is None:
-        history = config.history or (lambda s: BeamState.zeros(N))
-        seg = HistorySegment.sample(history, config.delay, h, N)
-        W[0, : idx0 + 1] = seg.w
-        V[0, : idx0 + 1] = seg.v
+        if config.history is not None:
+            hist, shape = config.history(times[: idx0 + 1]), (idx0 + 1, N)
+            if not (isinstance(hist, tuple) and [np.shape(a) for a in hist] == [shape] * 2):
+                raise InvalidArgumentError(f"history must give (w, v) arrays of shape {shape}")
+            W[0, : idx0 + 1], V[0, : idx0 + 1] = hist
         pre_impulse, impulse_events, memory = {}, [], np.zeros((n_total, N))
     else:
         W[:, : first - lo + 1] = prefix.w[lo : first + 1]
@@ -504,21 +470,24 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         s1 = min(s0 + size, next(s for s in stops if s > s0))
         n = s1 - s0
         active = start_idx is not None and s0 >= start_idx
+        rows = slice(s0 - n_r, s1 - n_r + 1)
+        if has_f or recurse:
+            # delayed deflection on the grid, for f and g; continuous at impulses
+            yd = _padded(past_w[rows], size + 1) @ B.T
         if recurse:
-            g = _collocate(B, qw, catalog.g, _padded(W[0, s0 + 1 - n_r : s1 + 1 - n_r], size))
+            g = qw * (catalog.g(yd[1:]) @ B)
             acc = decay_table @ np.concatenate([carry[None], g])
             memory[s0 + 1 : s1 + 1] = catalog.kappa * (acc[:n] - half * g[:n])
             carry = acc[n - 1]
         # velocity-slot forcing at the slab's nodes s0..s1, per cell
         F = _padded(memory[s0 : s1 + 1], size + 1) if has_memory else np.zeros((size + 1, N))
         if has_f:
-            rows = slice(s0 - n_r, s1 - n_r + 1)
-            wd, vd = _padded(past_w[rows], size + 1), _padded(past_v[rows], size + 1)
-            for d, left in pre_impulse.items():
+            vd = _padded(past_v[rows], size + 1)
+            for d, (_, v_left) in pre_impulse.items():
                 if s0 <= d + n_r <= s1:
-                    wd[d + n_r - s0], vd[d + n_r - s0] = left
+                    vd[d + n_r - s0] = v_left
             u = _padded(win_u[:, s0 - start_idx : s1 - start_idx + 1], size + 1) if active else zero
-            F = _collocate(B, qw, catalog.f, wd, vd, u) + F
+            F = qw * (catalog.f(yd, vd @ B.T, u @ B.T) @ B) + F
         F = np.broadcast_to(F, (len(cells), size + 1, N))
         bw = half * a12 * F[:, :-1]
         bv = half * (a22 * F[:, :-1] + F[:, 1:])
@@ -539,9 +508,11 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             V[0, s1 - lo] = vp + dv
             impulse_events.append((k, float(times[s1]), float(np.linalg.norm(dv))))
 
-        norms = np.sqrt(np.sum((lam * W[:, new]) ** 2, axis=2) + np.sum(V[:, new] ** 2, axis=2))
-        tripped = ~(norms <= config.blowup_threshold)  # a NaN norm trips too
-        if tripped.any():
+        sq = ((lam * W[:, new]) ** 2).sum(axis=2) + (V[:, new] ** 2).sum(axis=2)
+        # sqrt is monotone, so this is the per-node test; a NaN trips too
+        if not np.sqrt(sq.max()) <= config.blowup_threshold:
+            norms = np.sqrt(sq)
+            tripped = ~(norms <= config.blowup_threshold)
             j = int(np.argmax(tripped.any(axis=0)))  # the first node that trips
             c = int(np.argmax(norms[:, j]))  # argmax takes a NaN as the largest
             cell = cells[c]

@@ -129,26 +129,29 @@ def make_random_state(modes: ModeSet, rng, amplitude: float = 1.0, decay: float 
 
 
 def make_history(kind, amplitude, delay, modes, rng, mode_index: int = 1):
-    """History callable s -> state on [-delay, 0], by named preset."""
+    """History by named preset: maps n times in [-delay, 0] to (w, v) arrays of shape (n, N)."""
     n = modes.count
-    m = mode_index - 1
     if kind == "zero":
-        return lambda s: BeamState.zeros(n)
+        return lambda s: (np.zeros((s.size, n)), np.zeros((s.size, n)))
+    freq = np.pi / (2.0 * delay)
     if kind == "single_mode":
-        freq = np.pi / (2.0 * delay)
 
         def phi(s):
-            z = BeamState.zeros(n)
-            z.w[m] = amplitude * np.cos(freq * s)
-            z.v[m] = -amplitude * freq * np.sin(freq * s)
-            return z
+            w, v = np.zeros((2, s.size, n))
+            w[:, mode_index - 1] = amplitude * np.cos(freq * s)
+            v[:, mode_index - 1] = -amplitude * freq * np.sin(freq * s)
+            return w, v
 
         return phi
     if kind == "random":
         anchor = make_random_state(modes, rng, amplitude)
         wobble = make_random_state(modes, rng, 0.5 * amplitude)
-        freq = np.pi / (2.0 * delay)
-        return lambda s: anchor + np.sin(freq * s) * wobble
+
+        def phi(s):
+            wave = np.sin(freq * s)[:, None]
+            return anchor.w + wave * wobble.w, anchor.v + wave * wobble.v
+
+        return phi
     raise InvalidArgumentError(f"unknown history kind {kind!r}")
 
 
@@ -234,10 +237,10 @@ def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad):
     return control, measured, formula
 
 
-def _cell_row(config, modes, target, control, z_mid, z_tau, seconds, timer) -> ResultRow:
+def _cell_row(config, modes, gramians, target, control, z_mid, z_tau, seconds, timer) -> ResultRow:
     """Result row of one cell; ``seconds`` is its time before the linear steer."""
     t0 = timer()
-    y_tau = steer_linear(z_mid, control, modes, config.beta)
+    y_tau = steer_linear(z_mid, control, modes, config.beta, gramians=gramians)
     return ResultRow(
         alpha=control.alpha,
         delta=control.window.delta,
@@ -268,7 +271,9 @@ def pullback_cell(
     problem = SteeringProblem(z_mid, target, window, alpha)
     control = synthesize_control(problem, modes, config.beta, gramians=gramians)
     traj = simulate(config, control, prefix=base_traj)
-    row = _cell_row(config, modes, target, control, z_mid, traj.terminal(), timer() - t0, timer)
+    row = _cell_row(
+        config, modes, gramians, target, control, z_mid, traj.terminal(), timer() - t0, timer
+    )
     return row, traj
 
 
@@ -297,7 +302,7 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
         terminals = simulate(config, controls, prefix=base_traj)
         share = (timer() - t0) / len(controls)
         rows += [
-            _cell_row(config, modes, target, control, z_mid, z_tau, s + share, timer)
+            _cell_row(config, modes, gramians, target, control, z_mid, z_tau, s + share, timer)
             for control, z_tau, s in zip(controls, terminals, seconds)
         ]
     return rows

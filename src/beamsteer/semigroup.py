@@ -70,12 +70,6 @@ def _require_distinct_roots(beta: float):
         )
 
 
-def block_matrix(block: ModeBlock) -> np.ndarray:
-    """Generator [[0, 1], [-lam**2, -2 beta lam]] of one modal block."""
-    lam, beta = block.lam, block.beta
-    return np.array([[0.0, 1.0], [-lam * lam, -2.0 * beta * lam]])
-
-
 def exp_entries(lambdas, beta: float, t, energy: bool = False):
     """Entries (a11, a12, a21, a22) of exp(K_j t) for every eigenvalue.
 

@@ -90,30 +90,6 @@ def basis_matrix(domain: SpatialDomain, count: int) -> np.ndarray:
     return np.sqrt(2.0 / domain.length) * np.sin(j * np.pi * x / domain.length)
 
 
-def project(samples: np.ndarray, domain: SpatialDomain, modes: ModeSet) -> np.ndarray:
-    """Coefficients of grid samples against the sine basis.
-
-    Composite trapezoid on the uniform interior grid; the integrand vanishes
-    at both boundary nodes, so the rule reduces to a plain weighted sum
-    (a discrete sine transform, exact for band-limited samples).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[-1] != domain.grid_points - 1:
-        raise InvalidArgumentError(
-            f"expected {domain.grid_points - 1} interior samples, "
-            f"got {samples.shape[-1]}"
-        )
-    B = basis_matrix(domain, modes.count)
-    return domain.spacing * (samples @ B)
-
-
-def synthesize(coeffs: np.ndarray, domain: SpatialDomain) -> np.ndarray:
-    """Grid samples sum_j c_j phi_j(x_i) at the interior nodes."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    B = basis_matrix(domain, coeffs.shape[-1])
-    return coeffs @ B.T
-
-
 @dataclass
 class BeamState:
     """Deflection and velocity coefficient vectors of equal length."""
@@ -174,42 +150,3 @@ def state_from_coords(coords: np.ndarray, modes: ModeSet) -> BeamState:
     if coords.shape != (modes.count, 2):
         raise InvalidArgumentError("coords must have shape (N, 2)")
     return BeamState(coords[:, 0] / modes.lambdas, coords[:, 1].copy())
-
-
-@dataclass
-class HistorySegment:
-    """States on a uniform grid over [-delay, 0], both endpoints included."""
-
-    delay: float
-    times: np.ndarray
-    w: np.ndarray  # (nodes, N)
-    v: np.ndarray  # (nodes, N)
-
-    def __post_init__(self):
-        if self.delay <= 0:
-            raise InvalidArgumentError("delay must be positive")
-        n = self.times.size
-        if n < 2 or self.w.shape[0] != n or self.v.shape[0] != n:
-            raise InvalidArgumentError("history arrays and time grid disagree")
-        if abs(self.times[0] + self.delay) > 1e-9 or abs(self.times[-1]) > 1e-9:
-            raise InvalidArgumentError("history grid must span [-delay, 0]")
-
-    @classmethod
-    def sample(cls, fn, delay: float, step: float, n_modes: int) -> "HistorySegment":
-        """Evaluate a callable s -> BeamState on the grid of spacing ``step``.
-
-        ``step`` must divide ``delay`` exactly.
-        """
-        n = round(delay / step)
-        if n < 1 or abs(n * step - delay) > 1e-9 * max(1.0, delay):
-            raise InvalidArgumentError("step must divide the delay exactly")
-        times = (np.arange(n + 1) - n) * step
-        W = np.zeros((n + 1, n_modes))
-        V = np.zeros((n + 1, n_modes))
-        for i, s in enumerate(times):
-            z = fn(s)
-            if z.count != n_modes:
-                raise InvalidArgumentError("history state has wrong mode count")
-            W[i] = z.w
-            V[i] = z.v
-        return cls(delay, times, W, V)

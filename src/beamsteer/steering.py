@@ -95,16 +95,22 @@ def synthesize_control(
     return ControlSignal(win, eta, modes, beta, alpha=problem.alpha)
 
 
-def steer_linear(y0: BeamState, control: ControlSignal, modes: ModeSet, beta: float) -> BeamState:
+def steer_linear(
+    y0: BeamState, control: ControlSignal, modes: ModeSet, beta: float,
+    gramians: GramianSet | None = None,
+) -> BeamState:
     """Terminal state of the controlled linear dynamics on the window.
 
     y(tau) = T(delta) y0 + G u, and since u = G* eta the mapped control is
-    G G* eta = Q eta, exact in the closed-form Gramian blocks.
+    G G* eta = Q eta, exact in the closed-form Gramian blocks (those of
+    ``gramians`` when given, which must be the set of the control's window).
     """
     if y0.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
     win = control.window
-    blocks = assemble_gramian(modes, beta, win).blocks
+    if gramians is None:
+        gramians = assemble_gramian(modes, beta, win)
+    blocks = gramians.blocks
     total = energy_coords(apply_semigroup(y0, win.delta, modes, beta), modes)
     total += (blocks @ control.eta[:, :, None])[:, :, 0]
     return state_from_coords(total, modes)
@@ -144,7 +150,7 @@ def alpha_sweep(
         control = synthesize_control(
             SteeringProblem(y0, z1, window, alpha), modes, beta, gramians=gramians
         )
-        y_tau = steer_linear(y0, control, modes, beta)
+        y_tau = steer_linear(y0, control, modes, beta, gramians=gramians)
         err = float(np.linalg.norm(energy_coords(y_tau, modes) - z1c))
         out.append((alpha, err))
     return out

@@ -2,9 +2,10 @@
 
 These deliberately avoid the closed forms used by the package: the matrix
 exponential is Taylor series with scaling and squaring, quadratures are
-assembled from scratch.  The stepwise simulator is the exception: it reuses
-the package's one-step pieces and checks how the slab integrator combines
-them.
+assembled from scratch.  The stepwise simulator and the memory re-sum are
+the exception: they reuse the package's one-step pieces and check how the
+slab integrator and its memory recursion combine them.  The plain sine
+transforms, the block generator and the left-limit lookup serve only tests.
 """
 
 from dataclasses import replace
@@ -13,14 +14,13 @@ import numpy as np
 
 from beamsteer import (
     BeamState,
-    HistorySegment,
     ModeSet,
     Trajectory,
     apply_impulse,
     basis_matrix,
 )
 from beamsteer.dynamics import _collocate, _control_step_increments, exact_multiple
-from beamsteer.errors import BlowUpError
+from beamsteer.errors import BlowUpError, InvalidArgumentError
 from beamsteer.semigroup import exp_entries
 
 
@@ -50,6 +50,70 @@ def interleaved_generator(lambdas, beta):
             [-lam * lam, -2.0 * beta * lam],
         ]
     return A
+
+
+def block_matrix(block):
+    """Generator [[0, 1], [-lam**2, -2 beta lam]] of one modal block."""
+    lam, beta = block.lam, block.beta
+    return np.array([[0.0, 1.0], [-lam * lam, -2.0 * beta * lam]])
+
+
+def project(samples, domain, modes):
+    """Coefficients of grid samples against the sine basis.
+
+    Composite trapezoid on the uniform interior grid; the integrand vanishes
+    at both boundary nodes, so the rule reduces to a plain weighted sum
+    (a discrete sine transform, exact for band-limited samples).
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape[-1] != domain.grid_points - 1:
+        raise InvalidArgumentError(
+            f"expected {domain.grid_points - 1} interior samples, "
+            f"got {samples.shape[-1]}"
+        )
+    B = basis_matrix(domain, modes.count)
+    return domain.spacing * (samples @ B)
+
+
+def synthesize(coeffs, domain):
+    """Grid samples sum_j c_j phi_j(x_i) at the interior nodes."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    B = basis_matrix(domain, coeffs.shape[-1])
+    return coeffs @ B.T
+
+
+def left_limit(trajectory, i):
+    """State of a trajectory at node i with pre-jump values at impulse nodes."""
+    if i in trajectory.pre_impulse:
+        wp, vp = trajectory.pre_impulse[i]
+        return BeamState(wp.copy(), vp.copy())
+    return trajectory.state(i)
+
+
+def memory_term(t, trajectory, catalog, domain, modes):
+    """Volterra memory increment at time t, recomputed from a trajectory.
+
+    Composite trapezoid over the stored grid of kernel(t - s) * g(w(s - r)),
+    collocated and projected.  The cross-check of the simulator, which
+    evaluates the same sums by the exact exponential-kernel recursion.
+    """
+    if t < 0:
+        raise InvalidArgumentError("memory term is defined for t >= 0")
+    i = trajectory.index_at(t)
+    i0 = trajectory.start_index
+    if not catalog.has_memory or i == i0:
+        return BeamState.zeros(modes.count)
+    n_r = exact_multiple(trajectory.delay, trajectory.step, "the delay")
+    lo = i0 - n_r
+    if lo < 0:
+        raise RuntimeError("trajectory does not hold the required history")
+    B = basis_matrix(domain, modes.count)
+    gproj = _collocate(B, domain.spacing, catalog.g, trajectory.w[lo : i - n_r + 1])
+    dt = (i - np.arange(i0, i + 1)) * trajectory.step
+    weights = np.full(i - i0 + 1, trajectory.step)
+    weights[0] = weights[-1] = trajectory.step / 2.0
+    kern = catalog.kernel(dt)
+    return BeamState(np.zeros(modes.count), (kern * weights) @ gproj)
 
 
 def trapezoid(values, spacing):
@@ -156,9 +220,8 @@ def simulate_stepwise(config, control=None):
     times = (np.arange(n_total) - idx0) * h
     W = np.zeros((n_total, N))
     V = np.zeros_like(W)
-    history = config.history or (lambda s: BeamState.zeros(N))
-    seg = HistorySegment.sample(history, config.delay, h, N)
-    W[: idx0 + 1], V[: idx0 + 1] = seg.w, seg.v
+    if config.history is not None:
+        W[: idx0 + 1], V[: idx0 + 1] = config.history(times[: idx0 + 1])
     pre_impulse, impulse_events, memory = {}, [], np.zeros((n_total, N))
     imp_at = {
         idx0 + exact_multiple(t_k, h, "an impulse time"): k

@@ -17,16 +17,21 @@ from beamsteer import (
     energy_norm,
     evaluate_nonlinearity,
     laplacian_eigenvalues,
-    memory_term,
     simulate,
     steer_linear,
-    synthesize,
     synthesize_control,
     verify_f_bound,
 )
 from beamsteer.dynamics import SLAB
 from beamsteer.errors import BlowUpError, InvalidArgumentError
-from oracles import f_bound_per_sample, simulate_stepwise
+from oracles import (
+    f_bound_per_sample,
+    left_limit,
+    memory_term,
+    project,
+    simulate_stepwise,
+    synthesize,
+)
 
 BETA = 2.0
 # the catalogs of acceptance criterion 7
@@ -51,6 +56,11 @@ def _config(**kw):
     )
     base.update(kw)
     return SimConfig(**base)
+
+
+def _constant_history(w, v):
+    """Array history holding the state (w, v) at every time."""
+    return lambda s: (np.tile(w, (s.size, 1)), np.tile(v, (s.size, 1)))
 
 
 def test_catalog_validation():
@@ -116,14 +126,11 @@ def test_memory_term_constant_history_oracle():
     # flat kernel, constant history: the integral is t * projected g(w0)
     cat = NonlinearityCatalog(g_kind="rational", kernel_kind="exponential", kappa=1.0, gamma=0.0)
     w0 = np.array([0.4, 0.0, 0.1, 0.0])
-    hist = lambda s: BeamState(w0.copy(), np.zeros(4))
-    cfg = _config(catalog=cat, history=hist)
+    cfg = _config(catalog=cat, history=_constant_history(w0, np.zeros(4)))
     domain, modes = cfg.domain(), cfg.modes()
     traj = simulate(cfg, None)
     t = cfg.delay  # delayed reads still inside the constant history
     got = memory_term(t, traj, cat, domain, modes)
-    from beamsteer import project
-
     g_vals = cat.g(synthesize(w0, domain))
     expected = t * project(g_vals, domain, modes)
     np.testing.assert_allclose(got.v, expected, atol=1e-6)
@@ -138,7 +145,9 @@ def test_memory_term_matches_recorded_diagnostics(step, gamma):
         f_kind="linear_growth", f_a=0.3, g_kind="sin",
         kernel_kind="exponential", kappa=0.5, gamma=gamma,
     )
-    hist = lambda s: BeamState(0.2 * np.cos(s) * np.ones(4) / np.arange(1, 5) ** 2, np.zeros(4))
+    hist = lambda s: (
+        0.2 * np.cos(s)[:, None] * np.ones(4) / np.arange(1, 5) ** 2, np.zeros((s.size, 4))
+    )
     cfg = _config(catalog=cat, history=hist, step=step)
     traj = simulate(cfg, None)
     domain, modes = cfg.domain(), cfg.modes()
@@ -228,7 +237,7 @@ def test_impulse_schedule_validation():
 
 def test_free_simulation_matches_semigroup():
     z0 = BeamState(np.array([0.3, -0.1, 0.05, 0.02]), np.array([0.1, 0.0, -0.2, 0.01]))
-    cfg = _config(history=lambda s: z0.copy())
+    cfg = _config(history=_constant_history(z0.w, z0.v))
     traj = simulate(cfg, None)
     modes = cfg.modes()
     ref = apply_semigroup(z0, cfg.tau, modes, BETA)
@@ -237,7 +246,7 @@ def test_free_simulation_matches_semigroup():
 
 def test_simulation_reproduces_history():
     z0 = BeamState(np.full(4, 0.2), np.full(4, -0.3))
-    hist = lambda s: (1.0 + s) * z0
+    hist = lambda s: ((1.0 + s)[:, None] * z0.w, (1.0 + s)[:, None] * z0.v)
     cfg = _config(history=hist)
     traj = simulate(cfg, None)
     i = traj.index_at(-0.3)
@@ -245,9 +254,45 @@ def test_simulation_reproduces_history():
     assert traj.index_at(0.0) == traj.start_index
 
 
+def test_history_evaluated_once_on_the_delay_grid():
+    calls = []
+    w0 = np.array([0.2, -0.1, 0.05, 0.0])
+
+    def hist(s):
+        calls.append(s.copy())
+        return (1.0 + s)[:, None] * w0, np.zeros((s.size, 4))
+
+    cfg = _config(history=hist)
+    traj = simulate(cfg, None)
+    assert len(calls) == 1
+    s = calls[0]
+    assert s.shape == (181,)
+    assert s[0] == pytest.approx(-0.3) and s[-1] == 0.0
+    np.testing.assert_allclose(np.diff(s), cfg.step, rtol=1e-9)
+    np.testing.assert_array_equal(traj.w[:181], (1.0 + s)[:, None] * w0)
+
+
+@pytest.mark.parametrize(
+    "returned",
+    [
+        (np.zeros((180, 4)), np.zeros((180, 4))),
+        (np.zeros((182, 4)), np.zeros((182, 4))),
+        (np.zeros((181, 3)), np.zeros((181, 3))),
+        (np.zeros((181, 4)), np.zeros((181, 3))),
+        (np.zeros(181), np.zeros(181)),
+        BeamState.zeros(4),
+    ],
+    ids=["nodes_short", "nodes_long", "modes", "velocity_modes", "flat_nodes", "one_state"],
+)
+def test_simulate_rejects_history_of_wrong_shape(returned):
+    cfg = _config(history=lambda s: returned)
+    with pytest.raises(InvalidArgumentError, match=r"history must give .* \(181, 4\)"):
+        simulate(cfg, None)
+
+
 def test_steered_linear_simulation_matches_quadrature_path():
     z0 = BeamState(np.array([0.2, -0.05, 0.02, 0.0]), np.zeros(4))
-    cfg = _config(history=lambda s: z0.copy())
+    cfg = _config(history=_constant_history(z0.w, z0.v))
     modes = cfg.modes()
     traj = simulate(cfg, None)
     window = SteerWindow(1.0, 0.2)
@@ -266,7 +311,7 @@ def test_prefix_bitwise_invariance():
         kernel_kind="exponential", kappa=0.5, gamma=1.0,
     )
     imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.05, 0.05))
-    hist = lambda s: BeamState(0.2 * np.ones(4) / np.arange(1, 5) ** 2, np.zeros(4))
+    hist = _constant_history(0.2 * np.ones(4) / np.arange(1, 5) ** 2, np.zeros(4))
     cfg = _config(catalog=cat, impulses=imp, history=hist)
     modes = cfg.modes()
     traj = simulate(cfg, None)
@@ -286,7 +331,7 @@ def test_prefix_bitwise_invariance():
 
 
 def _resume_setup():
-    cfg = _config(history=lambda s: BeamState(np.full(4, 0.1), np.zeros(4)))
+    cfg = _config(history=_constant_history(np.full(4, 0.1), np.zeros(4)))
     base = simulate(cfg, None)
     window = SteerWindow(1.0, 0.2)
     z1 = BeamState.zeros(4)
@@ -349,20 +394,20 @@ def test_blowup_in_batched_window_names_cell():
 def test_deflection_continuity_at_impulses():
     cat = NonlinearityCatalog(f_kind="bounded_trig", f_a=0.2, f_b=0.1)
     imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.3, 0.2))
-    hist = lambda s: BeamState(0.3 * np.ones(4), 0.1 * np.ones(4))
+    hist = _constant_history(0.3 * np.ones(4), 0.1 * np.ones(4))
     cfg = _config(catalog=cat, impulses=imp, history=hist)
     traj = simulate(cfg, None)
     assert len(traj.pre_impulse) == 2
     for idx, (w_pre, v_pre) in traj.pre_impulse.items():
         np.testing.assert_array_equal(traj.w[idx], w_pre)
         assert np.any(traj.v[idx] != v_pre)
-        left = traj.left_limit(idx)
+        left = left_limit(traj, idx)
         np.testing.assert_array_equal(left.v, v_pre)
 
 
 def test_impulse_jump_recorded():
     imp = ImpulseSchedule(times=(0.5,), gains=(0.2,))
-    hist = lambda s: BeamState(np.full(4, 0.5), np.zeros(4))
+    hist = _constant_history(np.full(4, 0.5), np.zeros(4))
     cfg = _config(impulses=imp, history=hist)
     traj = simulate(cfg, None)
     assert len(traj.impulse_events) == 1
@@ -376,7 +421,9 @@ def test_second_order_self_convergence():
         kernel_kind="exponential", kappa=0.5, gamma=1.0,
     )
     imp = ImpulseSchedule(times=(0.2,), gains=(0.05,))
-    hist = lambda s: BeamState(0.3 * np.cos(s) * np.ones(4) / np.arange(1, 5) ** 2, np.zeros(4))
+    hist = lambda s: (
+        0.3 * np.cos(s)[:, None] * np.ones(4) / np.arange(1, 5) ** 2, np.zeros((s.size, 4))
+    )
 
     def terminal(step):
         cfg = _config(tau=0.5, delay=0.1, step=step, catalog=cat, impulses=imp, history=hist)
@@ -397,8 +444,7 @@ def test_blowup_guard_triggers():
 
 
 def test_blowup_guard_trips_on_non_finite_state():
-    nan_history = lambda s: BeamState(np.full(4, np.nan), np.zeros(4))
-    cfg = _config(history=nan_history)
+    cfg = _config(history=_constant_history(np.full(4, np.nan), np.zeros(4)))
     for run in (simulate, simulate_stepwise):
         with pytest.raises(BlowUpError, match=r"norm nan at t=0\.001667$"):
             run(cfg, None)
@@ -442,7 +488,7 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta):
     memory_kw = dict(g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=1.0)
     cat = NonlinearityCatalog(**STEPWISE_F[f_kind], **(memory_kw if memory else {}))
     k = np.arange(1, 5)
-    hist = lambda s: BeamState(0.3 * np.cos(3 * s) / k**2, 0.2 * np.sin(2 * s) / k)
+    hist = lambda s: (0.3 * np.cos(3 * s)[:, None] / k**2, 0.2 * np.sin(2 * s)[:, None] / k)
     imp = ImpulseSchedule(times=(0.25, 0.55), gains=(0.1, -0.05))
     cfg = _config(catalog=cat, impulses=imp, history=hist, step=step, delay=delay)
     window = SteerWindow(cfg.tau, delta)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from beamsteer import (
     energy_norm,
     laplacian_eigenvalues,
     make_history,
+    make_random_state,
     make_target,
     parse_experiment,
     run_linear_suite,
@@ -285,15 +290,36 @@ def test_make_target_presets():
 
 
 def test_make_history_presets():
+    # each preset maps n times to (n, N) arrays matching its closed form at
+    # s = -delay, an interior node and s = 0
     modes = laplacian_eigenvalues(1.0, 4)
-    rng = np.random.default_rng(0)
-    zero = make_history("zero", 0.5, 0.3, modes, rng)
-    assert energy_norm(zero(-0.1), modes) == 0.0
-    single = make_history("single_mode", 0.5, 0.3, modes, rng)
-    assert single(0.0).w[0] == pytest.approx(0.5)
-    assert single(-0.3).w[0] == pytest.approx(0.0, abs=1e-15)
-    rnd = make_history("random", 0.5, 0.3, modes, rng)
-    assert energy_norm(rnd(0.0), modes) > 0
+    delay, amp = 0.3, 0.5
+    freq = np.pi / (2.0 * delay)
+    s = np.array([-delay, -0.1, 0.0])
+
+    w, v = make_history("zero", amp, delay, modes, np.random.default_rng(0))(s)
+    assert w.shape == v.shape == (3, 4)
+    assert not np.any(w) and not np.any(v)
+
+    w, v = make_history("single_mode", amp, delay, modes, np.random.default_rng(0), 2)(s)
+    assert w.shape == v.shape == (3, 4)
+    np.testing.assert_allclose(w[:, 1], amp * np.cos(freq * s), rtol=1e-15, atol=1e-16)
+    np.testing.assert_allclose(v[:, 1], -amp * freq * np.sin(freq * s), rtol=1e-15)
+    assert w[0, 1] == pytest.approx(0.0, abs=1e-15) and w[2, 1] == pytest.approx(amp)
+    assert v[0, 1] == pytest.approx(amp * freq) and v[2, 1] == 0.0
+    assert not np.any(np.delete(w, 1, axis=1)) and not np.any(np.delete(v, 1, axis=1))
+
+    w, v = make_history("random", amp, delay, modes, np.random.default_rng(7))(s)
+    assert w.shape == v.shape == (3, 4)
+    rng = np.random.default_rng(7)
+    anchor = make_random_state(modes, rng, amp)
+    wobble = make_random_state(modes, rng, 0.5 * amp)
+    for row, wave in zip(range(3), np.sin(freq * s)):
+        np.testing.assert_allclose(w[row], anchor.w + wave * wobble.w, rtol=1e-15)
+        np.testing.assert_allclose(v[row], anchor.v + wave * wobble.v, rtol=1e-15)
+    np.testing.assert_allclose(w[0], anchor.w - wobble.w, rtol=1e-15)
+    np.testing.assert_array_equal(w[2], anchor.w)
+    assert energy_norm(BeamState(w[2], v[2]), modes) == pytest.approx(amp)
 
 
 def test_free_trajectory_target_experiment():
@@ -358,6 +384,29 @@ def test_cli_invalid_config(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text(DEFAULT_CONFIG.replace("beta = 2.0", "beta = 0.5"))
     assert cli.main(["linear-check", "--config", str(bad), "--quiet"]) == 2
+
+
+def test_near_critical_damping_rejected_with_the_gap_named():
+    bad = DEFAULT_CONFIG.replace("beta = 2.0", "beta = 1.0000005")
+    with pytest.raises(ConfigError, match="BETA_GAP = 1e-06"):
+        parse_experiment(bad)
+    spec = parse_experiment(DEFAULT_CONFIG.replace("beta = 2.0", "beta = 1.000002"))
+    assert spec.config.beta == 1.000002
+
+
+def test_cli_near_critical_damping_exits_2_without_traceback(tmp_path):
+    bad = tmp_path / "near.ini"
+    bad.write_text(DEFAULT_CONFIG.replace("beta = 2.0", "beta = 1.0000005"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "beamsteer", "sweep", "--config", str(bad), "--quiet"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("invalid configuration: damping coefficient")
+    assert not (tmp_path / "pullback.csv").exists()
 
 
 def test_cli_sweep_writes_csv(tmp_path):

@@ -6,7 +6,6 @@ from beamsteer import (
     ModeBlock,
     apply_semigroup,
     block_exp,
-    block_matrix,
     decay_envelope,
     energy_norm,
     laplacian_eigenvalues,
@@ -14,7 +13,7 @@ from beamsteer import (
 )
 from beamsteer.errors import IllConditionedError, InvalidArgumentError
 
-from oracles import expm_squaring, interleaved_generator
+from oracles import block_matrix, expm_squaring, interleaved_generator
 
 
 def test_block_matrix_reference_values():

@@ -3,18 +3,15 @@ import pytest
 
 from beamsteer import (
     BeamState,
-    HistorySegment,
     SpatialDomain,
     energy_coords,
     energy_norm,
     laplacian_eigenvalues,
-    project,
     state_from_coords,
-    synthesize,
 )
 from beamsteer.errors import InvalidArgumentError
 
-from oracles import trapezoid
+from oracles import project, synthesize, trapezoid
 
 
 def test_eigenvalues_unit_interval():
@@ -146,12 +143,3 @@ def test_energy_coords_round_trip():
     np.testing.assert_allclose(back.w, z.w, rtol=1e-14)
     np.testing.assert_allclose(back.v, z.v, rtol=1e-14)
 
-
-def test_history_segment_sampling():
-    state = BeamState(np.ones(2), np.zeros(2))
-    seg = HistorySegment.sample(lambda s: s * state, 0.3, 0.1, 2)
-    assert seg.times[0] == pytest.approx(-0.3)
-    assert seg.times[-1] == pytest.approx(0.0)
-    np.testing.assert_allclose(seg.w[0], -0.3 * np.ones(2))
-    with pytest.raises(InvalidArgumentError):
-        HistorySegment.sample(lambda s: state, 0.3, 0.07, 2)
