@@ -11,7 +11,6 @@ impulses), and orchestrates the pullback steering experiment.
 from .errors import (
     BlowUpError,
     ConfigError,
-    IllConditionedError,
     InvalidArgumentError,
 )
 from .spectral import (
@@ -29,7 +28,6 @@ from .semigroup import (
     ModeBlock,
     apply_semigroup,
     block_exp,
-    damping_roots,
     decay_envelope,
     operator_norms,
 )

@@ -10,7 +10,9 @@ alignment law (the step divides the delay, the horizon, the window start and
 every impulse time) makes all delayed reads exact grid lookups, so no
 interpolation is ever performed.  The state-dependent forcings are integrated
 by the trapezoid rule in s; the closed-form steering control is integrated
-exactly per step.
+exactly per step: with the costate p(t) = exp(K^T (tau - t)) eta, in energy
+coordinates, a step's control increment is Q(h) p(t + h), the one-step Gramian
+times the costate at the step's end.
 
 Every pointwise map (the nonlinearity f, the memory integrand g, the impulse
 jumps) acts through one collocation: synthesize the coefficient arrays onto
@@ -45,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentError
-from .semigroup import BETA_GAP, damping_roots, exp_entries
+from .semigroup import exp_entries, gramian_entries
 from .spectral import (
     BeamState,
     ModeSet,
@@ -193,10 +195,8 @@ class SimConfig:
     blowup_threshold: float = BLOWUP_THRESHOLD
 
     def __post_init__(self):
-        if not self.beta - 1.0 > BETA_GAP:
-            raise InvalidArgumentError(
-                f"damping coefficient must exceed 1 by more than BETA_GAP = {BETA_GAP:g}"
-            )
+        if not self.beta >= 1.0:
+            raise InvalidArgumentError("damping coefficient must be at least 1")
         if self.tau <= 0 or self.delay <= 0 or self.step <= 0:
             raise InvalidArgumentError("tau, delay and step must be positive")
         if self.grid_points < 2 * self.n_modes:
@@ -302,37 +302,6 @@ def apply_impulse(w, v, k: int, schedule: ImpulseSchedule, domain, modes) -> np.
     return _collocate(B, domain.spacing, partial(schedule.jump, k), w, v)
 
 
-def _control_step_increments(etas, modes: ModeSet, beta: float, h: float, thetas):
-    """Exact window-control contributions of every step, raw coordinates.
-
-    For a step starting with time-to-go theta the increment is
-    integral_0^h exp(K (h - s)) b u(t + s) ds with u the closed-form window
-    control; expanding both exponentials over the characteristic roots gives
-    a four-term sum per mode.  ``etas`` holds one (N, 2) preimage per cell;
-    returns (n_cells, n_steps, N) arrays for w and v.
-    """
-    lam = modes.lambdas
-    r1, r2 = damping_roots(lam, beta)
-    c = 1.0 / (r1 - r2)
-    p = (lam * etas[..., 0] + r1 * etas[..., 1], lam * etas[..., 0] + r2 * etas[..., 1])
-    rr = (r1, r2)
-    vi = ((lam, r1), (lam, r2))
-    thetas = np.asarray(thetas, dtype=float)[:, None]
-    out1 = np.zeros((len(etas), thetas.shape[0], lam.size))
-    out2 = np.zeros_like(out1)
-    for i in range(2):
-        si = 1.0 if i == 0 else -1.0
-        for k in range(2):
-            sk = 1.0 if k == 0 else -1.0
-            coef = (si * sk * c * c * p[k])[:, None]
-            term = (np.exp(rr[i] * h + rr[k] * thetas) - np.exp(rr[k] * (thetas - h))) / (
-                rr[i] + rr[k]
-            )
-            out1 += coef * vi[i][0] * term
-            out2 += coef * vi[i][1] * term
-    return out1 / lam, out2
-
-
 def _check_resume(config: SimConfig, prefix: Trajectory, start_idx):
     """Reject a prefix run or controls that a resumed window cannot continue."""
     for what, want, got in (
@@ -435,11 +404,12 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     zero = np.zeros(N)
     win_u = None
     if start_idx is not None:
-        win_t = times[start_idx:]
-        win_u = np.stack([c.window_coeffs(win_t) for c in cells])
-        cw, cv = _control_step_increments(
-            np.stack([c.eta for c in cells]), modes, config.beta, h, config.tau - win_t[:-1]
-        )
+        costate = np.stack([c.costate(times[start_idx:]) for c in cells])
+        win_u = costate[..., 1]
+        q11, q12, q22 = gramian_entries(lam, config.beta, h)
+        p1, p2 = costate[:, 1:, :, 0], costate[:, 1:, :, 1]
+        cw = (q11 * p1 + q12 * p2) / lam
+        cv = q12 * p1 + q22 * p2
 
     # per mode, (z_0, b_0 .. b_{size-1}) -> z_1 .. z_size: row k of a slab
     # table gives z_{k+1} = A^{k+1} z_0 + sum_{j<=k} A^{k-j} b_j, A^k = exp(K k h)

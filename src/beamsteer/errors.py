@@ -5,10 +5,6 @@ class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class IllConditionedError(ArithmeticError):
-    """A closed-form path was requested in a near-degenerate regime."""
-
-
 class BlowUpError(RuntimeError):
     """A simulated trajectory exceeded the divergence guard."""
 

@@ -8,9 +8,9 @@ The input map feeds the velocity slot only, b = (0, 1)^T, so on the window
 computed here in energy coordinates (the diagonal similarity diag(lambda, 1)
 absorbed on both the map and its adjoint), where the blocks are symmetric
 positive definite and the Euclidean norm agrees with the state-space energy
-norm.  Two independent evaluation paths are provided: an exact antiderivative
-using the eigen-expansion of exp(K s) b, vectorised over the modes
-(production), and composite Gauss-Legendre quadrature per mode (the
+norm.  Two evaluation paths are provided: the closed form of
+:func:`semigroup.gramian_entries`, vectorised over the modes (production),
+and composite Gauss-Legendre quadrature of the input response per mode (the
 cross-check).
 """
 
@@ -22,10 +22,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .semigroup import ModeBlock, _require_distinct_roots, damping_roots, exp_entries
+from .semigroup import ModeBlock, exp_entries, gramian_entries
 from .spectral import ModeSet
 
-# Per-panel span |2 rho_2| * width kept below this so 64-node Gauss-Legendre
+# Per-panel span |2 r2| * width kept below this so 64-node Gauss-Legendre
 # stays converged to machine precision even for the stiffest retained mode.
 PANEL_SPAN = 50.0
 
@@ -102,25 +102,9 @@ def gramian_mode_quadrature(block: ModeBlock, window: SteerWindow, nodes: int = 
 
 
 def assemble_gramian(modes: ModeSet, beta: float, window: SteerWindow) -> GramianSet:
-    """Closed-form Gramian blocks for every mode, with the spectral summary.
-
-    Expanding exp(K s) b = sum_i c_i exp(rho_i s) v_i over the eigenvectors
-    v_i = (lambda, rho_i), c = +-1 / (rho_1 - rho_2), turns every block into
-    sum_ik c_i c_k (exp((rho_i + rho_k) delta) - 1) / (rho_i + rho_k) v_i v_k^T.
-    """
-    _require_distinct_roots(beta)
-    r = np.stack(damping_roots(modes.lambdas, beta))  # (2, N)
-    c = np.array([[1.0], [-1.0]]) / (r[0] - r[1])
-    vecs = np.stack([np.broadcast_to(modes.lambdas, r.shape), r], axis=-1)  # (2, N, 2)
-    rr = r[:, None] + r[None, :]
-    E = (np.exp(rr * window.delta) - 1.0) / rr
-    terms = (c[:, None] * c[None, :] * E)[..., None, None] * (
-        vecs[:, None, :, :, None] * vecs[None, :, :, None, :]
-    )
-    Q = terms[0, 0] + terms[0, 1] + terms[1, 0] + terms[1, 1]
-    blocks = 0.5 * (Q + Q.transpose(0, 2, 1))
-    min_eig = float(np.linalg.eigvalsh(blocks)[:, 0].min())
-    return GramianSet(blocks, min_eig, bool(min_eig > 0 and window.delta > 0))
+    """Closed-form Gramian blocks for every mode, with the spectral summary."""
+    q11, q12, q22 = gramian_entries(modes.lambdas, beta, window.delta)
+    return GramianSet.from_blocks(np.stack([q11, q12, q12, q22], axis=-1).reshape(-1, 2, 2))
 
 
 def solve_regularized(gramians: GramianSet, alpha: float, rhs: np.ndarray) -> np.ndarray:

@@ -418,7 +418,7 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     control = synthesize_control(
         SteeringProblem(y0, z1, window, 1e-2), modes, beta, gramians=gramians
     )
-    energy = control_energy(control, modes, beta)
+    energy = control_energy(control, gramians)
     quad_form = float(np.sum(control.eta[:, None, :] @ q_quad @ control.eta[:, :, None]))
     rel = abs(energy - quad_form) / max(quad_form, 1e-300)
     results.append(

@@ -1,20 +1,34 @@
-"""Closed-form solution operator of the damped modal blocks.
+"""Closed-form solution operator and window Gramian of the damped modal blocks.
 
 Each retained mode evolves under the 2x2 generator
 
     K_j = [[0, 1], [-lambda_j**2, -2 beta lambda_j]],
 
 and the full solution operator is the direct sum of the block exponentials
-exp(K_j t).  For damping beta > 1 the characteristic roots
+exp(K_j t).  For damping beta >= 1 the characteristic roots are real and
+negative: the slow root r1 = -lambda / (beta + sqrt(beta**2 - 1)) and
+r2 = r1 - 2d with the gap 2d = 2 lambda sqrt(beta**2 - 1), both free of
+cancellation.  Writing phi(t) = (exp(r1 t) - exp(r2 t)) / (r1 - r2), the first
+divided difference of exp(. t) at the roots,
 
-    rho_1 = -lambda (beta - sqrt(beta**2 - 1)),
-    rho_2 = -lambda (beta + sqrt(beta**2 - 1)),
+    exp(K t) = exp(r1 t) I + phi(t) (K - r1 I),
+    phi(t)   = t exp(r1 t) (1 - exp(-2 d t)) / (2 d t),
 
-are real, distinct and negative, so the exponential has the exact two-term
-form
+where the last factor comes from expm1 and is 1 at d t = 0, so critical
+damping d = 0 is a continuous case and nothing overflows for stiff modes.
 
-    exp(K t) = [exp(rho_1 t)(K - rho_2 I) - exp(rho_2 t)(K - rho_1 I)]
-               / (rho_1 - rho_2).
+The window Gramian of the velocity input b = (0, 1)^T, in energy coordinates
+(the similarity diag(lambda, 1), where the Euclidean norm is the energy norm),
+follows from the same factors: with y(s) = (lambda phi(s), phi'(s)),
+
+    Q(t) = integral_0^t y(s) y(s)^T ds,
+    Q12  = lambda phi(t)**2 / 2,
+    Q22  = (1 - |y(t)|**2) / (4 beta lambda),
+
+both from the Lyapunov equation, and Q11 = 2 lambda**2 t**3 D3 with D3 the
+third divided difference of exp at 0, 2 r1 t, (r1 + r2) t, 2 r2 t.  D3 is
+taken by the expm1-based recursion once the points spread over at least
+SERIES_SPREAD, and by its Taylor series in (r1 + r2) t and (2 d t)**2 below.
 
 Operator norms are measured in the energy metric, i.e. after the diagonal
 similarity D = diag(lambda, 1) per block, which is the metric matching the
@@ -24,15 +38,23 @@ state-space norm used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .spectral import BeamState, ModeSet
 
-# Closed forms below divide by rho_1 - rho_2; reject damping this close to
-# the confluent-root regime instead of switching to a limiting formula.
-BETA_GAP = 1e-6
+# Spread 2 |r2| t of the divided-difference points below which D3 comes from
+# its series; there the recursion would cancel, above it the series would.
+SERIES_SPREAD = 2.0
+# D3 = sum over p, q of _SERIES[p, q] ((r1 + r2) t)**p (2 d t)**(2 q), the
+# Taylor terms comb(n, 2j) / (n + 1)! with p = n - 2j, q = j - 1, summed to
+# n = 30, which leaves a remainder below 1e-17 inside SERIES_SPREAD.
+_SERIES = np.array(
+    [[comb(p + 2 * q + 2, 2 * q + 2) / factorial(p + 2 * q + 3) if p + 2 * q <= 28 else 0.0
+      for q in range(15)] for p in range(29)]
+)
 
 
 @dataclass(frozen=True)
@@ -45,29 +67,32 @@ class ModeBlock:
     def __post_init__(self):
         if self.lam <= 0:
             raise InvalidArgumentError("mode eigenvalue must be positive")
-        if self.beta <= 1.0:
-            raise InvalidArgumentError("damping coefficient must exceed 1")
+        if not self.beta >= 1.0:
+            raise InvalidArgumentError("damping coefficient must be at least 1")
 
     def roots(self) -> tuple[float, float]:
-        """Characteristic roots (rho_1, rho_2), slow one first."""
-        s = np.sqrt(self.beta**2 - 1.0)
-        return -self.lam * (self.beta - s), -self.lam * (self.beta + s)
+        """Characteristic roots (r1, r2), slow one first."""
+        r1, gap = _roots(self.lam, self.beta)
+        return float(r1), float(r1 - gap)
 
 
-def damping_roots(lambdas: np.ndarray, beta: float):
-    """Vectorised characteristic roots for every eigenvalue."""
-    if beta <= 1.0:
-        raise InvalidArgumentError("damping coefficient must exceed 1")
+def _roots(lambdas, beta: float):
+    """Slow root r1 and gap r1 - r2 = 2 lambda sqrt(beta**2 - 1) per eigenvalue."""
     lam = np.asarray(lambdas, dtype=float)
-    s = np.sqrt(beta**2 - 1.0)
-    return -lam * (beta - s), -lam * (beta + s)
+    s = np.sqrt((beta - 1.0) * (beta + 1.0))
+    return -lam / (beta + s), 2.0 * lam * s
 
 
-def _require_distinct_roots(beta: float):
-    if beta - 1.0 <= BETA_GAP:
-        raise IllConditionedError(
-            "characteristic roots nearly confluent (beta within 1e-6 of 1)"
-        )
+def _modal_kernel(lambdas, beta: float, t):
+    """Slow root, gap, exp(r1 t) and phi(t) / exp(r1 t) per mode, ``t`` broadcasting
+    against the modes.
+
+    The ratio (1 - exp(-gap t)) / gap comes from expm1; at critical damping,
+    gap = 0, it is its limit t.
+    """
+    r1, gap = _roots(lambdas, beta)
+    ratio = -np.expm1(-gap * t) / gap if beta > 1.0 else t
+    return r1, gap, np.exp(r1 * t), ratio
 
 
 def exp_entries(lambdas, beta: float, t, energy: bool = False):
@@ -80,19 +105,38 @@ def exp_entries(lambdas, beta: float, t, energy: bool = False):
     """
     if np.any(np.asarray(t) < 0):
         raise InvalidArgumentError("time must be nonnegative")
-    _require_distinct_roots(beta)
     lam = np.asarray(lambdas, dtype=float)
-    r1, r2 = damping_roots(lam, beta)
-    e1 = np.exp(r1 * t)
-    e2 = np.exp(r2 * t)
-    dr = r1 - r2
-    a11 = (r1 * e2 - r2 * e1) / dr
-    a22 = (r1 * e1 - r2 * e2) / dr
+    r1, gap, e, ratio = _modal_kernel(lam, beta, t)
+    phi = e * ratio
+    a11 = e - r1 * phi
+    a22 = e + (r1 - gap) * phi
     if energy:
-        a12 = lam * (e1 - e2) / dr
-        return a11, a12, -a12, a22
-    diff = (e1 - e2) / dr
-    return a11, diff, -lam * lam * diff, a22
+        return a11, lam * phi, -lam * phi, a22
+    return a11, phi, -lam * lam * phi, a22
+
+
+def gramian_entries(lambdas, beta: float, t):
+    """Energy-coordinate Gramian entries (Q11, Q12, Q22) of every mode over [0, t]."""
+    lam, t = np.asarray(lambdas, dtype=float), np.asarray(t, dtype=float)
+    r1, gap, e, ratio = _modal_kernel(lam, beta, t)
+    phi = e * ratio
+    y1 = lam * phi
+    y2m1 = np.expm1(r1 * t) + (r1 - gap) * phi  # phi'(t) - 1, two terms of one sign
+    q22 = (-y2m1 * (2.0 + y2m1) - y1 * y1) / (4.0 * beta * lam)
+    # D3 at the points 0, z, z - x, z - 2x
+    z, x = 2.0 * r1 * t, gap * t
+    spread = 2.0 * x - z
+    near = spread < SERIES_SPREAD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ez, g = np.exp(z), ratio / t  # g = (1 - exp(-x)) / x
+        d2 = (np.expm1(z) / z - ez * g) / (x - z)
+        recursion = (d2 - 0.5 * ez * g * g) / spread
+    u, xx = np.where(near, z - x, 0.0).ravel(), np.where(near, x * x, 0.0).ravel()
+    series = np.sum(
+        (np.vander(u, 29, increasing=True) @ _SERIES) * np.vander(xx, 15, increasing=True), axis=-1
+    ).reshape(near.shape)
+    d3 = np.where(near, series, recursion)
+    return 2.0 * lam * lam * t**3 * d3, 0.5 * y1 * phi, q22
 
 
 def block_exp(block: ModeBlock, t: float, energy: bool = False) -> np.ndarray:
@@ -149,14 +193,14 @@ def decay_envelope(
 ) -> DecayEnvelope:
     """Empirical decay envelope of the solution operator.
 
-    The rate is the slowest modal rate lambda_1 (beta - sqrt(beta**2 - 1)),
+    The rate is the slowest modal rate -r1 = lambda_1 / (beta + sqrt(beta**2 - 1)),
     attained by the first mode.  The prefactor is the supremum of
     ||T(t)|| * exp(rate * t) over a sampled time grid; the grid default
     extends past the point where all transients have died out.
     """
-    if beta <= 1.0:
-        raise InvalidArgumentError("damping coefficient must exceed 1")
-    rate = float(modes.lambdas[0] * (beta - np.sqrt(beta**2 - 1.0)))
+    if not beta >= 1.0:
+        raise InvalidArgumentError("damping coefficient must be at least 1")
+    rate = -float(_roots(modes.lambdas[0], beta)[0])
     if horizon is None:
         horizon = max(10.0 / rate, 10.0)
     ts = np.arange(0.0, horizon + 0.5 * t_step, t_step)

@@ -31,9 +31,9 @@ class ControlSignal:
     """Steering control on the window [tau - delta, tau], in closed form.
 
     ``eta`` holds the regularized preimage per mode (energy coordinates); the
-    control u_j(t) = b^T exp(K_j^T (tau - t)) eta_j is evaluated exactly by
-    ``window_coeffs``.  ``alpha`` is the regularisation it was synthesized
-    with, if any.
+    costate p_j(t) = exp(K_j^T (tau - t)) eta_j and the control
+    u_j(t) = b^T p_j(t), its second component, are evaluated exactly.
+    ``alpha`` is the regularisation it was synthesized with, if any.
     """
 
     window: SteerWindow
@@ -51,12 +51,17 @@ class ControlSignal:
         if not np.all(np.isfinite(self.eta)):
             raise InvalidArgumentError("control preimage is not finite")
 
-    def window_coeffs(self, t):
-        """Per-mode control coefficients at time(s) t in [tau-delta, tau]."""
+    def costate(self, t):
+        """Per-mode costate pairs at time(s) t in [tau-delta, tau], shape (..., N, 2)."""
         # time-to-go, clipped where t overshoots tau by rounding
         theta = np.maximum(self.window.tau - np.asarray(t, dtype=float)[..., None], 0.0)
-        _, g1, _, g2 = exp_entries(self.modes.lambdas, self.beta, theta, energy=True)
-        return g1 * self.eta[:, 0] + g2 * self.eta[:, 1]
+        a11, a12, a21, a22 = exp_entries(self.modes.lambdas, self.beta, theta, energy=True)
+        eta1, eta2 = self.eta[:, 0], self.eta[:, 1]
+        return np.stack([a11 * eta1 + a21 * eta2, a12 * eta1 + a22 * eta2], axis=-1)
+
+    def window_coeffs(self, t):
+        """Per-mode control coefficients at time(s) t in [tau-delta, tau]."""
+        return self.costate(t)[..., 1]
 
 
 @dataclass(frozen=True)
@@ -116,11 +121,11 @@ def steer_linear(
     return state_from_coords(total, modes)
 
 
-def control_energy(control: ControlSignal, modes: ModeSet, beta: float) -> float:
-    """Squared-integral energy of the window control, eta^T Q eta summed over modes."""
+def control_energy(control: ControlSignal, gramians: GramianSet) -> float:
+    """Squared-integral energy of the window control, eta^T Q eta summed over
+    modes; ``gramians`` is the set of the control's window."""
     eta = control.eta
-    blocks = assemble_gramian(modes, beta, control.window).blocks
-    return float(np.sum(eta[:, None, :] @ blocks @ eta[:, :, None]))
+    return float(np.sum(eta[:, None, :] @ gramians.blocks @ eta[:, :, None]))
 
 
 def alpha_sweep(

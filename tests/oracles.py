@@ -2,14 +2,16 @@
 
 These deliberately avoid the closed forms used by the package: the matrix
 exponential is Taylor series with scaling and squaring, quadratures are
-assembled from scratch.  The stepwise simulator and the memory re-sum are
-the exception: they reuse the package's one-step pieces and check how the
-slab integrator and its memory recursion combine them.  The plain sine
+assembled from scratch.  The stepwise simulator and the memory re-sum reuse
+the package's one-step exponential and collocation, and check how the slab
+integrator and its memory recursion combine them; the stepwise control
+increments come from their own quadrature.  The plain sine
 transforms, the block generator and the left-limit lookup serve only tests.
 """
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 
 from beamsteer import (
@@ -19,7 +21,7 @@ from beamsteer import (
     apply_impulse,
     basis_matrix,
 )
-from beamsteer.dynamics import _collocate, _control_step_increments, exact_multiple
+from beamsteer.dynamics import _collocate, exact_multiple
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from beamsteer.semigroup import exp_entries
 
@@ -38,6 +40,37 @@ def expm_squaring(A, order=24):
     for _ in range(s):
         E = E @ E
     return E
+
+
+def modal_reference(lam, beta, t):
+    """Energy-coordinate block exp(D K D^-1 t) and Gramian Q(t) of one mode in mpmath.
+
+    Evaluated at 120 working digits from the exact binary values of the
+    arguments, so the 1/(r1 - r2)**2 cancellation of the exponential sums still
+    leaves more than 50 correct digits; beta = 1 takes the confluent limit
+    through incomplete gamma functions.  Returns two 2x2 nested lists of mpf.
+    """
+    with mpmath.workdps(120):
+        lam, beta, t = mpmath.mpf(lam), mpmath.mpf(beta), mpmath.mpf(t)
+        m = -beta * lam
+        d = lam * mpmath.sqrt(beta**2 - 1)
+        em = mpmath.exp(m * t)
+        sinhc = mpmath.sinh(d * t) / d if d else t
+        a11 = em * (mpmath.cosh(d * t) - m * sinhc)
+        a22 = em * (mpmath.cosh(d * t) + m * sinhc)
+        phi = em * sinhc
+        if d:
+            r1, r2 = m + d, m - d
+            E = [mpmath.expm1(a * t) / a for a in (2 * r1, r1 + r2, 2 * r2)]
+            # integrals of phi**2, phi phi' and phi'**2 with phi = (e^{r1 s} - e^{r2 s}) / (r1 - r2)
+            sums = [(1, -2, 1), (r1, -(r1 + r2), r2), (r1**2, -2 * r1 * r2, r2**2)]
+            Q = [sum(c * e for c, e in zip(cs, E)) / (r1 - r2) ** 2 for cs in sums]
+        else:
+            # phi = s e^{m s}; G[k] = integral_0^t s**k exp(2 m s) ds
+            G = [mpmath.gammainc(k + 1, 0, -2 * m * t) / (-2 * m) ** (k + 1) for k in range(3)]
+            Q = [G[2], G[1] + m * G[2], G[0] + 2 * m * G[1] + m * m * G[2]]
+        gram = [[lam**2 * Q[0], lam * Q[1]], [lam * Q[1], Q[2]]]
+        return [[a11, lam * phi], [-lam * phi, a22]], gram
 
 
 def interleaved_generator(lambdas, beta):
@@ -168,6 +201,29 @@ def window_control_quadrature(control, nodes=64, span=50.0):
     return mapped, energy
 
 
+def step_control_quadrature(control, starts, h, nodes=32):
+    """Control increments integral_0^h exp(A (h - s)) b u(t + s) ds of steps starting at ``starts``.
+
+    Per mode, Gauss-Legendre in s with the response exp(A (h - s)) b of the
+    energy-coordinate generator A = [[0, lam], [-lam, -2 beta lam]] from
+    numpy's eigendecomposition of A (distinct roots, beta > 1) and u sampled
+    from ``window_coeffs``; one panel per step, so the steps must be short
+    against every mode's decay.  Returns (n_steps, N) arrays for w and v.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    s = 0.5 * h * (x + 1.0)
+    u = control.window_coeffs(np.asarray(starts)[:, None] + s)  # (n_steps, nodes, N)
+    lambdas = control.modes.lambdas
+    out = np.zeros(u.shape[:1] + (lambdas.size, 2))
+    for j, lam in enumerate(lambdas):
+        A = np.array([[0.0, lam], [-lam, -2.0 * control.beta * lam]])
+        mu, V = np.linalg.eig(A)
+        coeffs = np.linalg.solve(V, [0.0, 1.0])
+        response = (V @ (np.exp(np.outer(mu, h - s)) * coeffs[:, None])).real
+        out[:, j] = (0.5 * h * w * u[:, :, j]) @ response.T
+    return out[..., 0] / lambdas, out[..., 1]
+
+
 def f_bound_per_sample(catalog, domain, modes, samples, seed):
     """Figures of ``verify_f_bound``, one sample at a time.
 
@@ -209,7 +265,8 @@ def simulate_stepwise(config, control=None):
     forcing is collocated at both ends, the exponential memory kernel is
     advanced by its one-step recursion, the state by the 2x2 step matrix
     exp(K h), the impulse jump is applied on its node and the blow-up guard
-    checks the new state.  ``control`` is None or one steering ControlSignal.
+    checks the new state.  ``control`` is None or one steering ControlSignal,
+    whose per-step increments come from :func:`step_control_quadrature`.
     Returns the Trajectory that ``simulate`` would.
     """
     modes, domain = config.modes(), config.domain()
@@ -233,10 +290,7 @@ def simulate_stepwise(config, control=None):
         start_idx = idx0 + exact_multiple(control.window.start, h, "the window start")
         win_t = times[start_idx:]
         win_u = control.window_coeffs(win_t)
-        cw, cv = _control_step_increments(
-            control.eta[None], modes, config.beta, h, config.tau - win_t[:-1]
-        )
-        cw, cv = cw[0], cv[0]
+        cw, cv = step_control_quadrature(control, win_t[:-1], h)
 
     a11, a12, a21, a22 = exp_entries(lam, config.beta, h)
     B = basis_matrix(domain, N)

@@ -290,19 +290,22 @@ def test_simulate_rejects_history_of_wrong_shape(returned):
         simulate(cfg, None)
 
 
-def test_steered_linear_simulation_matches_quadrature_path():
+@pytest.mark.parametrize("beta", [1.0, 1.01, 2.0], ids=["beta1", "beta1.01", "beta2"])
+@pytest.mark.parametrize("step", [1 / 600, 1 / 4800], ids=["h600", "h4800"])
+def test_steered_linear_simulation_matches_quadrature_path(beta, step):
+    # with f, g and the kernel zero the window dynamics are exactly linear
     z0 = BeamState(np.array([0.2, -0.05, 0.02, 0.0]), np.zeros(4))
-    cfg = _config(history=_constant_history(z0.w, z0.v))
+    cfg = _config(history=_constant_history(z0.w, z0.v), beta=beta, step=step)
     modes = cfg.modes()
     traj = simulate(cfg, None)
     window = SteerWindow(1.0, 0.2)
     y0 = traj.state_at(0.8)
     rng = np.random.default_rng(2)
     z1 = BeamState(rng.standard_normal(4) * 0.1 / modes.lambdas, rng.standard_normal(4) * 0.1)
-    control = synthesize_control(SteeringProblem(y0, z1, window, 1e-2), modes, BETA)
+    control = synthesize_control(SteeringProblem(y0, z1, window, 1e-2), modes, beta)
     steered = simulate(cfg, control)
-    linear = steer_linear(y0, control, modes, BETA)
-    assert energy_norm(steered.terminal() - linear, modes) <= 1e-6
+    linear = steer_linear(y0, control, modes, beta)
+    assert energy_norm(steered.terminal() - linear, modes) <= 1e-12 * energy_norm(linear, modes)
 
 
 def test_prefix_bitwise_invariance():

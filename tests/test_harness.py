@@ -100,7 +100,7 @@ def test_rows_triangle_inequality_and_order():
 def test_zero_catalog_rows_have_no_nonlinear_error():
     spec = _spec(catalog=NonlinearityCatalog(), impulses=ImpulseSchedule())
     rows = run_pullback_experiment(spec)
-    assert all(r.error_nl <= 1e-6 for r in rows)
+    assert all(r.error_nl <= 1e-12 for r in rows)
 
 
 def test_error_nl_halving_factor():
@@ -376,6 +376,22 @@ def test_cli_gramian_check():
     assert cli.main(["gramian-check", "--quiet"]) == 0
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["beta = 1.0", "beta = 1.000002", "beta = 1.01", "length = 20"],
+    ids=["beta1", "beta1+2e-6", "beta1.01", "L20"],
+)
+def test_cli_checks_pass_at_critical_damping_and_soft_spectrum(tmp_path, line):
+    key = line.split(" = ")[0]
+    text = "\n".join(
+        line if row.startswith(key + " = ") else row for row in DEFAULT_CONFIG.splitlines()
+    )
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    for command in ("linear-check", "gramian-check"):
+        assert cli.main([command, "--config", str(path), "--quiet"]) == 0
+
+
 def test_cli_steer():
     assert cli.main(["steer", "--quiet"]) == 0
 
@@ -386,27 +402,22 @@ def test_cli_invalid_config(tmp_path):
     assert cli.main(["linear-check", "--config", str(bad), "--quiet"]) == 2
 
 
-def test_near_critical_damping_rejected_with_the_gap_named():
-    bad = DEFAULT_CONFIG.replace("beta = 2.0", "beta = 1.0000005")
-    with pytest.raises(ConfigError, match="BETA_GAP = 1e-06"):
-        parse_experiment(bad)
-    spec = parse_experiment(DEFAULT_CONFIG.replace("beta = 2.0", "beta = 1.000002"))
-    assert spec.config.beta == 1.000002
-
-
-def test_cli_near_critical_damping_exits_2_without_traceback(tmp_path):
-    bad = tmp_path / "near.ini"
-    bad.write_text(DEFAULT_CONFIG.replace("beta = 2.0", "beta = 1.0000005"))
+def test_cli_critical_damping_runs_and_underdamping_exits_2(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "beamsteer", "sweep", "--config", str(bad), "--quiet"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("invalid configuration: damping coefficient")
-    assert not (tmp_path / "pullback.csv").exists()
+    for beta, code in (("1.0", 0), ("1.0000005", 0), ("0.5", 2), ("nan", 2)):
+        run_dir = tmp_path / beta
+        run_dir.mkdir()
+        (run_dir / "c.ini").write_text(DEFAULT_CONFIG.replace("beta = 2.0", f"beta = {beta}"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamsteer", "sweep", "--config", "c.ini", "--quiet"],
+            capture_output=True, text=True, cwd=run_dir, env=env,
+        )
+        assert proc.returncode == code, (beta, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert (run_dir / "pullback.csv").exists() == (code == 0)
+        if code:
+            assert proc.stderr.startswith("invalid configuration: damping coefficient")
 
 
 def test_cli_sweep_writes_csv(tmp_path):

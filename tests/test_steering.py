@@ -58,7 +58,7 @@ def test_unit_deflection_target_energy_identity():
     control = synthesize_control(
         SteeringProblem(y0, z1, WINDOW, 1e-4), modes, BETA, gramians=gramians
     )
-    energy = control_energy(control, modes, BETA)
+    energy = control_energy(control, gramians)
     assert np.isfinite(energy) and energy > 0
     quad_form = float(control.eta[0] @ gramians.blocks[0] @ control.eta[0])
     assert energy == pytest.approx(quad_form, rel=1e-8)
@@ -236,7 +236,8 @@ def test_closed_form_matches_quadrature_oracle(n, delta, alpha):
     mapped, energy = window_control_quadrature(control)
     got = energy_coords(steer_linear(BeamState.zeros(n), control, modes, BETA), modes)
     assert np.linalg.norm(got - mapped) <= 1e-12 * np.linalg.norm(mapped)
-    assert control_energy(control, modes, BETA) == pytest.approx(energy, rel=1e-12)
+    gramians = assemble_gramian(modes, BETA, control.window)
+    assert control_energy(control, gramians) == pytest.approx(energy, rel=1e-12)
 
 
 def test_window_coeffs_at_rounded_horizon():
