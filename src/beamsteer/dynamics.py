@@ -29,13 +29,18 @@ only delayed states fixed by earlier slabs.  Each slab synthesizes its
 delayed deflection once, which serves both f and g, collocates them at all
 its nodes at once, advances the memory recursion by a table of decay powers
 and every mode by z_k = A^k z_0 + sum_{j<k} A^(k-1-j) b_j, with
-A^k = exp(K k h) in closed form.  Slab arrays keep the full slab shape,
-zero-padded, and the products run per cell, so a node's value depends
-neither on where its slab ends nor on how many cells step together.
+A^k = exp(K k h) in closed form.  The inputs a slab may read past the
+horizon (memory forcing, window costate) carry min(SLAB, delay/h) trailing
+rows, padded once per run, so every slab reads full-shape views into one
+preallocated input buffer.  Rows past a slab's end are finite and the slab
+tables are exactly zero above the diagonal, so they never reach its nodes;
+with the products run per cell, a node's value depends neither on where its
+slab ends nor on how many cells step together.
 
 Steering controls are stepped as cells along a leading array axis.  Since
-every window is shorter than the delay, a run resumed at the window start
-from a zero-control prefix reads its delayed states and memory forcing there.
+every window is shorter than the delay, a resumed run is one window-sized
+batch that reads its delayed states and memory forcing from the zero-control
+prefix; a single control is a batch of one, stitched onto the prefix.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ class NonlinearityCatalog:
             raise InvalidArgumentError(f"unknown memory integrand kind {self.g_kind!r}")
         if self.kernel_kind not in KERNEL_KINDS:
             raise InvalidArgumentError(f"unknown kernel kind {self.kernel_kind!r}")
-        if self.f_a < 0 or self.f_b < 0 or self.kappa < 0 or self.gamma < 0:
+        if not all(x >= 0 for x in (self.f_a, self.f_b, self.kappa, self.gamma)):
             raise InvalidArgumentError("catalog parameters must be nonnegative")
 
     def f(self, y, v, u):
@@ -161,6 +166,8 @@ class ImpulseSchedule:
             raise InvalidArgumentError("impulse times must be positive")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidArgumentError("impulse times must be strictly increasing")
+        if not np.isfinite(gains).all():
+            raise InvalidArgumentError("impulse gains must be finite")
 
     @property
     def count(self) -> int:
@@ -197,8 +204,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.beta >= 1.0:
             raise InvalidArgumentError("damping coefficient must be at least 1")
-        if self.tau <= 0 or self.delay <= 0 or self.step <= 0:
-            raise InvalidArgumentError("tau, delay and step must be positive")
+        if not all(x > 0 for x in (self.length, self.tau, self.delay, self.step)):
+            raise InvalidArgumentError("length, tau, delay and step must be positive")
         if self.grid_points < 2 * self.n_modes:
             raise InvalidArgumentError(
                 "grid_points must be at least twice the mode count"
@@ -324,36 +331,25 @@ def _lag_index(size):
     return lag >= 0, lag[lag >= 0]
 
 
-def _padded(a, rows):
-    """``a`` with zero rows appended along its node axis (-2) up to ``rows``."""
-    out = np.zeros(a.shape[:-2] + (rows,) + a.shape[-1:])
-    out[..., : a.shape[-2], :] = a
-    return out
-
-
 def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = None):
     """Integrate the semilinear system; controls are cells on a leading axis.
 
     ``control`` is None (zero control), a steering ControlSignal or, with
     ``prefix``, a sequence of them on one window.  Without ``prefix`` the
     run covers [-delay, tau] and returns its Trajectory.  ``prefix`` is a
-    recorded zero-control run of the same config; the run resumes at the
-    window start and returns the prefix continued through the window for a
-    single control, the terminal states for a sequence.  Steps whose start
-    lies before the window start never evaluate the window control, so
-    trajectories for different regularisation parameters are bitwise
-    identical up to the window start.
+    recorded zero-control run of the same config, which is left unchanged;
+    the run resumes at the window start as a batch of window-sized cells
+    that read their delayed states and memory forcing from it, and returns
+    the terminal states for a sequence, the prefix continued through the
+    window for a single control.  Steps whose start lies before the window
+    start never evaluate the window control, so trajectories for different
+    regularisation parameters are bitwise identical up to the window start.
     """
-    modes = config.modes()
-    domain = config.domain()
-    lam = modes.lambdas
-    N = config.n_modes
-    h = config.step
-    catalog = config.catalog
+    modes, domain = config.modes(), config.domain()
+    lam, N, h, catalog = modes.lambdas, config.n_modes, config.step, config.catalog
     n_r = exact_multiple(config.delay, h, "the delay")
-    n_T = exact_multiple(config.tau, h, "the horizon")
     idx0 = n_r
-    n_total = n_r + n_T + 1
+    n_total = n_r + exact_multiple(config.tau, h, "the horizon") + 1
     times = (np.arange(n_total) - idx0) * h
 
     batched = isinstance(control, (list, tuple))
@@ -374,37 +370,37 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     elif batched:
         raise InvalidArgumentError("a batch of controls must resume from a prefix run")
 
-    # the arrays hold nodes lo.. of every cell, window-sized for a batch;
-    # stepping starts at node `first`
-    lo = start_idx if batched else 0
-    first = idx0 if prefix is None else start_idx
+    # W and V hold nodes lo.. of every cell: all nodes for a full run, the
+    # window for a resumed one; memory and costate carry `size` trailing rows
+    size = min(SLAB, n_r)
+    lo = 0 if prefix is None else start_idx
     W = np.zeros((len(cells), n_total - lo, N))
     V = np.zeros_like(W)
+    memory = np.zeros((n_total - lo + size, N))
     if prefix is None:
         if config.history is not None:
             hist, shape = config.history(times[: idx0 + 1]), (idx0 + 1, N)
             if not (isinstance(hist, tuple) and [np.shape(a) for a in hist] == [shape] * 2):
                 raise InvalidArgumentError(f"history must give (w, v) arrays of shape {shape}")
             W[0, : idx0 + 1], V[0, : idx0 + 1] = hist
-        pre_impulse, impulse_events, memory = {}, [], np.zeros((n_total, N))
+        past_w, past_v = W[0], V[0]
+        pre_impulse, impulse_events = {}, []
     else:
-        W[:, : first - lo + 1] = prefix.w[lo : first + 1]
-        V[:, : first - lo + 1] = prefix.v[lo : first + 1]
-        pre_impulse = dict(prefix.pre_impulse)
-        impulse_events = list(prefix.impulse_events)
-        memory = prefix.memory
-    past_w, past_v = (prefix.w, prefix.v) if batched else (W[0], V[0])
+        W[:, 0], V[:, 0] = prefix.w[lo], prefix.v[lo]
+        memory[: n_total - lo] = prefix.memory[lo:]
+        past_w, past_v = prefix.w, prefix.v
+        pre_impulse, impulse_events = dict(prefix.pre_impulse), list(prefix.impulse_events)
 
     imp_at = {
         idx0 + exact_multiple(t_k, h, "an impulse time"): k
         for k, t_k in enumerate(config.impulses.times)
     }
 
-    size = min(SLAB, n_r)
     zero = np.zeros(N)
-    win_u = None
     if start_idx is not None:
-        costate = np.stack([c.costate(times[start_idx:]) for c in cells])
+        costate = np.zeros((len(cells), n_total - start_idx + size, N, 2))
+        for c, cell in zip(costate, cells):  # no stacked copy
+            c[: n_total - start_idx] = cell.costate(times[start_idx:])
         win_u = costate[..., 1]
         q11, q12, q22 = gramian_entries(lam, config.beta, h)
         p1, p2 = costate[:, 1:, :, 0], costate[:, 1:, :, 1]
@@ -419,63 +415,70 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     for (r, c), p in zip(np.ndindex(2, 2), powers):
         propagator[:, r, :, c][:, mask] = p[lags].T
     propagator = propagator.reshape(N, 2 * size, 2 * size + 2)
-    a12, a22 = powers[1][1], powers[3][1]
+    half = 0.5 * h
+    half_a12, a22 = half * powers[1][1], powers[3][1]
     B, qw = basis_matrix(domain, N), domain.spacing
-    has_f, has_memory = catalog.f_kind != "zero", catalog.has_memory
+    has_f = catalog.f_kind != "zero"
+    # propagator input (z_0, b_0 .. b_{size-1}) per cell and mode, filled through xs
+    x = np.empty((len(cells), N, 2 * size + 2, 1))
+    xs = x[..., 0].swapaxes(1, 2)
+    bw, bv = xs[:, 1 : size + 1], xs[:, size + 2 :]
 
     # Exact recursion for the trapezoid sum of the exponential kernel: the
     # carry holds kappa-free weights decay**(m - k) * h (h/2 for k = 0) times
     # g_k up to the slab start m; one table row per slab node adds the rest.
-    recurse = prefix is None and has_memory
+    recurse = prefix is None and catalog.has_memory
     if recurse:
         decay_table = np.zeros((size, size + 1))
         decay_table[mask] = np.exp(-catalog.gamma * h) ** lags
         decay_table[:, 1:] *= h
-        carry = 0.5 * h * _collocate(B, qw, catalog.g, W[0, idx0 - n_r])
+        carry = 0.5 * h * _collocate(B, qw, catalog.g, W[0, 0])
 
+    # slabs read full-shape views of size + 1 rows; rows past a slab's end
+    # meet only the zero upper triangle of the slab tables
     stops = sorted(s for s in {n_total - 1, start_idx, *imp_at} if s is not None)
-    half = 0.5 * h
-    s0 = first
+    s0 = idx0 if prefix is None else lo
     while s0 < n_total - 1:
         s1 = min(s0 + size, next(s for s in stops if s > s0))
         n = s1 - s0
         active = start_idx is not None and s0 >= start_idx
-        rows = slice(s0 - n_r, s1 - n_r + 1)
+        rows = slice(s0 - n_r, s0 - n_r + size + 1)
         if has_f or recurse:
             # delayed deflection on the grid, for f and g; continuous at impulses
-            yd = _padded(past_w[rows], size + 1) @ B.T
+            yd = past_w[rows] @ B.T
         if recurse:
             g = qw * (catalog.g(yd[1:]) @ B)
             acc = decay_table @ np.concatenate([carry[None], g])
             memory[s0 + 1 : s1 + 1] = catalog.kappa * (acc[:n] - half * g[:n])
             carry = acc[n - 1]
-        # velocity-slot forcing at the slab's nodes s0..s1, per cell
-        F = _padded(memory[s0 : s1 + 1], size + 1) if has_memory else np.zeros((size + 1, N))
+        # velocity-slot forcing at the slab's nodes s0..s0+size, per cell
+        F = memory[s0 - lo : s0 - lo + size + 1]
         if has_f:
-            vd = _padded(past_v[rows], size + 1)
+            vd = past_v[rows].copy()
             for d, (_, v_left) in pre_impulse.items():
                 if s0 <= d + n_r <= s1:
                     vd[d + n_r - s0] = v_left
-            u = _padded(win_u[:, s0 - start_idx : s1 - start_idx + 1], size + 1) if active else zero
+            u = win_u[:, s0 - start_idx : s0 - start_idx + size + 1] if active else zero
             F = qw * (catalog.f(yd, vd @ B.T, u @ B.T) @ B) + F
-        F = np.broadcast_to(F, (len(cells), size + 1, N))
-        bw = half * a12 * F[:, :-1]
-        bv = half * (a22 * F[:, :-1] + F[:, 1:])
+        xs[:, 0], xs[:, size + 1] = W[:, s0 - lo], V[:, s0 - lo]
+        np.multiply(half_a12, F[..., :-1, :], out=bw)
+        np.multiply(a22, F[..., :-1, :], out=bv)
+        bv += F[..., 1:, :]
+        bv *= half
         if active:
-            bw = bw + _padded(cw[:, s0 - start_idx : s1 - start_idx], size)
-            bv = bv + _padded(cv[:, s0 - start_idx : s1 - start_idx], size)
-        x = np.concatenate([W[:, s0 - lo, None], bw, V[:, s0 - lo, None], bv], axis=1)
-        z = propagator @ np.ascontiguousarray(np.swapaxes(x, 1, 2))[..., None]
+            bw += cw[:, s0 - start_idx : s0 - start_idx + size]
+            bv += cv[:, s0 - start_idx : s0 - start_idx + size]
+        z = propagator @ x
         new = slice(s0 - lo + 1, s1 - lo + 1)
         W[:, new] = np.swapaxes(z[:, :, :n, 0], 1, 2)
         V[:, new] = np.swapaxes(z[:, :, size : size + n, 0], 1, 2)
         if s1 in imp_at:
             # impulses precede every window, so only single-cell full runs meet one
             k = imp_at[s1]
-            wp, vp = W[0, s1 - lo].copy(), V[0, s1 - lo].copy()
+            wp, vp = W[0, s1].copy(), V[0, s1].copy()
             pre_impulse[s1] = (wp, vp)
             dv = apply_impulse(wp, vp, k, config.impulses, domain, modes)
-            V[0, s1 - lo] = vp + dv
+            V[0, s1] = vp + dv
             impulse_events.append((k, float(times[s1]), float(np.linalg.norm(dv))))
 
         sq = ((lam * W[:, new]) ** 2).sum(axis=2) + (V[:, new] ** 2).sum(axis=2)
@@ -496,19 +499,16 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
 
     if batched:
         return [BeamState(w.copy(), v.copy()) for w, v in zip(W[:, -1], V[:, -1])]
+    w, v, memory = W[0], V[0], memory[:n_total]
+    if prefix is not None:  # the cell's window rows continue the prefix
+        w, v = np.concatenate([prefix.w[:lo], w]), np.concatenate([prefix.v[:lo], v])
+        memory = prefix.memory
     control_rec = np.zeros((n_total, N))
-    if win_u is not None:
-        control_rec[start_idx:] = win_u[0]
+    if start_idx is not None:
+        control_rec[start_idx:] = win_u[0, : n_total - start_idx]
     return Trajectory(
-        times=times,
-        w=W[0],
-        v=V[0],
-        control=control_rec,
-        memory=memory,
-        start_index=idx0,
-        step=h,
-        pre_impulse=pre_impulse,
-        impulse_events=impulse_events,
+        times=times, w=w, v=v, control=control_rec, memory=memory, start_index=idx0,
+        step=h, pre_impulse=pre_impulse, impulse_events=impulse_events,
     )
 
 

@@ -104,16 +104,19 @@ class ExperimentSpec:
             raise InvalidArgumentError("alpha list must not be empty")
         if any(not 0 < a <= 1 for a in self.alphas):
             raise InvalidArgumentError("alphas must lie in (0, 1]")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise InvalidArgumentError("epsilon must be positive")
+        if not np.isfinite([self.target_scale, self.history_amplitude]).all():
+            raise InvalidArgumentError("target_scale and history_amplitude must be finite")
         for delta in self.deltas:
             self.config.validate_delta(delta)
         if self.target_kind not in ("single_mode", "random", "free_trajectory"):
             raise InvalidArgumentError(f"unknown target kind {self.target_kind!r}")
         if self.history_kind not in ("zero", "single_mode", "random"):
             raise InvalidArgumentError(f"unknown history kind {self.history_kind!r}")
-        if not 1 <= self.target_mode <= self.config.n_modes:
-            raise InvalidArgumentError("target mode index out of range")
+        for name in ("target_mode", "history_mode"):
+            if not 1 <= getattr(self, name) <= self.config.n_modes:
+                raise InvalidArgumentError(f"{name} must lie in 1..{self.config.n_modes}")
 
 
 def make_random_state(modes: ModeSet, rng, amplitude: float = 1.0, decay: float = 2.0) -> BeamState:

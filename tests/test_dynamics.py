@@ -509,6 +509,18 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta):
         assert got.pre_impulse.keys() == ref.pre_impulse.keys()
         assert [e[:2] for e in got.impulse_events] == [e[:2] for e in ref.impulse_events]
         np.testing.assert_array_equal(got.control, ref.control)
+    # the loop's last pass leaves the steered control and its stepwise run;
+    # resumed from the free run, singly and as a batch of one, it must agree
+    # too, and the prefix must come back bitwise unchanged
+    before = [a.tobytes() for a in (free.w, free.v, free.memory)]
+    resumed = simulate(cfg, control, prefix=free)
+    (terminal,) = simulate(cfg, [control], prefix=free)
+    for a, b in ((resumed.w, ref.w), (resumed.v, ref.v), (resumed.memory, ref.memory)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    np.testing.assert_array_equal(resumed.control, ref.control)
+    for z in (resumed.terminal(), terminal):
+        assert energy_norm(z - ref.terminal(), modes) <= 1e-12 * energy_norm(ref.terminal(), modes)
+    assert [a.tobytes() for a in (free.w, free.v, free.memory)] == before
 
 
 def test_grid_alignment_enforced():

@@ -342,6 +342,28 @@ def test_config_seed_override():
     assert spec.seed == 123
 
 
+# (default line, replacement, a word of the error): values the validator must
+# reject; NaN passes every comparison of the form `x < 0`
+CONFIG_VIOLATIONS = [
+    ("history_mode = 1", "history_mode = 0", "history_mode"),
+    ("history_mode = 1", "history_mode = 9", "history_mode"),
+    ("kappa = 0.5", "kappa = nan", "catalog"),
+    ("f_a = 0.5", "f_a = nan", "catalog"),
+    ("f_b = 0.0", "f_b = nan", "catalog"),
+    ("gamma = 1.0", "gamma = nan", "catalog"),
+    ("gains = 0.05, 0.05", "gains = 0.05, nan", "gains"),
+    ("epsilon = 0.01", "epsilon = nan", "epsilon"),
+    ("target_scale = 0.3", "target_scale = nan", "target_scale"),
+    ("history_amplitude = 0.1", "history_amplitude = nan", "history_amplitude"),
+    ("length = 3.5", "length = -1", "length"),
+]
+
+
+def _violating(line, replacement):
+    assert DEFAULT_CONFIG.count(line) == 1
+    return DEFAULT_CONFIG.replace(line, replacement)
+
+
 def test_config_violations_named():
     bad = DEFAULT_CONFIG.replace("deltas = 0.2, 0.1, 0.05", "deltas = 0.5")
     with pytest.raises(ConfigError, match="delay"):
@@ -352,6 +374,9 @@ def test_config_violations_named():
     bad = DEFAULT_CONFIG.replace("times = 0.4, 0.7", "times = 0.4, oops")
     with pytest.raises(ConfigError):
         parse_experiment(bad)
+    for line, replacement, word in CONFIG_VIOLATIONS:
+        with pytest.raises(ConfigError, match=word):
+            parse_experiment(_violating(line, replacement))
 
 
 def test_config_missing_section():
@@ -418,6 +443,18 @@ def test_cli_critical_damping_runs_and_underdamping_exits_2(tmp_path):
         assert (run_dir / "pullback.csv").exists() == (code == 0)
         if code:
             assert proc.stderr.startswith("invalid configuration: damping coefficient")
+    for k, (line, replacement, word) in enumerate(CONFIG_VIOLATIONS):
+        run_dir = tmp_path / f"violation{k}"
+        run_dir.mkdir()
+        (run_dir / "c.ini").write_text(_violating(line, replacement))
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamsteer", "sweep", "--config", "c.ini", "--quiet"],
+            capture_output=True, text=True, cwd=run_dir, env=env,
+        )
+        assert proc.returncode == 2, (replacement, proc.stderr)
+        assert proc.stderr.startswith("invalid configuration:") and word in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (run_dir / "pullback.csv").exists()
 
 
 def test_cli_sweep_writes_csv(tmp_path):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from beamsteer import (
     operator_norms,
 )
 from beamsteer.errors import InvalidArgumentError
+from beamsteer.semigroup import exp_entries
 
 from oracles import block_matrix, expm_squaring, interleaved_generator
 
@@ -135,6 +138,26 @@ def test_envelope_single_mode_supremum():
     env = decay_envelope(modes, 2.0)
     # at t = 0 the operator norm is 1, so the envelope constant is at least 1
     assert operator_norms(modes, 2.0, [0.0])[0] == pytest.approx(1.0, rel=1e-12)
+    assert env.bound >= 1.0
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.01, 2.0, 100.0])
+def test_operator_norms_match_per_time_svd(beta):
+    modes = laplacian_eigenvalues(1.0, 32)
+    # more times than one vectorised chunk, from t = 0 through stiff decay
+    ts = np.concatenate([[0.0], np.geomspace(1e-6, 1e-2, 100), np.linspace(0.01, 20.0, 4100)])
+    got = operator_norms(modes, beta, ts)
+    # one LAPACK SVD per (time, mode) block
+    blocks = np.stack(exp_entries(modes.lambdas, beta, ts[:, None], energy=True), axis=-1)
+    ref = np.linalg.svd(blocks.reshape(ts.size, -1, 2, 2), compute_uv=False)[..., 0].max(axis=1)
+    assert got.shape == ts.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+
+def test_decay_envelope_at_heavy_damping_is_fast():
+    t0 = time.perf_counter()
+    env = decay_envelope(laplacian_eigenvalues(1.0, 4), 100.0)
+    assert time.perf_counter() - t0 < 0.5
     assert env.bound >= 1.0
 
 
