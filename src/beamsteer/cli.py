@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,8 +27,6 @@ from .harness import (
     gramian_cross_check,
     make_random_state,
     make_target,
-    pullback_cell,
-    pullback_setup,
     residual_identity,
     run_linear_suite,
     run_pullback_experiment,
@@ -88,10 +87,8 @@ def _cmd_steer(spec, args) -> int:
 
 
 def _cmd_pullback(spec, args) -> int:
-    config, base_traj, target = pullback_setup(spec)
-    delta = max(spec.deltas)
-    alpha = min(spec.alphas)
-    row, _ = pullback_cell(config, target, delta, alpha, base_traj)
+    delta, alpha = max(spec.deltas), min(spec.alphas)
+    (row,) = run_pullback_experiment(replace(spec, deltas=[delta], alphas=[alpha]))
     _say(args, f"pullback: delta={delta:g} alpha={alpha:g}")
     _say(args, f"  error_total = {row.error_total:.6e}  (epsilon = {spec.epsilon:g})")
     _say(args, f"  error_nl    = {row.error_nl:.6e}")

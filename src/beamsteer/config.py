@@ -9,6 +9,8 @@ reals and lists comma-separated:
     [impulses]     times, gains
     [sweep]        deltas, alphas, epsilon, target, target_mode,
                    target_scale, seed, out
+
+Any other section or key is rejected.
 """
 
 from __future__ import annotations
@@ -19,6 +21,16 @@ import io
 from .dynamics import ImpulseSchedule, NonlinearityCatalog, SimConfig
 from .errors import ConfigError, InvalidArgumentError
 from .harness import ExperimentSpec
+
+# the sections and keys listed above
+KEYS = {
+    "simulation": {"modes", "length", "grid_points", "beta", "tau", "delay", "step", "history",
+                   "history_amplitude", "history_mode"},
+    "catalog": {"f", "f_a", "f_b", "g", "kernel", "kappa", "gamma"},
+    "impulses": {"times", "gains"},
+    "sweep": {"deltas", "alphas", "epsilon", "target", "target_mode", "target_scale", "seed",
+              "out"},
+}
 
 DEFAULT_CONFIG = """\
 [simulation]
@@ -80,6 +92,12 @@ def _parser_for(text: str) -> configparser.ConfigParser:
 def parse_experiment(text: str, seed_override: int | None = None) -> ExperimentSpec:
     """Build an experiment spec from configuration text."""
     parser = _parser_for(text)
+    for name in parser.sections():
+        if name not in KEYS:
+            raise ConfigError(f"unknown configuration section [{name}]")
+        unknown = sorted(set(parser[name]) - KEYS[name])
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in section [{name}]")
     try:
         sim = parser["simulation"]
         cat = parser["catalog"]

@@ -37,10 +37,10 @@ tables are exactly zero above the diagonal, so they never reach its nodes;
 with the products run per cell, a node's value depends neither on where its
 slab ends nor on how many cells step together.
 
-Steering controls are stepped as cells along a leading array axis.  Since
-every window is shorter than the delay, a resumed run is one window-sized
-batch that reads its delayed states and memory forcing from the zero-control
-prefix; a single control is a batch of one, stitched onto the prefix.
+A full run steps one cell, with zero or one steering control.  Since every
+window is shorter than the delay, a resumed run is one window-sized batch of
+steering controls that reads its delayed states and memory forcing from the
+zero-control prefix and returns the cells' terminal states.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ class NonlinearityCatalog:
             raise InvalidArgumentError(f"unknown memory integrand kind {self.g_kind!r}")
         if self.kernel_kind not in KERNEL_KINDS:
             raise InvalidArgumentError(f"unknown kernel kind {self.kernel_kind!r}")
-        if not all(x >= 0 for x in (self.f_a, self.f_b, self.kappa, self.gamma)):
-            raise InvalidArgumentError("catalog parameters must be nonnegative")
+        if not all(0 <= x < np.inf for x in (self.f_a, self.f_b, self.kappa, self.gamma)):
+            raise InvalidArgumentError("catalog parameters must be nonnegative and finite")
 
     def f(self, y, v, u):
         if self.f_kind == "zero":
@@ -202,10 +202,10 @@ class SimConfig:
     blowup_threshold: float = BLOWUP_THRESHOLD
 
     def __post_init__(self):
-        if not self.beta >= 1.0:
-            raise InvalidArgumentError("damping coefficient must be at least 1")
-        if not all(x > 0 for x in (self.length, self.tau, self.delay, self.step)):
-            raise InvalidArgumentError("length, tau, delay and step must be positive")
+        if not 1.0 <= self.beta < np.inf:
+            raise InvalidArgumentError("damping coefficient must be at least 1 and finite")
+        if not all(0 < x < np.inf for x in (self.length, self.tau, self.delay, self.step)):
+            raise InvalidArgumentError("length, tau, delay and step must be positive and finite")
         if self.grid_points < 2 * self.n_modes:
             raise InvalidArgumentError(
                 "grid_points must be at least twice the mode count"
@@ -334,16 +334,17 @@ def _lag_index(size):
 def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = None):
     """Integrate the semilinear system; controls are cells on a leading axis.
 
-    ``control`` is None (zero control), a steering ControlSignal or, with
-    ``prefix``, a sequence of them on one window.  Without ``prefix`` the
-    run covers [-delay, tau] and returns its Trajectory.  ``prefix`` is a
-    recorded zero-control run of the same config, which is left unchanged;
-    the run resumes at the window start as a batch of window-sized cells
-    that read their delayed states and memory forcing from it, and returns
-    the terminal states for a sequence, the prefix continued through the
-    window for a single control.  Steps whose start lies before the window
-    start never evaluate the window control, so trajectories for different
-    regularisation parameters are bitwise identical up to the window start.
+    Without ``prefix``, ``control`` is None (zero control) or one steering
+    ControlSignal, and the run covers [-delay, tau] and returns its
+    Trajectory.  With ``prefix``, a recorded zero-control run of the same
+    config that is left unchanged, ``control`` is a sequence of steering
+    controls on one window: the run resumes at the window start as a batch
+    of window-sized cells that read their delayed states and memory forcing
+    from the prefix, and returns their terminal states.  Every control must
+    be synthesized for the config's damping and modes.  Steps whose start
+    lies before the window start never evaluate the window control, so
+    trajectories for different regularisation parameters are bitwise
+    identical up to the window start.
     """
     modes, domain = config.modes(), config.domain()
     lam, N, h, catalog = modes.lambdas, config.n_modes, config.step, config.catalog
@@ -352,8 +353,9 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     n_total = n_r + exact_multiple(config.tau, h, "the horizon") + 1
     times = (np.arange(n_total) - idx0) * h
 
-    batched = isinstance(control, (list, tuple))
-    cells = list(control) if batched else [control]
+    if (prefix is None) == isinstance(control, (list, tuple)):
+        raise InvalidArgumentError("a full run takes None or a control, a resumed run a sequence")
+    cells = [control] if prefix is None else list(control)
     if not cells:
         raise InvalidArgumentError("no cell controls given")
     start_idx = None
@@ -361,14 +363,14 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         window = cells[0].window
         if any(c.window != window for c in cells):
             raise InvalidArgumentError("cell controls must share one window")
+        if any(c.beta != config.beta or not np.array_equal(c.modes.lambdas, lam) for c in cells):
+            raise InvalidArgumentError("cell controls must be synthesized for the config's system")
         if abs(window.tau - config.tau) > 1e-9:
             raise InvalidArgumentError("control window must end at the horizon")
         config.validate_delta(window.delta)
         start_idx = idx0 + exact_multiple(window.start, h, "the window start")
     if prefix is not None:
         _check_resume(config, prefix, start_idx)
-    elif batched:
-        raise InvalidArgumentError("a batch of controls must resume from a prefix run")
 
     # W and V hold nodes lo.. of every cell: all nodes for a full run, the
     # window for a resumed one; memory and costate carry `size` trailing rows
@@ -377,6 +379,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     W = np.zeros((len(cells), n_total - lo, N))
     V = np.zeros_like(W)
     memory = np.zeros((n_total - lo + size, N))
+    pre_impulse, impulse_events = {}, []
     if prefix is None:
         if config.history is not None:
             hist, shape = config.history(times[: idx0 + 1]), (idx0 + 1, N)
@@ -384,12 +387,10 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
                 raise InvalidArgumentError(f"history must give (w, v) arrays of shape {shape}")
             W[0, : idx0 + 1], V[0, : idx0 + 1] = hist
         past_w, past_v = W[0], V[0]
-        pre_impulse, impulse_events = {}, []
-    else:
+    else:  # every impulse precedes the window, so nothing below writes to the prefix
         W[:, 0], V[:, 0] = prefix.w[lo], prefix.v[lo]
         memory[: n_total - lo] = prefix.memory[lo:]
-        past_w, past_v = prefix.w, prefix.v
-        pre_impulse, impulse_events = dict(prefix.pre_impulse), list(prefix.impulse_events)
+        past_w, past_v, pre_impulse = prefix.w, prefix.v, prefix.pre_impulse
 
     imp_at = {
         idx0 + exact_multiple(t_k, h, "an impulse time"): k
@@ -497,18 +498,14 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             )
         s0 = s1
 
-    if batched:
+    if prefix is not None:
         return [BeamState(w.copy(), v.copy()) for w, v in zip(W[:, -1], V[:, -1])]
-    w, v, memory = W[0], V[0], memory[:n_total]
-    if prefix is not None:  # the cell's window rows continue the prefix
-        w, v = np.concatenate([prefix.w[:lo], w]), np.concatenate([prefix.v[:lo], v])
-        memory = prefix.memory
     control_rec = np.zeros((n_total, N))
     if start_idx is not None:
         control_rec[start_idx:] = win_u[0, : n_total - start_idx]
     return Trajectory(
-        times=times, w=w, v=v, control=control_rec, memory=memory, start_index=idx0,
-        step=h, pre_impulse=pre_impulse, impulse_events=impulse_events,
+        times=times, w=W[0], v=V[0], control=control_rec, memory=memory[:n_total],
+        start_index=idx0, step=h, pre_impulse=pre_impulse, impulse_events=impulse_events,
     )
 
 

@@ -27,7 +27,6 @@ import numpy as np
 from .dynamics import SimConfig, Trajectory, simulate
 from .errors import InvalidArgumentError
 from .gramian import (
-    GramianSet,
     ModeBlock,
     SteerWindow,
     assemble_gramian,
@@ -104,8 +103,8 @@ class ExperimentSpec:
             raise InvalidArgumentError("alpha list must not be empty")
         if any(not 0 < a <= 1 for a in self.alphas):
             raise InvalidArgumentError("alphas must lie in (0, 1]")
-        if not self.epsilon > 0:
-            raise InvalidArgumentError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise InvalidArgumentError("epsilon must be positive and finite")
         if not np.isfinite([self.target_scale, self.history_amplitude]).all():
             raise InvalidArgumentError("target_scale and history_amplitude must be finite")
         for delta in self.deltas:
@@ -256,24 +255,19 @@ def _cell_row(config, modes, gramians, target, control, z_mid, z_tau, seconds, t
 
 
 def pullback_cell(
-    config: SimConfig,
-    target: BeamState,
-    delta: float,
-    alpha: float,
-    base_traj: Trajectory,
-    gramians: GramianSet | None = None,
-    timer=time.perf_counter,
+    config: SimConfig, target: BeamState, delta: float, alpha: float, base_traj: Trajectory
 ):
-    """Run one (delta, alpha) cell from the base run; returns the row and the trajectory."""
-    modes = config.modes()
+    """One (delta, alpha) cell simulated from scratch over [-delay, tau], its control
+    synthesized from the base run's state at the window start: the reference for
+    the sweep's batched window runs.  Returns the row and the trajectory."""
+    modes, timer = config.modes(), time.perf_counter
     t0 = timer()
     window = SteerWindow(config.tau, delta)
-    if gramians is None:
-        gramians = assemble_gramian(modes, config.beta, window)
-    z_mid = base_traj.state_at(config.tau - delta)
+    gramians = assemble_gramian(modes, config.beta, window)
+    z_mid = base_traj.state_at(window.start)
     problem = SteeringProblem(z_mid, target, window, alpha)
     control = synthesize_control(problem, modes, config.beta, gramians=gramians)
-    traj = simulate(config, control, prefix=base_traj)
+    traj = simulate(config, control)
     row = _cell_row(
         config, modes, gramians, target, control, z_mid, traj.terminal(), timer() - t0, timer
     )

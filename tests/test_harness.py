@@ -356,6 +356,16 @@ CONFIG_VIOLATIONS = [
     ("target_scale = 0.3", "target_scale = nan", "target_scale"),
     ("history_amplitude = 0.1", "history_amplitude = nan", "history_amplitude"),
     ("length = 3.5", "length = -1", "length"),
+    # infinities pass every comparison of the form `x >= 0`
+    ("f_a = 0.5", "f_a = inf", "catalog"),
+    ("gamma = 1.0", "gamma = inf", "catalog"),
+    ("beta = 2.0", "beta = inf", "damping"),
+    ("length = 3.5", "length = inf", "length"),
+    ("tau = 1.0", "tau = inf", "tau"),
+    ("epsilon = 0.01", "epsilon = inf", "epsilon"),
+    # a misspelt key or section would silently fall back to its default
+    ("kappa = 0.5", "kapa = 0.5", "kapa"),
+    ("[impulses]", "[impulse]", "impulse"),
 ]
 
 

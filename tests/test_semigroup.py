@@ -1,5 +1,6 @@
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -119,9 +120,24 @@ def test_decay_envelope_rate_closed_form():
     assert env.bound >= 1.0
 
 
-def test_decay_envelope_rate_at_critical_damping():
-    modes = laplacian_eigenvalues(1.0, 4)
-    assert decay_envelope(modes, 1.0).rate == modes.lambdas[0]
+def test_decay_envelope_rejects_critical_damping():
+    # at beta = 1, ||T(t)|| exp(lambda_1 t) grows like t: no envelope of that rate
+    with pytest.raises(InvalidArgumentError, match="beta > 1"):
+        decay_envelope(laplacian_eigenvalues(1.0, 4), 1.0)
+
+
+@pytest.mark.parametrize("length", [1.0, 3.5])
+@pytest.mark.parametrize("beta", [1 + 1e-6, 1.01, 2.0, 100.0])
+def test_decay_envelope_is_the_exact_supremum(beta, length):
+    modes = laplacian_eigenvalues(length, 8)
+    env = decay_envelope(modes, beta)
+    with mpmath.workdps(50):  # beta**2 - 1 cancels in double precision near beta = 1
+        exact = float(mpmath.mpf(beta) / mpmath.sqrt(mpmath.mpf(beta) ** 2 - 1))
+    assert abs(env.bound - exact) <= 1e-15 * exact
+    # from the transients out to where every mode has settled on its asymptote
+    ts = np.concatenate([[0.0], np.geomspace(1e-6, 200.0, 4000) / env.rate])
+    norms = operator_norms(modes, beta, ts)
+    assert np.all(norms <= env.value(ts) * (1.0 + 1e-12))
 
 
 def test_envelope_dominates_operator_norm():
@@ -144,7 +160,7 @@ def test_envelope_single_mode_supremum():
 @pytest.mark.parametrize("beta", [1.0, 1.01, 2.0, 100.0])
 def test_operator_norms_match_per_time_svd(beta):
     modes = laplacian_eigenvalues(1.0, 32)
-    # more times than one vectorised chunk, from t = 0 through stiff decay
+    # from t = 0 through stiff decay
     ts = np.concatenate([[0.0], np.geomspace(1e-6, 1e-2, 100), np.linspace(0.01, 20.0, 4100)])
     got = operator_norms(modes, beta, ts)
     # one LAPACK SVD per (time, mode) block
