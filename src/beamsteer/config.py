@@ -81,7 +81,8 @@ def _floats(text: str) -> list[float]:
 
 
 def _parser_for(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no section header can hold a newline, so [DEFAULT] is a plain, unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -24,18 +24,19 @@ which the exponential kernel turns into an exact recursion.
 
 The history on [-delay, 0] is an array-valued callable, evaluated once on
 all history nodes.  Stepping follows the method of steps: a slab of at most
-min(SLAB, delay/h) steps, cut at the window start and at impulse nodes, reads
-only delayed states fixed by earlier slabs.  Each slab synthesizes its
-delayed deflection once, which serves both f and g, collocates them at all
-its nodes at once, advances the memory recursion by a table of decay powers
-and every mode by z_k = A^k z_0 + sum_{j<k} A^(k-1-j) b_j, with
-A^k = exp(K k h) in closed form.  The inputs a slab may read past the
-horizon (memory forcing, window costate) carry min(SLAB, delay/h) trailing
-rows, padded once per run, so every slab reads full-shape views into one
-preallocated input buffer.  Rows past a slab's end are finite and the slab
-tables are exactly zero above the diagonal, so they never reach its nodes;
-with the products run per cell, a node's value depends neither on where its
-slab ends nor on how many cells step together.
+min(OUTER, delay/h) steps, cut at the window start and at impulse nodes, reads
+only delayed states fixed by earlier slabs.  It synthesizes its delayed
+deflection once for both f and g, collocates them on its live rows, advances
+the memory recursion by one table of decay powers, and every mode in chunks
+of CHUNK steps: all chunks from a zero start in one batched matmul, the chunk
+starts by a Toeplitz table of powers of A^CHUNK (A^k = exp(K k h) in closed
+form, tables cached per system), and A^(k+1) times a chunk's start added
+back.  The chunk count is fixed before the window and in it, and the inputs
+a slab may read past the horizon carry one slab of trailing rows, so slabs
+read full-shape views whose rows past the slab's end are finite and meet only
+zeros above the tables' diagonals: with the products run per cell, a node's
+value depends neither on where its slab ends nor on how many cells step
+together.
 
 A full run steps one cell, with zero or one steering control.  Since every
 window is shorter than the delay, a resumed run is one window-sized batch of
@@ -46,10 +47,11 @@ zero-control prefix and returns the cells' terminal states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, InvalidArgumentError
 from .semigroup import exp_entries, gramian_entries
@@ -66,8 +68,9 @@ G_KINDS = ("zero", "sin", "rational")
 KERNEL_KINDS = ("zero", "exponential")
 
 BLOWUP_THRESHOLD = 1e12
-# most steps one slab advances; a slab is also bounded by the delay
-SLAB = 32
+# steps of a chunk, most steps of a slab (also bounded by the delay), and
+# about the most cell rows one collocation call synthesizes
+CHUNK, OUTER, COLLOCATION_ROWS = 32, 256, 160
 
 
 def exact_multiple(value: float, step: float, what: str) -> int:
@@ -325,10 +328,34 @@ def _check_resume(config: SimConfig, prefix: Trajectory, start_idx):
         raise InvalidArgumentError("prefix run carries a control before the window")
 
 
-def _lag_index(size):
-    """Mask of the slab-table entries (row k, column j) of lag k + 1 - j >= 0, and the lags."""
-    lag = np.arange(1, size + 1)[:, None] - np.arange(size + 1)
-    return lag >= 0, lag[lag >= 0]
+def _toeplitz(p) -> np.ndarray:
+    """Lower-triangular Toeplitz view T[k, ..., j] = p[k - j] (0 for j > k) of p's first axis."""
+    zeros = np.zeros_like(p[1:])
+    return sliding_window_view(np.concatenate([p[::-1], zeros]), len(p), axis=0)[::-1]
+
+
+@lru_cache(maxsize=16)
+def _slab_tables(length, grid_points, n_modes, beta, h, chunk, count):
+    """Read-only tables of ``simulate`` for one system and step: basis matrix,
+    one-step Gramian, (h/2 a12, a22) of A = exp(K h), the chunk table taking b_j
+    to sum_{j<=k} A^(k-j) b_j, the lift table of A^(k+1) and the outer table
+    of A^(chunk (m - j)) for `count` chunks, whose leading blocks serve fewer."""
+    lam = laplacian_eigenvalues(length, n_modes).lambdas
+    step, outer = (
+        np.stack(exp_entries(lam, beta, t[:, None]), -1).reshape(t.size, n_modes, 2, 2)
+        for t in (h * np.arange(chunk + 1), h * chunk * np.arange(count))
+    )
+    tables = (
+        basis_matrix(SpatialDomain(length, grid_points), n_modes),
+        np.stack(gramian_entries(lam, beta, h)),
+        np.stack([0.5 * h * step[1, :, 0, 1], step[1, :, 1, 1]]),
+        _toeplitz(step[:-1]).transpose(1, 2, 0, 3, 4).reshape(n_modes, 2 * chunk, 2 * chunk),
+        step[1:].transpose(1, 2, 0, 3).reshape(n_modes, 2 * chunk, 2),
+        np.ascontiguousarray(_toeplitz(outer).transpose(1, 2, 0, 3, 4)),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = None):
@@ -373,12 +400,17 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         _check_resume(config, prefix, start_idx)
 
     # W and V hold nodes lo.. of every cell: all nodes for a full run, the
-    # window for a resumed one; memory and costate carry `size` trailing rows
-    size = min(SLAB, n_r)
+    # window for a resumed one; slabs of `counts[active]` chunks of `chunk`
+    # steps, and memory and costate carry `pad` trailing rows
+    chunk = min(CHUNK, n_r)
+    counts = {False: min(OUTER, n_r) // chunk}
+    if start_idx is not None:
+        counts[True] = -(-min(OUTER, n_total - 1 - start_idx) // chunk)
+    pad = chunk * max(counts[s] for s in counts if prefix is None or s)
     lo = 0 if prefix is None else start_idx
     W = np.zeros((len(cells), n_total - lo, N))
     V = np.zeros_like(W)
-    memory = np.zeros((n_total - lo + size, N))
+    memory = np.zeros((n_total - lo + pad, N))
     pre_impulse, impulse_events = {}, []
     if prefix is None:
         if config.history is not None:
@@ -397,82 +429,93 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         for k, t_k in enumerate(config.impulses.times)
     }
 
+    B, (q11, q12, q22), (half_a12, a22), chunk_table, lift, outers = _slab_tables(
+        config.length, config.grid_points, N, config.beta, h, chunk, -(-min(OUTER, n_r) // chunk)
+    )
     zero = np.zeros(N)
     if start_idx is not None:
-        costate = np.zeros((len(cells), n_total - start_idx + size, N, 2))
+        costate = np.zeros((len(cells), n_total - start_idx + pad, N, 2))
         for c, cell in zip(costate, cells):  # no stacked copy
             c[: n_total - start_idx] = cell.costate(times[start_idx:])
         win_u = costate[..., 1]
-        q11, q12, q22 = gramian_entries(lam, config.beta, h)
         p1, p2 = costate[:, 1:, :, 0], costate[:, 1:, :, 1]
         cw = (q11 * p1 + q12 * p2) / lam
         cv = q12 * p1 + q22 * p2
-
-    # per mode, (z_0, b_0 .. b_{size-1}) -> z_1 .. z_size: row k of a slab
-    # table gives z_{k+1} = A^{k+1} z_0 + sum_{j<=k} A^{k-j} b_j, A^k = exp(K k h)
-    mask, lags = _lag_index(size)
-    powers = exp_entries(lam, config.beta, h * np.arange(size + 1)[:, None])
-    propagator = np.zeros((N, 2, size, 2, size + 1))
-    for (r, c), p in zip(np.ndindex(2, 2), powers):
-        propagator[:, r, :, c][:, mask] = p[lags].T
-    propagator = propagator.reshape(N, 2 * size, 2 * size + 2)
-    half = 0.5 * h
-    half_a12, a22 = half * powers[1][1], powers[3][1]
-    B, qw = basis_matrix(domain, N), domain.spacing
+    half, qw = 0.5 * h, domain.spacing
     has_f = catalog.f_kind != "zero"
-    # propagator input (z_0, b_0 .. b_{size-1}) per cell and mode, filled through xs
-    x = np.empty((len(cells), N, 2 * size + 2, 1))
-    xs = x[..., 0].swapaxes(1, 2)
-    bw, bv = xs[:, 1 : size + 1], xs[:, size + 2 :]
 
     # Exact recursion for the trapezoid sum of the exponential kernel: the
     # carry holds kappa-free weights decay**(m - k) * h (h/2 for k = 0) times
-    # g_k up to the slab start m; one table row per slab node adds the rest.
+    # g_k up to the slab start m; one table row per slab node adds the rest,
+    # row k reading decay**(k + 1 - j) off a Toeplitz view of the powers.
     recurse = prefix is None and catalog.has_memory
     if recurse:
-        decay_table = np.zeros((size, size + 1))
-        decay_table[mask] = np.exp(-catalog.gamma * h) ** lags
-        decay_table[:, 1:] *= h
+        decay = np.exp(-catalog.gamma * h) ** np.arange(pad + 1)
         carry = 0.5 * h * _collocate(B, qw, catalog.g, W[0, 0])
 
-    # slabs read full-shape views of size + 1 rows; rows past a slab's end
-    # meet only the zero upper triangle of the slab tables
+    # slabs read full-shape views of L + 1 rows; rows past a slab's end are
+    # finite and meet only the zero upper triangles of the tables
     stops = sorted(s for s in {n_total - 1, start_idx, *imp_at} if s is not None)
-    s0 = idx0 if prefix is None else lo
+    s0, count = (idx0 if prefix is None else lo), None
     while s0 < n_total - 1:
-        s1 = min(s0 + size, next(s for s in stops if s > s0))
-        n = s1 - s0
         active = start_idx is not None and s0 >= start_idx
-        rows = slice(s0 - n_r, s0 - n_r + size + 1)
-        if has_f or recurse:
+        if count != counts[active]:
+            count = counts[active]
+            L = count * chunk
+            outer = outers[:, :, :count, :, :count].reshape(N, 2 * count, 2 * count)
+            # fixed pieces of about COLLOCATION_ROWS cell rows: a cut slab
+            # collocates a prefix of them, with the shapes of an uncut one
+            pieces = -(-len(cells) * (L + 1) // COLLOCATION_ROWS)
+            piece = -(-(L + 1) // pieces)
+            fc, gq = np.zeros((len(cells), L + 1, N)), np.zeros((L + 1, N))
+            X = np.empty((len(cells), N, 2 * chunk, count))
+            xw, xv = (X[:, :, r * chunk : (r + 1) * chunk].transpose(0, 3, 2, 1) for r in (0, 1))
+            E = np.empty((len(cells), N, 2, count))
+            if recurse:
+                table = _toeplitz(decay[: L + 1])[1:] * np.r_[1.0, np.full(L, h)]
+        s1 = min(s0 + L, next(s for s in stops if s > s0))
+        n = s1 - s0
+        # f and g on the slab's live rows s0..s1, piece by piece
+        for a in range(0, n + 1, piece) if has_f or recurse else ():
+            rows = slice(s0 - n_r + a, s0 - n_r + min(a + piece, L + 1))
             # delayed deflection on the grid, for f and g; continuous at impulses
             yd = past_w[rows] @ B.T
+            if recurse:
+                gq[a : a + len(yd)] = qw * (catalog.g(yd) @ B)
+            if has_f:
+                vd = past_v[rows].copy()
+                for d, (_, v_left) in pre_impulse.items():
+                    if rows.start <= d < rows.stop:
+                        vd[d - rows.start] = v_left
+                u = win_u[:, s0 - start_idx + a : s0 - start_idx + a + len(yd)] if active else zero
+                fc[:, a : a + len(yd)] = qw * (catalog.f(yd, vd @ B.T, u @ B.T) @ B)
         if recurse:
-            g = qw * (catalog.g(yd[1:]) @ B)
-            acc = decay_table @ np.concatenate([carry[None], g])
-            memory[s0 + 1 : s1 + 1] = catalog.kappa * (acc[:n] - half * g[:n])
+            gq[0] = carry
+            acc = table @ gq
+            memory[s0 + 1 : s1 + 1] = catalog.kappa * (acc[:n] - half * gq[1 : n + 1])
             carry = acc[n - 1]
-        # velocity-slot forcing at the slab's nodes s0..s0+size, per cell
-        F = memory[s0 - lo : s0 - lo + size + 1]
+        # velocity-slot forcing at the slab's nodes s0..s0+L, per cell
+        F = memory[s0 - lo : s0 - lo + L + 1]
         if has_f:
-            vd = past_v[rows].copy()
-            for d, (_, v_left) in pre_impulse.items():
-                if s0 <= d + n_r <= s1:
-                    vd[d + n_r - s0] = v_left
-            u = win_u[:, s0 - start_idx : s0 - start_idx + size + 1] if active else zero
-            F = qw * (catalog.f(yd, vd @ B.T, u @ B.T) @ B) + F
-        xs[:, 0], xs[:, size + 1] = W[:, s0 - lo], V[:, s0 - lo]
-        np.multiply(half_a12, F[..., :-1, :], out=bw)
-        np.multiply(a22, F[..., :-1, :], out=bv)
-        bv += F[..., 1:, :]
-        bv *= half
+            F = fc + F
+        left, right = (F[..., r : L + r, :].reshape(-1, count, chunk, N) for r in (0, 1))
+        np.multiply(half_a12, left, out=xw)
+        np.multiply(a22, left, out=xv)
+        xv += right
+        xv *= half
         if active:
-            bw += cw[:, s0 - start_idx : s0 - start_idx + size]
-            bv += cv[:, s0 - start_idx : s0 - start_idx + size]
-        z = propagator @ x
+            j = s0 - start_idx
+            xw += cw[:, j : j + L].reshape(xw.shape)
+            xv += cv[:, j : j + L].reshape(xv.shape)
+        # every chunk from a zero start, then the chunk starts s_m from the
+        # slab start and the chunk ends, then A^(k+1) s_m added back
+        Z = chunk_table @ X
+        E[:, :, 0, 0], E[:, :, 1, 0] = W[:, s0 - lo], V[:, s0 - lo]
+        E[..., 1:] = Z[:, :, chunk - 1 :: chunk, :-1]
+        Z += lift @ (outer @ E.reshape(len(cells), N, 2 * count, 1)).reshape(E.shape)
         new = slice(s0 - lo + 1, s1 - lo + 1)
-        W[:, new] = np.swapaxes(z[:, :, :n, 0], 1, 2)
-        V[:, new] = np.swapaxes(z[:, :, size : size + n, 0], 1, 2)
+        W[:, new] = Z[:, :, :chunk].transpose(0, 3, 2, 1).reshape(len(cells), L, N)[:, :n]
+        V[:, new] = Z[:, :, chunk:].transpose(0, 3, 2, 1).reshape(len(cells), L, N)[:, :n]
         if s1 in imp_at:
             # impulses precede every window, so only single-cell full runs meet one
             k = imp_at[s1]

@@ -22,7 +22,8 @@ from beamsteer import (
     synthesize_control,
     verify_f_bound,
 )
-from beamsteer.dynamics import SLAB
+from beamsteer import dynamics
+from beamsteer.dynamics import CHUNK
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from oracles import (
     f_bound_per_sample,
@@ -480,7 +481,7 @@ def test_blowup_guard_trips_on_non_finite_state():
 
 
 def test_blowup_guard_names_first_trip_like_stepwise_oracle():
-    # a constant forcing crosses the threshold inside the first slab
+    # a constant forcing crosses the threshold inside the first chunk
     cfg = _config(
         catalog=NonlinearityCatalog(f_kind="linear_growth", f_b=50.0), blowup_threshold=1.0
     )
@@ -491,7 +492,7 @@ def test_blowup_guard_names_first_trip_like_stepwise_oracle():
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     trip = round(float(messages[0].rsplit("t=", 1)[1]) / cfg.step)
-    assert 0 < trip < SLAB
+    assert 0 < trip < CHUNK
 
 
 STEPWISE_F = {
@@ -500,20 +501,27 @@ STEPWISE_F = {
     "bounded_trig": dict(f_kind="bounded_trig", f_a=0.4, f_b=0.2),
 }
 STEPWISE_CASES = [
+    # n_r = 180 is no multiple of CHUNK: slabs of 5 chunks, 160 steps; the
+    # impulses at 0.25 and 0.55 and the window start 0.85 fall mid-chunk, and
+    # the 90-node window runs 3 chunks
     pytest.param(f, memory, 1 / 600, 0.3, 0.15, id=f"{f}-{'mem' if memory else 'nomem'}-h600")
     for f in STEPWISE_F
     for memory in (False, True)
 ] + [
     pytest.param("linear_growth", True, 1 / 4800, 0.3, 0.15, id="linear_growth-mem-h4800"),
-    # n_r = 6 < SLAB: the delay bounds the slabs
+    # n_r = 720 > OUTER: slabs of 8 chunks, the impulse at 0.25 lands in the
+    # third slab's third chunk, the window start 0.85 208 steps into a slab
+    pytest.param("bounded_trig", True, 1 / 2400, 0.3, 0.15, id="bounded_trig-mem-h2400"),
+    # n_r = 150: slabs of 4 chunks, cut mid-chunk by the impulses after 22
+    # and 52 steps and by the window start after 22
+    pytest.param("linear_growth", True, 1 / 600, 0.25, 0.2, id="linear_growth-mem-mid_chunk"),
+    # n_r = 6 < CHUNK: the delay bounds the chunks and the slabs
     pytest.param("bounded_trig", True, 1 / 600, 0.01, 0.005, id="bounded_trig-mem-short_delay"),
 ]
 
 
 @pytest.mark.parametrize("f_kind, memory, step, delay, delta", STEPWISE_CASES)
 def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta):
-    # at h = 1/600 the impulses at 0.25 and 0.55 and the window start 0.85
-    # fall inside slabs of 32 steps
     memory_kw = dict(g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=1.0)
     cat = NonlinearityCatalog(**STEPWISE_F[f_kind], **(memory_kw if memory else {}))
     k = np.arange(1, 5)
@@ -526,7 +534,8 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta):
     free = simulate(cfg, None)
     problem = SteeringProblem(free.state_at(window.start), z1, window, 1e-3)
     modes = cfg.modes()
-    for control in (None, synthesize_control(problem, modes, BETA)):
+    steered = synthesize_control(problem, modes, BETA)
+    for control in (None, steered):
         got, ref = simulate(cfg, control), simulate_stepwise(cfg, control)
         for a, b in ((got.w, ref.w), (got.v, ref.v), (got.memory, ref.memory)):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -535,14 +544,58 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta):
         assert got.pre_impulse.keys() == ref.pre_impulse.keys()
         assert [e[:2] for e in got.impulse_events] == [e[:2] for e in ref.impulse_events]
         np.testing.assert_array_equal(got.control, ref.control)
-    # the loop's last pass leaves the steered control and its stepwise run;
-    # resumed from the free run as a batch of one it must agree too, and the
-    # prefix must come back bitwise unchanged
+    # the loop's last pass leaves the steered control's stepwise run; resumed
+    # from the free run as a batch of two cells, each cell must agree with
+    # its stepwise run, and the prefix must come back bitwise unchanged
+    other = synthesize_control(replace(problem, alpha=1e-1), modes, BETA)
+    refs = [ref.terminal(), simulate_stepwise(cfg, other).terminal()]
     before = [a.tobytes() for a in (free.w, free.v, free.memory)]
-    (terminal,) = simulate(cfg, [control], prefix=free)
-    gap = energy_norm(terminal - ref.terminal(), modes)
-    assert gap <= 1e-12 * energy_norm(ref.terminal(), modes)
+    for terminal, want in zip(simulate(cfg, [steered, other], prefix=free), refs):
+        assert energy_norm(terminal - want, modes) <= 1e-12 * energy_norm(want, modes)
     assert [a.tobytes() for a in (free.w, free.v, free.memory)] == before
+
+
+def test_slab_tables_cached_per_system():
+    # runs on configs differing from the first only in beta, step, modes,
+    # length or grid must match runs from an empty table cache, and the first
+    # config must come back bitwise after them
+    cat = NonlinearityCatalog(
+        f_kind="linear_growth", f_a=0.5, f_b=0.2, g_kind="rational",
+        kernel_kind="exponential", kappa=0.5, gamma=1.0,
+    )
+    first = _config(catalog=cat)
+    configs = [first] + [
+        replace(first, **change)
+        for change in (
+            dict(beta=3.0), dict(step=1 / 1200), dict(n_modes=6), dict(length=1.5),
+            dict(grid_points=96),
+        )
+    ]
+
+    def run(cfg):
+        free = simulate(cfg, None)
+        window = SteerWindow(cfg.tau, 0.2)
+        z1 = BeamState.zeros(cfg.n_modes)
+        z1.v[0] = 0.3
+        problem = SteeringProblem(free.state_at(window.start), z1, window, 1e-2)
+        control = synthesize_control(problem, cfg.modes(), cfg.beta)
+        steered = simulate(cfg, control)
+        (terminal,) = simulate(cfg, [control], prefix=free)
+        return [free.w, free.v, free.memory, steered.w, steered.v, terminal.w, terminal.v]
+
+    dynamics._slab_tables.cache_clear()
+    runs = [run(cfg) for cfg in configs + [first]]
+    assert all(np.array_equal(a, b) for a, b in zip(runs[0], runs[-1]))
+    for cfg, cached in zip(configs[1:], runs[1:-1]):
+        dynamics._slab_tables.cache_clear()
+        assert all(np.array_equal(a, b) for a, b in zip(cached, run(cfg)))
+    tables = dynamics._slab_tables(
+        first.length, first.grid_points, first.n_modes, first.beta, first.step, CHUNK, 6
+    )
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0.0
 
 
 def test_grid_alignment_enforced():

@@ -366,6 +366,8 @@ CONFIG_VIOLATIONS = [
     # a misspelt key or section would silently fall back to its default
     ("kappa = 0.5", "kapa = 0.5", "kapa"),
     ("[impulses]", "[impulse]", "impulse"),
+    # configparser folds [DEFAULT] into every section unless told otherwise
+    ("[impulses]", "[DEFAULT]", "DEFAULT"),
 ]
 
 
@@ -387,6 +389,8 @@ def test_config_violations_named():
     for line, replacement, word in CONFIG_VIOLATIONS:
         with pytest.raises(ConfigError, match=word):
             parse_experiment(_violating(line, replacement))
+    with pytest.raises(ConfigError, match=r"^unknown configuration section \[DEFAULT\]$"):
+        parse_experiment("[DEFAULT]\nx = 1\n" + DEFAULT_CONFIG)
 
 
 def test_config_missing_section():
