@@ -22,31 +22,32 @@ at such nodes use the left-limit (pre-jump) velocity, the deflection being
 continuous there.  The memory term is the trapezoid sum of its convolution,
 which the exponential kernel turns into an exact recursion.
 
-The history on [-delay, 0] is an array-valued callable, evaluated once on
-all history nodes.  Stepping follows the method of steps: a slab of at most
+The history on [-delay, 0] is an array-valued callable, evaluated once on all
+history nodes.  Stepping follows the method of steps: a slab of at most
 min(OUTER, delay/h) steps, cut at the window start and at impulse nodes, reads
 only delayed states fixed by earlier slabs.  It synthesizes its delayed
-deflection once for both f and g, collocates them on its live rows, advances
-the memory recursion by one table of decay powers, and every mode in chunks
-of CHUNK steps: all chunks from a zero start in one batched matmul, the chunk
-starts by a Toeplitz table of powers of A^CHUNK (A^k = exp(K k h) in closed
-form, tables cached per system), and A^(k+1) times a chunk's start added
-back.  The chunk count is fixed before the window and in it, and the inputs
-a slab may read past the horizon carry one slab of trailing rows, so slabs
-read full-shape views whose rows past the slab's end are finite and meet only
-zeros above the tables' diagonals: with the products run per cell, a node's
-value depends neither on where its slab ends nor on how many cells step
-together.
+deflection once for f and g (the velocity only if f reads it, see F_READS),
+collocates them on its live rows, advances the memory recursion by one table of
+decay powers, and every mode in chunks of CHUNK steps: all chunks from a zero
+start in one batched matmul, the chunk starts by a Toeplitz table of powers of
+A^CHUNK (A^k = exp(K k h) in closed form, tables cached per system), and
+A^(k+1) times a chunk's start added back.  The chunk count is fixed before the
+window and in it, and the inputs a slab may read past the horizon carry one
+slab of trailing rows, so slabs read full-shape views whose rows past the
+slab's end are finite and meet only zeros above the tables' diagonals: with the
+products run per cell, a node's value depends neither on where its slab ends
+nor on how many cells step together.
 
 A full run steps one cell, with zero or one steering control.  Since every
-window is shorter than the delay, a resumed run is one window-sized batch of
-steering controls that reads its delayed states and memory forcing from the
-zero-control prefix and returns the cells' terminal states.
+window is shorter than the delay, a resumed run is one window-sized control
+batch that reads its delayed states and memory forcing from the zero-control
+prefix, its costate from one exp(K^T theta) table of the window nodes, and
+returns the cells' terminal states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
@@ -62,8 +63,10 @@ from .spectral import (
     basis_matrix,
     laplacian_eigenvalues,
 )
+from .steering import ControlSignal
 
-F_KINDS = ("zero", "linear_growth", "bounded_trig")
+# the arguments of f among (y, v, u) that each kind reads
+F_READS = {"zero": "", "linear_growth": "yu", "bounded_trig": "yvu"}
 G_KINDS = ("zero", "sin", "rational")
 KERNEL_KINDS = ("zero", "exponential")
 
@@ -106,7 +109,7 @@ class NonlinearityCatalog:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.f_kind not in F_KINDS:
+        if self.f_kind not in F_READS:
             raise InvalidArgumentError(f"unknown forcing kind {self.f_kind!r}")
         if self.g_kind not in G_KINDS:
             raise InvalidArgumentError(f"unknown memory integrand kind {self.g_kind!r}")
@@ -322,8 +325,6 @@ def _check_resume(config: SimConfig, prefix: Trajectory, start_idx):
     ):
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise InvalidArgumentError(f"prefix run has {what} {got:g}, the config {want:g}")
-    if start_idx is None:
-        raise InvalidArgumentError("a resumed run needs a steering control")
     if np.any(prefix.control[:start_idx]):
         raise InvalidArgumentError("prefix run carries a control before the window")
 
@@ -363,15 +364,15 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
 
     Without ``prefix``, ``control`` is None (zero control) or one steering
     ControlSignal, and the run covers [-delay, tau] and returns its
-    Trajectory.  With ``prefix``, a recorded zero-control run of the same
-    config that is left unchanged, ``control`` is a sequence of steering
-    controls on one window: the run resumes at the window start as a batch
-    of window-sized cells that read their delayed states and memory forcing
-    from the prefix, and returns their terminal states.  Every control must
-    be synthesized for the config's damping and modes.  Steps whose start
-    lies before the window start never evaluate the window control, so
-    trajectories for different regularisation parameters are bitwise
-    identical up to the window start.
+    Trajectory.  With ``prefix``, a recorded zero-control run of the same config
+    that is left unchanged, ``control`` is a control batch, or a sequence of
+    single controls on one window stacked into one: the run resumes at the
+    window start as a batch of window-sized cells that read their delayed
+    states and memory forcing from the prefix, and returns their terminal
+    states as one batch of states.  Every control must be synthesized for the
+    config's damping and modes.  Steps whose start lies before the window
+    start never evaluate the window control, so trajectories for different
+    regularisation parameters are bitwise identical up to the window start.
     """
     modes, domain = config.modes(), config.domain()
     lam, N, h, catalog = modes.lambdas, config.n_modes, config.step, config.catalog
@@ -380,24 +381,32 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     n_total = n_r + exact_multiple(config.tau, h, "the horizon") + 1
     times = (np.arange(n_total) - idx0) * h
 
-    if (prefix is None) == isinstance(control, (list, tuple)):
-        raise InvalidArgumentError("a full run takes None or a control, a resumed run a sequence")
-    cells = [control] if prefix is None else list(control)
-    if not cells:
-        raise InvalidArgumentError("no cell controls given")
+    single = control is None or isinstance(control, ControlSignal) and control.eta.ndim == 2
+    if (prefix is None) != single:
+        raise InvalidArgumentError("a full run takes None or a control, a resumed run a batch")
     start_idx = None
-    if cells[0] is not None:
-        window = cells[0].window
-        if any(c.window != window for c in cells):
+    if control is not None:
+        parts = control if isinstance(control, (list, tuple)) else [control]
+        if not parts:
+            raise InvalidArgumentError("no cell controls given")
+        window = parts[0].window
+        if any(c.window != window for c in parts):
             raise InvalidArgumentError("cell controls must share one window")
-        if any(c.beta != config.beta or not np.array_equal(c.modes.lambdas, lam) for c in cells):
+        if any(c.beta != config.beta or not np.array_equal(c.modes.lambdas, lam) for c in parts):
             raise InvalidArgumentError("cell controls must be synthesized for the config's system")
         if abs(window.tau - config.tau) > 1e-9:
             raise InvalidArgumentError("control window must end at the horizon")
         config.validate_delta(window.delta)
         start_idx = idx0 + exact_multiple(window.start, h, "the window start")
+        # the run steps one batch: single controls are stacked into it once
+        control = parts[0]
+        if len(parts) > 1 or control.eta.ndim == 2:
+            control = replace(
+                control, eta=np.stack([c.eta for c in parts]), alpha=[c.alpha for c in parts]
+            )
     if prefix is not None:
         _check_resume(config, prefix, start_idx)
+    cells = 1 if control is None else len(control.eta)
 
     # W and V hold nodes lo.. of every cell: all nodes for a full run, the
     # window for a resumed one; slabs of `counts[active]` chunks of `chunk`
@@ -408,7 +417,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         counts[True] = -(-min(OUTER, n_total - 1 - start_idx) // chunk)
     pad = chunk * max(counts[s] for s in counts if prefix is None or s)
     lo = 0 if prefix is None else start_idx
-    W = np.zeros((len(cells), n_total - lo, N))
+    W = np.zeros((cells, n_total - lo, N))
     V = np.zeros_like(W)
     memory = np.zeros((n_total - lo + pad, N))
     pre_impulse, impulse_events = {}, []
@@ -432,17 +441,15 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     B, (q11, q12, q22), (half_a12, a22), chunk_table, lift, outers = _slab_tables(
         config.length, config.grid_points, N, config.beta, h, chunk, -(-min(OUTER, n_r) // chunk)
     )
-    zero = np.zeros(N)
     if start_idx is not None:
-        costate = np.zeros((len(cells), n_total - start_idx + pad, N, 2))
-        for c, cell in zip(costate, cells):  # no stacked copy
-            c[: n_total - start_idx] = cell.costate(times[start_idx:])
+        costate = np.zeros((cells, n_total - start_idx + pad, N, 2))
+        control.costate(times[start_idx:], out=costate[:, : n_total - start_idx])
         win_u = costate[..., 1]
         p1, p2 = costate[:, 1:, :, 0], costate[:, 1:, :, 1]
         cw = (q11 * p1 + q12 * p2) / lam
         cv = q12 * p1 + q22 * p2
     half, qw = 0.5 * h, domain.spacing
-    has_f = catalog.f_kind != "zero"
+    reads = F_READS[catalog.f_kind]
 
     # Exact recursion for the trapezoid sum of the exponential kernel: the
     # carry holds kappa-free weights decay**(m - k) * h (h/2 for k = 0) times
@@ -465,30 +472,33 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             outer = outers[:, :, :count, :, :count].reshape(N, 2 * count, 2 * count)
             # fixed pieces of about COLLOCATION_ROWS cell rows: a cut slab
             # collocates a prefix of them, with the shapes of an uncut one
-            pieces = -(-len(cells) * (L + 1) // COLLOCATION_ROWS)
+            pieces = -(-cells * (L + 1) // COLLOCATION_ROWS)
             piece = -(-(L + 1) // pieces)
-            fc, gq = np.zeros((len(cells), L + 1, N)), np.zeros((L + 1, N))
-            X = np.empty((len(cells), N, 2 * chunk, count))
+            fc, gq = np.zeros((cells, L + 1, N)), np.zeros((L + 1, N))
+            X = np.empty((cells, N, 2 * chunk, count))
             xw, xv = (X[:, :, r * chunk : (r + 1) * chunk].transpose(0, 3, 2, 1) for r in (0, 1))
-            E = np.empty((len(cells), N, 2, count))
+            E = np.empty((cells, N, 2, count))
             if recurse:
                 table = _toeplitz(decay[: L + 1])[1:] * np.r_[1.0, np.full(L, h)]
         s1 = min(s0 + L, next(s for s in stops if s > s0))
-        n = s1 - s0
+        n, j = s1 - s0, (s0 - start_idx if active else 0)
         # f and g on the slab's live rows s0..s1, piece by piece
-        for a in range(0, n + 1, piece) if has_f or recurse else ():
+        for a in range(0, n + 1, piece) if reads or recurse else ():
             rows = slice(s0 - n_r + a, s0 - n_r + min(a + piece, L + 1))
             # delayed deflection on the grid, for f and g; continuous at impulses
             yd = past_w[rows] @ B.T
             if recurse:
                 gq[a : a + len(yd)] = qw * (catalog.g(yd) @ B)
-            if has_f:
-                vd = past_v[rows].copy()
-                for d, (_, v_left) in pre_impulse.items():
-                    if rows.start <= d < rows.stop:
-                        vd[d - rows.start] = v_left
-                u = win_u[:, s0 - start_idx + a : s0 - start_idx + a + len(yd)] if active else zero
-                fc[:, a : a + len(yd)] = qw * (catalog.f(yd, vd @ B.T, u @ B.T) @ B)
+            if reads:
+                vd = 0.0  # read by f only where its kind says so
+                if "v" in reads:
+                    vd = past_v[rows].copy()
+                    for d, (_, v_left) in pre_impulse.items():
+                        if rows.start <= d < rows.stop:
+                            vd[d - rows.start] = v_left
+                    vd = vd @ B.T
+                ud = win_u[:, j + a : j + a + len(yd)] @ B.T if active else 0.0
+                fc[:, a : a + len(yd)] = qw * (catalog.f(yd, vd, ud) @ B)
         if recurse:
             gq[0] = carry
             acc = table @ gq
@@ -496,7 +506,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             carry = acc[n - 1]
         # velocity-slot forcing at the slab's nodes s0..s0+L, per cell
         F = memory[s0 - lo : s0 - lo + L + 1]
-        if has_f:
+        if reads:
             F = fc + F
         left, right = (F[..., r : L + r, :].reshape(-1, count, chunk, N) for r in (0, 1))
         np.multiply(half_a12, left, out=xw)
@@ -504,7 +514,6 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         xv += right
         xv *= half
         if active:
-            j = s0 - start_idx
             xw += cw[:, j : j + L].reshape(xw.shape)
             xv += cv[:, j : j + L].reshape(xv.shape)
         # every chunk from a zero start, then the chunk starts s_m from the
@@ -512,10 +521,10 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         Z = chunk_table @ X
         E[:, :, 0, 0], E[:, :, 1, 0] = W[:, s0 - lo], V[:, s0 - lo]
         E[..., 1:] = Z[:, :, chunk - 1 :: chunk, :-1]
-        Z += lift @ (outer @ E.reshape(len(cells), N, 2 * count, 1)).reshape(E.shape)
+        Z += lift @ (outer @ E.reshape(cells, N, 2 * count, 1)).reshape(E.shape)
         new = slice(s0 - lo + 1, s1 - lo + 1)
-        W[:, new] = Z[:, :, :chunk].transpose(0, 3, 2, 1).reshape(len(cells), L, N)[:, :n]
-        V[:, new] = Z[:, :, chunk:].transpose(0, 3, 2, 1).reshape(len(cells), L, N)[:, :n]
+        W[:, new] = Z[:, :, :chunk].transpose(0, 3, 2, 1).reshape(cells, L, N)[:, :n]
+        V[:, new] = Z[:, :, chunk:].transpose(0, 3, 2, 1).reshape(cells, L, N)[:, :n]
         if s1 in imp_at:
             # impulses precede every window, so only single-cell full runs meet one
             k = imp_at[s1]
@@ -532,9 +541,8 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             tripped = ~(norms <= config.blowup_threshold)
             j = int(np.argmax(tripped.any(axis=0)))  # the first node that trips
             c = int(np.argmax(norms[:, j]))  # argmax takes a NaN as the largest
-            cell = cells[c]
-            where = "" if cell is None else (
-                f" in the cell alpha={cell.alpha}, delta={cell.window.delta:g}"
+            where = "" if control is None else (
+                f" in the cell alpha={control.alpha[c]}, delta={control.window.delta:g}"
             )
             raise BlowUpError(
                 f"trajectory norm {norms[c, j]:.3e} at t={times[s0 + 1 + j]:.6f}{where}"
@@ -542,7 +550,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         s0 = s1
 
     if prefix is not None:
-        return [BeamState(w.copy(), v.copy()) for w, v in zip(W[:, -1], V[:, -1])]
+        return BeamState(W[:, -1].copy(), V[:, -1].copy())
     control_rec = np.zeros((n_total, N))
     if start_idx is not None:
         control_rec[start_idx:] = win_u[0, : n_total - start_idx]

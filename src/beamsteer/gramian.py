@@ -107,16 +107,17 @@ def assemble_gramian(modes: ModeSet, beta: float, window: SteerWindow) -> Gramia
     return GramianSet.from_blocks(np.stack([q11, q12, q12, q22], axis=-1).reshape(-1, 2, 2))
 
 
-def solve_regularized(gramians: GramianSet, alpha: float, rhs: np.ndarray) -> np.ndarray:
+def solve_regularized(gramians: GramianSet, alpha, rhs: np.ndarray) -> np.ndarray:
     """Blockwise solution eta of (alpha I + Q_j) eta_j = rhs_j.
 
-    ``rhs`` holds one energy-coordinate pair per mode, shape (N, 2); the
-    result has the same shape.  Direct 2x2 solves, no factorisation reuse.
+    ``rhs`` holds one energy-coordinate pair per mode, shape (N, 2), as does the result,
+    with a leading cell axis for a sequence of alphas: one stacked solve of all systems.
     """
-    if alpha <= 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim > 1 or not np.all(alpha > 0):
         raise InvalidArgumentError("regularisation parameter must be positive")
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (gramians.count, 2):
         raise InvalidArgumentError("rhs must have shape (N, 2)")
-    systems = gramians.blocks + alpha * np.eye(2)[None, :, :]
-    return np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+    systems = gramians.blocks + alpha[..., None, None, None] * np.eye(2)
+    return np.linalg.solve(systems, rhs[:, :, None])[..., 0]

@@ -5,7 +5,7 @@ with zero control up to the window start, synthesize the regularized
 steering control from the state reached there, continue the full semilinear
 simulation over the window, and compare against the steered linear solution.
 The zero-control run is simulated once; every cell resumes from it at its
-window start, and all alphas of one window are stepped together.  Per
+window start, and all alphas of one window run as one batch.  Per
 (alpha, delta) cell the recorded errors are
 
     error_total = ||z(tau) - z1||        (goal of the experiment)
@@ -97,10 +97,12 @@ class ExperimentSpec:
     out_path: str | None = None
 
     def __post_init__(self):
-        if not self.deltas:
-            raise InvalidArgumentError("delta list must not be empty")
-        if not self.alphas:
-            raise InvalidArgumentError("alpha list must not be empty")
+        for name, values in (("delta", list(self.deltas)), ("alpha", list(self.alphas))):
+            if not values:
+                raise InvalidArgumentError(f"{name} list must not be empty")
+            repeated = [x for x in values if values.count(x) > 1]
+            if repeated:  # duplicate rows would fail the sweep's own checks
+                raise InvalidArgumentError(f"{name}s repeat the value {repeated[0]:g}")
         if any(not 0 < a <= 1 for a in self.alphas):
             raise InvalidArgumentError("alphas must lie in (0, 1]")
         if not 0 < self.epsilon < np.inf:
@@ -239,19 +241,9 @@ def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad):
     return control, measured, formula
 
 
-def _cell_row(config, modes, gramians, target, control, z_mid, z_tau, seconds, timer) -> ResultRow:
-    """Result row of one cell; ``seconds`` is its time before the linear steer."""
-    t0 = timer()
-    y_tau = steer_linear(z_mid, control, modes, config.beta, gramians=gramians)
-    return ResultRow(
-        alpha=control.alpha,
-        delta=control.window.delta,
-        error_total=energy_norm(z_tau - target, modes),
-        error_nl=energy_norm(z_tau - y_tau, modes),
-        error_lin=energy_norm(y_tau - target, modes),
-        runtime_s=seconds + timer() - t0,
-        steps=round(config.tau / config.step),
-    )
+def _errors(z, y, target, modes):
+    """error_total, error_nl and error_lin of the terminal states z and y, per cell of a batch."""
+    return [energy_norm(a - b, modes) for a, b in ((z, target), (z, y), (y, target))]
 
 
 def pullback_cell(
@@ -260,48 +252,44 @@ def pullback_cell(
     """One (delta, alpha) cell simulated from scratch over [-delay, tau], its control
     synthesized from the base run's state at the window start: the reference for
     the sweep's batched window runs.  Returns the row and the trajectory."""
-    modes, timer = config.modes(), time.perf_counter
-    t0 = timer()
+    modes, t0 = config.modes(), time.perf_counter()
     window = SteerWindow(config.tau, delta)
     gramians = assemble_gramian(modes, config.beta, window)
     z_mid = base_traj.state_at(window.start)
     problem = SteeringProblem(z_mid, target, window, alpha)
     control = synthesize_control(problem, modes, config.beta, gramians=gramians)
     traj = simulate(config, control)
-    row = _cell_row(
-        config, modes, gramians, target, control, z_mid, traj.terminal(), timer() - t0, timer
-    )
-    return row, traj
+    y_tau = steer_linear(z_mid, control, modes, config.beta, gramians=gramians)
+    errors = _errors(traj.terminal(), y_tau, target, modes)
+    steps = round(config.tau / config.step)
+    return ResultRow(alpha, delta, *errors, time.perf_counter() - t0, steps), traj
 
 
 def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> list[ResultRow]:
     """Full sweep over (delta, alpha), deltas outer, both descending.
 
     One zero-control base run serves every cell; per delta one Gramian, and
-    one window run that steps all alphas together from the base run.  A
-    row's runtime is its own synthesis and linear steer plus an equal share
-    of its window run.
+    one batch of all alphas: one stacked synthesis, one window run resumed
+    from the base run and one linear steer.  A row's runtime is an equal
+    share of its batch.
     """
     config, base_traj, target = pullback_setup(spec)
     modes = config.modes()
+    alphas = sorted(spec.alphas, reverse=True)
+    steps = round(config.tau / config.step)
     rows = []
     for delta in sorted(spec.deltas, reverse=True):
         window = SteerWindow(config.tau, delta)
         gramians = assemble_gramian(modes, config.beta, window)
         z_mid = base_traj.state_at(window.start)
-        controls, seconds = [], []
-        for alpha in sorted(spec.alphas, reverse=True):
-            t0 = timer()
-            problem = SteeringProblem(z_mid, target, window, alpha)
-            controls.append(synthesize_control(problem, modes, config.beta, gramians=gramians))
-            seconds.append(timer() - t0)
         t0 = timer()
-        terminals = simulate(config, controls, prefix=base_traj)
-        share = (timer() - t0) / len(controls)
-        rows += [
-            _cell_row(config, modes, gramians, target, control, z_mid, z_tau, s + share, timer)
-            for control, z_tau, s in zip(controls, terminals, seconds)
-        ]
+        problem = SteeringProblem(z_mid, target, window, alphas)
+        control = synthesize_control(problem, modes, config.beta, gramians=gramians)
+        z_tau = simulate(config, control, prefix=base_traj)
+        y_tau = steer_linear(z_mid, control, modes, config.beta, gramians=gramians)
+        share = (timer() - t0) / len(alphas)
+        errors = _errors(z_tau, y_tau, target, modes)
+        rows += [ResultRow(a, delta, *e, share, steps) for a, *e in zip(alphas, *errors)]
     return rows
 
 

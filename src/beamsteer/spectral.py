@@ -92,7 +92,8 @@ def basis_matrix(domain: SpatialDomain, count: int) -> np.ndarray:
 
 @dataclass
 class BeamState:
-    """Deflection and velocity coefficient vectors of equal length."""
+    """Deflection and velocity coefficient vectors of equal length; a batch of
+    states has a leading cell axis, shape (cells, N), and iterates over its cells."""
 
     w: np.ndarray
     v: np.ndarray
@@ -100,12 +101,15 @@ class BeamState:
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        if self.w.shape != self.v.shape or self.w.ndim != 1:
-            raise InvalidArgumentError("w and v must be 1-d arrays of equal length")
+        if self.w.shape != self.v.shape or self.w.ndim not in (1, 2):
+            raise InvalidArgumentError("w and v must be arrays of equal shape (N,) or (cells, N)")
 
     @property
     def count(self) -> int:
-        return int(self.w.size)
+        return int(self.w.shape[-1])
+
+    def __iter__(self):
+        return (BeamState(w, v) for w, v in zip(self.w, self.v))
 
     @classmethod
     def zeros(cls, count: int) -> "BeamState":
@@ -126,27 +130,27 @@ class BeamState:
     __rmul__ = __mul__
 
 
-def energy_norm(state: BeamState, modes: ModeSet) -> float:
-    """sqrt(sum_j lambda_j**2 w_j**2 + v_j**2)."""
+def energy_norm(state: BeamState, modes: ModeSet):
+    """sqrt(sum_j lambda_j**2 w_j**2 + v_j**2), a float, or one per cell of a batch."""
     if state.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
-    lam = modes.lambdas
-    return float(np.sqrt(np.sum((lam * state.w) ** 2) + np.sum(state.v**2)))
+    norm = np.sqrt(np.sum((modes.lambdas * state.w) ** 2, axis=-1) + np.sum(state.v**2, axis=-1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def energy_coords(state: BeamState, modes: ModeSet) -> np.ndarray:
-    """Per-mode pairs (lambda_j w_j, v_j) as an (N, 2) array.
+    """Per-mode pairs (lambda_j w_j, v_j) as an (N, 2) array, (cells, N, 2) for a batch.
 
     The Euclidean norm of the result equals the energy norm of the state.
     """
     if state.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
-    return np.column_stack((modes.lambdas * state.w, state.v))
+    return np.stack((modes.lambdas * state.w, state.v), axis=-1)
 
 
 def state_from_coords(coords: np.ndarray, modes: ModeSet) -> BeamState:
     """Inverse of :func:`energy_coords`."""
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (modes.count, 2):
-        raise InvalidArgumentError("coords must have shape (N, 2)")
-    return BeamState(coords[:, 0] / modes.lambdas, coords[:, 1].copy())
+    if coords.shape[-2:] != (modes.count, 2) or coords.ndim not in (2, 3):
+        raise InvalidArgumentError("coords must have shape (N, 2) or (cells, N, 2)")
+    return BeamState(coords[..., 0] / modes.lambdas, coords[..., 1].copy())

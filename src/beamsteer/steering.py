@@ -11,12 +11,13 @@ Since u = G* eta, the mapped control G u = G G* eta = Q eta and the energy
 ||u||^2 = eta^T Q eta are exact in the closed-form Gramian, so nothing here
 integrates the control numerically.  Everything works per mode in energy
 coordinates; control values are scalars per mode and coordinate-free.
+Alphas on one window share d, so a sequence of them gives one control batch,
+eta of shape (cells, N, 2) from one stacked solve, steered with one T(delta) y0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,31 +34,42 @@ class ControlSignal:
     ``eta`` holds the regularized preimage per mode (energy coordinates); the
     costate p_j(t) = exp(K_j^T (tau - t)) eta_j and the control
     u_j(t) = b^T p_j(t), its second component, are evaluated exactly.
-    ``alpha`` is the regularisation it was synthesized with, if any.
+    ``alpha`` is the regularisation it was synthesized with, if any.  A batch
+    on one window has a leading cell axis in ``eta``, costate and control, and
+    one ``alpha`` (or None) per cell.
     """
 
     window: SteerWindow
     eta: np.ndarray
     modes: ModeSet
     beta: float
-    alpha: Optional[float] = None
+    alpha: float | list | None = None
 
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
-        if self.eta.shape != (self.modes.count, 2):
-            raise InvalidArgumentError("eta must have shape (N, 2)")
+        if self.eta.shape[-2:] != (self.modes.count, 2) or self.eta.ndim not in (2, 3):
+            raise InvalidArgumentError("eta must have shape (N, 2) or (cells, N, 2)")
         if self.window.delta <= 0:
             raise InvalidArgumentError("control window must have positive length")
         if not np.all(np.isfinite(self.eta)):
             raise InvalidArgumentError("control preimage is not finite")
+        if self.eta.ndim == 3 and np.shape(self.alpha) != self.eta.shape[:1]:
+            raise InvalidArgumentError("a control batch needs one alpha per cell")
 
-    def costate(self, t):
-        """Per-mode costate pairs at time(s) t in [tau-delta, tau], shape (..., N, 2)."""
+    def costate(self, t, out=None):
+        """Per-mode costate pairs at time(s) t in [tau-delta, tau], shape (..., N, 2),
+        after the cell axis of a batch, from one exp(K^T theta) table; into ``out`` if given."""
+        t = np.asarray(t, dtype=float)
         # time-to-go, clipped where t overshoots tau by rounding
-        theta = np.maximum(self.window.tau - np.asarray(t, dtype=float)[..., None], 0.0)
+        theta = np.maximum(self.window.tau - t[..., None], 0.0)
         a11, a12, a21, a22 = exp_entries(self.modes.lambdas, self.beta, theta, energy=True)
-        eta1, eta2 = self.eta[:, 0], self.eta[:, 1]
-        return np.stack([a11 * eta1 + a21 * eta2, a12 * eta1 + a22 * eta2], axis=-1)
+        eta = self.eta.reshape(self.eta.shape[:-2] + (1,) * t.ndim + self.eta.shape[-2:])
+        if out is None:
+            out = np.empty(np.broadcast_shapes(a11.shape, eta.shape[:-1]) + (2,))
+        for k, (a, b) in enumerate(((a11, a21), (a12, a22))):
+            np.multiply(a, eta[..., 0], out=out[..., k])
+            out[..., k] += b * eta[..., 1]
+        return out
 
     def window_coeffs(self, t):
         """Per-mode control coefficients at time(s) t in [tau-delta, tau]."""
@@ -66,15 +78,16 @@ class ControlSignal:
 
 @dataclass(frozen=True)
 class SteeringProblem:
-    """Start state at tau - delta, target at tau, and the regularisation."""
+    """Start state at tau - delta, target at tau, and one alpha or a sequence of them."""
 
     y0: BeamState
     z1: BeamState
     window: SteerWindow
-    alpha: float
+    alpha: float | list
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
+        alpha = np.asarray(self.alpha, dtype=float)
+        if alpha.ndim > 1 or alpha.size == 0 or not np.all((0 < alpha) & (alpha <= 1)):
             raise InvalidArgumentError("alpha must lie in (0, 1]")
         if self.y0.count != self.z1.count:
             raise InvalidArgumentError("start and target sizes differ")
@@ -86,7 +99,7 @@ def synthesize_control(
     beta: float,
     gramians: GramianSet | None = None,
 ) -> ControlSignal:
-    """Regularized steering control for the given problem."""
+    """Regularized steering control for the given problem, a batch for a sequence of alphas."""
     win = problem.window
     if win.delta <= 0:
         raise InvalidArgumentError("steering requires a window of positive length")
@@ -109,16 +122,15 @@ def steer_linear(
     y(tau) = T(delta) y0 + G u, and since u = G* eta the mapped control is
     G G* eta = Q eta, exact in the closed-form Gramian blocks (those of
     ``gramians`` when given, which must be the set of the control's window).
+    A control batch gives a batch of states, T(delta) y0 formed once.
     """
     if y0.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
     win = control.window
     if gramians is None:
         gramians = assemble_gramian(modes, beta, win)
-    blocks = gramians.blocks
-    total = energy_coords(apply_semigroup(y0, win.delta, modes, beta), modes)
-    total += (blocks @ control.eta[:, :, None])[:, :, 0]
-    return state_from_coords(total, modes)
+    free = energy_coords(apply_semigroup(y0, win.delta, modes, beta), modes)
+    return state_from_coords(free + (gramians.blocks @ control.eta[..., None])[..., 0], modes)
 
 
 def control_energy(control: ControlSignal, gramians: GramianSet) -> float:
@@ -144,21 +156,14 @@ def alpha_sweep(
     alphas = list(alphas)
     if not alphas:
         raise InvalidArgumentError("alpha list must not be empty")
-    if any(not 0 < a <= 1 for a in alphas):
-        raise InvalidArgumentError("alphas must lie in (0, 1]")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidArgumentError("alphas must be strictly decreasing")
     gramians = assemble_gramian(modes, beta, window)
-    z1c = energy_coords(z1, modes)
-    out = []
-    for alpha in alphas:
-        control = synthesize_control(
-            SteeringProblem(y0, z1, window, alpha), modes, beta, gramians=gramians
-        )
-        y_tau = steer_linear(y0, control, modes, beta, gramians=gramians)
-        err = float(np.linalg.norm(energy_coords(y_tau, modes) - z1c))
-        out.append((alpha, err))
-    return out
+    problem = SteeringProblem(y0, z1, window, alphas)
+    control = synthesize_control(problem, modes, beta, gramians=gramians)
+    y_tau = steer_linear(y0, control, modes, beta, gramians=gramians)
+    errs = np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes), axis=(1, 2))
+    return list(zip(alphas, errs.tolist()))
 
 
 def approximate_right_inverse_check(gramians: GramianSet, alphas, probe: np.ndarray) -> dict:
@@ -172,21 +177,14 @@ def approximate_right_inverse_check(gramians: GramianSet, alphas, probe: np.ndar
     alphas = list(alphas)
     if not alphas:
         raise InvalidArgumentError("alpha list must not be empty")
-    norms = []
-    for alpha in alphas:
-        eta = solve_regularized(gramians, alpha, probe)
-        norms.append(float(alpha * np.linalg.norm(eta)))
+    a = np.asarray(alphas)
+    norms = a * np.linalg.norm(solve_regularized(gramians, a, probe), axis=(1, 2))
     z_norm = float(np.linalg.norm(probe))
     q_min = gramians.min_eigenvalue
-    bound_ok = all(
-        err <= alpha * z_norm / (alpha + q_min) + 1e-12
-        for alpha, err in zip(alphas, norms)
-    )
-    decreasing = all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
     return {
         "alphas": alphas,
-        "errors": norms,
-        "decreasing": decreasing,
-        "bound_ok": bound_ok,
+        "errors": norms.tolist(),
+        "decreasing": bool(np.all(norms[1:] <= norms[:-1] + 1e-15)),
+        "bound_ok": bool(np.all(norms <= a * z_norm / (a + q_min) + 1e-12)),
         "min_eigenvalue": q_min,
     }

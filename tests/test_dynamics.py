@@ -23,7 +23,7 @@ from beamsteer import (
     verify_f_bound,
 )
 from beamsteer import dynamics
-from beamsteer.dynamics import CHUNK
+from beamsteer.dynamics import CHUNK, F_READS
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from oracles import (
     f_bound_per_sample,
@@ -388,6 +388,32 @@ def test_simulate_rejects_controls_of_another_system(system):
     for control_arg, prefix in ((control, None), ([control], base)):
         with pytest.raises(InvalidArgumentError, match="synthesized for the config's system"):
             simulate(cfg, control_arg, prefix=prefix)
+
+
+def test_resume_takes_a_control_batch_like_a_sequence():
+    cfg, base, problem = _resume_setup()
+    modes = cfg.modes()
+    alphas = (1e-1, 1e-3)
+    batch = synthesize_control(replace(problem, alpha=alphas), modes, BETA)
+    singles = [synthesize_control(replace(problem, alpha=a), modes, BETA) for a in alphas]
+    got, want = simulate(cfg, batch, prefix=base), simulate(cfg, singles, prefix=base)
+    assert got.w.shape == (2, 4)
+    assert np.array_equal(got.w, want.w) and np.array_equal(got.v, want.v)
+    with pytest.raises(InvalidArgumentError, match="full run takes None or a control"):
+        simulate(cfg, batch)
+
+
+@pytest.mark.parametrize("kind", F_READS)
+def test_forcing_reads_table_matches_f(kind):
+    # simulate synthesizes only the arguments the table lists, so f must
+    # ignore every other one and depend on each listed one
+    cat = NonlinearityCatalog(f_kind=kind, f_a=0.7, f_b=0.3)
+    args = np.random.default_rng(3).standard_normal((3, 50))
+    base = cat.f(*args)
+    for i, name in enumerate("yvu"):
+        moved = args.copy()
+        moved[i] += 1.0
+        assert np.array_equal(cat.f(*moved), base) == (name not in F_READS[kind])
 
 
 def test_resume_rejects_cells_on_different_windows():

@@ -181,6 +181,49 @@ def test_batched_cells_match_from_scratch_runs(make_spec):
             )
 
 
+BATCH_SPECS = [
+    lambda: load_experiment(None),
+    lambda: _spec(catalog=NonlinearityCatalog(
+        g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=1.0)),
+    lambda: _spec(catalog=NonlinearityCatalog(
+        f_kind="linear_growth", f_a=0.5, g_kind="rational")),
+]
+
+
+@pytest.mark.parametrize("make_spec", BATCH_SPECS, ids=["default", "f_zero", "kernel_zero"])
+def test_rows_do_not_depend_on_their_batch(make_spec):
+    # a cell's row is the same, bitwise, whether its alpha runs alone or in
+    # the window batch of every alpha
+    spec = make_spec()
+    rows = {(r.delta, r.alpha): r for r in run_pullback_experiment(spec)}
+    for alpha in spec.alphas:
+        for alone in run_pullback_experiment(replace(spec, alphas=[alpha])):
+            batched = rows[(alone.delta, alpha)]
+            assert (alone.error_total, alone.error_nl, alone.error_lin) == (
+                batched.error_total, batched.error_nl, batched.error_lin
+            )
+
+
+def test_stacked_synthesis_matches_single_alpha_calls():
+    # one stacked solve gives every alpha's eta bitwise, and one batched
+    # linear steer every alpha's terminal state
+    spec = load_experiment(None)
+    config, base, target = _base_run(spec)
+    modes = config.modes()
+    window = SteerWindow(config.tau, max(spec.deltas))
+    z_mid = base.state_at(window.start)
+    problem = SteeringProblem(z_mid, target, window, spec.alphas)
+    batch = synthesize_control(problem, modes, config.beta)
+    assert batch.eta.shape == (len(spec.alphas), modes.count, 2)
+    assert batch.alpha == spec.alphas
+    steered = steer_linear(z_mid, batch, modes, config.beta)
+    for alpha, eta, y_tau in zip(spec.alphas, batch.eta, steered):
+        single = synthesize_control(replace(problem, alpha=alpha), modes, config.beta)
+        assert np.array_equal(single.eta, eta)
+        want = steer_linear(z_mid, single, modes, config.beta)
+        assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
+
+
 def test_emit_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], path)
@@ -368,6 +411,10 @@ CONFIG_VIOLATIONS = [
     ("[impulses]", "[impulse]", "impulse"),
     # configparser folds [DEFAULT] into every section unless told otherwise
     ("[impulses]", "[DEFAULT]", "DEFAULT"),
+    # a repeated grid value gave duplicate rows and a false monotonicity failure
+    ("alphas = 0.1, 0.01, 0.001, 0.0001, 0.00001", "alphas = 0.1, 0.1, 0.01",
+     "alphas repeat the value 0.1"),
+    ("deltas = 0.2, 0.1, 0.05", "deltas = 0.2, 0.2", "deltas repeat the value 0.2"),
 ]
 
 

@@ -247,3 +247,49 @@ def test_window_coeffs_at_rounded_horizon():
     control = ControlSignal(WINDOW, np.ones((3, 2)), modes, BETA)
     late = np.nextafter(WINDOW.tau, 2.0)
     np.testing.assert_array_equal(control.window_coeffs(late), control.window_coeffs(WINDOW.tau))
+
+
+def test_control_batch_costate_and_validation():
+    # a batch's costate comes from one table of the times; each cell equals
+    # its single control's costate bitwise
+    modes = _modes(3)
+    eta = np.random.default_rng(5).standard_normal((2, 3, 2))
+    batch = ControlSignal(WINDOW, eta, modes, BETA, alpha=[0.1, 0.01])
+    t = np.linspace(WINDOW.start, WINDOW.tau, 7)
+    got = batch.costate(t)
+    assert got.shape == (2, 7, 3, 2)
+    for cell, e in zip(got, eta):
+        np.testing.assert_array_equal(cell, ControlSignal(WINDOW, e, modes, BETA).costate(t))
+    out = np.full((2, 7, 3, 2), np.nan)
+    assert batch.costate(t, out=out) is out
+    np.testing.assert_array_equal(out, got)
+    for alpha in ([0.1], 0.1, None):
+        with pytest.raises(InvalidArgumentError, match="one alpha per cell"):
+            ControlSignal(WINDOW, eta, modes, BETA, alpha=alpha)
+    with pytest.raises(InvalidArgumentError, match="cells, N, 2"):
+        ControlSignal(WINDOW, eta[None], modes, BETA)
+    with pytest.raises(InvalidArgumentError):
+        SteeringProblem(BeamState.zeros(3), BeamState.zeros(3), WINDOW, [0.1, 1.5])
+
+
+def test_stacked_sweeps_match_per_alpha_loops():
+    # alpha_sweep and the right-inverse check solve all alphas in one stack;
+    # the per-alpha loops they replaced agree to a few ulps (norms summed in
+    # another order)
+    modes = _modes(8)
+    rng = np.random.default_rng(11)
+    y0, z1 = _random_state(modes, rng), _random_state(modes, rng)
+    alphas = [10.0**-k for k in range(7)]
+    gramians = assemble_gramian(modes, BETA, WINDOW)
+    loop = []
+    for alpha in alphas:
+        control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alpha), modes, BETA)
+        y_tau = steer_linear(y0, control, modes, BETA)
+        loop.append(np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes)))
+    sweep = alpha_sweep(y0, z1, WINDOW, alphas, modes, BETA)
+    assert [a for a, _ in sweep] == alphas
+    np.testing.assert_allclose([e for _, e in sweep], loop, rtol=1e-14, atol=0.0)
+    probe = rng.standard_normal((8, 2))
+    loop = [alpha * np.linalg.norm(solve_regularized(gramians, alpha, probe)) for alpha in alphas]
+    report = approximate_right_inverse_check(gramians, alphas, probe)
+    np.testing.assert_allclose(report["errors"], loop, rtol=1e-14, atol=0.0)
