@@ -530,7 +530,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             k = imp_at[s1]
             wp, vp = W[0, s1].copy(), V[0, s1].copy()
             pre_impulse[s1] = (wp, vp)
-            dv = apply_impulse(wp, vp, k, config.impulses, domain, modes)
+            dv = _collocate(B, qw, partial(config.impulses.jump, k), wp, vp)
             V[0, s1] = vp + dv
             impulse_events.append((k, float(times[s1]), float(np.linalg.norm(dv))))
 

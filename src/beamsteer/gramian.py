@@ -10,8 +10,8 @@ absorbed on both the map and its adjoint), where the blocks are symmetric
 positive definite and the Euclidean norm agrees with the state-space energy
 norm.  Two evaluation paths are provided: the closed form of
 :func:`semigroup.gramian_entries`, vectorised over the modes (production),
-and composite Gauss-Legendre quadrature of the input response per mode (the
-cross-check).
+and composite Gauss-Legendre quadrature of the input response of all modes
+at once, on panels graded from s = 0 (the cross-check).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .semigroup import ModeBlock, exp_entries, gramian_entries
+from .semigroup import _roots, exp_entries, gramian_entries
 from .spectral import ModeSet
 
 # Per-panel span |2 r2| * width kept below this so 64-node Gauss-Legendre
@@ -79,26 +79,33 @@ def _gauss_rule(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def gramian_mode_quadrature(block: ModeBlock, window: SteerWindow, nodes: int = 64) -> np.ndarray:
-    """Gramian block of one mode by composite Gauss-Legendre quadrature.
+def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow, nodes=64) -> np.ndarray:
+    """Gramian blocks of all modes at once by composite Gauss-Legendre quadrature.
 
-    ``nodes`` points per panel; the panel count grows with the stiffness of
-    the mode so the rule stays converged for every retained mode.  This is
-    the independent cross-check of :func:`assemble_gramian`.
+    ``nodes`` points per panel, the panels graded geometrically from s = 0, where
+    the fast transient exp(r2 s) lives: PANEL_SPAN / |2 r2| wide first, then
+    doubling, the last clipped at delta.  So a mode needs O(log(|r2| delta))
+    panels, and one with |2 r2| delta <= PANEL_SPAN keeps the one panel [0, delta].
+    Shorter rows are padded with zero-width panels, so one evaluation of the input
+    response gives every (N, 2, 2) block: the cross-check of :func:`assemble_gramian`.
     """
     if nodes < 2:
         raise InvalidArgumentError("quadrature needs at least 2 nodes")
-    delta = window.delta
+    lam, delta = modes.lambdas, window.delta
     if delta == 0:
-        return np.zeros((2, 2))
+        return np.zeros((lam.size, 2, 2))
     x, wts = _gauss_rule(nodes)
-    panels = max(1, int(np.ceil(2.0 * abs(block.roots()[1]) * delta / PANEL_SPAN)))
-    width = delta / panels
-    s = np.arange(panels)[:, None] * width + 0.5 * width * (x + 1.0)
-    ww = 0.5 * width * wts
-    _, g1, _, g2 = exp_entries(block.lam, block.beta, s, energy=True)
-    off = np.sum(ww * g1 * g2)
-    return np.array([[np.sum(ww * g1 * g1), off], [off, np.sum(ww * g2 * g2)]])
+    r1, gap = _roots(lam, beta)
+    first = PANEL_SPAN / (2.0 * (gap - r1))  # |2 r2| = 2 (gap - r1)
+    panels = max(1, int(np.ceil(np.log2(delta / first.min() + 1.0))))
+    edges = np.minimum(first[:, None] * (2.0 ** np.arange(panels + 1) - 1.0), delta)
+    edges[:, -1] = delta
+    width = np.diff(edges)[..., None]
+    s = (edges[:, :-1, None] + 0.5 * width * (x + 1.0)).reshape(lam.size, -1)
+    ww = (0.5 * width * wts).reshape(s.shape)
+    _, g1, _, g2 = exp_entries(lam[:, None], beta, s, energy=True)
+    q11, q12, q22 = (np.sum(ww * a * b, axis=-1) for a, b in ((g1, g1), (g1, g2), (g2, g2)))
+    return np.stack([q11, q12, q12, q22], axis=-1).reshape(-1, 2, 2)
 
 
 def assemble_gramian(modes: ModeSet, beta: float, window: SteerWindow) -> GramianSet:

@@ -26,13 +26,7 @@ import numpy as np
 
 from .dynamics import SimConfig, Trajectory, simulate
 from .errors import InvalidArgumentError
-from .gramian import (
-    ModeBlock,
-    SteerWindow,
-    assemble_gramian,
-    gramian_mode_quadrature,
-    solve_regularized,
-)
+from .gramian import SteerWindow, assemble_gramian, gramian_mode_quadrature, solve_regularized
 from .semigroup import apply_semigroup
 from .spectral import BeamState, ModeSet, energy_coords, energy_norm, state_from_coords
 from .steering import (
@@ -213,13 +207,12 @@ def gramian_cross_check(modes: ModeSet, beta: float, window: SteerWindow):
     """Closed-form Gramian set, the quadrature blocks and their largest gap.
 
     Returns ``(gramians, q_quad, gap)``: the :func:`assemble_gramian` set,
-    the (N, 2, 2) stack of 64-node quadrature blocks and the maximum absolute
+    the (N, 2, 2) stack of quadrature blocks of all modes from one graded
+    64-node pass of :func:`gramian_mode_quadrature`, and the maximum absolute
     entry difference between the two paths.
     """
     gramians = assemble_gramian(modes, beta, window)
-    q_quad = np.stack(
-        [gramian_mode_quadrature(ModeBlock(lam, beta), window, 64) for lam in modes.lambdas]
-    )
+    q_quad = gramian_mode_quadrature(modes, beta, window)
     return gramians, q_quad, float(np.abs(gramians.blocks - q_quad).max())
 
 
@@ -229,16 +222,18 @@ def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad):
     Returns ``(control, measured, formula)``: the synthesized control,
     ||T(delta) y0 + Q_quad eta - z1|| with the control mapped through the
     quadrature blocks ``q_quad`` of :func:`gramian_cross_check`, and
-    alpha ||(alpha I + Q)^-1 d|| with the closed-form ``gramians``.
+    alpha ||(alpha I + Q)^-1 d|| with the closed-form ``gramians``.  For a
+    problem with a sequence of alphas the control is a batch and both
+    measures are arrays with one value per cell.
     """
     control = synthesize_control(problem, modes, beta, gramians=gramians)
     z1c = energy_coords(problem.z1, modes)
     free = energy_coords(apply_semigroup(problem.y0, problem.window.delta, modes, beta), modes)
-    mapped = (q_quad @ control.eta[:, :, None])[:, :, 0]
-    measured = float(np.linalg.norm(free + mapped - z1c))
-    alpha = problem.alpha
-    formula = float(alpha * np.linalg.norm(solve_regularized(gramians, alpha, z1c - free)))
-    return control, measured, formula
+    mapped = (q_quad @ control.eta[..., None])[..., 0]
+    alpha = np.asarray(problem.alpha, dtype=float)
+    solved = solve_regularized(gramians, alpha, z1c - free)
+    measured = np.linalg.norm(free + mapped - z1c, axis=(-2, -1))
+    return control, measured, alpha * np.linalg.norm(solved, axis=(-2, -1))
 
 
 def _errors(z, y, target, modes):
@@ -371,26 +366,19 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
 
     # the identity checks map the control through the quadrature blocks, so
     # they test the closed forms instead of restating them
-    worst_identity = 0.0
-    for alpha in (1.0, 1e-2, 1e-4):
-        problem = SteeringProblem(y0, z1, window, alpha)
-        _, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad)
-        worst_identity = max(worst_identity, abs(measured - formula))
-    results.append(
-        CheckResult(
-            "residual_identity", worst_identity <= CROSS_PATH_TOL, worst_identity, CROSS_PATH_TOL
-        )
-    )
+    problem = SteeringProblem(y0, z1, window, [1.0, 1e-2, 1e-4])
+    _, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad)
+    worst = float(np.abs(measured - formula).max())
+    results.append(CheckResult("residual_identity", worst <= CROSS_PATH_TOL, worst, CROSS_PATH_TOL))
 
-    sweep = alpha_sweep(y0, z1, window, [10.0**-k for k in range(7)], modes, beta)
+    alphas = [10.0**-k for k in range(7)]
+    sweep = alpha_sweep(y0, z1, window, alphas, modes, beta, gramians=gramians)
     errs = [e for _, e in sweep]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     results.append(CheckResult("alpha_sweep_monotone", monotone, errs[-1], errs[0]))
 
     probe = energy_coords(make_random_state(modes, rng, 1.0), modes)
-    inverse = approximate_right_inverse_check(
-        gramians, [10.0**-k for k in range(7)], probe
-    )
+    inverse = approximate_right_inverse_check(gramians, alphas, probe)
     results.append(
         CheckResult(
             "right_inverse_strong_limit",

@@ -147,18 +147,21 @@ def alpha_sweep(
     alphas,
     modes: ModeSet,
     beta: float,
+    gramians: GramianSet | None = None,
 ) -> list[tuple[float, float]]:
     """Terminal error of the steered linear system for each alpha.
 
     ``alphas`` must be a strictly decreasing sequence in (0, 1]; the returned
-    errors are nonincreasing and tend to zero with alpha.
+    errors are nonincreasing and tend to zero with alpha.  ``gramians``, when
+    given, must be the set of ``window``.
     """
     alphas = list(alphas)
     if not alphas:
         raise InvalidArgumentError("alpha list must not be empty")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidArgumentError("alphas must be strictly decreasing")
-    gramians = assemble_gramian(modes, beta, window)
+    if gramians is None:
+        gramians = assemble_gramian(modes, beta, window)
     problem = SteeringProblem(y0, z1, window, alphas)
     control = synthesize_control(problem, modes, beta, gramians=gramians)
     y_tau = steer_linear(y0, control, modes, beta, gramians=gramians)

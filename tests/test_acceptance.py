@@ -13,6 +13,7 @@ import pytest
 from beamsteer import (
     BeamState,
     ModeBlock,
+    ModeSet,
     NonlinearityCatalog,
     SpatialDomain,
     SteerWindow,
@@ -110,8 +111,7 @@ def test_criterion_3_gramian_cross_validation():
     worst = 0.0
     min_eig = np.inf
     for lam, closed in zip(modes.lambdas, assemble_gramian(modes, BETA, window).blocks):
-        block = ModeBlock(lam, BETA)
-        quad = gramian_mode_quadrature(block, window, nodes=64)
+        quad = gramian_mode_quadrature(ModeSet(lam), BETA, window, nodes=64)[0]
         worst = max(worst, float(np.abs(closed - quad).max()))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(closed)[0]))
     elapsed = time.perf_counter() - t0

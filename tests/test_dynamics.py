@@ -22,7 +22,7 @@ from beamsteer import (
     synthesize_control,
     verify_f_bound,
 )
-from beamsteer import dynamics
+from beamsteer import dynamics, spectral
 from beamsteer.dynamics import CHUNK, F_READS
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from oracles import (
@@ -469,6 +469,27 @@ def test_impulse_jump_recorded():
     assert len(traj.impulse_events) == 1
     k, t, size = traj.impulse_events[0]
     assert k == 0 and t == pytest.approx(0.5) and 0 < size <= 0.2
+
+
+def test_rerun_with_cached_tables_builds_no_basis(monkeypatch):
+    # impulses are collocated with the run's cached basis, so once the slab
+    # tables of a config exist a second run makes no sine table at all
+    imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.05, 0.05))
+    hist = _constant_history(np.full(4, 0.5), np.zeros(4))
+    cfg = _config(impulses=imp, history=hist)
+    simulate(cfg, None)
+    calls = []
+    original = spectral.basis_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (spectral, dynamics):
+        monkeypatch.setattr(module, "basis_matrix", counted)
+    traj = simulate(cfg, None)
+    assert len(traj.impulse_events) == 2
+    assert calls == []
 
 
 def test_second_order_self_convergence():

@@ -12,6 +12,9 @@ from beamsteer import (
     solve_regularized,
 )
 from beamsteer.errors import InvalidArgumentError
+from beamsteer.gramian import PANEL_SPAN
+from beamsteer.harness import CROSS_PATH_TOL
+from beamsteer.semigroup import exp_entries
 
 from oracles import expm_squaring, gauss_integral
 
@@ -42,15 +45,15 @@ def test_closedform_matches_quadrature_reference_case():
     mb = ModeBlock(1.0, 2.0)
     win = SteerWindow(1.0, 1.0)
     closed = _closed(mb, win)
-    quad = gramian_mode_quadrature(mb, win, nodes=64)
+    quad = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win, nodes=64)[0]
     np.testing.assert_allclose(closed, quad, atol=1e-12)
 
 
 def test_quadrature_node_doubling_converged():
     mb = ModeBlock(1.0, 2.0)
     win = SteerWindow(1.0, 1.0)
-    q32 = gramian_mode_quadrature(mb, win, nodes=32)
-    q64 = gramian_mode_quadrature(mb, win, nodes=64)
+    q32 = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win, nodes=32)[0]
+    q64 = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win, nodes=64)[0]
     assert np.abs(q32 - q64).max() < 1e-12
 
 
@@ -59,7 +62,7 @@ def test_closedform_matches_quadrature_stiff_mode():
     mb = ModeBlock(64.0 * np.pi**2, 2.0)
     win = SteerWindow(1.0, 0.2)
     closed = _closed(mb, win)
-    quad = gramian_mode_quadrature(mb, win, nodes=64)
+    quad = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win, nodes=64)[0]
     assert np.abs(closed - quad).max() <= 1e-12
 
 
@@ -79,6 +82,31 @@ def test_closedform_matches_independent_oracle():
     np.testing.assert_allclose(_closed(mb, win), oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "length, n_modes, beta, one_panel",
+    [(3.5, 32, 2.0, 6), (3.5, 8, 1e8, 0)],
+    ids=["steer-wide", "beta1e8"],
+)
+def test_graded_quadrature_matches_closed_form(length, n_modes, beta, one_panel):
+    # all modes in one graded pass; at beta = 1e8 uniform panels of width
+    # PANEL_SPAN / |2 r2| would number about 8e7 for the stiffest mode alone
+    modes = laplacian_eigenvalues(length, n_modes)
+    win = SteerWindow(1.0, 0.2)
+    quad = gramian_mode_quadrature(modes, beta, win)
+    assert np.abs(quad - assemble_gramian(modes, beta, win).blocks).max() <= CROSS_PATH_TOL
+    # a mode whose transient fits one panel keeps the one-panel rule, bit for bit
+    roots = np.array([ModeBlock(lam, beta).roots()[1] for lam in modes.lambdas])
+    one = 2.0 * np.abs(roots) * win.delta <= PANEL_SPAN
+    assert one.sum() == one_panel
+    x, wts = np.polynomial.legendre.leggauss(64)
+    s, ww = 0.5 * win.delta * (x + 1.0), 0.5 * win.delta * wts
+    for j in np.flatnonzero(one):
+        _, g1, _, g2 = exp_entries(modes.lambdas[j], beta, s, energy=True)
+        off = np.sum(ww * g1 * g2)
+        rule = np.array([[np.sum(ww * g1 * g1), off], [off, np.sum(ww * g2 * g2)]])
+        np.testing.assert_array_equal(quad[j], rule)
+
+
 def test_window_nesting_monotone():
     mb = ModeBlock(np.pi**2, 2.0)
     big = _closed(mb, SteerWindow(1.0, 1.0))
@@ -90,7 +118,9 @@ def test_zero_window_gives_zero_blocks():
     mb = ModeBlock(1.0, 2.0)
     win = SteerWindow(1.0, 0.0)
     np.testing.assert_array_equal(_closed(mb, win), np.zeros((2, 2)))
-    np.testing.assert_array_equal(gramian_mode_quadrature(mb, win), np.zeros((2, 2)))
+    np.testing.assert_array_equal(
+        gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win)[0], np.zeros((2, 2))
+    )
     gset = assemble_gramian(laplacian_eigenvalues(1.0, 3), 2.0, win)
     assert not gset.positive_definite
 
@@ -147,4 +177,4 @@ def test_solve_regularized_invalid_alpha():
 
 def test_quadrature_needs_nodes():
     with pytest.raises(InvalidArgumentError):
-        gramian_mode_quadrature(ModeBlock(1.0, 2.0), SteerWindow(1.0, 0.5), nodes=1)
+        gramian_mode_quadrature(ModeSet(1.0), 2.0, SteerWindow(1.0, 0.5), nodes=1)

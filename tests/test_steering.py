@@ -19,6 +19,7 @@ from beamsteer import (
     steer_linear,
     synthesize_control,
 )
+from beamsteer import steering
 from beamsteer.errors import InvalidArgumentError
 
 from oracles import window_control_quadrature
@@ -293,3 +294,18 @@ def test_stacked_sweeps_match_per_alpha_loops():
     loop = [alpha * np.linalg.norm(solve_regularized(gramians, alpha, probe)) for alpha in alphas]
     report = approximate_right_inverse_check(gramians, alphas, probe)
     np.testing.assert_allclose(report["errors"], loop, rtol=1e-14, atol=0.0)
+
+
+def test_alpha_sweep_reuses_a_given_gramian_set(monkeypatch):
+    modes = _modes(8)
+    rng = np.random.default_rng(12)
+    y0, z1 = _random_state(modes, rng), _random_state(modes, rng)
+    alphas = [1.0, 1e-2, 1e-4]
+    gramians = assemble_gramian(modes, BETA, WINDOW)
+    want = alpha_sweep(y0, z1, WINDOW, alphas, modes, BETA)
+
+    def refused(*args):
+        raise AssertionError("alpha_sweep assembled a Gramian it was given")
+
+    monkeypatch.setattr(steering, "assemble_gramian", refused)
+    assert alpha_sweep(y0, z1, WINDOW, alphas, modes, BETA, gramians=gramians) == want
