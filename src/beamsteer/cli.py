@@ -60,7 +60,7 @@ def _cmd_gramian_check(spec, args) -> int:
         _say(
             args,
             f"{'PASS' if good else 'FAIL'} delta={delta:g}: "
-            f"min_eig={gramians.min_eigenvalue:.3e} cross_path_diff={cross:.3e}",
+            f"min_eig={gramians.min_eigenvalue:.3e} cross_path_rel_gap={cross:.3e}",
         )
     return 0 if ok else 1
 

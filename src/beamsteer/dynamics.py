@@ -27,21 +27,22 @@ history nodes.  Stepping follows the method of steps: a slab of at most
 min(OUTER, delay/h) steps, cut at the window start and at impulse nodes, reads
 only delayed states fixed by earlier slabs.  It synthesizes its delayed
 deflection once for f and g (the velocity only if f reads it, see F_READS),
-collocates them on its live rows, advances the memory recursion by one table of
-decay powers, and every mode in chunks of CHUNK steps: all chunks from a zero
-start in one batched matmul, the chunk starts by a Toeplitz table of powers of
-A^CHUNK (A^k = exp(K k h) in closed form, tables cached per system), and
-A^(k+1) times a chunk's start added back.  The chunk count is fixed before the
-window and in it, and the inputs a slab may read past the horizon carry one
-slab of trailing rows, so slabs read full-shape views whose rows past the
-slab's end are finite and meet only zeros above the tables' diagonals: with the
-products run per cell, a node's value depends neither on where its slab ends
-nor on how many cells step together.
+collocates them on its live rows, and advances the memory recursion and every
+mode alike in chunks of CHUNK steps: all chunks from a zero start by one batched
+matmul, the chunk starts by a Toeplitz table of powers of the chunk propagator
+(decay**CHUNK, or A^CHUNK with A^k = exp(K k h) in closed form, cached per
+system), and the propagated chunk starts added back.  The chunk count is fixed
+before the window and in it, and every node array carries one slab of trailing
+rows, so slabs read and write full-shape views whose rows past the slab's end
+are finite and meet only zeros above the tables' diagonals: with the products
+run per cell, a node's value depends neither on where its slab ends nor on how
+many cells step together.
 
 A full run steps one cell, with zero or one steering control.  Since every
 window is shorter than the delay, a resumed run is one window-sized control
 batch that reads its delayed states and memory forcing from the zero-control
-prefix, its costate from one exp(K^T theta) table of the window nodes, and
+prefix, takes its controls and control increments from exp(K^T theta) entries of
+the window nodes combined once per node with Q(h), times each cell's eta, and
 returns the cells' terminal states.
 """
 
@@ -122,7 +123,9 @@ class NonlinearityCatalog:
         if self.f_kind == "zero":
             return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(v), np.shape(u)))
         if self.f_kind == "linear_growth":
-            return self.f_a * np.asarray(y) * np.cos(u) + self.f_b
+            out = np.asarray(y) * (self.f_a * np.cos(u))
+            out += self.f_b
+            return out
         return self.f_a * np.sin(y) * np.cos(v) + self.f_b * np.cos(u)
 
     def g(self, w):
@@ -337,18 +340,20 @@ def _toeplitz(p) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _slab_tables(length, grid_points, n_modes, beta, h, chunk, count):
-    """Read-only tables of ``simulate`` for one system and step: basis matrix,
-    one-step Gramian, (h/2 a12, a22) of A = exp(K h), the chunk table taking b_j
-    to sum_{j<=k} A^(k-j) b_j, the lift table of A^(k+1) and the outer table
-    of A^(chunk (m - j)) for `count` chunks, whose leading blocks serve fewer."""
+    """Read-only tables of ``simulate`` for one system and step: basis matrix, its spacing-
+    scaled projector, the costate-to-increment map Q(h) diag(1/lambda, 1), (h/2 a12, a22)
+    of A = exp(K h), the chunk table taking b_j to sum_{j<=k} A^(k-j) b_j, the lift table
+    of A^(k+1), and the outer table of A^(chunk (m - j)) for `count` chunks or fewer."""
     lam = laplacian_eigenvalues(length, n_modes).lambdas
+    domain, (q11, q12, q22) = SpatialDomain(length, grid_points), gramian_entries(lam, beta, h)
+    B = basis_matrix(domain, n_modes)
     step, outer = (
         np.stack(exp_entries(lam, beta, t[:, None]), -1).reshape(t.size, n_modes, 2, 2)
         for t in (h * np.arange(chunk + 1), h * chunk * np.arange(count))
     )
     tables = (
-        basis_matrix(SpatialDomain(length, grid_points), n_modes),
-        np.stack(gramian_entries(lam, beta, h)),
+        B, domain.spacing * B,
+        np.array([[q11 / lam, q12 / lam], [q12, q22]])[..., None],
         np.stack([0.5 * h * step[1, :, 0, 1], step[1, :, 1, 1]]),
         _toeplitz(step[:-1]).transpose(1, 2, 0, 3, 4).reshape(n_modes, 2 * chunk, 2 * chunk),
         step[1:].transpose(1, 2, 0, 3).reshape(n_modes, 2 * chunk, 2),
@@ -410,14 +415,14 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
 
     # W and V hold nodes lo.. of every cell: all nodes for a full run, the
     # window for a resumed one; slabs of `counts[active]` chunks of `chunk`
-    # steps, and memory and costate carry `pad` trailing rows
+    # steps, and every node array carries `pad` trailing rows
     chunk = min(CHUNK, n_r)
     counts = {False: min(OUTER, n_r) // chunk}
     if start_idx is not None:
         counts[True] = -(-min(OUTER, n_total - 1 - start_idx) // chunk)
     pad = chunk * max(counts[s] for s in counts if prefix is None or s)
     lo = 0 if prefix is None else start_idx
-    W = np.zeros((cells, n_total - lo, N))
+    W = np.zeros((cells, n_total - lo + pad, N))
     V = np.zeros_like(W)
     memory = np.zeros((n_total - lo + pad, N))
     pre_impulse, impulse_events = {}, []
@@ -438,30 +443,25 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         for k, t_k in enumerate(config.impulses.times)
     }
 
-    B, (q11, q12, q22), (half_a12, a22), chunk_table, lift, outers = _slab_tables(
+    B, Bq, qmap, (half_a12, a22), chunk_table, lift, outers = _slab_tables(
         config.length, config.grid_points, N, config.beta, h, chunk, -(-min(OUTER, n_r) // chunk)
     )
     if start_idx is not None:
-        costate = np.zeros((cells, n_total - start_idx + pad, N, 2))
-        control.costate(times[start_idx:], out=costate[:, : n_total - start_idx])
-        win_u = costate[..., 1]
-        p1, p2 = costate[:, 1:, :, 0], costate[:, 1:, :, 1]
-        cw = (q11 * p1 + q12 * p2) / lam
-        cv = q12 * p1 + q22 * p2
-    half, qw = 0.5 * h, domain.spacing
-    reads = F_READS[catalog.f_kind]
+        theta = np.maximum(control.window.tau - times[start_idx:], 0.0)
+        entries = np.zeros((4, N, theta.size + pad))  # of exp(K^T theta), zero past tau
+        entries[..., : theta.size] = exp_entries(lam[:, None], config.beta, theta, energy=True)
+        e0, e1 = np.moveaxis(control.eta, -1, 0)[..., None]  # (cells, N, 1) each
+    half, lam2, ones, reads = 0.5 * h, lam * lam, np.ones(N), F_READS[catalog.f_kind]
 
-    # Exact recursion for the trapezoid sum of the exponential kernel: the
-    # carry holds kappa-free weights decay**(m - k) * h (h/2 for k = 0) times
-    # g_k up to the slab start m; one table row per slab node adds the rest,
-    # row k reading decay**(k + 1 - j) off a Toeplitz view of the powers.
+    # the trapezoid sum of the exponential kernel, kappa-free, by the exact recursion
+    # S_(k+1) = decay S_k + h g_(k+1), chunked like the state; the carry is S at the slab start
     recurse = prefix is None and catalog.has_memory
     if recurse:
         decay = np.exp(-catalog.gamma * h) ** np.arange(pad + 1)
-        carry = 0.5 * h * _collocate(B, qw, catalog.g, W[0, 0])
+        m_chunk, m_lift = h * _toeplitz(decay[:chunk]), decay[1 : chunk + 1, None]
+        m_outers = _toeplitz(decay[:pad:chunk])
+        carry = 0.5 * h * _collocate(B, domain.spacing, catalog.g, W[0, 0])
 
-    # slabs read full-shape views of L + 1 rows; rows past a slab's end are
-    # finite and meet only the zero upper triangles of the tables
     stops = sorted(s for s in {n_total - 1, start_idx, *imp_at} if s is not None)
     s0, count = (idx0 if prefix is None else lo), None
     while s0 < n_total - 1:
@@ -475,20 +475,24 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             pieces = -(-cells * (L + 1) // COLLOCATION_ROWS)
             piece = -(-(L + 1) // pieces)
             fc, gq = np.zeros((cells, L + 1, N)), np.zeros((L + 1, N))
-            X = np.empty((cells, N, 2 * chunk, count))
+            X, Z = np.empty((2, cells, N, 2 * chunk, count))
             xw, xv = (X[:, :, r * chunk : (r + 1) * chunk].transpose(0, 3, 2, 1) for r in (0, 1))
             E = np.empty((cells, N, 2, count))
-            if recurse:
-                table = _toeplitz(decay[: L + 1])[1:] * np.r_[1.0, np.full(L, h)]
         s1 = min(s0 + L, next(s for s in stops if s > s0))
         n, j = s1 - s0, (s0 - start_idx if active else 0)
+        if active:
+            # p = exp(K^T theta) eta has p_k = k_1k e0 + k_2k e1: the control b^T p and
+            # the increments qmap p(t + h), the entries combined once per node
+            k11, k12, k21, k22 = entries[..., j : j + L + 1]
+            win_u = k12 * e0 + k22 * e1
+            cw, cv = ((qa * k11 + qb * k12) * e0 + (qa * k21 + qb * k22) * e1 for qa, qb in qmap)
         # f and g on the slab's live rows s0..s1, piece by piece
         for a in range(0, n + 1, piece) if reads or recurse else ():
             rows = slice(s0 - n_r + a, s0 - n_r + min(a + piece, L + 1))
             # delayed deflection on the grid, for f and g; continuous at impulses
             yd = past_w[rows] @ B.T
             if recurse:
-                gq[a : a + len(yd)] = qw * (catalog.g(yd) @ B)
+                np.matmul(catalog.g(yd), Bq, out=gq[a : a + len(yd)])
             if reads:
                 vd = 0.0  # read by f only where its kind says so
                 if "v" in reads:
@@ -497,44 +501,45 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
                         if rows.start <= d < rows.stop:
                             vd[d - rows.start] = v_left
                     vd = vd @ B.T
-                ud = win_u[:, j + a : j + a + len(yd)] @ B.T if active else 0.0
-                fc[:, a : a + len(yd)] = qw * (catalog.f(yd, vd, ud) @ B)
+                ud = win_u[..., a : a + len(yd)].swapaxes(1, 2) @ B.T if active else 0.0
+                np.matmul(catalog.f(yd, vd, ud), Bq, out=fc[:, a : a + len(yd)])
+        new = slice(s0 - lo + 1, s0 - lo + 1 + L)
         if recurse:
-            gq[0] = carry
-            acc = table @ gq
-            memory[s0 + 1 : s1 + 1] = catalog.kappa * (acc[:n] - half * gq[1 : n + 1])
-            carry = acc[n - 1]
+            g, M = (x.reshape(count, chunk, N) for x in (gq[1:], memory[new]))
+            np.matmul(m_chunk, g, out=M)
+            M += m_lift * (m_outers[:count, :count] @ np.vstack([carry, M[:-1, -1]]))[:, None]
+            carry = M.reshape(L, N)[n - 1].copy()
+            np.multiply(M - half * g, catalog.kappa, out=M)
         # velocity-slot forcing at the slab's nodes s0..s0+L, per cell
         F = memory[s0 - lo : s0 - lo + L + 1]
         if reads:
-            F = fc + F
+            F = np.add(fc, F, out=fc)
         left, right = (F[..., r : L + r, :].reshape(-1, count, chunk, N) for r in (0, 1))
         np.multiply(half_a12, left, out=xw)
         np.multiply(a22, left, out=xv)
         xv += right
         xv *= half
         if active:
-            xw += cw[:, j : j + L].reshape(xw.shape)
-            xv += cv[:, j : j + L].reshape(xv.shape)
+            xw += cw[..., 1:].reshape(cells, N, count, chunk).transpose(0, 2, 3, 1)
+            xv += cv[..., 1:].reshape(cells, N, count, chunk).transpose(0, 2, 3, 1)
         # every chunk from a zero start, then the chunk starts s_m from the
         # slab start and the chunk ends, then A^(k+1) s_m added back
-        Z = chunk_table @ X
+        np.matmul(chunk_table, X, out=Z)
         E[:, :, 0, 0], E[:, :, 1, 0] = W[:, s0 - lo], V[:, s0 - lo]
         E[..., 1:] = Z[:, :, chunk - 1 :: chunk, :-1]
         Z += lift @ (outer @ E.reshape(cells, N, 2 * count, 1)).reshape(E.shape)
-        new = slice(s0 - lo + 1, s1 - lo + 1)
-        W[:, new] = Z[:, :, :chunk].transpose(0, 3, 2, 1).reshape(cells, L, N)[:, :n]
-        V[:, new] = Z[:, :, chunk:].transpose(0, 3, 2, 1).reshape(cells, L, N)[:, :n]
+        W[:, new].reshape(cells, count, chunk, N)[...] = Z[:, :, :chunk].transpose(0, 3, 2, 1)
+        V[:, new].reshape(cells, count, chunk, N)[...] = Z[:, :, chunk:].transpose(0, 3, 2, 1)
         if s1 in imp_at:
             # impulses precede every window, so only single-cell full runs meet one
             k = imp_at[s1]
             wp, vp = W[0, s1].copy(), V[0, s1].copy()
             pre_impulse[s1] = (wp, vp)
-            dv = _collocate(B, qw, partial(config.impulses.jump, k), wp, vp)
+            dv = _collocate(B, domain.spacing, partial(config.impulses.jump, k), wp, vp)
             V[0, s1] = vp + dv
             impulse_events.append((k, float(times[s1]), float(np.linalg.norm(dv))))
 
-        sq = ((lam * W[:, new]) ** 2).sum(axis=2) + (V[:, new] ** 2).sum(axis=2)
+        sq = np.square(W[:, new][:, :n]) @ lam2 + np.square(V[:, new][:, :n]) @ ones
         # sqrt is monotone, so this is the per-node test; a NaN trips too
         if not np.sqrt(sq.max()) <= config.blowup_threshold:
             norms = np.sqrt(sq)
@@ -550,13 +555,14 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         s0 = s1
 
     if prefix is not None:
-        return BeamState(W[:, -1].copy(), V[:, -1].copy())
+        return BeamState(W[:, n_total - 1 - lo].copy(), V[:, n_total - 1 - lo].copy())
     control_rec = np.zeros((n_total, N))
     if start_idx is not None:
-        control_rec[start_idx:] = win_u[0, : n_total - start_idx]
+        control_rec[start_idx:] = control.window_coeffs(times[start_idx:])[0]
     return Trajectory(
-        times=times, w=W[0], v=V[0], control=control_rec, memory=memory[:n_total],
-        start_index=idx0, step=h, pre_impulse=pre_impulse, impulse_events=impulse_events,
+        times=times, w=W[0, :n_total], v=V[0, :n_total], control=control_rec,
+        memory=memory[:n_total], start_index=idx0, step=h, pre_impulse=pre_impulse,
+        impulse_events=impulse_events,
     )
 
 

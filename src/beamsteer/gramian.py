@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .semigroup import _roots, exp_entries, gramian_entries
+from .semigroup import _response, _roots, gramian_entries
 from .spectral import ModeSet
 
 # Per-panel span |2 r2| * width kept below this so 64-node Gauss-Legendre
@@ -103,7 +103,8 @@ def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow, nodes=64)
     width = np.diff(edges)[..., None]
     s = (edges[:, :-1, None] + 0.5 * width * (x + 1.0)).reshape(lam.size, -1)
     ww = (0.5 * width * wts).reshape(s.shape)
-    _, g1, _, g2 = exp_entries(lam[:, None], beta, s, energy=True)
+    _, _, phi, g2 = _response(lam[:, None], beta, s)  # a12 / lambda and a22: the input response
+    g1 = lam[:, None] * phi
     q11, q12, q22 = (np.sum(ww * a * b, axis=-1) for a, b in ((g1, g1), (g1, g2), (g2, g2)))
     return np.stack([q11, q12, q12, q22], axis=-1).reshape(-1, 2, 2)
 

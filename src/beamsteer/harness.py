@@ -39,8 +39,8 @@ from .steering import (
 )
 
 CSV_HEADER = "alpha,delta,error_total,error_nl,error_lin,runtime_s,steps"
-# Largest admitted gap between the closed-form and the quadrature path, for
-# the Gramian blocks and for the identities that map through them.
+# Largest admitted gap between the closed-form and the quadrature path, for the
+# Gramian blocks (relative to sqrt(Q_ii Q_jj)) and the identities mapped through them.
 CROSS_PATH_TOL = 1e-12
 
 
@@ -204,16 +204,18 @@ def pullback_setup(spec: ExperimentSpec):
 
 
 def gramian_cross_check(modes: ModeSet, beta: float, window: SteerWindow):
-    """Closed-form Gramian set, the quadrature blocks and their largest gap.
+    """Closed-form Gramian set, the quadrature blocks and their largest relative gap.
 
-    Returns ``(gramians, q_quad, gap)``: the :func:`assemble_gramian` set,
-    the (N, 2, 2) stack of quadrature blocks of all modes from one graded
-    64-node pass of :func:`gramian_mode_quadrature`, and the maximum absolute
-    entry difference between the two paths.
+    Returns ``(gramians, q_quad, gap)``: the :func:`assemble_gramian` set, the
+    (N, 2, 2) stack of quadrature blocks of all modes from one graded 64-node
+    pass of :func:`gramian_mode_quadrature`, and the largest entry difference
+    between the two paths relative to the closed-form scale sqrt(Q_ii Q_jj).
     """
     gramians = assemble_gramian(modes, beta, window)
     q_quad = gramian_mode_quadrature(modes, beta, window)
-    return gramians, q_quad, float(np.abs(gramians.blocks - q_quad).max())
+    d = np.sqrt(np.diagonal(gramians.blocks, axis1=1, axis2=2))
+    gap = np.abs(gramians.blocks - q_quad) / np.maximum(d[:, :, None] * d[:, None, :], 1e-300)
+    return gramians, q_quad, float(gap.max())
 
 
 def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad):

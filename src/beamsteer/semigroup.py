@@ -12,10 +12,12 @@ cancellation.  Writing phi(t) = (exp(r1 t) - exp(r2 t)) / (r1 - r2), the first
 divided difference of exp(. t) at the roots,
 
     exp(K t) = exp(r1 t) I + phi(t) (K - r1 I),
-    phi(t)   = t exp(r1 t) (1 - exp(-2 d t)) / (2 d t),
+    phi(t)   = exp(r1 t) ratio(t),   ratio(t) = (1 - exp(-2 d t)) / (2 d),
+    a22(t)   = exp(r1 t) (exp(-2 d t) + r1 ratio(t)),
 
-where the last factor comes from expm1 and is 1 at d t = 0, so critical
-damping d = 0 is a continuous case and nothing overflows for stiff modes.
+where the ratio comes from expm1 and is t at d = 0, so critical damping is a
+continuous case and nothing overflows for stiff modes; a22 = phi'(t) in this
+form keeps its relative accuracy where exp(r1 t) + r2 phi(t) would cancel.
 
 The window Gramian of the velocity input b = (0, 1)^T, in energy coordinates
 (the similarity diag(lambda, 1), where the Euclidean norm is the energy norm),
@@ -95,6 +97,12 @@ def _modal_kernel(lambdas, beta: float, t):
     return r1, gap, np.exp(r1 * t), ratio
 
 
+def _response(lambdas, beta: float, t):
+    """r1, exp(r1 t), phi(t) and a22(t) = phi'(t) per mode, a22 as in the module docstring."""
+    r1, gap, e, ratio = _modal_kernel(lambdas, beta, t)
+    return r1, e, e * ratio, e * (np.exp(-gap * t) + r1 * ratio)
+
+
 def exp_entries(lambdas, beta: float, t, energy: bool = False):
     """Entries (a11, a12, a21, a22) of exp(K_j t) for every eigenvalue.
 
@@ -106,10 +114,8 @@ def exp_entries(lambdas, beta: float, t, energy: bool = False):
     if np.any(np.asarray(t) < 0):
         raise InvalidArgumentError("time must be nonnegative")
     lam = np.asarray(lambdas, dtype=float)
-    r1, gap, e, ratio = _modal_kernel(lam, beta, t)
-    phi = e * ratio
+    r1, e, phi, a22 = _response(lam, beta, t)
     a11 = e - r1 * phi
-    a22 = e + (r1 - gap) * phi
     if energy:
         return a11, lam * phi, -lam * phi, a22
     return a11, phi, -lam * lam * phi, a22

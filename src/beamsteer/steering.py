@@ -56,20 +56,15 @@ class ControlSignal:
         if self.eta.ndim == 3 and np.shape(self.alpha) != self.eta.shape[:1]:
             raise InvalidArgumentError("a control batch needs one alpha per cell")
 
-    def costate(self, t, out=None):
+    def costate(self, t):
         """Per-mode costate pairs at time(s) t in [tau-delta, tau], shape (..., N, 2),
-        after the cell axis of a batch, from one exp(K^T theta) table; into ``out`` if given."""
+        after the cell axis of a batch, from one exp(K^T theta) table."""
         t = np.asarray(t, dtype=float)
         # time-to-go, clipped where t overshoots tau by rounding
         theta = np.maximum(self.window.tau - t[..., None], 0.0)
-        a11, a12, a21, a22 = exp_entries(self.modes.lambdas, self.beta, theta, energy=True)
+        A = exp_entries(self.modes.lambdas, self.beta, theta, energy=True)
         eta = self.eta.reshape(self.eta.shape[:-2] + (1,) * t.ndim + self.eta.shape[-2:])
-        if out is None:
-            out = np.empty(np.broadcast_shapes(a11.shape, eta.shape[:-1]) + (2,))
-        for k, (a, b) in enumerate(((a11, a21), (a12, a22))):
-            np.multiply(a, eta[..., 0], out=out[..., k])
-            out[..., k] += b * eta[..., 1]
-        return out
+        return np.stack([a * eta[..., 0] + b * eta[..., 1] for a, b in zip(A[:2], A[2:])], -1)
 
     def window_coeffs(self, t):
         """Per-mode control coefficients at time(s) t in [tau-delta, tau]."""

@@ -208,6 +208,8 @@ def test_stacked_rows_match_row_by_row_calls(cat):
     rows = [evaluate_nonlinearity(W[0], V[0], u, cat, domain, modes) for u in U]
     assert shared.shape == U.shape
     np.testing.assert_allclose(shared, rows, rtol=1e-13, atol=1e-15)
+    # the pointwise maps take scalars as well as arrays
+    np.testing.assert_allclose(cat.f(W[0, 0], V[0, 0], U[0, 0]), cat.f(W, V, U)[0, 0], rtol=1e-15)
     schedule = ImpulseSchedule(times=(0.5,), gains=(0.3,))
     jumps = apply_impulse(W, V, 0, schedule, domain, modes)
     rows = [apply_impulse(w, v, 0, schedule, domain, modes) for w, v in zip(W, V)]
@@ -551,25 +553,33 @@ STEPWISE_CASES = [
     # n_r = 180 is no multiple of CHUNK: slabs of 5 chunks, 160 steps; the
     # impulses at 0.25 and 0.55 and the window start 0.85 fall mid-chunk, and
     # the 90-node window runs 3 chunks
-    pytest.param(f, memory, 1 / 600, 0.3, 0.15, id=f"{f}-{'mem' if memory else 'nomem'}-h600")
+    pytest.param(f, memory, 1 / 600, 0.3, 0.15, 1.0, id=f"{f}-{'mem' if memory else 'nomem'}-h600")
     for f in STEPWISE_F
     for memory in (False, True)
 ] + [
-    pytest.param("linear_growth", True, 1 / 4800, 0.3, 0.15, id="linear_growth-mem-h4800"),
+    pytest.param("linear_growth", True, 1 / 4800, 0.3, 0.15, 1.0, id="linear_growth-mem-h4800"),
     # n_r = 720 > OUTER: slabs of 8 chunks, the impulse at 0.25 lands in the
     # third slab's third chunk, the window start 0.85 208 steps into a slab
-    pytest.param("bounded_trig", True, 1 / 2400, 0.3, 0.15, id="bounded_trig-mem-h2400"),
+    pytest.param("bounded_trig", True, 1 / 2400, 0.3, 0.15, 1.0, id="bounded_trig-mem-h2400"),
     # n_r = 150: slabs of 4 chunks, cut mid-chunk by the impulses after 22
     # and 52 steps and by the window start after 22
-    pytest.param("linear_growth", True, 1 / 600, 0.25, 0.2, id="linear_growth-mem-mid_chunk"),
+    pytest.param("linear_growth", True, 1 / 600, 0.25, 0.2, 1.0, id="linear_growth-mem-mid_chunk"),
     # n_r = 6 < CHUNK: the delay bounds the chunks and the slabs
-    pytest.param("bounded_trig", True, 1 / 600, 0.01, 0.005, id="bounded_trig-mem-short_delay"),
+    pytest.param(
+        "bounded_trig", True, 1 / 600, 0.01, 0.005, 1.0, id="bounded_trig-mem-short_delay"
+    ),
+    # the memory recursion's edges: at gamma = 0 every decay power is 1; at
+    # gamma = 1e5 decay**k underflows to 0 from k = 5 on, so the chunk-start
+    # table is the identity and the memory forcing is, to 1e-72 relative, the
+    # last trapezoid term
+    pytest.param("linear_growth", True, 1 / 600, 0.3, 0.15, 0.0, id="linear_growth-mem-gamma0"),
+    pytest.param("linear_growth", True, 1 / 600, 0.3, 0.15, 1e5, id="linear_growth-mem-gamma1e5"),
 ]
 
 
-@pytest.mark.parametrize("f_kind, memory, step, delay, delta", STEPWISE_CASES)
-def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta):
-    memory_kw = dict(g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=1.0)
+@pytest.mark.parametrize("f_kind, memory, step, delay, delta, gamma", STEPWISE_CASES)
+def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta, gamma):
+    memory_kw = dict(g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=gamma)
     cat = NonlinearityCatalog(**STEPWISE_F[f_kind], **(memory_kw if memory else {}))
     k = np.arange(1, 5)
     hist = lambda s: (0.3 * np.cos(3 * s)[:, None] / k**2, 0.2 * np.sin(2 * s)[:, None] / k)

@@ -13,7 +13,7 @@ from beamsteer import (
 )
 from beamsteer.errors import InvalidArgumentError
 from beamsteer.gramian import PANEL_SPAN
-from beamsteer.harness import CROSS_PATH_TOL
+from beamsteer.harness import CROSS_PATH_TOL, gramian_cross_check
 from beamsteer.semigroup import exp_entries
 
 from oracles import expm_squaring, gauss_integral
@@ -93,7 +93,12 @@ def test_graded_quadrature_matches_closed_form(length, n_modes, beta, one_panel)
     modes = laplacian_eigenvalues(length, n_modes)
     win = SteerWindow(1.0, 0.2)
     quad = gramian_mode_quadrature(modes, beta, win)
-    assert np.abs(quad - assemble_gramian(modes, beta, win).blocks).max() <= CROSS_PATH_TOL
+    _, _, gap = gramian_cross_check(modes, beta, win)
+    assert gap <= CROSS_PATH_TOL
+    # the gap is relative to the scale sqrt(Q_ii Q_jj) of each entry
+    closed = assemble_gramian(modes, beta, win).blocks
+    d = np.sqrt(np.diagonal(closed, axis1=1, axis2=2))
+    assert np.all(np.abs(quad - closed) <= CROSS_PATH_TOL * d[:, :, None] * d[:, None, :])
     # a mode whose transient fits one panel keeps the one-panel rule, bit for bit
     roots = np.array([ModeBlock(lam, beta).roots()[1] for lam in modes.lambdas])
     one = 2.0 * np.abs(roots) * win.delta <= PANEL_SPAN
@@ -123,6 +128,7 @@ def test_zero_window_gives_zero_blocks():
     )
     gset = assemble_gramian(laplacian_eigenvalues(1.0, 3), 2.0, win)
     assert not gset.positive_definite
+    assert gramian_cross_check(laplacian_eigenvalues(1.0, 3), 2.0, win)[2] == 0.0
 
 
 def test_assemble_all_blocks_positive_definite():

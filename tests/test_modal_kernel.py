@@ -63,3 +63,17 @@ def test_roots_match_mpmath(beta, lam):
         want = (-mpmath.mpf(lam) / (beta + s), -mpmath.mpf(lam) * (beta + s))
     for got, ref in zip(ModeBlock(lam, beta).roots(), want):
         assert abs(got - ref) <= 4e-16 * abs(ref)
+
+
+@pytest.mark.parametrize("beta", [1e5, 1e8])
+def test_input_response_entry_a22_matches_mpmath_entrywise(beta):
+    # a22 = phi'(t) falls from 1 through 0 to about r1 / gap while the
+    # normwise test above sees only the O(1) entries; formed as
+    # e^{r1 t} (e^{-gap t} + r1 ratio) it keeps its relative accuracy, where
+    # e^{r1 t} + r2 phi cancelled to 0 once e^{r2 t} had decayed
+    lam = _lambdas(3.5, range(1, 9))
+    for t in np.geomspace(1e-9, 0.2, 41):
+        a22 = exp_entries(lam, beta, t, energy=True)[3]
+        for j, lj in enumerate(lam):
+            want = modal_reference(lj, beta, t)[0][1][1]
+            assert abs(a22[j] - want) <= 1e-13 * abs(want)

@@ -261,9 +261,6 @@ def test_control_batch_costate_and_validation():
     assert got.shape == (2, 7, 3, 2)
     for cell, e in zip(got, eta):
         np.testing.assert_array_equal(cell, ControlSignal(WINDOW, e, modes, BETA).costate(t))
-    out = np.full((2, 7, 3, 2), np.nan)
-    assert batch.costate(t, out=out) is out
-    np.testing.assert_array_equal(out, got)
     for alpha in ([0.1], 0.1, None):
         with pytest.raises(InvalidArgumentError, match="one alpha per cell"):
             ControlSignal(WINDOW, eta, modes, BETA, alpha=alpha)
