@@ -27,9 +27,7 @@ from .semigroup import (
     DecayEnvelope,
     ModeBlock,
     apply_semigroup,
-    block_exp,
     decay_envelope,
-    operator_norms,
 )
 from .gramian import (
     GramianSet,
@@ -55,7 +53,6 @@ from .dynamics import (
     apply_impulse,
     evaluate_nonlinearity,
     simulate,
-    verify_f_bound,
 )
 from .harness import (
     CheckResult,

@@ -565,42 +565,3 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         impulse_events=impulse_events,
     )
 
-
-def verify_f_bound(
-    catalog: NonlinearityCatalog,
-    domain: SpatialDomain,
-    modes: ModeSet,
-    samples: int = 1000,
-    seed: int = 0,
-) -> dict:
-    """Empirical check of the growth bound on the forcing increment.
-
-    Draws random delayed states and controls across several magnitudes,
-    measures ||F increment|| against a*||state|| + b with the catalog's
-    declared constants, and fits an empirical affine envelope for reporting.
-    """
-    rng = np.random.default_rng(seed)
-    scales = 10.0 ** rng.uniform(-2, 1, size=samples)
-    coords = rng.standard_normal((samples, modes.count, 2)) * scales[:, None, None]
-    Uc = rng.standard_normal((samples, modes.count)) * scales[:, None]
-    increments = evaluate_nonlinearity(
-        coords[:, :, 0] / modes.lambdas, coords[:, :, 1], Uc, catalog, domain, modes
-    )
-    fnorm = np.linalg.norm(increments, axis=1)
-    norms = np.linalg.norm(coords.reshape(samples, -1), axis=1)
-
-    a_decl, b_decl = catalog.bound_constants(domain, modes)
-    violation = float(np.max(fnorm - (a_decl * norms + b_decl)))
-    if np.allclose(fnorm, 0.0):
-        a_fit, b_fit = 0.0, 0.0
-    else:
-        a_fit, b_fit = np.polyfit(norms, fnorm, 1)
-    return {
-        "a_declared": a_decl,
-        "b_declared": b_decl,
-        "a_fit": float(a_fit),
-        "b_fit": float(b_fit),
-        "max_violation": violation,
-        "passed": violation <= 1e-3,
-        "samples": samples,
-    }

@@ -54,23 +54,32 @@ class SteerWindow:
 
 @dataclass(frozen=True)
 class GramianSet:
-    """Per-mode Gramian blocks stacked as an (N, 2, 2) array."""
+    """Per-mode Gramian blocks stacked as an (N, 2, 2) array, or (D, N, 2, 2) for D
+    windows, with one ``min_eigenvalue`` per window."""
 
     blocks: np.ndarray
-    min_eigenvalue: float
+    min_eigenvalue: float | np.ndarray
     positive_definite: bool
 
     @property
     def count(self) -> int:
-        return int(self.blocks.shape[0])
+        return int(self.blocks.shape[-3])
 
     @classmethod
     def from_blocks(cls, blocks) -> "GramianSet":
         blocks = np.asarray(blocks, dtype=float)
-        if blocks.ndim != 3 or blocks.shape[1:] != (2, 2):
-            raise InvalidArgumentError("blocks must have shape (N, 2, 2)")
-        min_eig = float(np.linalg.eigvalsh(blocks)[:, 0].min())
-        return cls(blocks, min_eig, min_eig > 0)
+        if blocks.ndim not in (3, 4) or blocks.shape[-2:] != (2, 2):
+            raise InvalidArgumentError("blocks must have shape (N, 2, 2) or (D, N, 2, 2)")
+        min_eig = np.linalg.eigvalsh(blocks)[..., 0].min(axis=-1)
+        positive = bool((min_eig > 0).all())
+        return cls(blocks, float(min_eig) if min_eig.ndim == 0 else min_eig, positive)
+
+
+def window_lengths(window):
+    """delta of a window, or a (D, 1) column of those of a window sequence."""
+    if isinstance(window, SteerWindow):
+        return window.delta
+    return np.array([w.delta for w in window])[:, None]
 
 
 @lru_cache(maxsize=8)
@@ -109,23 +118,28 @@ def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow, nodes=64)
     return np.stack([q11, q12, q12, q22], axis=-1).reshape(-1, 2, 2)
 
 
-def assemble_gramian(modes: ModeSet, beta: float, window: SteerWindow) -> GramianSet:
-    """Closed-form Gramian blocks for every mode, with the spectral summary."""
-    q11, q12, q22 = gramian_entries(modes.lambdas, beta, window.delta)
-    return GramianSet.from_blocks(np.stack([q11, q12, q12, q22], axis=-1).reshape(-1, 2, 2))
+def assemble_gramian(modes: ModeSet, beta: float, window) -> GramianSet:
+    """Closed-form Gramian blocks for every mode, with the spectral summary; for a
+    sequence of D windows the (D, N, 2, 2) blocks of all from one evaluation."""
+    q11, q12, q22 = gramian_entries(modes.lambdas, beta, window_lengths(window))
+    blocks = np.stack([q11, q12, q12, q22], axis=-1).reshape(q11.shape + (2, 2))
+    return GramianSet.from_blocks(blocks)
 
 
 def solve_regularized(gramians: GramianSet, alpha, rhs: np.ndarray) -> np.ndarray:
     """Blockwise solution eta of (alpha I + Q_j) eta_j = rhs_j.
 
-    ``rhs`` holds one energy-coordinate pair per mode, shape (N, 2), as does the result,
-    with a leading cell axis for a sequence of alphas: one stacked solve of all systems.
+    ``rhs`` holds one energy-coordinate pair per mode, (N, 2), or (D, N, 2) for a set
+    of D windows.  A sequence of alphas adds a cell axis after the window axis, as in
+    (D, cells, N, 2) for the result: one stacked solve of all systems.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim > 1 or not np.all(alpha > 0):
         raise InvalidArgumentError("regularisation parameter must be positive")
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (gramians.count, 2):
-        raise InvalidArgumentError("rhs must have shape (N, 2)")
-    systems = gramians.blocks + alpha[..., None, None, None] * np.eye(2)
-    return np.linalg.solve(systems, rhs[:, :, None])[..., 0]
+    if rhs.shape != gramians.blocks.shape[:-1]:
+        raise InvalidArgumentError("rhs must have shape (N, 2), or (D, N, 2) for D windows")
+    blocks, rhs = gramians.blocks, rhs[..., None]
+    if alpha.ndim:
+        blocks, rhs = blocks[..., None, :, :, :], rhs[..., None, :, :, :]
+    return np.linalg.solve(blocks + alpha[..., None, None, None] * np.eye(2), rhs)[..., 0]

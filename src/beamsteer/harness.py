@@ -5,7 +5,9 @@ with zero control up to the window start, synthesize the regularized
 steering control from the state reached there, continue the full semilinear
 simulation over the window, and compare against the steered linear solution.
 The zero-control run is simulated once; every cell resumes from it at its
-window start, and all alphas of one window run as one batch.  Per
+window start, and all alphas of one window run as one batch.  The linear
+layer (Gramians, syntheses, linear steers and errors) of every window is one
+stacked evaluation with the windows on a leading axis.  Per
 (alpha, delta) cell the recorded errors are
 
     error_total = ||z(tau) - z1||        (goal of the experiment)
@@ -265,29 +267,39 @@ def pullback_cell(
 def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> list[ResultRow]:
     """Full sweep over (delta, alpha), deltas outer, both descending.
 
-    One zero-control base run serves every cell; per delta one Gramian, and
-    one batch of all alphas: one stacked synthesis, one window run resumed
-    from the base run and one linear steer.  A row's runtime is an equal
-    share of its batch.
+    One zero-control base run serves every cell.  The linear layer of the whole
+    grid is one batch: one Gramian evaluation of every window, one stacked
+    synthesis from the window-start states and one linear steer.  Per delta one
+    window run of all alphas resumes from the base run, and one error evaluation
+    covers every cell.  A row's runtime is an equal share of its window run plus
+    an equal share of the linear batch.
     """
     config, base_traj, target = pullback_setup(spec)
     modes = config.modes()
     alphas = sorted(spec.alphas, reverse=True)
-    steps = round(config.tau / config.step)
-    rows = []
-    for delta in sorted(spec.deltas, reverse=True):
-        window = SteerWindow(config.tau, delta)
-        gramians = assemble_gramian(modes, config.beta, window)
-        z_mid = base_traj.state_at(window.start)
+    deltas = sorted(spec.deltas, reverse=True)
+    windows = [SteerWindow(config.tau, delta) for delta in deltas]
+    starts = [base_traj.index_at(window.start) for window in windows]
+    z_mid = BeamState(base_traj.w[starts], base_traj.v[starts])
+    t0 = timer()
+    gramians = assemble_gramian(modes, config.beta, windows)
+    problem = SteeringProblem(z_mid, target, windows, alphas)
+    controls = synthesize_control(problem, modes, config.beta, gramians=gramians)
+    y_tau = steer_linear(z_mid, controls, modes, config.beta, gramians=gramians)
+    linear = (timer() - t0) / (len(deltas) * len(alphas))
+    runs, shares = [], []
+    for control in controls:
         t0 = timer()
-        problem = SteeringProblem(z_mid, target, window, alphas)
-        control = synthesize_control(problem, modes, config.beta, gramians=gramians)
-        z_tau = simulate(config, control, prefix=base_traj)
-        y_tau = steer_linear(z_mid, control, modes, config.beta, gramians=gramians)
-        share = (timer() - t0) / len(alphas)
-        errors = _errors(z_tau, y_tau, target, modes)
-        rows += [ResultRow(a, delta, *e, share, steps) for a, *e in zip(alphas, *errors)]
-    return rows
+        runs.append(simulate(config, control, prefix=base_traj))
+        shares.append(linear + (timer() - t0) / len(alphas))
+    z_tau = BeamState(np.stack([z.w for z in runs]), np.stack([z.v for z in runs]))
+    errors = np.stack(_errors(z_tau, y_tau, target, modes), axis=-1)  # (deltas, alphas, 3)
+    steps = round(config.tau / config.step)
+    return [
+        ResultRow(a, delta, *e.tolist(), share, steps)
+        for delta, share, row in zip(deltas, shares, errors)
+        for a, e in zip(alphas, row)
+    ]
 
 
 def summarize_rows(rows: list[ResultRow], epsilon: float) -> dict:

@@ -31,10 +31,6 @@ both from the Lyapunov equation, and Q11 = 2 lambda**2 t**3 D3 with D3 the
 third divided difference of exp at 0, 2 r1 t, (r1 + r2) t, 2 r2 t.  D3 is
 taken by the expm1-based recursion once the points spread over at least
 SERIES_SPREAD, and by its Taylor series in (r1 + r2) t and (2 d t)**2 below.
-
-Operator norms are measured in the energy metric, i.e. after the diagonal
-similarity D = diag(lambda, 1) per block, which is the metric matching the
-state-space norm used throughout.
 """
 
 from __future__ import annotations
@@ -145,32 +141,13 @@ def gramian_entries(lambdas, beta: float, t):
     return 2.0 * lam * lam * t**3 * d3, 0.5 * y1 * phi, q22
 
 
-def block_exp(block: ModeBlock, t: float, energy: bool = False) -> np.ndarray:
-    """Exact 2x2 exponential exp(K t) of one modal block."""
-    a11, a12, a21, a22 = exp_entries(np.array([block.lam]), block.beta, t, energy)
-    return np.array([[a11[0], a12[0]], [a21[0], a22[0]]])
-
-
-def apply_semigroup(state: BeamState, t: float, modes: ModeSet, beta: float) -> BeamState:
-    """Propagate a state by time t, blockwise over the modes."""
+def apply_semigroup(state: BeamState, t, modes: ModeSet, beta: float) -> BeamState:
+    """Propagate a state by time t, blockwise over the modes; a batch of D states
+    takes one time each as a (D, 1) column."""
     if state.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
     a11, a12, a21, a22 = exp_entries(modes.lambdas, beta, t)
     return BeamState(a11 * state.w + a12 * state.v, a21 * state.w + a22 * state.v)
-
-
-def operator_norms(modes: ModeSet, beta: float, times) -> np.ndarray:
-    """Energy-metric norm of the solution operator at each requested time.
-
-    The norm at time t is max_j sigma_max(D_j exp(K_j t) D_j^{-1}), where the
-    largest singular value of a 2x2 block [[a, b], [c, d]] is
-    (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise InvalidArgumentError("times must be nonnegative")
-    a11, a12, a21, a22 = exp_entries(modes.lambdas, beta, times[:, None], energy=True)
-    return 0.5 * (np.hypot(a11 + a22, a21 - a12) + np.hypot(a11 - a22, a21 + a12)).max(axis=1)
 
 
 @dataclass(frozen=True)

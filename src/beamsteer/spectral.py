@@ -93,7 +93,7 @@ def basis_matrix(domain: SpatialDomain, count: int) -> np.ndarray:
 @dataclass
 class BeamState:
     """Deflection and velocity coefficient vectors of equal length; a batch of
-    states has a leading cell axis, shape (cells, N), and iterates over its cells."""
+    states has leading cell axes, shape (..., N), and iterates over the first."""
 
     w: np.ndarray
     v: np.ndarray
@@ -101,8 +101,8 @@ class BeamState:
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        if self.w.shape != self.v.shape or self.w.ndim not in (1, 2):
-            raise InvalidArgumentError("w and v must be arrays of equal shape (N,) or (cells, N)")
+        if self.w.shape != self.v.shape or self.w.ndim == 0:
+            raise InvalidArgumentError("w and v must be arrays of equal shape (..., N)")
 
     @property
     def count(self) -> int:
@@ -139,7 +139,7 @@ def energy_norm(state: BeamState, modes: ModeSet):
 
 
 def energy_coords(state: BeamState, modes: ModeSet) -> np.ndarray:
-    """Per-mode pairs (lambda_j w_j, v_j) as an (N, 2) array, (cells, N, 2) for a batch.
+    """Per-mode pairs (lambda_j w_j, v_j) as an (N, 2) array, (..., N, 2) for a batch.
 
     The Euclidean norm of the result equals the energy norm of the state.
     """
@@ -151,6 +151,6 @@ def energy_coords(state: BeamState, modes: ModeSet) -> np.ndarray:
 def state_from_coords(coords: np.ndarray, modes: ModeSet) -> BeamState:
     """Inverse of :func:`energy_coords`."""
     coords = np.asarray(coords, dtype=float)
-    if coords.shape[-2:] != (modes.count, 2) or coords.ndim not in (2, 3):
-        raise InvalidArgumentError("coords must have shape (N, 2) or (cells, N, 2)")
+    if coords.ndim < 2 or coords.shape[-2:] != (modes.count, 2):
+        raise InvalidArgumentError("coords must have shape (..., N, 2)")
     return BeamState(coords[..., 0] / modes.lambdas, coords[..., 1].copy())

@@ -12,7 +12,9 @@ Since u = G* eta, the mapped control G u = G G* eta = Q eta and the energy
 integrates the control numerically.  Everything works per mode in energy
 coordinates; control values are scalars per mode and coordinate-free.
 Alphas on one window share d, so a sequence of them gives one control batch,
-eta of shape (cells, N, 2) from one stacked solve, steered with one T(delta) y0.
+eta of shape (cells, N, 2) from one stacked solve.  A sequence of D windows,
+one start state each, is one stacked evaluation too: one T(delta) y0 of all
+start states, eta of shape (D, cells, N, 2) from one solve, and one steer.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .gramian import GramianSet, SteerWindow, assemble_gramian, solve_regularized
+from .gramian import GramianSet, SteerWindow, assemble_gramian, solve_regularized, window_lengths
 from .semigroup import apply_semigroup, exp_entries
 from .spectral import BeamState, ModeSet, energy_coords, state_from_coords
 
@@ -73,11 +75,12 @@ class ControlSignal:
 
 @dataclass(frozen=True)
 class SteeringProblem:
-    """Start state at tau - delta, target at tau, and one alpha or a sequence of them."""
+    """Start state at tau - delta, target at tau, and one alpha or a sequence of them;
+    for a sequence of D windows ``y0`` is the batch of their D start states."""
 
     y0: BeamState
     z1: BeamState
-    window: SteerWindow
+    window: SteerWindow | tuple
     alpha: float | list
 
     def __post_init__(self):
@@ -86,6 +89,10 @@ class SteeringProblem:
             raise InvalidArgumentError("alpha must lie in (0, 1]")
         if self.y0.count != self.z1.count:
             raise InvalidArgumentError("start and target sizes differ")
+        if not isinstance(self.window, SteerWindow):
+            object.__setattr__(self, "window", tuple(self.window))
+            if not self.window or self.y0.w.shape[:-1] != (len(self.window),):
+                raise InvalidArgumentError("a sequence of windows needs one start state each")
 
 
 def synthesize_control(
@@ -93,39 +100,51 @@ def synthesize_control(
     modes: ModeSet,
     beta: float,
     gramians: GramianSet | None = None,
-) -> ControlSignal:
-    """Regularized steering control for the given problem, a batch for a sequence of alphas."""
+):
+    """Regularized steering control for the given problem, a batch for a sequence of alphas;
+    for a sequence of windows a list of each window's control, from one stacked solve."""
     win = problem.window
-    if win.delta <= 0:
+    windows = [win] if isinstance(win, SteerWindow) else win
+    if any(w.delta <= 0 for w in windows):
         raise InvalidArgumentError("steering requires a window of positive length")
     if gramians is None:
         gramians = assemble_gramian(modes, beta, win)
     if not gramians.positive_definite:
-        raise InvalidArgumentError("Gramian is not positive definite on this window")
-    moved = apply_semigroup(problem.y0, win.delta, modes, beta)
+        bad = windows[np.argmin(gramians.min_eigenvalue)].delta
+        raise InvalidArgumentError(f"Gramian is not positive definite on the window delta={bad:g}")
+    moved = apply_semigroup(problem.y0, window_lengths(win), modes, beta)
     d = energy_coords(problem.z1, modes) - energy_coords(moved, modes)
     eta = solve_regularized(gramians, problem.alpha, d)
-    return ControlSignal(win, eta, modes, beta, alpha=problem.alpha)
+    if isinstance(win, SteerWindow):
+        return ControlSignal(win, eta, modes, beta, alpha=problem.alpha)
+    return [ControlSignal(w, e, modes, beta, alpha=problem.alpha) for w, e in zip(win, eta)]
 
 
 def steer_linear(
-    y0: BeamState, control: ControlSignal, modes: ModeSet, beta: float,
-    gramians: GramianSet | None = None,
+    y0: BeamState, control, modes: ModeSet, beta: float, gramians: GramianSet | None = None,
 ) -> BeamState:
     """Terminal state of the controlled linear dynamics on the window.
 
     y(tau) = T(delta) y0 + G u, and since u = G* eta the mapped control is
     G G* eta = Q eta, exact in the closed-form Gramian blocks (those of
     ``gramians`` when given, which must be the set of the control's window).
-    A control batch gives a batch of states, T(delta) y0 formed once.
+    A control batch gives a batch of states, T(delta) y0 formed once; the list of
+    controls that a window sequence gives, with its D start states ``y0``, gives
+    states of shape (D, cells, N).
     """
     if y0.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
-    win = control.window
+    if isinstance(control, ControlSignal):
+        window, eta = control.window, control.eta
+    else:
+        window, eta = [c.window for c in control], np.stack([c.eta for c in control])
     if gramians is None:
-        gramians = assemble_gramian(modes, beta, win)
-    free = energy_coords(apply_semigroup(y0, win.delta, modes, beta), modes)
-    return state_from_coords(free + (gramians.blocks @ control.eta[..., None])[..., 0], modes)
+        gramians = assemble_gramian(modes, beta, window)
+    free = energy_coords(apply_semigroup(y0, window_lengths(window), modes, beta), modes)
+    blocks = gramians.blocks
+    if eta.ndim > free.ndim:  # the cell axis goes after the window axis
+        free, blocks = free[..., None, :, :], blocks[..., None, :, :, :]
+    return state_from_coords(free + (blocks @ eta[..., None])[..., 0], modes)
 
 
 def control_energy(control: ControlSignal, gramians: GramianSet) -> float:

@@ -6,7 +6,10 @@ assembled from scratch.  The stepwise simulator and the memory re-sum reuse
 the package's one-step exponential and collocation, and check how the slab
 integrator and its memory recursion combine them; the stepwise control
 increments come from their own quadrature.  The plain sine
-transforms, the block generator and the left-limit lookup serve only tests.
+transforms, the block generator and the left-limit lookup serve only tests, as
+do the package-based helpers below: one block's exponential, the operator-norm
+sweep (both in the energy metric, after the similarity D = diag(lambda, 1) per
+block) and the sampled check of the forcing's growth bound.
 """
 
 from dataclasses import replace
@@ -20,6 +23,7 @@ from beamsteer import (
     Trajectory,
     apply_impulse,
     basis_matrix,
+    evaluate_nonlinearity,
 )
 from beamsteer.dynamics import _collocate, exact_multiple
 from beamsteer.errors import BlowUpError, InvalidArgumentError
@@ -222,6 +226,60 @@ def step_control_quadrature(control, starts, h, nodes=32):
         response = (V @ (np.exp(np.outer(mu, h - s)) * coeffs[:, None])).real
         out[:, j] = (0.5 * h * w * u[:, :, j]) @ response.T
     return out[..., 0] / lambdas, out[..., 1]
+
+
+def block_exp(block, t: float, energy: bool = False) -> np.ndarray:
+    """Exact 2x2 exponential exp(K t) of one modal block."""
+    a11, a12, a21, a22 = exp_entries(np.array([block.lam]), block.beta, t, energy)
+    return np.array([[a11[0], a12[0]], [a21[0], a22[0]]])
+
+
+def operator_norms(modes: ModeSet, beta: float, times) -> np.ndarray:
+    """Energy-metric norm of the solution operator at each requested time.
+
+    The norm at time t is max_j sigma_max(D_j exp(K_j t) D_j^{-1}), where the
+    largest singular value of a 2x2 block [[a, b], [c, d]] is
+    (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise InvalidArgumentError("times must be nonnegative")
+    a11, a12, a21, a22 = exp_entries(modes.lambdas, beta, times[:, None], energy=True)
+    return 0.5 * (np.hypot(a11 + a22, a21 - a12) + np.hypot(a11 - a22, a21 + a12)).max(axis=1)
+
+
+def verify_f_bound(catalog, domain, modes: ModeSet, samples: int = 1000, seed: int = 0) -> dict:
+    """Empirical check of the growth bound on the forcing increment.
+
+    Draws random delayed states and controls across several magnitudes,
+    measures ||F increment|| against a*||state|| + b with the catalog's
+    declared constants, and fits an empirical affine envelope for reporting.
+    """
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-2, 1, size=samples)
+    coords = rng.standard_normal((samples, modes.count, 2)) * scales[:, None, None]
+    Uc = rng.standard_normal((samples, modes.count)) * scales[:, None]
+    increments = evaluate_nonlinearity(
+        coords[:, :, 0] / modes.lambdas, coords[:, :, 1], Uc, catalog, domain, modes
+    )
+    fnorm = np.linalg.norm(increments, axis=1)
+    norms = np.linalg.norm(coords.reshape(samples, -1), axis=1)
+
+    a_decl, b_decl = catalog.bound_constants(domain, modes)
+    violation = float(np.max(fnorm - (a_decl * norms + b_decl)))
+    if np.allclose(fnorm, 0.0):
+        a_fit, b_fit = 0.0, 0.0
+    else:
+        a_fit, b_fit = np.polyfit(norms, fnorm, 1)
+    return {
+        "a_declared": a_decl,
+        "b_declared": b_decl,
+        "a_fit": float(a_fit),
+        "b_fit": float(b_fit),
+        "max_violation": violation,
+        "passed": violation <= 1e-3,
+        "samples": samples,
+    }
 
 
 def f_bound_per_sample(catalog, domain, modes, samples, seed):

@@ -20,7 +20,6 @@ from beamsteer import (
     simulate,
     steer_linear,
     synthesize_control,
-    verify_f_bound,
 )
 from beamsteer import dynamics, spectral
 from beamsteer.dynamics import CHUNK, F_READS
@@ -32,6 +31,7 @@ from oracles import (
     project,
     simulate_stepwise,
     synthesize,
+    verify_f_bound,
 )
 
 BETA = 2.0

@@ -12,12 +12,14 @@ import beamsteer.cli as cli
 from beamsteer import (
     BeamState,
     ExperimentSpec,
+    GramianSet,
     ImpulseSchedule,
     NonlinearityCatalog,
     ResultRow,
     SimConfig,
     SteerWindow,
     SteeringProblem,
+    assemble_gramian,
     emit_csv,
     energy_coords,
     energy_norm,
@@ -29,6 +31,7 @@ from beamsteer import (
     run_linear_suite,
     run_pullback_experiment,
     simulate,
+    solve_regularized,
     steer_linear,
     suite_ok,
     summarize_rows,
@@ -195,20 +198,24 @@ BATCH_SPECS = [
 @pytest.mark.parametrize("make_spec", BATCH_SPECS, ids=["default", "f_zero", "kernel_zero"])
 def test_rows_do_not_depend_on_their_batch(make_spec):
     # a cell's row is the same, bitwise, whether its alpha runs alone or in
-    # the window batch of every alpha
+    # the window batch of every alpha, and whether its delta runs alone or in
+    # the linear batch of every window
     spec = make_spec()
     rows = {(r.delta, r.alpha): r for r in run_pullback_experiment(spec)}
-    for alpha in spec.alphas:
-        for alone in run_pullback_experiment(replace(spec, alphas=[alpha])):
-            batched = rows[(alone.delta, alpha)]
-            assert (alone.error_total, alone.error_nl, alone.error_lin) == (
+    alone = [replace(spec, alphas=[a]) for a in spec.alphas]
+    alone += [replace(spec, deltas=[d]) for d in spec.deltas]
+    for part in alone:
+        for row in run_pullback_experiment(part):
+            batched = rows[(row.delta, row.alpha)]
+            assert (row.error_total, row.error_nl, row.error_lin) == (
                 batched.error_total, batched.error_nl, batched.error_lin
             )
 
 
 def test_stacked_synthesis_matches_single_alpha_calls():
     # one stacked solve gives every alpha's eta bitwise, and one batched
-    # linear steer every alpha's terminal state
+    # linear steer every alpha's terminal state; a sequence of windows gives
+    # every window's eta and terminal states bitwise as its single-window calls
     spec = load_experiment(None)
     config, base, target = _base_run(spec)
     modes = config.modes()
@@ -224,6 +231,57 @@ def test_stacked_synthesis_matches_single_alpha_calls():
         assert np.array_equal(single.eta, eta)
         want = steer_linear(z_mid, single, modes, config.beta)
         assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
+    for deltas in (spec.deltas, spec.deltas[:1]):
+        windows = [SteerWindow(config.tau, d) for d in deltas]
+        at = [base.index_at(w.start) for w in windows]
+        starts = BeamState(base.w[at], base.v[at])
+        for alphas in (spec.alphas, spec.alphas[0]):
+            stacked = SteeringProblem(starts, target, windows, alphas)
+            controls = synthesize_control(stacked, modes, config.beta)
+            steered = steer_linear(starts, controls, modes, config.beta)
+            assert steered.w.shape == (len(windows),) + np.shape(alphas) + (modes.count,)
+            for win, y0, control, y_tau in zip(windows, starts, controls, steered):
+                single = synthesize_control(
+                    SteeringProblem(y0, target, win, alphas), modes, config.beta
+                )
+                assert control.window == win and control.alpha == alphas
+                assert np.array_equal(single.eta, control.eta)
+                want = steer_linear(y0, single, modes, config.beta)
+                assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
+
+
+def test_stacked_windows_reject_mismatched_inputs():
+    spec = load_experiment(None)
+    modes = spec.config.modes()
+    windows = [SteerWindow(spec.config.tau, d) for d in spec.deltas]
+    stacked = assemble_gramian(modes, spec.config.beta, windows)
+    assert stacked.blocks.shape == (len(windows), modes.count, 2, 2)
+    assert stacked.min_eigenvalue.shape == (len(windows),)
+    with pytest.raises(InvalidArgumentError, match="rhs must have shape"):
+        solve_regularized(stacked, 0.1, np.zeros((len(windows) - 1, modes.count, 2)))
+    with pytest.raises(InvalidArgumentError, match="rhs must have shape"):
+        solve_regularized(stacked, [0.1, 0.01], np.zeros((modes.count, 2)))
+    starts = BeamState(np.zeros((len(windows), modes.count)), np.zeros((len(windows), modes.count)))
+    target = BeamState.zeros(modes.count)
+    with pytest.raises(InvalidArgumentError, match="one start state each"):
+        SteeringProblem(BeamState.zeros(modes.count), target, windows, 0.1)
+    # a window whose Gramian lost positive definiteness is named by its delta
+    blocks = stacked.blocks.copy()
+    blocks[1, 3] = -blocks[1, 3]
+    broken = GramianSet.from_blocks(blocks)
+    assert not broken.positive_definite and broken.min_eigenvalue[1] < 0
+    problem = SteeringProblem(starts, target, windows, [0.1, 0.01])
+    with pytest.raises(InvalidArgumentError, match=f"delta={spec.deltas[1]:g}"):
+        synthesize_control(problem, modes, spec.config.beta, gramians=broken)
+
+
+def test_library_writes_nothing_to_stdout(capfd):
+    # results go to return values and files, and only the command line prints:
+    # nothing reaches standard output, from Python or below it
+    spec = load_experiment(None)
+    run_pullback_experiment(spec)
+    run_linear_suite(spec)
+    assert capfd.readouterr().out == ""
 
 
 def test_emit_csv_empty(tmp_path):

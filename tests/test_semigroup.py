@@ -8,16 +8,20 @@ from beamsteer import (
     BeamState,
     ModeBlock,
     apply_semigroup,
-    block_exp,
     decay_envelope,
     energy_norm,
     laplacian_eigenvalues,
-    operator_norms,
 )
 from beamsteer.errors import InvalidArgumentError
 from beamsteer.semigroup import exp_entries
 
-from oracles import block_matrix, expm_squaring, interleaved_generator
+from oracles import (
+    block_exp,
+    block_matrix,
+    expm_squaring,
+    interleaved_generator,
+    operator_norms,
+)
 
 
 def test_block_matrix_reference_values():
