@@ -25,7 +25,6 @@ from .spectral import (
 )
 from .semigroup import (
     DecayEnvelope,
-    ModeBlock,
     apply_semigroup,
     decay_envelope,
 )
@@ -50,8 +49,6 @@ from .dynamics import (
     NonlinearityCatalog,
     SimConfig,
     Trajectory,
-    apply_impulse,
-    evaluate_nonlinearity,
     simulate,
 )
 from .harness import (

@@ -50,7 +50,7 @@ def _cmd_linear_check(spec, args) -> int:
 
 
 def _cmd_gramian_check(spec, args) -> int:
-    modes = spec.config.modes()
+    modes = spec.config.modes
     ok = True
     for delta in sorted(spec.deltas, reverse=True):
         window = SteerWindow(spec.config.tau, delta)
@@ -67,7 +67,9 @@ def _cmd_gramian_check(spec, args) -> int:
 
 def _cmd_steer(spec, args) -> int:
     config = spec.config
-    modes = config.modes()
+    if spec.target_kind == "free_trajectory":
+        raise ConfigError("steer has no base run to take a free-trajectory target from")
+    modes = config.modes
     delta = max(spec.deltas)
     alpha = min(spec.alphas)
     window = SteerWindow(config.tau, delta)

@@ -136,11 +136,6 @@ class NonlinearityCatalog:
         w = np.asarray(w, dtype=float)
         return w / (1.0 + w * w)
 
-    def kernel(self, dt):
-        if self.kernel_kind == "zero":
-            return np.zeros_like(np.asarray(dt, dtype=float))
-        return self.kappa * np.exp(-self.gamma * np.asarray(dt, dtype=float))
-
     @property
     def has_memory(self) -> bool:
         return self.kernel_kind != "zero" and self.kappa > 0 and self.g_kind != "zero"
@@ -193,10 +188,16 @@ class ImpulseSchedule:
         return self.gains[k] * np.tanh(np.asarray(w_grid) + np.asarray(v_grid))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Complete description of one simulation run; ``history`` maps n times in
-    [-delay, 0] to (w, v) arrays of shape (n, n_modes), None being zero."""
+    [-delay, 0] to (w, v) arrays of shape (n, n_modes), None being zero.
+
+    Validation derives the system facts once and keeps them: ``modes`` and
+    ``domain``, and the step counts ``delay_steps`` and ``horizon_steps`` and
+    ``impulse_steps`` (one per impulse time).  The config is frozen, so they
+    cannot go stale; ``dataclasses.replace`` derives them anew.
+    """
 
     n_modes: int
     length: float
@@ -209,6 +210,11 @@ class SimConfig:
     impulses: ImpulseSchedule = field(default_factory=ImpulseSchedule)
     history: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     blowup_threshold: float = BLOWUP_THRESHOLD
+    modes: ModeSet = field(init=False, repr=False, compare=False)
+    domain: SpatialDomain = field(init=False, repr=False, compare=False)
+    delay_steps: int = field(init=False, repr=False, compare=False)
+    horizon_steps: int = field(init=False, repr=False, compare=False)
+    impulse_steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1.0 <= self.beta < np.inf:
@@ -219,12 +225,18 @@ class SimConfig:
             raise InvalidArgumentError(
                 "grid_points must be at least twice the mode count"
             )
-        exact_multiple(self.delay, self.step, "the delay")
-        exact_multiple(self.tau, self.step, "the horizon")
+        # the derived facts, set once in this frozen config
+        derive = partial(object.__setattr__, self)
+        derive("delay_steps", exact_multiple(self.delay, self.step, "the delay"))
+        derive("horizon_steps", exact_multiple(self.tau, self.step, "the horizon"))
+        impulse_steps = []
         for t_k in self.impulses.times:
             if not 0 < t_k < self.tau:
                 raise InvalidArgumentError("impulse times must lie inside (0, tau)")
-            exact_multiple(t_k, self.step, f"impulse time {t_k}")
+            impulse_steps.append(exact_multiple(t_k, self.step, f"impulse time {t_k}"))
+        derive("impulse_steps", tuple(impulse_steps))
+        derive("modes", laplacian_eigenvalues(self.length, self.n_modes))
+        derive("domain", SpatialDomain(self.length, self.grid_points))
 
     def validate_delta(self, delta: float):
         """Check a steering-window length against the delay and impulses."""
@@ -237,12 +249,6 @@ class SimConfig:
                 "delta must keep every impulse before the steering window"
             )
         exact_multiple(self.tau - delta, self.step, "the window start")
-
-    def domain(self) -> SpatialDomain:
-        return SpatialDomain(self.length, self.grid_points)
-
-    def modes(self) -> ModeSet:
-        return laplacian_eigenvalues(self.length, self.n_modes)
 
 
 @dataclass
@@ -296,26 +302,6 @@ def _collocate(B, spacing, fn, *coeffs):
     """
     BT = B.T
     return spacing * (fn(*[c @ BT for c in coeffs]) @ B)
-
-
-def _checked_basis(domain: SpatialDomain, modes: ModeSet, *coeffs) -> np.ndarray:
-    """Basis matrix of the grid, once every coefficient array ends in the mode axis."""
-    for c in coeffs:
-        if np.shape(c)[-1:] != (modes.count,):
-            raise InvalidArgumentError("coefficient arrays must end in the mode axis")
-    return basis_matrix(domain, modes.count)
-
-
-def evaluate_nonlinearity(w, v, u, catalog: NonlinearityCatalog, domain, modes) -> np.ndarray:
-    """Velocity increment of the forcing f at delayed state (w, v) and control u."""
-    B = _checked_basis(domain, modes, w, v, u)
-    return _collocate(B, domain.spacing, catalog.f, w, v, u)
-
-
-def apply_impulse(w, v, k: int, schedule: ImpulseSchedule, domain, modes) -> np.ndarray:
-    """Velocity jump of impulse k at state (w, v); the deflection is kept."""
-    B = _checked_basis(domain, modes, w, v)
-    return _collocate(B, domain.spacing, partial(schedule.jump, k), w, v)
 
 
 def _check_resume(config: SimConfig, prefix: Trajectory, start_idx):
@@ -379,11 +365,11 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     start never evaluate the window control, so trajectories for different
     regularisation parameters are bitwise identical up to the window start.
     """
-    modes, domain = config.modes(), config.domain()
-    lam, N, h, catalog = modes.lambdas, config.n_modes, config.step, config.catalog
-    n_r = exact_multiple(config.delay, h, "the delay")
-    idx0 = n_r
-    n_total = n_r + exact_multiple(config.tau, h, "the horizon") + 1
+    lam, domain, N, h, catalog = (
+        config.modes.lambdas, config.domain, config.n_modes, config.step, config.catalog
+    )
+    n_r = idx0 = config.delay_steps
+    n_total = n_r + config.horizon_steps + 1
     times = (np.arange(n_total) - idx0) * h
 
     single = control is None or isinstance(control, ControlSignal) and control.eta.ndim == 2
@@ -438,10 +424,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         memory[: n_total - lo] = prefix.memory[lo:]
         past_w, past_v, pre_impulse = prefix.w, prefix.v, prefix.pre_impulse
 
-    imp_at = {
-        idx0 + exact_multiple(t_k, h, "an impulse time"): k
-        for k, t_k in enumerate(config.impulses.times)
-    }
+    imp_at = {idx0 + n: k for k, n in enumerate(config.impulse_steps)}
 
     B, Bq, qmap, (half_a12, a22), chunk_table, lift, outers = _slab_tables(
         config.length, config.grid_points, N, config.beta, h, chunk, -(-min(OUTER, n_r) // chunk)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import SimConfig, Trajectory, simulate
 from .errors import InvalidArgumentError
-from .gramian import SteerWindow, assemble_gramian, gramian_mode_quadrature, solve_regularized
+from .gramian import SteerWindow, assemble_gramian, gramian_mode_quadrature
 from .semigroup import apply_semigroup
 from .spectral import BeamState, ModeSet, energy_coords, energy_norm, state_from_coords
 from .steering import (
@@ -183,7 +183,7 @@ def pullback_setup(spec: ExperimentSpec):
     The generator of ``spec.seed`` draws the history first, then the target.
     """
     rng = np.random.default_rng(spec.seed)
-    modes = spec.config.modes()
+    modes = spec.config.modes
     history = make_history(
         spec.history_kind,
         spec.history_amplitude,
@@ -226,18 +226,18 @@ def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad):
     Returns ``(control, measured, formula)``: the synthesized control,
     ||T(delta) y0 + Q_quad eta - z1|| with the control mapped through the
     quadrature blocks ``q_quad`` of :func:`gramian_cross_check`, and
-    alpha ||(alpha I + Q)^-1 d|| with the closed-form ``gramians``.  For a
-    problem with a sequence of alphas the control is a batch and both
-    measures are arrays with one value per cell.
+    alpha ||eta|| = alpha ||(alpha I + Q)^-1 d|| with the closed-form
+    ``gramians`` that synthesized eta.  For a problem with a sequence of
+    alphas the control is a batch and both measures are arrays with one
+    value per cell.
     """
     control = synthesize_control(problem, modes, beta, gramians=gramians)
     z1c = energy_coords(problem.z1, modes)
     free = energy_coords(apply_semigroup(problem.y0, problem.window.delta, modes, beta), modes)
     mapped = (q_quad @ control.eta[..., None])[..., 0]
-    alpha = np.asarray(problem.alpha, dtype=float)
-    solved = solve_regularized(gramians, alpha, z1c - free)
     measured = np.linalg.norm(free + mapped - z1c, axis=(-2, -1))
-    return control, measured, alpha * np.linalg.norm(solved, axis=(-2, -1))
+    formula = np.asarray(problem.alpha, dtype=float) * np.linalg.norm(control.eta, axis=(-2, -1))
+    return control, measured, formula
 
 
 def _errors(z, y, target, modes):
@@ -251,7 +251,7 @@ def pullback_cell(
     """One (delta, alpha) cell simulated from scratch over [-delay, tau], its control
     synthesized from the base run's state at the window start: the reference for
     the sweep's batched window runs.  Returns the row and the trajectory."""
-    modes, t0 = config.modes(), time.perf_counter()
+    modes, t0 = config.modes, time.perf_counter()
     window = SteerWindow(config.tau, delta)
     gramians = assemble_gramian(modes, config.beta, window)
     z_mid = base_traj.state_at(window.start)
@@ -260,8 +260,7 @@ def pullback_cell(
     traj = simulate(config, control)
     y_tau = steer_linear(z_mid, control, modes, config.beta, gramians=gramians)
     errors = _errors(traj.terminal(), y_tau, target, modes)
-    steps = round(config.tau / config.step)
-    return ResultRow(alpha, delta, *errors, time.perf_counter() - t0, steps), traj
+    return ResultRow(alpha, delta, *errors, time.perf_counter() - t0, config.horizon_steps), traj
 
 
 def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> list[ResultRow]:
@@ -275,7 +274,7 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
     an equal share of the linear batch.
     """
     config, base_traj, target = pullback_setup(spec)
-    modes = config.modes()
+    modes = config.modes
     alphas = sorted(spec.alphas, reverse=True)
     deltas = sorted(spec.deltas, reverse=True)
     windows = [SteerWindow(config.tau, delta) for delta in deltas]
@@ -294,9 +293,8 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
         shares.append(linear + (timer() - t0) / len(alphas))
     z_tau = BeamState(np.stack([z.w for z in runs]), np.stack([z.v for z in runs]))
     errors = np.stack(_errors(z_tau, y_tau, target, modes), axis=-1)  # (deltas, alphas, 3)
-    steps = round(config.tau / config.step)
     return [
-        ResultRow(a, delta, *e.tolist(), share, steps)
+        ResultRow(a, delta, *e.tolist(), share, config.horizon_steps)
         for delta, share, row in zip(deltas, shares, errors)
         for a, e in zip(alphas, row)
     ]
@@ -355,7 +353,7 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     is expected to lose positive definiteness.
     """
     config = spec.config
-    modes = config.modes()
+    modes = config.modes
     beta = config.beta
     delta = max(spec.deltas)
     window = SteerWindow(config.tau, delta)
@@ -381,7 +379,7 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     # the identity checks map the control through the quadrature blocks, so
     # they test the closed forms instead of restating them
     problem = SteeringProblem(y0, z1, window, [1.0, 1e-2, 1e-4])
-    _, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad)
+    identity, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad)
     worst = float(np.abs(measured - formula).max())
     results.append(CheckResult("residual_identity", worst <= CROSS_PATH_TOL, worst, CROSS_PATH_TOL))
 
@@ -402,9 +400,8 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
         )
     )
 
-    control = synthesize_control(
-        SteeringProblem(y0, z1, window, 1e-2), modes, beta, gramians=gramians
-    )
+    # the alpha = 1e-2 cell of the identity batch
+    control = replace(identity, eta=identity.eta[1], alpha=identity.alpha[1])
     energy = control_energy(control, gramians)
     quad_form = float(np.sum(control.eta[:, None, :] @ q_quad @ control.eta[:, :, None]))
     rel = abs(energy - quad_form) / max(quad_form, 1e-300)

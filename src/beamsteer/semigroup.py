@@ -55,25 +55,6 @@ _SERIES = np.array(
 )
 
 
-@dataclass(frozen=True)
-class ModeBlock:
-    """One modal block, parameterised by its eigenvalue and the damping."""
-
-    lam: float
-    beta: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise InvalidArgumentError("mode eigenvalue must be positive")
-        if not self.beta >= 1.0:
-            raise InvalidArgumentError("damping coefficient must be at least 1")
-
-    def roots(self) -> tuple[float, float]:
-        """Characteristic roots (r1, r2), slow one first."""
-        r1, gap = _roots(self.lam, self.beta)
-        return float(r1), float(r1 - gap)
-
-
 def _roots(lambdas, beta: float):
     """Slow root r1 and gap r1 - r2 = 2 lambda sqrt(beta**2 - 1) per eigenvalue."""
     lam = np.asarray(lambdas, dtype=float)

@@ -7,27 +7,70 @@ the package's one-step exponential and collocation, and check how the slab
 integrator and its memory recursion combine them; the stepwise control
 increments come from their own quadrature.  The plain sine
 transforms, the block generator and the left-limit lookup serve only tests, as
-do the package-based helpers below: one block's exponential, the operator-norm
-sweep (both in the energy metric, after the similarity D = diag(lambda, 1) per
-block) and the sampled check of the forcing's growth bound.
+do the package-based helpers below: one modal block with its roots, one block's
+exponential, the operator-norm sweep (both in the energy metric, after the
+similarity D = diag(lambda, 1) per block), the memory kernel, the forcing and
+impulse collocations on their own basis, and the sampled check of the forcing's
+growth bound.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import mpmath
 import numpy as np
 
-from beamsteer import (
-    BeamState,
-    ModeSet,
-    Trajectory,
-    apply_impulse,
-    basis_matrix,
-    evaluate_nonlinearity,
-)
+from beamsteer import BeamState, ModeSet, Trajectory, basis_matrix
 from beamsteer.dynamics import _collocate, exact_multiple
 from beamsteer.errors import BlowUpError, InvalidArgumentError
-from beamsteer.semigroup import exp_entries
+from beamsteer.semigroup import _roots, exp_entries
+
+
+@dataclass(frozen=True)
+class ModeBlock:
+    """One modal block, parameterised by its eigenvalue and the damping."""
+
+    lam: float
+    beta: float
+
+    def __post_init__(self):
+        if self.lam <= 0:
+            raise InvalidArgumentError("mode eigenvalue must be positive")
+        if not self.beta >= 1.0:
+            raise InvalidArgumentError("damping coefficient must be at least 1")
+
+    def roots(self) -> tuple[float, float]:
+        """Characteristic roots (r1, r2), slow one first."""
+        r1, gap = _roots(self.lam, self.beta)
+        return float(r1), float(r1 - gap)
+
+
+def _checked_basis(domain, modes: ModeSet, *coeffs) -> np.ndarray:
+    """Basis matrix of the grid, once every coefficient array ends in the mode axis."""
+    for c in coeffs:
+        if np.shape(c)[-1:] != (modes.count,):
+            raise InvalidArgumentError("coefficient arrays must end in the mode axis")
+    return basis_matrix(domain, modes.count)
+
+
+def evaluate_nonlinearity(w, v, u, catalog, domain, modes) -> np.ndarray:
+    """Velocity increment of the forcing f at delayed state (w, v) and control u."""
+    B = _checked_basis(domain, modes, w, v, u)
+    return _collocate(B, domain.spacing, catalog.f, w, v, u)
+
+
+def apply_impulse(w, v, k: int, schedule, domain, modes) -> np.ndarray:
+    """Velocity jump of impulse k at state (w, v); the deflection is kept."""
+    B = _checked_basis(domain, modes, w, v)
+    return _collocate(B, domain.spacing, partial(schedule.jump, k), w, v)
+
+
+def memory_kernel(catalog, dt):
+    """The catalog's memory kernel at lags ``dt``: zero, or kappa * exp(-gamma * dt)."""
+    dt = np.asarray(dt, dtype=float)
+    if catalog.kernel_kind == "zero":
+        return np.zeros_like(dt)
+    return catalog.kappa * np.exp(-catalog.gamma * dt)
 
 
 def expm_squaring(A, order=24):
@@ -149,7 +192,7 @@ def memory_term(t, trajectory, catalog, domain, modes):
     dt = (i - np.arange(i0, i + 1)) * trajectory.step
     weights = np.full(i - i0 + 1, trajectory.step)
     weights[0] = weights[-1] = trajectory.step / 2.0
-    kern = catalog.kernel(dt)
+    kern = memory_kernel(catalog, dt)
     return BeamState(np.zeros(modes.count), (kern * weights) @ gproj)
 
 
@@ -327,7 +370,7 @@ def simulate_stepwise(config, control=None):
     whose per-step increments come from :func:`step_control_quadrature`.
     Returns the Trajectory that ``simulate`` would.
     """
-    modes, domain = config.modes(), config.domain()
+    modes, domain = config.modes, config.domain
     lam, N, h, catalog = modes.lambdas, config.n_modes, config.step, config.catalog
     n_r = exact_multiple(config.delay, h, "the delay")
     idx0 = n_r

@@ -12,7 +12,6 @@ import pytest
 
 from beamsteer import (
     BeamState,
-    ModeBlock,
     NonlinearityCatalog,
     SpatialDomain,
     SteerWindow,
@@ -35,6 +34,7 @@ from beamsteer.dynamics import SimConfig
 from beamsteer.harness import CROSS_PATH_TOL, gramian_cross_check, residual_identity
 
 from oracles import (
+    ModeBlock,
     block_exp,
     expm_squaring,
     interleaved_generator,
@@ -194,7 +194,7 @@ def test_criterion_6_pullback_invariance():
     t0 = time.perf_counter()
     spec = load_experiment(None)
     rng = np.random.default_rng(spec.seed)
-    modes = spec.config.modes()
+    modes = spec.config.modes
     history = make_history(
         spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng
     )
@@ -250,7 +250,7 @@ def test_criterion_8_integrator_self_convergence():
     t0 = time.perf_counter()
     spec = load_experiment(None)
     rng = np.random.default_rng(spec.seed)
-    modes = spec.config.modes()
+    modes = spec.config.modes
     history = make_history(
         spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng
     )

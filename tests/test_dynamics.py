@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,10 +12,8 @@ from beamsteer import (
     SpatialDomain,
     SteerWindow,
     SteeringProblem,
-    apply_impulse,
     apply_semigroup,
     energy_norm,
-    evaluate_nonlinearity,
     laplacian_eigenvalues,
     simulate,
     steer_linear,
@@ -25,6 +23,8 @@ from beamsteer import dynamics, spectral
 from beamsteer.dynamics import CHUNK, F_READS
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from oracles import (
+    apply_impulse,
+    evaluate_nonlinearity,
     f_bound_per_sample,
     left_limit,
     memory_term,
@@ -115,7 +115,7 @@ def test_nonlinearity_growth_bound():
 def test_memory_term_zero_cases():
     cfg = _config(catalog=NonlinearityCatalog())
     traj = simulate(cfg, None)
-    domain, modes = cfg.domain(), cfg.modes()
+    domain, modes = cfg.domain, cfg.modes
     out = memory_term(0.5, traj, cfg.catalog, domain, modes)
     assert energy_norm(out, modes) == 0.0
     cat = NonlinearityCatalog(g_kind="rational", kernel_kind="exponential", kappa=1.0)
@@ -128,7 +128,7 @@ def test_memory_term_constant_history_oracle():
     cat = NonlinearityCatalog(g_kind="rational", kernel_kind="exponential", kappa=1.0, gamma=0.0)
     w0 = np.array([0.4, 0.0, 0.1, 0.0])
     cfg = _config(catalog=cat, history=_constant_history(w0, np.zeros(4)))
-    domain, modes = cfg.domain(), cfg.modes()
+    domain, modes = cfg.domain, cfg.modes
     traj = simulate(cfg, None)
     t = cfg.delay  # delayed reads still inside the constant history
     got = memory_term(t, traj, cat, domain, modes)
@@ -151,7 +151,7 @@ def test_memory_term_matches_recorded_diagnostics(step, gamma):
     )
     cfg = _config(catalog=cat, history=hist, step=step)
     traj = simulate(cfg, None)
-    domain, modes = cfg.domain(), cfg.modes()
+    domain, modes = cfg.domain, cfg.modes
     for t in (0.1, 0.5, 1.0):
         recomputed = memory_term(t, traj, cat, domain, modes)
         i = traj.index_at(t)
@@ -242,7 +242,7 @@ def test_free_simulation_matches_semigroup():
     z0 = BeamState(np.array([0.3, -0.1, 0.05, 0.02]), np.array([0.1, 0.0, -0.2, 0.01]))
     cfg = _config(history=_constant_history(z0.w, z0.v))
     traj = simulate(cfg, None)
-    modes = cfg.modes()
+    modes = cfg.modes
     ref = apply_semigroup(z0, cfg.tau, modes, BETA)
     assert energy_norm(traj.terminal() - ref, modes) <= 1e-6
 
@@ -299,7 +299,7 @@ def test_steered_linear_simulation_matches_quadrature_path(beta, step):
     # with f, g and the kernel zero the window dynamics are exactly linear
     z0 = BeamState(np.array([0.2, -0.05, 0.02, 0.0]), np.zeros(4))
     cfg = _config(history=_constant_history(z0.w, z0.v), beta=beta, step=step)
-    modes = cfg.modes()
+    modes = cfg.modes
     traj = simulate(cfg, None)
     window = SteerWindow(1.0, 0.2)
     y0 = traj.state_at(0.8)
@@ -319,7 +319,7 @@ def test_prefix_bitwise_invariance():
     imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.05, 0.05))
     hist = _constant_history(0.2 * np.ones(4) / np.arange(1, 5) ** 2, np.zeros(4))
     cfg = _config(catalog=cat, impulses=imp, history=hist)
-    modes = cfg.modes()
+    modes = cfg.modes
     traj = simulate(cfg, None)
     window = SteerWindow(1.0, 0.2)
     y0 = traj.state_at(0.8)
@@ -360,7 +360,7 @@ def test_resume_rejects_prefix_of_another_config(change, what):
     _, base, _ = _resume_setup()
     other = _config(**change)
     control = ControlSignal(
-        SteerWindow(other.tau, 0.2), np.zeros((other.n_modes, 2)), other.modes(), BETA
+        SteerWindow(other.tau, 0.2), np.zeros((other.n_modes, 2)), other.modes, BETA
     )
     with pytest.raises(InvalidArgumentError, match=f"prefix run has {what}"):
         simulate(other, [control], prefix=base)
@@ -369,7 +369,7 @@ def test_resume_rejects_prefix_of_another_config(change, what):
 def test_run_shapes_reject_wrong_pairings():
     # a full run takes None or a control, a resumed run a sequence
     cfg, base, problem = _resume_setup()
-    control = synthesize_control(problem, cfg.modes(), BETA)
+    control = synthesize_control(problem, cfg.modes, BETA)
     for control_arg, prefix in ((control, base), ([control], None), ((control,), None)):
         with pytest.raises(InvalidArgumentError, match="full run takes None or a control"):
             simulate(cfg, control_arg, prefix=prefix)
@@ -382,7 +382,7 @@ def test_simulate_rejects_controls_of_another_system(system):
     # a 3-mode control on the 4-mode config used to fail inside numpy, the others ran silently
     cfg, base, problem = _resume_setup()
     other = _config(**system)
-    modes = other.modes()
+    modes = other.modes
     z1 = BeamState.zeros(modes.count)
     z1.v[0] = 0.3
     problem = SteeringProblem(BeamState.zeros(modes.count), z1, problem.window, 1e-2)
@@ -394,7 +394,7 @@ def test_simulate_rejects_controls_of_another_system(system):
 
 def test_resume_takes_a_control_batch_like_a_sequence():
     cfg, base, problem = _resume_setup()
-    modes = cfg.modes()
+    modes = cfg.modes
     alphas = (1e-1, 1e-3)
     batch = synthesize_control(replace(problem, alpha=alphas), modes, BETA)
     singles = [synthesize_control(replace(problem, alpha=a), modes, BETA) for a in alphas]
@@ -420,7 +420,7 @@ def test_forcing_reads_table_matches_f(kind):
 
 def test_resume_rejects_cells_on_different_windows():
     cfg, base, problem = _resume_setup()
-    modes = cfg.modes()
+    modes = cfg.modes
     wide = synthesize_control(problem, modes, BETA)
     short = SteeringProblem(base.state_at(0.9), problem.z1, SteerWindow(1.0, 0.1), 1e-2)
     with pytest.raises(InvalidArgumentError, match="share one window"):
@@ -429,14 +429,14 @@ def test_resume_rejects_cells_on_different_windows():
 
 def test_resume_rejects_window_not_ending_at_horizon():
     cfg, base, _ = _resume_setup()
-    control = ControlSignal(SteerWindow(0.9, 0.2), np.zeros((4, 2)), cfg.modes(), BETA)
+    control = ControlSignal(SteerWindow(0.9, 0.2), np.zeros((4, 2)), cfg.modes, BETA)
     with pytest.raises(InvalidArgumentError, match="end at the horizon"):
         simulate(cfg, [control], prefix=base)
 
 
 def test_blowup_in_batched_window_names_cell():
     cfg, base, _ = _resume_setup()
-    modes = cfg.modes()
+    modes = cfg.modes
     window = SteerWindow(1.0, 0.1)
     z1 = BeamState.zeros(4)
     z1.v[0] = 1e3  # far target: the weakly regularised cell needs a huge control
@@ -590,7 +590,7 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta, gamma):
     z1.v[0] = 0.5
     free = simulate(cfg, None)
     problem = SteeringProblem(free.state_at(window.start), z1, window, 1e-3)
-    modes = cfg.modes()
+    modes = cfg.modes
     steered = synthesize_control(problem, modes, BETA)
     for control in (None, steered):
         got, ref = simulate(cfg, control), simulate_stepwise(cfg, control)
@@ -635,7 +635,7 @@ def test_slab_tables_cached_per_system():
         z1 = BeamState.zeros(cfg.n_modes)
         z1.v[0] = 0.3
         problem = SteeringProblem(free.state_at(window.start), z1, window, 1e-2)
-        control = synthesize_control(problem, cfg.modes(), cfg.beta)
+        control = synthesize_control(problem, cfg.modes, cfg.beta)
         steered = simulate(cfg, control)
         (terminal,) = simulate(cfg, [control], prefix=free)
         return [free.w, free.v, free.memory, steered.w, steered.v, terminal.w, terminal.v]
@@ -664,6 +664,27 @@ def test_grid_alignment_enforced():
         _config().validate_delta(0.4)  # delta >= delay
     with pytest.raises(InvalidArgumentError):
         _config(impulses=ImpulseSchedule(times=(0.9,), gains=(0.1,))).validate_delta(0.2)
+
+
+def test_config_is_frozen_and_derives_its_system():
+    imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.05, 0.05))
+    cfg = _config(impulses=imp)
+    assert (cfg.delay_steps, cfg.horizon_steps, cfg.impulse_steps) == (180, 600, (240, 420))
+    np.testing.assert_array_equal(cfg.modes.lambdas, laplacian_eigenvalues(1.0, 4).lambdas)
+    assert cfg.domain == SpatialDomain(1.0, 64)
+    for name, value in (("n_modes", 8), ("step", 1 / 1200), ("modes", cfg.modes)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+    # replace builds a new config, which derives every fact from its own fields
+    other = replace(cfg, n_modes=2, length=2.0, grid_points=32, step=1 / 1200)
+    np.testing.assert_array_equal(other.modes.lambdas, laplacian_eigenvalues(2.0, 2).lambdas)
+    assert other.domain == SpatialDomain(2.0, 32)
+    assert (other.delay_steps, other.horizon_steps, other.impulse_steps) == (360, 1200, (480, 840))
+    assert replace(cfg, n_modes=3).modes.count == 3
+    with pytest.raises(ValueError):
+        replace(cfg, modes=cfg.modes)  # derived, never passed in
+    # the derived facts neither show in the repr nor take part in equality
+    assert "lambdas" not in repr(cfg) and cfg == _config(impulses=imp)
 
 
 def test_verify_f_bound_zero():

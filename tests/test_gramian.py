@@ -3,7 +3,6 @@ import pytest
 
 from beamsteer import (
     GramianSet,
-    ModeBlock,
     ModeSet,
     SteerWindow,
     assemble_gramian,
@@ -16,7 +15,7 @@ from beamsteer.gramian import PANEL_SPAN
 from beamsteer.harness import CROSS_PATH_TOL, gramian_cross_check
 from beamsteer.semigroup import exp_entries
 
-from oracles import expm_squaring, gauss_integral
+from oracles import ModeBlock, expm_squaring, gauss_integral
 
 
 def _closed(block, window):

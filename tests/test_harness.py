@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from beamsteer import (
     ExperimentSpec,
     GramianSet,
     ImpulseSchedule,
+    ModeSet,
     NonlinearityCatalog,
     ResultRow,
     SimConfig,
@@ -123,7 +125,7 @@ def test_error_nl_halving_factor():
 def _base_run(spec):
     """The sweep's zero-control base run and target, built as the harness does."""
     rng = np.random.default_rng(spec.seed)
-    modes = spec.config.modes()
+    modes = spec.config.modes
     history = make_history(
         spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng,
         spec.history_mode,
@@ -154,7 +156,7 @@ def test_batched_cells_match_from_scratch_runs(make_spec):
     # row errors must match the batched window run
     spec = make_spec()
     config, base, target = _base_run(spec)
-    modes = config.modes()
+    modes = config.modes
     rows = {(r.delta, r.alpha): r for r in run_pullback_experiment(spec)}
     assert len(rows) == len(spec.deltas) * len(spec.alphas)
     for delta in spec.deltas:
@@ -218,7 +220,7 @@ def test_stacked_synthesis_matches_single_alpha_calls():
     # every window's eta and terminal states bitwise as its single-window calls
     spec = load_experiment(None)
     config, base, target = _base_run(spec)
-    modes = config.modes()
+    modes = config.modes
     window = SteerWindow(config.tau, max(spec.deltas))
     z_mid = base.state_at(window.start)
     problem = SteeringProblem(z_mid, target, window, spec.alphas)
@@ -252,7 +254,7 @@ def test_stacked_synthesis_matches_single_alpha_calls():
 
 def test_stacked_windows_reject_mismatched_inputs():
     spec = load_experiment(None)
-    modes = spec.config.modes()
+    modes = spec.config.modes
     windows = [SteerWindow(spec.config.tau, d) for d in spec.deltas]
     stacked = assemble_gramian(modes, spec.config.beta, windows)
     assert stacked.blocks.shape == (len(windows), modes.count, 2, 2)
@@ -282,6 +284,39 @@ def test_library_writes_nothing_to_stdout(capfd):
     run_pullback_experiment(spec)
     run_linear_suite(spec)
     assert capfd.readouterr().out == ""
+
+
+def test_warm_passes_reuse_the_config_modes(monkeypatch):
+    # the config derives its mode set once; a warm sweep builds only that of the
+    # config with the seeded history, and a warm linear suite builds none
+    spec = load_experiment(None)
+    run_pullback_experiment(spec)
+    run_linear_suite(spec)
+    built, original = [], ModeSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ModeSet, "__post_init__", counted)
+    run_pullback_experiment(spec)
+    assert len(built) <= 1
+    built.clear()
+    run_linear_suite(spec)
+    assert built == []
+
+
+def test_traced_names_resolve_in_the_package():
+    # the benchmark's tracer wraps every name of TRACED; one missing from its
+    # module would silently drop that function's metrics from a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    found = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(found)
+    found.loader.exec_module(tracing)
+    for layer, names in tracing.TRACED.items():
+        module = importlib.import_module(f"beamsteer.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
 
 def test_emit_csv_empty(tmp_path):
@@ -571,6 +606,18 @@ def test_cli_checks_pass_at_critical_damping_and_soft_spectrum(tmp_path, lines):
 
 def test_cli_steer():
     assert cli.main(["steer", "--quiet"]) == 0
+
+
+def test_cli_steer_reports_free_trajectory_target_as_invalid(tmp_path, capsys):
+    # steer has no base run to take the free-trajectory target from
+    path = tmp_path / "free.ini"
+    path.write_text(DEFAULT_CONFIG.replace("target = single_mode", "target = free_trajectory"))
+    assert cli.main(["steer", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and "free-trajectory" in err
+    for command in ("linear-check", "gramian-check", "sweep"):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
 
 
 def test_cli_invalid_config(tmp_path):

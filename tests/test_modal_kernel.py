@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamsteer import ModeBlock, ModeSet, SteerWindow, assemble_gramian
+from beamsteer import ModeSet, SteerWindow, assemble_gramian
 from beamsteer.semigroup import exp_entries
 
-from oracles import modal_reference
+from oracles import ModeBlock, modal_reference
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 BETAS = st.floats(1.0, 10.0) | st.floats(-16.0, -1.0).map(lambda e: 1.0 + 10.0**e)

@@ -6,7 +6,6 @@ import pytest
 
 from beamsteer import (
     BeamState,
-    ModeBlock,
     apply_semigroup,
     decay_envelope,
     energy_norm,
@@ -16,6 +15,7 @@ from beamsteer.errors import InvalidArgumentError
 from beamsteer.semigroup import exp_entries
 
 from oracles import (
+    ModeBlock,
     block_exp,
     block_matrix,
     expm_squaring,
