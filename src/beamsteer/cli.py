@@ -42,6 +42,16 @@ def _say(args, *text):
         print(*text)
 
 
+def _write_csv(rows, out, seed) -> bool:
+    """Write the CSV; a failed write is reported on one stderr line."""
+    try:
+        emit_csv(rows, out, seed=seed)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_linear_check(spec, args) -> int:
     results = run_linear_suite(spec)
     for r in results:
@@ -80,7 +90,8 @@ def _cmd_steer(spec, args) -> int:
     problem = SteeringProblem(y0, z1, window, alpha)
     control, measured, formula = residual_identity(problem, modes, config.beta, gramians, q_quad)
     err = energy_norm(steer_linear(y0, control, modes, config.beta, gramians=gramians) - z1, modes)
-    gap = abs(measured - formula)
+    # the one cell of the control
+    err, formula, gap = err[0], formula[0], abs(measured - formula)[0]
     _say(args, f"steer: delta={delta:g} alpha={alpha:g}")
     _say(args, f"  terminal error        = {err:.6e}")
     _say(args, f"  residual formula      = {formula:.6e}")
@@ -96,7 +107,8 @@ def _cmd_pullback(spec, args) -> int:
     _say(args, f"  error_nl    = {row.error_nl:.6e}")
     _say(args, f"  error_lin   = {row.error_lin:.6e}")
     if args.out:
-        emit_csv([row], args.out, seed=spec.seed)
+        if not _write_csv([row], args.out, spec.seed):
+            return 1
         _say(args, f"  wrote {args.out}")
     return 0 if row.error_total < spec.epsilon else 1
 
@@ -106,7 +118,8 @@ def _cmd_sweep(spec, args) -> int:
     summary = summarize_rows(rows, spec.epsilon)
     out = args.out or spec.out_path
     if out:
-        emit_csv(rows, out, seed=spec.seed)
+        if not _write_csv(rows, out, spec.seed):
+            return 1
         _say(args, f"wrote {len(rows)} rows to {out}")
     _say(args, f"best error_total      = {summary['best_error']:.6e}")
     _say(args, f"goal (< {spec.epsilon:g}) met    = {summary['goal_met']}")

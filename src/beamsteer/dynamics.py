@@ -38,17 +38,17 @@ are finite and meet only zeros above the tables' diagonals: with the products
 run per cell, a node's value depends neither on where its slab ends nor on how
 many cells step together.
 
-A full run steps one cell, with zero or one steering control.  Since every
-window is shorter than the delay, a resumed run is one window-sized control
-batch that reads its delayed states and memory forcing from the zero-control
-prefix, takes its controls and control increments from exp(K^T theta) entries of
-the window nodes combined once per node with Q(h), times each cell's eta, and
-returns the cells' terminal states.
+A full run steps one cell, with no steering control or a one-cell one.  Since
+every window is shorter than the delay, a resumed run steps one window-sized
+control of any number of cells that reads its delayed states and memory forcing
+from the zero-control prefix, takes its controls and control increments from
+exp(K^T theta) entries of the window nodes combined once per node with Q(h),
+times each cell's eta, and returns the cells' terminal states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
@@ -209,7 +209,6 @@ class SimConfig:
     catalog: NonlinearityCatalog = field(default_factory=NonlinearityCatalog)
     impulses: ImpulseSchedule = field(default_factory=ImpulseSchedule)
     history: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
-    blowup_threshold: float = BLOWUP_THRESHOLD
     modes: ModeSet = field(init=False, repr=False, compare=False)
     domain: SpatialDomain = field(init=False, repr=False, compare=False)
     delay_steps: int = field(init=False, repr=False, compare=False)
@@ -257,29 +256,25 @@ class Trajectory:
 
     States at impulse nodes are the post-jump values; the pre-jump pairs are
     kept aside so delayed reads can use the left limit.  ``memory`` holds the
-    Volterra memory forcing per node.
+    Volterra memory forcing per node.  ``config`` and ``control`` (a
+    ControlSignal or None) are what the run was made with.
     """
 
     times: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    control: np.ndarray
     memory: np.ndarray
-    start_index: int
-    step: float
     pre_impulse: dict
     impulse_events: list
+    config: SimConfig
+    control: Optional[ControlSignal]
 
     @property
     def memory_norms(self) -> np.ndarray:
         return np.linalg.norm(self.memory, axis=1)
 
-    @property
-    def delay(self) -> float:
-        return float(-self.times[0])
-
     def index_at(self, t: float) -> int:
-        i = self.start_index + exact_multiple(t, self.step, f"time {t}")
+        i = self.config.delay_steps + exact_multiple(t, self.config.step, f"time {t}")
         if not 0 <= i < self.times.size:
             raise InvalidArgumentError(f"time {t} outside the recorded range")
         return i
@@ -302,20 +297,6 @@ def _collocate(B, spacing, fn, *coeffs):
     """
     BT = B.T
     return spacing * (fn(*[c @ BT for c in coeffs]) @ B)
-
-
-def _check_resume(config: SimConfig, prefix: Trajectory, start_idx):
-    """Reject a prefix run or controls that a resumed window cannot continue."""
-    for what, want, got in (
-        ("step", config.step, prefix.step),
-        ("delay", config.delay, prefix.delay),
-        ("horizon", config.tau, float(prefix.times[-1])),
-        ("mode count", config.n_modes, prefix.w.shape[1]),
-    ):
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-            raise InvalidArgumentError(f"prefix run has {what} {got:g}, the config {want:g}")
-    if np.any(prefix.control[:start_idx]):
-        raise InvalidArgumentError("prefix run carries a control before the window")
 
 
 def _toeplitz(p) -> np.ndarray:
@@ -351,19 +332,19 @@ def _slab_tables(length, grid_points, n_modes, beta, h, chunk, count):
 
 
 def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = None):
-    """Integrate the semilinear system; controls are cells on a leading axis.
+    """Integrate the semilinear system; the control's cells step together.
 
-    Without ``prefix``, ``control`` is None (zero control) or one steering
-    ControlSignal, and the run covers [-delay, tau] and returns its
-    Trajectory.  With ``prefix``, a recorded zero-control run of the same config
-    that is left unchanged, ``control`` is a control batch, or a sequence of
-    single controls on one window stacked into one: the run resumes at the
-    window start as a batch of window-sized cells that read their delayed
-    states and memory forcing from the prefix, and returns their terminal
-    states as one batch of states.  Every control must be synthesized for the
-    config's damping and modes.  Steps whose start lies before the window
-    start never evaluate the window control, so trajectories for different
-    regularisation parameters are bitwise identical up to the window start.
+    Without ``prefix``, ``control`` is None (zero control) or a one-cell
+    ControlSignal, and the run covers [-delay, tau] and returns its Trajectory.
+    With ``prefix``, a zero-control run of the same config that is left
+    unchanged, ``control`` is a ControlSignal of any number of cells: the run
+    resumes at the window start as a batch of window-sized cells that read their
+    delayed states and memory forcing from the prefix, and returns their
+    terminal states as one batch of states.  The control must be synthesized
+    for the config's damping and modes.  Steps whose start lies before the
+    window start never evaluate the window control, so trajectories for
+    different regularisation parameters are bitwise identical up to the window
+    start.
     """
     lam, domain, N, h, catalog = (
         config.modes.lambdas, config.domain, config.n_modes, config.step, config.catalog
@@ -372,32 +353,19 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     n_total = n_r + config.horizon_steps + 1
     times = (np.arange(n_total) - idx0) * h
 
-    single = control is None or isinstance(control, ControlSignal) and control.eta.ndim == 2
-    if (prefix is None) != single:
-        raise InvalidArgumentError("a full run takes None or a control, a resumed run a batch")
+    cells = 1 if control is None else len(control.eta)
+    if prefix is None and cells != 1 or prefix is not None and control is None:
+        raise InvalidArgumentError("a full run takes None or one cell, a resumed run a control")
+    if prefix is not None and not (prefix.config == config and prefix.control is None):
+        raise InvalidArgumentError("prefix must be a zero-control run of the same config")
     start_idx = None
     if control is not None:
-        parts = control if isinstance(control, (list, tuple)) else [control]
-        if not parts:
-            raise InvalidArgumentError("no cell controls given")
-        window = parts[0].window
-        if any(c.window != window for c in parts):
-            raise InvalidArgumentError("cell controls must share one window")
-        if any(c.beta != config.beta or not np.array_equal(c.modes.lambdas, lam) for c in parts):
-            raise InvalidArgumentError("cell controls must be synthesized for the config's system")
-        if abs(window.tau - config.tau) > 1e-9:
+        if control.beta != config.beta or not np.array_equal(control.modes.lambdas, lam):
+            raise InvalidArgumentError("the control must be synthesized for the config's system")
+        if abs(control.window.tau - config.tau) > 1e-9:
             raise InvalidArgumentError("control window must end at the horizon")
-        config.validate_delta(window.delta)
-        start_idx = idx0 + exact_multiple(window.start, h, "the window start")
-        # the run steps one batch: single controls are stacked into it once
-        control = parts[0]
-        if len(parts) > 1 or control.eta.ndim == 2:
-            control = replace(
-                control, eta=np.stack([c.eta for c in parts]), alpha=[c.alpha for c in parts]
-            )
-    if prefix is not None:
-        _check_resume(config, prefix, start_idx)
-    cells = 1 if control is None else len(control.eta)
+        config.validate_delta(control.window.delta)
+        start_idx = idx0 + exact_multiple(control.window.start, h, "the window start")
 
     # W and V hold nodes lo.. of every cell: all nodes for a full run, the
     # window for a resumed one; slabs of `counts[active]` chunks of `chunk`
@@ -524,9 +492,9 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
 
         sq = np.square(W[:, new][:, :n]) @ lam2 + np.square(V[:, new][:, :n]) @ ones
         # sqrt is monotone, so this is the per-node test; a NaN trips too
-        if not np.sqrt(sq.max()) <= config.blowup_threshold:
+        if not np.sqrt(sq.max()) <= BLOWUP_THRESHOLD:
             norms = np.sqrt(sq)
-            tripped = ~(norms <= config.blowup_threshold)
+            tripped = ~(norms <= BLOWUP_THRESHOLD)
             j = int(np.argmax(tripped.any(axis=0)))  # the first node that trips
             c = int(np.argmax(norms[:, j]))  # argmax takes a NaN as the largest
             where = "" if control is None else (
@@ -539,12 +507,8 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
 
     if prefix is not None:
         return BeamState(W[:, n_total - 1 - lo].copy(), V[:, n_total - 1 - lo].copy())
-    control_rec = np.zeros((n_total, N))
-    if start_idx is not None:
-        control_rec[start_idx:] = control.window_coeffs(times[start_idx:])[0]
     return Trajectory(
-        times=times, w=W[0, :n_total], v=V[0, :n_total], control=control_rec,
-        memory=memory[:n_total], start_index=idx0, step=h, pre_impulse=pre_impulse,
-        impulse_events=impulse_events,
+        times=times, w=W[0, :n_total], v=V[0, :n_total], memory=memory[:n_total],
+        pre_impulse=pre_impulse, impulse_events=impulse_events, config=config, control=control,
     )
 

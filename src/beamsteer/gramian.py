@@ -127,19 +127,17 @@ def assemble_gramian(modes: ModeSet, beta: float, window) -> GramianSet:
 
 
 def solve_regularized(gramians: GramianSet, alpha, rhs: np.ndarray) -> np.ndarray:
-    """Blockwise solution eta of (alpha I + Q_j) eta_j = rhs_j.
+    """Blockwise solution eta of (alpha I + Q_j) eta_j = rhs_j for each alpha of a sequence.
 
     ``rhs`` holds one energy-coordinate pair per mode, (N, 2), or (D, N, 2) for a set
-    of D windows.  A sequence of alphas adds a cell axis after the window axis, as in
+    of D windows.  The alphas add a cell axis after the window axis, as in
     (D, cells, N, 2) for the result: one stacked solve of all systems.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim > 1 or not np.all(alpha > 0):
-        raise InvalidArgumentError("regularisation parameter must be positive")
+    if alpha.ndim != 1 or not np.all(alpha > 0):
+        raise InvalidArgumentError("regularisation parameters must be a positive sequence")
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != gramians.blocks.shape[:-1]:
         raise InvalidArgumentError("rhs must have shape (N, 2), or (D, N, 2) for D windows")
-    blocks, rhs = gramians.blocks, rhs[..., None]
-    if alpha.ndim:
-        blocks, rhs = blocks[..., None, :, :, :], rhs[..., None, :, :, :]
-    return np.linalg.solve(blocks + alpha[..., None, None, None] * np.eye(2), rhs)[..., 0]
+    blocks, rhs = gramians.blocks[..., None, :, :, :], rhs[..., None, :, :, None]
+    return np.linalg.solve(blocks + alpha[:, None, None, None] * np.eye(2), rhs)[..., 0]

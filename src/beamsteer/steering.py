@@ -11,10 +11,11 @@ Since u = G* eta, the mapped control G u = G G* eta = Q eta and the energy
 ||u||^2 = eta^T Q eta are exact in the closed-form Gramian, so nothing here
 integrates the control numerically.  Everything works per mode in energy
 coordinates; control values are scalars per mode and coordinate-free.
-Alphas on one window share d, so a sequence of them gives one control batch,
-eta of shape (cells, N, 2) from one stacked solve.  A sequence of D windows,
-one start state each, is one stacked evaluation too: one T(delta) y0 of all
-start states, eta of shape (D, cells, N, 2) from one solve, and one steer.
+Every control is a batch of cells, one per alpha: alphas on one window share
+d, so eta of shape (cells, N, 2) comes from one stacked solve, and a single
+alpha is a batch of one.  A sequence of D windows, one start state each, is
+one stacked evaluation too: one T(delta) y0 of all start states, eta of shape
+(D, cells, N, 2) from one solve, and one steer.
 """
 
 from __future__ import annotations
@@ -25,68 +26,53 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .gramian import GramianSet, SteerWindow, assemble_gramian, solve_regularized, window_lengths
-from .semigroup import apply_semigroup, exp_entries
+from .semigroup import apply_semigroup
 from .spectral import BeamState, ModeSet, energy_coords, state_from_coords
 
 
 @dataclass
 class ControlSignal:
-    """Steering control on the window [tau - delta, tau], in closed form.
+    """Steering control on the window [tau - delta, tau], in closed form, as a batch of cells.
 
-    ``eta`` holds the regularized preimage per mode (energy coordinates); the
-    costate p_j(t) = exp(K_j^T (tau - t)) eta_j and the control
-    u_j(t) = b^T p_j(t), its second component, are evaluated exactly.
-    ``alpha`` is the regularisation it was synthesized with, if any.  A batch
-    on one window has a leading cell axis in ``eta``, costate and control, and
-    one ``alpha`` (or None) per cell.
+    ``eta`` holds each cell's regularized preimage per mode (energy coordinates),
+    shape (cells, N, 2); a cell's control is u_j(t) = b^T exp(K_j^T (tau - t)) eta_j,
+    the second component of its costate.  ``alpha`` holds the regularisation of
+    each cell.
     """
 
     window: SteerWindow
     eta: np.ndarray
     modes: ModeSet
     beta: float
-    alpha: float | list | None = None
+    alpha: tuple
 
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
-        if self.eta.shape[-2:] != (self.modes.count, 2) or self.eta.ndim not in (2, 3):
-            raise InvalidArgumentError("eta must have shape (N, 2) or (cells, N, 2)")
+        if self.eta.ndim != 3 or self.eta.shape[1:] != (self.modes.count, 2):
+            raise InvalidArgumentError("eta must have shape (cells, N, 2)")
         if self.window.delta <= 0:
             raise InvalidArgumentError("control window must have positive length")
         if not np.all(np.isfinite(self.eta)):
             raise InvalidArgumentError("control preimage is not finite")
-        if self.eta.ndim == 3 and np.shape(self.alpha) != self.eta.shape[:1]:
-            raise InvalidArgumentError("a control batch needs one alpha per cell")
-
-    def costate(self, t):
-        """Per-mode costate pairs at time(s) t in [tau-delta, tau], shape (..., N, 2),
-        after the cell axis of a batch, from one exp(K^T theta) table."""
-        t = np.asarray(t, dtype=float)
-        # time-to-go, clipped where t overshoots tau by rounding
-        theta = np.maximum(self.window.tau - t[..., None], 0.0)
-        A = exp_entries(self.modes.lambdas, self.beta, theta, energy=True)
-        eta = self.eta.reshape(self.eta.shape[:-2] + (1,) * t.ndim + self.eta.shape[-2:])
-        return np.stack([a * eta[..., 0] + b * eta[..., 1] for a, b in zip(A[:2], A[2:])], -1)
-
-    def window_coeffs(self, t):
-        """Per-mode control coefficients at time(s) t in [tau-delta, tau]."""
-        return self.costate(t)[..., 1]
+        if np.shape(self.alpha) != self.eta.shape[:1]:
+            raise InvalidArgumentError("a control needs one alpha per cell")
 
 
 @dataclass(frozen=True)
 class SteeringProblem:
-    """Start state at tau - delta, target at tau, and one alpha or a sequence of them;
-    for a sequence of D windows ``y0`` is the batch of their D start states."""
+    """Start state at tau - delta, target at tau, and one alpha or a sequence of them,
+    kept as a tuple; for a sequence of D windows ``y0`` is the batch of their D start states."""
 
     y0: BeamState
     z1: BeamState
     window: SteerWindow | tuple
-    alpha: float | list
+    alpha: tuple
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
+        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         if alpha.ndim > 1 or alpha.size == 0 or not np.all((0 < alpha) & (alpha <= 1)):
             raise InvalidArgumentError("alpha must lie in (0, 1]")
+        object.__setattr__(self, "alpha", tuple(alpha.tolist()))
         if self.y0.count != self.z1.count:
             raise InvalidArgumentError("start and target sizes differ")
         if not isinstance(self.window, SteerWindow):
@@ -101,8 +87,8 @@ def synthesize_control(
     beta: float,
     gramians: GramianSet | None = None,
 ):
-    """Regularized steering control for the given problem, a batch for a sequence of alphas;
-    for a sequence of windows a list of each window's control, from one stacked solve."""
+    """Regularized steering control for the given problem, one cell per alpha; for a
+    sequence of windows a list of each window's control, from one stacked solve."""
     win = problem.window
     windows = [win] if isinstance(win, SteerWindow) else win
     if any(w.delta <= 0 for w in windows):
@@ -128,9 +114,9 @@ def steer_linear(
     y(tau) = T(delta) y0 + G u, and since u = G* eta the mapped control is
     G G* eta = Q eta, exact in the closed-form Gramian blocks (those of
     ``gramians`` when given, which must be the set of the control's window).
-    A control batch gives a batch of states, T(delta) y0 formed once; the list of
-    controls that a window sequence gives, with its D start states ``y0``, gives
-    states of shape (D, cells, N).
+    A control gives a batch of states of shape (cells, N), T(delta) y0 formed once;
+    the list of controls that a window sequence gives, with its D start states
+    ``y0``, gives states of shape (D, cells, N).
     """
     if y0.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
@@ -141,17 +127,16 @@ def steer_linear(
     if gramians is None:
         gramians = assemble_gramian(modes, beta, window)
     free = energy_coords(apply_semigroup(y0, window_lengths(window), modes, beta), modes)
-    blocks = gramians.blocks
-    if eta.ndim > free.ndim:  # the cell axis goes after the window axis
-        free, blocks = free[..., None, :, :], blocks[..., None, :, :, :]
+    # the cell axis goes after the window axis
+    free, blocks = free[..., None, :, :], gramians.blocks[..., None, :, :, :]
     return state_from_coords(free + (blocks @ eta[..., None])[..., 0], modes)
 
 
-def control_energy(control: ControlSignal, gramians: GramianSet) -> float:
-    """Squared-integral energy of the window control, eta^T Q eta summed over
-    modes; ``gramians`` is the set of the control's window."""
+def control_energy(control: ControlSignal, gramians: GramianSet) -> np.ndarray:
+    """Squared-integral energy of each cell's window control, eta^T Q eta summed
+    over modes; ``gramians`` is the set of the control's window."""
     eta = control.eta
-    return float(np.sum(eta[:, None, :] @ gramians.blocks @ eta[:, :, None]))
+    return np.sum(eta[..., None, :] @ gramians.blocks @ eta[..., None], axis=(1, 2, 3))
 
 
 def alpha_sweep(

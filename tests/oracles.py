@@ -5,7 +5,9 @@ exponential is Taylor series with scaling and squaring, quadratures are
 assembled from scratch.  The stepwise simulator and the memory re-sum reuse
 the package's one-step exponential and collocation, and check how the slab
 integrator and its memory recursion combine them; the stepwise control
-increments come from their own quadrature.  The plain sine
+increments come from their own quadrature of the control values that
+``window_coeffs`` evaluates from the costate, the reference for the window
+controls the slab integrator forms inline.  The plain sine
 transforms, the block generator and the left-limit lookup serve only tests, as
 do the package-based helpers below: one modal block with its roots, one block's
 exponential, the operator-norm sweep (both in the energy metric, after the
@@ -21,7 +23,7 @@ import mpmath
 import numpy as np
 
 from beamsteer import BeamState, ModeSet, Trajectory, basis_matrix
-from beamsteer.dynamics import _collocate, exact_multiple
+from beamsteer.dynamics import BLOWUP_THRESHOLD, _collocate, exact_multiple
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from beamsteer.semigroup import _roots, exp_entries
 
@@ -180,18 +182,15 @@ def memory_term(t, trajectory, catalog, domain, modes):
     if t < 0:
         raise InvalidArgumentError("memory term is defined for t >= 0")
     i = trajectory.index_at(t)
-    i0 = trajectory.start_index
+    i0 = n_r = trajectory.config.delay_steps  # the grid starts at -delay
     if not catalog.has_memory or i == i0:
         return BeamState.zeros(modes.count)
-    n_r = exact_multiple(trajectory.delay, trajectory.step, "the delay")
-    lo = i0 - n_r
-    if lo < 0:
-        raise RuntimeError("trajectory does not hold the required history")
+    h = trajectory.config.step
     B = basis_matrix(domain, modes.count)
-    gproj = _collocate(B, domain.spacing, catalog.g, trajectory.w[lo : i - n_r + 1])
-    dt = (i - np.arange(i0, i + 1)) * trajectory.step
-    weights = np.full(i - i0 + 1, trajectory.step)
-    weights[0] = weights[-1] = trajectory.step / 2.0
+    gproj = _collocate(B, domain.spacing, catalog.g, trajectory.w[: i - n_r + 1])
+    dt = (i - np.arange(i0, i + 1)) * h
+    weights = np.full(i - i0 + 1, h)
+    weights[0] = weights[-1] = h / 2.0
     kern = memory_kernel(catalog, dt)
     return BeamState(np.zeros(modes.count), (kern * weights) @ gproj)
 
@@ -217,8 +216,24 @@ def gauss_integral(f, a, b, nodes=64, panels=1):
     return total
 
 
+def costate(control, t):
+    """Per-mode costate pairs exp(K^T (tau - t)) eta of every cell of a ControlSignal at
+    time(s) t in [tau - delta, tau], shape (cells, ..., N, 2), from one exp(K^T theta) table."""
+    t = np.asarray(t, dtype=float)
+    # time-to-go, clipped where t overshoots tau by rounding
+    theta = np.maximum(control.window.tau - t[..., None], 0.0)
+    A = exp_entries(control.modes.lambdas, control.beta, theta, energy=True)
+    eta = control.eta.reshape(control.eta.shape[:1] + (1,) * t.ndim + control.eta.shape[1:])
+    return np.stack([a * eta[..., 0] + b * eta[..., 1] for a, b in zip(A[:2], A[2:])], -1)
+
+
+def window_coeffs(control, t):
+    """Per-mode control values u_j(t) = b^T p_j(t) of every cell at time(s) t in the window."""
+    return costate(control, t)[..., 1]
+
+
 def window_control_quadrature(control, nodes=64, span=50.0):
-    """Mapped control G u and energy of a window control, by quadrature.
+    """Mapped control G u and energy of a one-cell window control, by quadrature.
 
     Per mode, composite Gauss-Legendre over the time-to-go theta in
     [0, delta] of exp(A theta) b u(tau - theta) and of u**2, with u sampled
@@ -241,15 +256,16 @@ def window_control_quadrature(control, nodes=64, span=50.0):
         weights = np.tile(0.5 * width * w, panels)
         coeffs = np.linalg.solve(V, [0.0, 1.0])
         response = V @ (np.exp(np.outer(mu, theta)) * coeffs[:, None])
-        single = replace(control, eta=control.eta[j : j + 1], modes=ModeSet(lam))
-        u = single.window_coeffs(win.tau - theta)[:, 0]
+        single = replace(control, eta=control.eta[:, j : j + 1], modes=ModeSet(lam))
+        (u,) = window_coeffs(single, win.tau - theta)[..., 0]
         mapped[j] = response @ (weights * u)
         energy += float(np.sum(weights * u * u))
     return mapped, energy
 
 
 def step_control_quadrature(control, starts, h, nodes=32):
-    """Control increments integral_0^h exp(A (h - s)) b u(t + s) ds of steps starting at ``starts``.
+    """Control increments integral_0^h exp(A (h - s)) b u(t + s) ds of steps starting at
+    ``starts``, for a one-cell control.
 
     Per mode, Gauss-Legendre in s with the response exp(A (h - s)) b of the
     energy-coordinate generator A = [[0, lam], [-lam, -2 beta lam]] from
@@ -259,7 +275,7 @@ def step_control_quadrature(control, starts, h, nodes=32):
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
     s = 0.5 * h * (x + 1.0)
-    u = control.window_coeffs(np.asarray(starts)[:, None] + s)  # (n_steps, nodes, N)
+    (u,) = window_coeffs(control, np.asarray(starts)[:, None] + s)  # (n_steps, nodes, N)
     lambdas = control.modes.lambdas
     out = np.zeros(u.shape[:1] + (lambdas.size, 2))
     for j, lam in enumerate(lambdas):
@@ -366,7 +382,7 @@ def simulate_stepwise(config, control=None):
     forcing is collocated at both ends, the exponential memory kernel is
     advanced by its one-step recursion, the state by the 2x2 step matrix
     exp(K h), the impulse jump is applied on its node and the blow-up guard
-    checks the new state.  ``control`` is None or one steering ControlSignal,
+    checks the new state.  ``control`` is None or a one-cell ControlSignal,
     whose per-step increments come from :func:`step_control_quadrature`.
     Returns the Trajectory that ``simulate`` would.
     """
@@ -390,7 +406,7 @@ def simulate_stepwise(config, control=None):
     if control is not None:
         start_idx = idx0 + exact_multiple(control.window.start, h, "the window start")
         win_t = times[start_idx:]
-        win_u = control.window_coeffs(win_t)
+        (win_u,) = window_coeffs(control, win_t)
         cw, cv = step_control_quadrature(control, win_t[:-1], h)
 
     a11, a12, a21, a22 = exp_entries(lam, config.beta, h)
@@ -431,14 +447,11 @@ def simulate_stepwise(config, control=None):
             impulse_events.append((k, float(times[i + 1]), float(np.linalg.norm(dv))))
         W[i + 1], V[i + 1] = w1, v1
         norm = np.sqrt(np.sum((lam * w1) ** 2) + np.sum(v1**2))
-        if not norm <= config.blowup_threshold:
+        if not norm <= BLOWUP_THRESHOLD:
             raise BlowUpError(f"trajectory norm {norm:.3e} at t={times[i + 1]:.6f}")
         F_left = F_right
 
-    control_rec = np.zeros((n_total, N))
-    if start_idx is not None:
-        control_rec[start_idx:] = win_u
     return Trajectory(
-        times=times, w=W, v=V, control=control_rec, memory=memory, start_index=idx0,
-        step=h, pre_impulse=pre_impulse, impulse_events=impulse_events,
+        times=times, w=W, v=V, memory=memory, pre_impulse=pre_impulse,
+        impulse_events=impulse_events, config=config, control=control,
     )

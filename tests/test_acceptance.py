@@ -78,7 +78,7 @@ def test_criterion_1_residual_identity():
     worst = 0.0
     for alpha in (1.0, 1e-2, 1e-4):
         problem = SteeringProblem(y0, z1, window, alpha)
-        _, measured, formula = residual_identity(problem, modes, BETA, gramians, q_quad)
+        _, (measured,), (formula,) = residual_identity(problem, modes, BETA, gramians, q_quad)
         worst = max(worst, abs(measured - formula))
     elapsed = time.perf_counter() - t0
     _report(

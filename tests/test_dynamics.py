@@ -20,7 +20,7 @@ from beamsteer import (
     synthesize_control,
 )
 from beamsteer import dynamics, spectral
-from beamsteer.dynamics import CHUNK, F_READS
+from beamsteer.dynamics import BLOWUP_THRESHOLD, CHUNK, F_READS
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from oracles import (
     apply_impulse,
@@ -254,7 +254,7 @@ def test_simulation_reproduces_history():
     traj = simulate(cfg, None)
     i = traj.index_at(-0.3)
     np.testing.assert_allclose(traj.state(i).w, 0.7 * z0.w, rtol=1e-14)
-    assert traj.index_at(0.0) == traj.start_index
+    assert traj.index_at(0.0) == cfg.delay_steps
 
 
 def test_history_evaluated_once_on_the_delay_grid():
@@ -307,7 +307,7 @@ def test_steered_linear_simulation_matches_quadrature_path(beta, step):
     z1 = BeamState(rng.standard_normal(4) * 0.1 / modes.lambdas, rng.standard_normal(4) * 0.1)
     control = synthesize_control(SteeringProblem(y0, z1, window, 1e-2), modes, beta)
     steered = simulate(cfg, control)
-    linear = steer_linear(y0, control, modes, beta)
+    (linear,) = steer_linear(y0, control, modes, beta)
     assert energy_norm(steered.terminal() - linear, modes) <= 1e-12 * energy_norm(linear, modes)
 
 
@@ -347,32 +347,47 @@ def _resume_setup():
 
 
 @pytest.mark.parametrize(
-    "change, what",
+    "change",
     [
-        (dict(step=1 / 1200), "step"),
-        (dict(delay=0.25), "delay"),
-        (dict(tau=1.2), "horizon"),
-        (dict(n_modes=3), "mode count"),
+        dict(step=1 / 1200),
+        dict(delay=0.25),
+        dict(tau=1.2),
+        dict(n_modes=3),
+        dict(beta=3.0),
+        dict(length=1.5),
+        dict(catalog=NonlinearityCatalog(f_kind="linear_growth", f_a=0.5)),
+        dict(impulses=ImpulseSchedule(times=(0.4,), gains=(0.05,))),
+        dict(history=_constant_history(np.full(4, 0.2), np.zeros(4))),
+        None,
     ],
-    ids=["step", "delay", "horizon", "modes"],
+    ids=[
+        "step", "delay", "horizon", "modes", "beta", "length", "catalog", "impulses", "history",
+        "controlled",
+    ],
 )
-def test_resume_rejects_prefix_of_another_config(change, what):
-    _, base, _ = _resume_setup()
-    other = _config(**change)
+def test_resume_rejects_prefix_of_another_config(change):
+    # the prefix must be a zero-control run of exactly the config that resumes it;
+    # a prefix differing only in beta, length, catalog or impulses used to resume
+    cfg, base, problem = _resume_setup()
+    if change is None:  # the same config, but the prefix carries a control
+        other, base = cfg, simulate(cfg, synthesize_control(problem, cfg.modes, BETA))
+    else:
+        other = replace(cfg, **change)
     control = ControlSignal(
-        SteerWindow(other.tau, 0.2), np.zeros((other.n_modes, 2)), other.modes, BETA
+        SteerWindow(other.tau, 0.2), np.zeros((1, other.n_modes, 2)), other.modes, other.beta,
+        alpha=[1e-2],
     )
-    with pytest.raises(InvalidArgumentError, match=f"prefix run has {what}"):
-        simulate(other, [control], prefix=base)
+    with pytest.raises(InvalidArgumentError, match="prefix must be a zero-control run"):
+        simulate(other, control, prefix=base)
 
 
 def test_run_shapes_reject_wrong_pairings():
-    # a full run takes None or a control, a resumed run a sequence
+    # a full run takes None or a one-cell control, a resumed run a control of any size
     cfg, base, problem = _resume_setup()
-    control = synthesize_control(problem, cfg.modes, BETA)
-    for control_arg, prefix in ((control, base), ([control], None), ((control,), None)):
-        with pytest.raises(InvalidArgumentError, match="full run takes None or a control"):
-            simulate(cfg, control_arg, prefix=prefix)
+    batch = synthesize_control(replace(problem, alpha=(1e-1, 1e-3)), cfg.modes, BETA)
+    for control, prefix in ((batch, None), (None, base)):
+        with pytest.raises(InvalidArgumentError, match="full run takes None or one cell"):
+            simulate(cfg, control, prefix=prefix)
 
 
 @pytest.mark.parametrize(
@@ -387,22 +402,23 @@ def test_simulate_rejects_controls_of_another_system(system):
     z1.v[0] = 0.3
     problem = SteeringProblem(BeamState.zeros(modes.count), z1, problem.window, 1e-2)
     control = synthesize_control(problem, modes, other.beta)
-    for control_arg, prefix in ((control, None), ([control], base)):
+    for prefix in (None, base):
         with pytest.raises(InvalidArgumentError, match="synthesized for the config's system"):
-            simulate(cfg, control_arg, prefix=prefix)
+            simulate(cfg, control, prefix=prefix)
 
 
 def test_resume_takes_a_control_batch_like_a_sequence():
+    # each cell of a resumed batch equals, bitwise, its lone resumed run
     cfg, base, problem = _resume_setup()
     modes = cfg.modes
     alphas = (1e-1, 1e-3)
     batch = synthesize_control(replace(problem, alpha=alphas), modes, BETA)
-    singles = [synthesize_control(replace(problem, alpha=a), modes, BETA) for a in alphas]
-    got, want = simulate(cfg, batch, prefix=base), simulate(cfg, singles, prefix=base)
+    got = simulate(cfg, batch, prefix=base)
     assert got.w.shape == (2, 4)
-    assert np.array_equal(got.w, want.w) and np.array_equal(got.v, want.v)
-    with pytest.raises(InvalidArgumentError, match="full run takes None or a control"):
-        simulate(cfg, batch)
+    for cell, alpha in zip(got, alphas):
+        lone = synthesize_control(replace(problem, alpha=alpha), modes, BETA)
+        (want,) = simulate(cfg, lone, prefix=base)
+        assert np.array_equal(cell.w, want.w) and np.array_equal(cell.v, want.v)
 
 
 @pytest.mark.parametrize("kind", F_READS)
@@ -418,20 +434,13 @@ def test_forcing_reads_table_matches_f(kind):
         assert np.array_equal(cat.f(*moved), base) == (name not in F_READS[kind])
 
 
-def test_resume_rejects_cells_on_different_windows():
-    cfg, base, problem = _resume_setup()
-    modes = cfg.modes
-    wide = synthesize_control(problem, modes, BETA)
-    short = SteeringProblem(base.state_at(0.9), problem.z1, SteerWindow(1.0, 0.1), 1e-2)
-    with pytest.raises(InvalidArgumentError, match="share one window"):
-        simulate(cfg, [wide, synthesize_control(short, modes, BETA)], prefix=base)
-
-
 def test_resume_rejects_window_not_ending_at_horizon():
     cfg, base, _ = _resume_setup()
-    control = ControlSignal(SteerWindow(0.9, 0.2), np.zeros((4, 2)), cfg.modes, BETA)
+    control = ControlSignal(
+        SteerWindow(0.9, 0.2), np.zeros((1, 4, 2)), cfg.modes, BETA, alpha=[1e-2]
+    )
     with pytest.raises(InvalidArgumentError, match="end at the horizon"):
-        simulate(cfg, [control], prefix=base)
+        simulate(cfg, control, prefix=base)
 
 
 def test_blowup_in_batched_window_names_cell():
@@ -439,14 +448,11 @@ def test_blowup_in_batched_window_names_cell():
     modes = cfg.modes
     window = SteerWindow(1.0, 0.1)
     z1 = BeamState.zeros(4)
-    z1.v[0] = 1e3  # far target: the weakly regularised cell needs a huge control
-    controls = [
-        synthesize_control(SteeringProblem(base.state_at(0.9), z1, window, alpha), modes, BETA)
-        for alpha in (1e-1, 1e-4)
-    ]
-    guarded = replace(cfg, blowup_threshold=100.0)
+    z1.v[0] = 1e13  # far target: the weakly regularised cell needs a huge control
+    problem = SteeringProblem(base.state_at(0.9), z1, window, (1e-1, 1e-4))
+    controls = synthesize_control(problem, modes, BETA)
     with pytest.raises(BlowUpError, match=r"at t=0\.9\d+ in the cell alpha=0\.0001, delta=0\.1"):
-        simulate(guarded, controls, prefix=base)
+        simulate(cfg, controls, prefix=base)
 
 
 def test_deflection_continuity_at_impulses():
@@ -531,9 +537,7 @@ def test_blowup_guard_trips_on_non_finite_state():
 
 def test_blowup_guard_names_first_trip_like_stepwise_oracle():
     # a constant forcing crosses the threshold inside the first chunk
-    cfg = _config(
-        catalog=NonlinearityCatalog(f_kind="linear_growth", f_b=50.0), blowup_threshold=1.0
-    )
+    cfg = _config(catalog=NonlinearityCatalog(f_kind="linear_growth", f_b=50 * BLOWUP_THRESHOLD))
     messages = []
     for run in (simulate, simulate_stepwise):
         with pytest.raises(BlowUpError) as err:
@@ -600,14 +604,15 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta, gamma):
         assert gap <= 1e-12 * energy_norm(ref.terminal(), modes)
         assert got.pre_impulse.keys() == ref.pre_impulse.keys()
         assert [e[:2] for e in got.impulse_events] == [e[:2] for e in ref.impulse_events]
-        np.testing.assert_array_equal(got.control, ref.control)
+        assert got.config is ref.config is cfg and got.control is ref.control is control
     # the loop's last pass leaves the steered control's stepwise run; resumed
     # from the free run as a batch of two cells, each cell must agree with
     # its stepwise run, and the prefix must come back bitwise unchanged
     other = synthesize_control(replace(problem, alpha=1e-1), modes, BETA)
     refs = [ref.terminal(), simulate_stepwise(cfg, other).terminal()]
+    both = synthesize_control(replace(problem, alpha=(1e-3, 1e-1)), modes, BETA)
     before = [a.tobytes() for a in (free.w, free.v, free.memory)]
-    for terminal, want in zip(simulate(cfg, [steered, other], prefix=free), refs):
+    for terminal, want in zip(simulate(cfg, both, prefix=free), refs):
         assert energy_norm(terminal - want, modes) <= 1e-12 * energy_norm(want, modes)
     assert [a.tobytes() for a in (free.w, free.v, free.memory)] == before
 
@@ -637,7 +642,7 @@ def test_slab_tables_cached_per_system():
         problem = SteeringProblem(free.state_at(window.start), z1, window, 1e-2)
         control = synthesize_control(problem, cfg.modes, cfg.beta)
         steered = simulate(cfg, control)
-        (terminal,) = simulate(cfg, [control], prefix=free)
+        (terminal,) = simulate(cfg, control, prefix=free)
         return [free.w, free.v, free.memory, steered.w, steered.v, terminal.w, terminal.v]
 
     dynamics._slab_tables.cache_clear()

@@ -149,14 +149,15 @@ def test_blocks_symmetric():
 def test_solve_regularized_zero_blocks():
     gset = GramianSet.from_blocks(np.zeros((3, 2, 2)))
     rhs = np.arange(6.0).reshape(3, 2)
-    out = solve_regularized(gset, 0.25, rhs)
+    (out,) = solve_regularized(gset, [0.25], rhs)
     np.testing.assert_allclose(out, rhs / 0.25, rtol=1e-14)
 
 
 def test_solve_regularized_zero_rhs():
     modes = laplacian_eigenvalues(1.0, 4)
     gset = assemble_gramian(modes, 2.0, SteerWindow(1.0, 0.2))
-    np.testing.assert_array_equal(solve_regularized(gset, 1e-3, np.zeros((4, 2))), np.zeros((4, 2)))
+    out = solve_regularized(gset, [1e-3], np.zeros((4, 2)))
+    np.testing.assert_array_equal(out, np.zeros((1, 4, 2)))
 
 
 def test_solve_regularized_random_spd_residual():
@@ -168,7 +169,7 @@ def test_solve_regularized_random_spd_residual():
     gset = GramianSet.from_blocks(np.stack(blocks))
     rhs = rng.standard_normal((6, 2))
     alpha = 1e-3
-    eta = solve_regularized(gset, alpha, rhs)
+    (eta,) = solve_regularized(gset, [alpha], rhs)
     for j in range(6):
         res = (alpha * np.eye(2) + gset.blocks[j]) @ eta[j] - rhs[j]
         assert np.linalg.norm(res) <= 1e-12 * max(np.linalg.norm(rhs[j]), 1e-30)
@@ -176,8 +177,10 @@ def test_solve_regularized_random_spd_residual():
 
 def test_solve_regularized_invalid_alpha():
     gset = GramianSet.from_blocks(np.zeros((1, 2, 2)))
-    with pytest.raises(InvalidArgumentError):
-        solve_regularized(gset, 0.0, np.zeros((1, 2)))
+    # one positive alpha per cell, as a sequence: a bare scalar is no batch
+    for alpha in ([0.0], [0.1, -1.0], 0.1, [[0.1]]):
+        with pytest.raises(InvalidArgumentError):
+            solve_regularized(gset, alpha, np.zeros((1, 2)))
 
 
 def test_quadrature_needs_nodes():

@@ -163,19 +163,17 @@ def test_batched_cells_match_from_scratch_runs(make_spec):
         window = SteerWindow(config.tau, delta)
         z_mid = base.state_at(window.start)
         cut = base.index_at(window.start)
-        controls = [
-            synthesize_control(SteeringProblem(z_mid, target, window, alpha), modes, config.beta)
-            for alpha in spec.alphas
-        ]
-        batched = simulate(config, controls, prefix=base)
-        for control, z_batch in zip(controls, batched):
+        problem = SteeringProblem(z_mid, target, window, spec.alphas)
+        batched = simulate(config, synthesize_control(problem, modes, config.beta), prefix=base)
+        for alpha, z_batch in zip(spec.alphas, batched):
+            control = synthesize_control(replace(problem, alpha=alpha), modes, config.beta)
             scratch = simulate(config, control)
             assert np.array_equal(scratch.w[: cut + 1], base.w[: cut + 1])
             assert np.array_equal(scratch.v[: cut + 1], base.v[: cut + 1])
             z_tau = scratch.terminal()
             assert energy_norm(z_tau - z_batch, modes) <= 1e-13 * energy_norm(z_tau, modes)
-            y_tau = steer_linear(z_mid, control, modes, config.beta)
-            row = rows[(delta, control.alpha)]
+            (y_tau,) = steer_linear(z_mid, control, modes, config.beta)
+            row = rows[(delta, alpha)]
             np.testing.assert_allclose(
                 [row.error_total, row.error_nl, row.error_lin],
                 [
@@ -226,12 +224,12 @@ def test_stacked_synthesis_matches_single_alpha_calls():
     problem = SteeringProblem(z_mid, target, window, spec.alphas)
     batch = synthesize_control(problem, modes, config.beta)
     assert batch.eta.shape == (len(spec.alphas), modes.count, 2)
-    assert batch.alpha == spec.alphas
+    assert batch.alpha == tuple(spec.alphas)
     steered = steer_linear(z_mid, batch, modes, config.beta)
     for alpha, eta, y_tau in zip(spec.alphas, batch.eta, steered):
         single = synthesize_control(replace(problem, alpha=alpha), modes, config.beta)
-        assert np.array_equal(single.eta, eta)
-        want = steer_linear(z_mid, single, modes, config.beta)
+        assert np.array_equal(single.eta, eta[None])
+        (want,) = steer_linear(z_mid, single, modes, config.beta)
         assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
     for deltas in (spec.deltas, spec.deltas[:1]):
         windows = [SteerWindow(config.tau, d) for d in deltas]
@@ -241,12 +239,13 @@ def test_stacked_synthesis_matches_single_alpha_calls():
             stacked = SteeringProblem(starts, target, windows, alphas)
             controls = synthesize_control(stacked, modes, config.beta)
             steered = steer_linear(starts, controls, modes, config.beta)
-            assert steered.w.shape == (len(windows),) + np.shape(alphas) + (modes.count,)
+            # a single alpha is a batch of one cell
+            assert steered.w.shape == (len(windows), np.size(alphas), modes.count)
             for win, y0, control, y_tau in zip(windows, starts, controls, steered):
                 single = synthesize_control(
                     SteeringProblem(y0, target, win, alphas), modes, config.beta
                 )
-                assert control.window == win and control.alpha == alphas
+                assert control.window == win and control.alpha == tuple(np.atleast_1d(alphas))
                 assert np.array_equal(single.eta, control.eta)
                 want = steer_linear(y0, single, modes, config.beta)
                 assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
@@ -260,7 +259,7 @@ def test_stacked_windows_reject_mismatched_inputs():
     assert stacked.blocks.shape == (len(windows), modes.count, 2, 2)
     assert stacked.min_eigenvalue.shape == (len(windows),)
     with pytest.raises(InvalidArgumentError, match="rhs must have shape"):
-        solve_regularized(stacked, 0.1, np.zeros((len(windows) - 1, modes.count, 2)))
+        solve_regularized(stacked, [0.1], np.zeros((len(windows) - 1, modes.count, 2)))
     with pytest.raises(InvalidArgumentError, match="rhs must have shape"):
         solve_regularized(stacked, [0.1, 0.01], np.zeros((modes.count, 2)))
     starts = BeamState(np.zeros((len(windows), modes.count)), np.zeros((len(windows), modes.count)))
@@ -385,7 +384,7 @@ def test_residual_identity_batch_matches_single_alphas():
     assert control.eta.shape == (3, 8, 2) and measured.shape == formula.shape == (3,)
     for k, alpha in enumerate(alphas):
         single = SteeringProblem(y0, z1, window, alpha)
-        _, m, f = residual_identity(single, modes, 2.0, gramians, q_quad)
+        _, (m,), (f,) = residual_identity(single, modes, 2.0, gramians, q_quad)
         np.testing.assert_allclose([measured[k], formula[k]], [m, f], rtol=1e-14, atol=0.0)
     assert np.abs(measured - formula).max() <= CROSS_PATH_TOL
 
@@ -427,8 +426,8 @@ def test_single_mode_pipeline_against_hand_computation():
     )
 
     control = synthesize_control(SteeringProblem(y0, z1, window, alpha), modes, beta)
-    np.testing.assert_allclose(control.eta[0], eta, atol=1e-10)
-    got = steer_linear(y0, control, modes, beta)
+    np.testing.assert_allclose(control.eta[0, 0], eta, atol=1e-10)
+    (got,) = steer_linear(y0, control, modes, beta)
     np.testing.assert_allclose(energy_coords(got, modes)[0], y_tau, atol=1e-10)
 
 
@@ -669,3 +668,44 @@ def test_cli_pullback(tmp_path):
     out = tmp_path / "cell.csv"
     assert cli.main(["pullback", "--quiet", "--out", str(out)]) == 0
     assert out.exists()
+
+
+# case -> (arguments, config text or None, exit code, start of the one stderr line)
+CLI_FAILURES = {
+    "seed_flag_sweep": (["sweep", "--seed", "-1"], None, 2, "invalid configuration: seed"),
+    "seed_flag_linear_check": (
+        ["linear-check", "--seed", "-3"], None, 2, "invalid configuration: seed"
+    ),
+    "seed_file": (
+        ["sweep"], _violating("seed = 20240811", "seed = -1"), 2, "invalid configuration: seed"
+    ),
+    "out_sweep": (
+        ["sweep", "--out", "missing/x.csv"], None, 1, "error: could not write CSV to missing/x.csv"
+    ),
+    "out_pullback": (
+        ["pullback", "--out", "missing/x.csv"], None, 1,
+        "error: could not write CSV to missing/x.csv",
+    ),
+    "unknown_key": (
+        ["sweep"], _violating("kappa = 0.5", "kapa = 0.5"), 2,
+        "invalid configuration: unknown key 'kapa'",
+    ),
+    "blowup": (["sweep"], _violating("f_b = 0.0", "f_b = 1e14"), 1, "error: trajectory norm"),
+}
+
+
+@pytest.mark.parametrize("case", CLI_FAILURES)
+def test_cli_failure_contract(tmp_path, case):
+    # every failure ends the process with its exit code and one stderr line, no traceback
+    argv, text, code, prefix = CLI_FAILURES[case]
+    if text is not None:
+        (tmp_path / "c.ini").write_text(text)
+        argv = argv + ["--config", "c.ini"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "beamsteer", *argv, "--quiet"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

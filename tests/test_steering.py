@@ -22,7 +22,7 @@ from beamsteer import (
 from beamsteer import steering
 from beamsteer.errors import InvalidArgumentError
 
-from oracles import window_control_quadrature
+from oracles import costate, window_coeffs, window_control_quadrature
 
 BETA = 2.0
 WINDOW = SteerWindow(1.0, 0.2)
@@ -46,7 +46,7 @@ def test_control_vanishes_on_free_trajectory_target():
     z1 = apply_semigroup(y0, WINDOW.delta, modes, BETA)
     control = synthesize_control(SteeringProblem(y0, z1, WINDOW, 1e-2), modes, BETA)
     samples = np.linspace(WINDOW.start, WINDOW.tau, 256)
-    assert np.abs(control.window_coeffs(samples)).max() == 0.0
+    assert np.abs(window_coeffs(control, samples)).max() == 0.0
     assert np.abs(control.eta).max() == 0.0
 
 
@@ -59,13 +59,14 @@ def test_unit_deflection_target_energy_identity():
     control = synthesize_control(
         SteeringProblem(y0, z1, WINDOW, 1e-4), modes, BETA, gramians=gramians
     )
-    energy = control_energy(control, gramians)
+    (energy,) = control_energy(control, gramians)
     assert np.isfinite(energy) and energy > 0
-    quad_form = float(control.eta[0] @ gramians.blocks[0] @ control.eta[0])
+    (eta,) = control.eta
+    quad_form = float(eta[0] @ gramians.blocks[0] @ eta[0])
     assert energy == pytest.approx(quad_form, rel=1e-8)
     # the mapped control agrees with Q eta evaluated independently
     mapped, _ = window_control_quadrature(control)
-    np.testing.assert_allclose(mapped, (gramians.blocks @ control.eta[:, :, None])[:, :, 0], atol=1e-8)
+    np.testing.assert_allclose(mapped, (gramians.blocks @ eta[:, :, None])[:, :, 0], atol=1e-8)
 
 
 def test_energy_identity_multimode():
@@ -78,7 +79,8 @@ def test_energy_identity_multimode():
         SteeringProblem(y0, z1, WINDOW, 1e-3), modes, BETA, gramians=gramians
     )
     _, energy = window_control_quadrature(control)
-    quad_form = float(np.sum(control.eta[:, None, :] @ gramians.blocks @ control.eta[:, :, None]))
+    (eta,) = control.eta
+    quad_form = float(np.sum(eta[:, None, :] @ gramians.blocks @ eta[:, :, None]))
     assert energy == pytest.approx(quad_form, rel=1e-8)
 
 
@@ -86,8 +88,8 @@ def test_zero_control_is_free_flow():
     modes = _modes(5)
     rng = np.random.default_rng(2)
     y0 = _random_state(modes, rng)
-    control = ControlSignal(WINDOW, np.zeros((5, 2)), modes, BETA)
-    out = steer_linear(y0, control, modes, BETA)
+    control = ControlSignal(WINDOW, np.zeros((1, 5, 2)), modes, BETA, alpha=[1.0])
+    (out,) = steer_linear(y0, control, modes, BETA)
     free = apply_semigroup(y0, WINDOW.delta, modes, BETA)
     assert energy_norm(out - free, modes) <= 1e-13
 
@@ -106,7 +108,7 @@ def test_residual_identity_per_mode(alpha):
     d = energy_coords(z1, modes) - energy_coords(
         apply_semigroup(y0, WINDOW.delta, modes, BETA), modes
     )
-    expected = -alpha * solve_regularized(gramians, alpha, d)
+    expected = -alpha * solve_regularized(gramians, [alpha], d)
     got = energy_coords(y_tau, modes) - energy_coords(z1, modes)
     np.testing.assert_allclose(got, expected, atol=1e-8)
 
@@ -121,9 +123,9 @@ def test_steering_linearity():
     u2 = synthesize_control(
         SteeringProblem(y0, _random_state(modes, rng), WINDOW, 1e-1), modes, BETA
     )
-    both = ControlSignal(WINDOW, u1.eta + u2.eta, modes, BETA)
-    left = steer_linear(y0, both, modes, BETA)
-    right = steer_linear(y0, u1, modes, BETA) + steer_linear(
+    both = ControlSignal(WINDOW, u1.eta + u2.eta, modes, BETA, alpha=u1.alpha)
+    (left,) = steer_linear(y0, both, modes, BETA)
+    (right,) = steer_linear(y0, u1, modes, BETA) + steer_linear(
         BeamState.zeros(4), u2, modes, BETA
     )
     assert energy_norm(left - right, modes) <= 1e-10
@@ -155,7 +157,7 @@ def test_alpha_monotone_per_block():
     d = rng.standard_normal((6, 2))
     prev = None
     for alpha in [1.0, 0.5, 1e-1, 1e-2, 1e-3, 1e-4]:
-        per_block = np.linalg.norm(alpha * solve_regularized(gramians, alpha, d), axis=1)
+        per_block = np.linalg.norm(alpha * solve_regularized(gramians, [alpha], d)[0], axis=1)
         if prev is not None:
             assert np.all(per_block <= prev + 1e-12)
         prev = per_block
@@ -235,37 +237,41 @@ def test_closed_form_matches_quadrature_oracle(n, delta, alpha):
         SteeringProblem(y0, _random_state(modes, rng), window, alpha), modes, BETA
     )
     mapped, energy = window_control_quadrature(control)
-    got = energy_coords(steer_linear(BeamState.zeros(n), control, modes, BETA), modes)
+    (y_tau,) = steer_linear(BeamState.zeros(n), control, modes, BETA)
+    got = energy_coords(y_tau, modes)
     assert np.linalg.norm(got - mapped) <= 1e-12 * np.linalg.norm(mapped)
     gramians = assemble_gramian(modes, BETA, control.window)
-    assert control_energy(control, gramians) == pytest.approx(energy, rel=1e-12)
+    (closed_form,) = control_energy(control, gramians)
+    assert closed_form == pytest.approx(energy, rel=1e-12)
 
 
 def test_window_coeffs_at_rounded_horizon():
     # grid times can overshoot tau by an ulp (e.g. 273 steps of 1/91 reach
     # 3 + 4.4e-16); such a node is the window end, not an invalid time
     modes = _modes(3)
-    control = ControlSignal(WINDOW, np.ones((3, 2)), modes, BETA)
+    control = ControlSignal(WINDOW, np.ones((1, 3, 2)), modes, BETA, alpha=[1.0])
     late = np.nextafter(WINDOW.tau, 2.0)
-    np.testing.assert_array_equal(control.window_coeffs(late), control.window_coeffs(WINDOW.tau))
+    np.testing.assert_array_equal(window_coeffs(control, late), window_coeffs(control, WINDOW.tau))
 
 
 def test_control_batch_costate_and_validation():
     # a batch's costate comes from one table of the times; each cell equals
-    # its single control's costate bitwise
+    # its one-cell control's costate bitwise
     modes = _modes(3)
     eta = np.random.default_rng(5).standard_normal((2, 3, 2))
     batch = ControlSignal(WINDOW, eta, modes, BETA, alpha=[0.1, 0.01])
     t = np.linspace(WINDOW.start, WINDOW.tau, 7)
-    got = batch.costate(t)
+    got = costate(batch, t)
     assert got.shape == (2, 7, 3, 2)
-    for cell, e in zip(got, eta):
-        np.testing.assert_array_equal(cell, ControlSignal(WINDOW, e, modes, BETA).costate(t))
+    for cell, e, a in zip(got, eta, batch.alpha):
+        (want,) = costate(ControlSignal(WINDOW, e[None], modes, BETA, alpha=[a]), t)
+        np.testing.assert_array_equal(cell, want)
     for alpha in ([0.1], 0.1, None):
         with pytest.raises(InvalidArgumentError, match="one alpha per cell"):
             ControlSignal(WINDOW, eta, modes, BETA, alpha=alpha)
-    with pytest.raises(InvalidArgumentError, match="cells, N, 2"):
-        ControlSignal(WINDOW, eta[None], modes, BETA)
+    for bad in (eta[None], eta[0]):  # every control is a batch of cells
+        with pytest.raises(InvalidArgumentError, match="cells, N, 2"):
+            ControlSignal(WINDOW, bad, modes, BETA, alpha=[0.1, 0.01])
     with pytest.raises(InvalidArgumentError):
         SteeringProblem(BeamState.zeros(3), BeamState.zeros(3), WINDOW, [0.1, 1.5])
 
@@ -288,7 +294,7 @@ def test_stacked_sweeps_match_per_alpha_loops():
     assert [a for a, _ in sweep] == alphas
     np.testing.assert_allclose([e for _, e in sweep], loop, rtol=1e-14, atol=0.0)
     probe = rng.standard_normal((8, 2))
-    loop = [alpha * np.linalg.norm(solve_regularized(gramians, alpha, probe)) for alpha in alphas]
+    loop = [alpha * np.linalg.norm(solve_regularized(gramians, [alpha], probe)) for alpha in alphas]
     report = approximate_right_inverse_check(gramians, alphas, probe)
     np.testing.assert_allclose(report["errors"], loop, rtol=1e-14, atol=0.0)
 
