@@ -26,24 +26,27 @@ The history on [-delay, 0] is an array-valued callable, evaluated once on all
 history nodes.  Stepping follows the method of steps: a slab of at most
 min(OUTER, delay/h) steps, cut at the window start and at impulse nodes, reads
 only delayed states fixed by earlier slabs.  It synthesizes its delayed
-deflection once for f and g (the velocity only if f reads it, see F_READS),
-collocates them on its live rows, and advances the memory recursion and every
-mode alike in chunks of CHUNK steps: all chunks from a zero start by one batched
-matmul, the chunk starts by a Toeplitz table of powers of the chunk propagator
-(decay**CHUNK, or A^CHUNK with A^k = exp(K k h) in closed form, cached per
-system), and the propagated chunk starts added back.  The chunk count is fixed
-before the window and in it, and every node array carries one slab of trailing
-rows, so slabs read and write full-shape views whose rows past the slab's end
-are finite and meet only zeros above the tables' diagonals: with the products
-run per cell, a node's value depends neither on where its slab ends nor on how
-many cells step together.
+deflection once for f and g (the velocity only if f reads it, see F_READS) into
+grid workspaces, applies f and g there in place on its live rows only, and
+advances the memory recursion and every mode alike in chunks of CHUNK steps: all
+chunks from a zero start by one batched matmul, the chunk starts by a Toeplitz
+table of powers of the chunk propagator (decay**CHUNK, or A^CHUNK with
+A^k = exp(K k h) in closed form), and the propagated chunk starts added back.
+The chunk count is fixed before the window and in it, and every node array
+carries one slab of trailing rows, so slabs read and write full-shape views
+whose rows past the slab's end are finite and meet only zeros above the tables'
+diagonals: with the products run per cell, a node's value depends neither on
+where its slab ends nor on how many cells step together.
 
-A full run steps one cell, with no steering control or a one-cell one.  Since
-every window is shorter than the delay, a resumed run steps one window-sized
-control of any number of cells that reads its delayed states and memory forcing
-from the zero-control prefix, takes its controls and control increments from
-exp(K^T theta) entries of the window nodes combined once per node with Q(h),
-times each cell's eta, and returns the cells' terminal states.
+Each table that depends only on the system (basis, propagator, memory kernel,
+window) is built once and cached.  Windows end at tau and are shorter than the
+delay, so the window table covers the last delay/h nodes, where theta = tau - t
+depends on the node alone: per node, the coefficients of e0 and e1 in the
+control b^T p and the increment Q(h) p of p = exp(K^T theta) eta.  A full run
+steps one cell, with no control or a one-cell one; a resumed run steps a
+window-sized control of any number of cells, reads its delayed states and
+memory forcing from the zero-control prefix, and returns the cells' terminal
+states.
 """
 
 from __future__ import annotations
@@ -119,22 +122,33 @@ class NonlinearityCatalog:
         if not all(0 <= x < np.inf for x in (self.f_a, self.f_b, self.kappa, self.gamma)):
             raise InvalidArgumentError("catalog parameters must be nonnegative and finite")
 
-    def f(self, y, v, u):
+    def f(self, y, v, u, out=None):
+        """f pointwise; with ``out`` (which may be ``u``) the result is written there."""
         if self.f_kind == "zero":
-            return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(v), np.shape(u)))
-        if self.f_kind == "linear_growth":
-            out = np.asarray(y) * (self.f_a * np.cos(u))
+            shape = np.broadcast_shapes(np.shape(y), np.shape(v), np.shape(u))
+            return np.zeros(shape) if out is None else np.copyto(out, 0.0) or out
+        if self.f_kind == "bounded_trig":
+            return np.add(self.f_a * np.sin(y) * np.cos(v), self.f_b * np.cos(u), out=out)
+        if out is None or np.ndim(u) == 0:  # one cos for a scalar u, not one per grid point
+            out = np.multiply(y, self.f_a * np.cos(u), out=out)
+        else:  # the products of y * (f_a * cos u), in place
+            np.cos(u, out=out)
+            out *= self.f_a
+            out *= y
+        if self.f_b:
             out += self.f_b
-            return out
-        return self.f_a * np.sin(y) * np.cos(v) + self.f_b * np.cos(u)
+        return out
 
-    def g(self, w):
+    def g(self, w, out=None):
+        """g pointwise; with ``out`` (not ``w`` itself) the result is written there."""
         if self.g_kind == "zero":
-            return np.zeros_like(np.asarray(w, dtype=float))
+            return np.zeros(np.shape(w)) if out is None else np.copyto(out, 0.0) or out
         if self.g_kind == "sin":
-            return np.sin(w)
+            return np.sin(w, out=out)
         w = np.asarray(w, dtype=float)
-        return w / (1.0 + w * w)
+        den = np.multiply(w, w, out=out)
+        den += 1.0
+        return np.divide(w, den, out=out)
 
     @property
     def has_memory(self) -> bool:
@@ -306,25 +320,35 @@ def _toeplitz(p) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _slab_tables(length, grid_points, n_modes, beta, h, chunk, count):
+def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
     """Read-only tables of ``simulate`` for one system and step: basis matrix, its spacing-
-    scaled projector, the costate-to-increment map Q(h) diag(1/lambda, 1), (h/2 a12, a22)
-    of A = exp(K h), the chunk table taking b_j to sum_{j<=k} A^(k-j) b_j, the lift table
-    of A^(k+1), and the outer table of A^(chunk (m - j)) for `count` chunks or fewer."""
-    lam = laplacian_eigenvalues(length, n_modes).lambdas
-    domain, (q11, q12, q22) = SpatialDomain(length, grid_points), gramian_entries(lam, beta, h)
+    scaled projector, (h/2 a12, a22) of A = exp(K h), the chunk table taking b_j to
+    sum_{j<=k} A^(k-j) b_j, the lift table of A^(k+1), the outer table of A^(chunk (m - j))
+    for up to a slab's `count` chunks, the window table (module docstring) of the last n_r nodes
+    and one slab of zeros past tau, and the memory kernel's decay tables like the state's."""
+    lam = laplacian_eigenvalues(domain.length, n_modes).lambdas
+    (q11, q12, q22), chunk = gramian_entries(lam, beta, h), min(CHUNK, n_r)
+    count = -(-min(OUTER, n_r) // chunk)
     B = basis_matrix(domain, n_modes)
     step, outer = (
         np.stack(exp_entries(lam, beta, t[:, None]), -1).reshape(t.size, n_modes, 2, 2)
         for t in (h * np.arange(chunk + 1), h * chunk * np.arange(count))
     )
+    m = exact_multiple(tau, h, "the horizon")
+    theta = np.maximum(tau - np.arange(m + 1 - n_r, m + 1) * h, 0.0)
+    k11, k12, k21, k22 = exp_entries(lam[:, None], beta, theta, energy=True)
+    qa, qb = np.array([[q11 / lam, q12], [q12 / lam, q22]])[..., None]  # increment qa p1 + qb p2
+    window = np.zeros((2, 3, n_modes, n_r + chunk * count))
+    window[..., :n_r] = [[k12, *(qa * k11 + qb * k12)], [k22, *(qa * k21 + qb * k22)]]
+    decay = np.exp(-gamma * h) ** np.arange(chunk * count + 1)
     tables = (
         B, domain.spacing * B,
-        np.array([[q11 / lam, q12 / lam], [q12, q22]])[..., None],
         np.stack([0.5 * h * step[1, :, 0, 1], step[1, :, 1, 1]]),
         _toeplitz(step[:-1]).transpose(1, 2, 0, 3, 4).reshape(n_modes, 2 * chunk, 2 * chunk),
         step[1:].transpose(1, 2, 0, 3).reshape(n_modes, 2 * chunk, 2),
         np.ascontiguousarray(_toeplitz(outer).transpose(1, 2, 0, 3, 4)),
+        window, h * _toeplitz(decay[:chunk]), decay[1 : chunk + 1, None],
+        _toeplitz(decay[: chunk * count : chunk]),
     )
     for table in tables:
         table.flags.writeable = False
@@ -352,6 +376,9 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     n_r = idx0 = config.delay_steps
     n_total = n_r + config.horizon_steps + 1
     times = (np.arange(n_total) - idx0) * h
+    B, Bq, (half_a12, a22), chunk_table, lift, outers, window, m_chunk, m_lift, m_outers = (
+        _slab_tables(domain, N, config.beta, h, config.tau, n_r, catalog.gamma)
+    )
 
     cells = 1 if control is None else len(control.eta)
     if prefix is None and cells != 1 or prefix is not None and control is None:
@@ -362,10 +389,12 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     if control is not None:
         if control.beta != config.beta or not np.array_equal(control.modes.lambdas, lam):
             raise InvalidArgumentError("the control must be synthesized for the config's system")
-        if abs(control.window.tau - config.tau) > 1e-9:
+        if control.window.tau != config.tau:
             raise InvalidArgumentError("control window must end at the horizon")
         config.validate_delta(control.window.delta)
         start_idx = idx0 + exact_multiple(control.window.start, h, "the window start")
+        window = window[..., start_idx - (n_total - n_r) :]  # from this run's window start
+        e0, e1 = np.moveaxis(control.eta, -1, 0)[..., None]  # (cells, N, 1) each
 
     # W and V hold nodes lo.. of every cell: all nodes for a full run, the
     # window for a resumed one; slabs of `counts[active]` chunks of `chunk`
@@ -394,24 +423,12 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
 
     imp_at = {idx0 + n: k for k, n in enumerate(config.impulse_steps)}
 
-    B, Bq, qmap, (half_a12, a22), chunk_table, lift, outers = _slab_tables(
-        config.length, config.grid_points, N, config.beta, h, chunk, -(-min(OUTER, n_r) // chunk)
-    )
-    if start_idx is not None:
-        theta = np.maximum(control.window.tau - times[start_idx:], 0.0)
-        entries = np.zeros((4, N, theta.size + pad))  # of exp(K^T theta), zero past tau
-        entries[..., : theta.size] = exp_entries(lam[:, None], config.beta, theta, energy=True)
-        e0, e1 = np.moveaxis(control.eta, -1, 0)[..., None]  # (cells, N, 1) each
     half, lam2, ones, reads = 0.5 * h, lam * lam, np.ones(N), F_READS[catalog.f_kind]
 
     # the trapezoid sum of the exponential kernel, kappa-free, by the exact recursion
     # S_(k+1) = decay S_k + h g_(k+1), chunked like the state; the carry is S at the slab start
     recurse = prefix is None and catalog.has_memory
-    if recurse:
-        decay = np.exp(-catalog.gamma * h) ** np.arange(pad + 1)
-        m_chunk, m_lift = h * _toeplitz(decay[:chunk]), decay[1 : chunk + 1, None]
-        m_outers = _toeplitz(decay[:pad:chunk])
-        carry = 0.5 * h * _collocate(B, domain.spacing, catalog.g, W[0, 0])
+    carry = 0.5 * h * _collocate(B, domain.spacing, catalog.g, W[0, 0]) if recurse else None
 
     stops = sorted(s for s in {n_total - 1, start_idx, *imp_at} if s is not None)
     s0, count = (idx0 if prefix is None else lo), None
@@ -421,29 +438,33 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             count = counts[active]
             L = count * chunk
             outer = outers[:, :, :count, :, :count].reshape(N, 2 * count, 2 * count)
-            # fixed pieces of about COLLOCATION_ROWS cell rows: a cut slab
-            # collocates a prefix of them, with the shapes of an uncut one
+            # fixed pieces of about COLLOCATION_ROWS cell rows; a cut slab maps f and g on its
+            # live rows only but synthesizes and projects uncut shapes, so BLAS keeps its kernels
             pieces = -(-cells * (L + 1) // COLLOCATION_ROWS)
             piece = -(-(L + 1) // pieces)
             fc, gq = np.zeros((cells, L + 1, N)), np.zeros((L + 1, N))
             X, Z = np.empty((2, cells, N, 2 * chunk, count))
             xw, xv = (X[:, :, r * chunk : (r + 1) * chunk].transpose(0, 3, 2, 1) for r in (0, 1))
             E = np.empty((cells, N, 2, count))
+            # grid workspaces of the delayed deflection, f (and the control) and g
+            yd = np.empty((piece, len(B)))
+            fx = np.zeros((cells, *yd.shape)) if reads else None
+            gx = np.zeros(yd.shape) if recurse else None
         s1 = min(s0 + L, next(s for s in stops if s > s0))
         n, j = s1 - s0, (s0 - start_idx if active else 0)
         if active:
-            # p = exp(K^T theta) eta has p_k = k_1k e0 + k_2k e1: the control b^T p and
-            # the increments qmap p(t + h), the entries combined once per node
-            k11, k12, k21, k22 = entries[..., j : j + L + 1]
-            win_u = k12 * e0 + k22 * e1
-            cw, cv = ((qa * k11 + qb * k12) * e0 + (qa * k21 + qb * k22) * e1 for qa, qb in qmap)
+            # the control b^T p and increments Q(h) p(t + h), from the window table
+            c0, c1 = window[:, :, None, :, j : j + L + 1]
+            win_u, cw, cv = c0 * e0 + c1 * e1
         # f and g on the slab's live rows s0..s1, piece by piece
         for a in range(0, n + 1, piece) if reads or recurse else ():
-            rows = slice(s0 - n_r + a, s0 - n_r + min(a + piece, L + 1))
+            r, live = min(piece, L + 1 - a), min(piece, n + 1 - a)
+            rows = slice(s0 - n_r + a, s0 - n_r + a + r)
             # delayed deflection on the grid, for f and g; continuous at impulses
-            yd = past_w[rows] @ B.T
+            y = np.matmul(past_w[rows], B.T, out=yd[:r])[:live]
             if recurse:
-                np.matmul(catalog.g(yd), Bq, out=gq[a : a + len(yd)])
+                catalog.g(y, out=gx[:live])
+                np.matmul(gx[:r], Bq, out=gq[a : a + r])
             if reads:
                 vd = 0.0  # read by f only where its kind says so
                 if "v" in reads:
@@ -451,9 +472,12 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
                     for d, (_, v_left) in pre_impulse.items():
                         if rows.start <= d < rows.stop:
                             vd[d - rows.start] = v_left
-                    vd = vd @ B.T
-                ud = win_u[..., a : a + len(yd)].swapaxes(1, 2) @ B.T if active else 0.0
-                np.matmul(catalog.f(yd, vd, ud), Bq, out=fc[:, a : a + len(yd)])
+                    vd = (vd @ B.T)[:live]
+                grid, ud = (fx[:, :r], fx[:, :live]) if active else (fx[0, :r], 0.0)
+                if active:  # the control's synthesis, mapped to f in place
+                    np.matmul(win_u[..., a : a + r].swapaxes(1, 2), B.T, out=grid)
+                catalog.f(y, vd, ud, out=grid[..., :live, :])
+                np.matmul(grid, Bq, out=fc[:, a : a + r])
         new = slice(s0 - lo + 1, s0 - lo + 1 + L)
         if recurse:
             g, M = (x.reshape(count, chunk, N) for x in (gq[1:], memory[new]))

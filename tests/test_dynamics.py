@@ -20,7 +20,7 @@ from beamsteer import (
     synthesize_control,
 )
 from beamsteer import dynamics, spectral
-from beamsteer.dynamics import BLOWUP_THRESHOLD, CHUNK, F_READS
+from beamsteer.dynamics import BLOWUP_THRESHOLD, CHUNK, F_READS, G_KINDS
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from oracles import (
     apply_impulse,
@@ -216,6 +216,36 @@ def test_stacked_rows_match_row_by_row_calls(cat):
     np.testing.assert_allclose(jumps, rows, rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("f_b", [0.0, 0.3])
+@pytest.mark.parametrize("kind", F_READS)
+@pytest.mark.parametrize("u", ["scalar", "array"])
+def test_forcing_in_place_matches_fresh_call(kind, f_b, u):
+    # f written into a buffer, or into the control's own synthesis, is f bitwise
+    # and leaves y and v alone
+    cat = NonlinearityCatalog(f_kind=kind, f_a=0.7, f_b=f_b)
+    rng = np.random.default_rng(11)
+    y, v = rng.standard_normal((2, 6, 64))
+    u = 0.4 if u == "scalar" else rng.standard_normal((3, 6, 64))
+    want, kept = cat.f(y, v, u), (y.copy(), v.copy())
+    cases = [(u, np.full(want.shape, np.nan))]
+    if np.ndim(u):
+        alias = u.copy()
+        cases.append((alias, alias))
+    for arg, out in cases:
+        got = cat.f(y, v, arg, out=out)
+        assert got is out and np.array_equal(got, want)
+        assert np.array_equal(y, kept[0]) and np.array_equal(v, kept[1])
+
+
+@pytest.mark.parametrize("kind", G_KINDS)
+def test_memory_integrand_in_place_matches_fresh_call(kind):
+    cat = NonlinearityCatalog(g_kind=kind)
+    w = np.random.default_rng(12).standard_normal((6, 64))
+    want, kept, out = cat.g(w), w.copy(), np.full(w.shape, np.nan)
+    got = cat.g(w, out=out)
+    assert got is out and np.array_equal(got, want) and np.array_equal(w, kept)
+
+
 def test_collocated_maps_reject_wrong_mode_axis():
     domain = SpatialDomain(1.0, 64)
     modes = laplacian_eigenvalues(1.0, 4)
@@ -321,19 +351,24 @@ def test_prefix_bitwise_invariance():
     cfg = _config(catalog=cat, impulses=imp, history=hist)
     modes = cfg.modes
     traj = simulate(cfg, None)
-    window = SteerWindow(1.0, 0.2)
-    y0 = traj.state_at(0.8)
     z1 = BeamState.zeros(4)
     z1.v[0] = 1.0
-    u_a = synthesize_control(SteeringProblem(y0, z1, window, 1e-1), modes, BETA)
-    u_b = synthesize_control(SteeringProblem(y0, z1, window, 1e-4), modes, BETA)
-    ta = simulate(cfg, u_a)
-    tb = simulate(cfg, u_b)
-    cut = ta.index_at(0.8)
-    assert np.array_equal(ta.w[: cut + 1], tb.w[: cut + 1])
-    assert np.array_equal(ta.v[: cut + 1], tb.v[: cut + 1])
-    # and they do differ afterwards
-    assert not np.array_equal(ta.v[cut + 1 :], tb.v[cut + 1 :])
+    # at delta = 0.165 the window start cuts the slab from the impulse at 0.7
+    # one row into its last collocation piece of 81 rows
+    for delta in (0.2, 0.165):
+        window = SteerWindow(1.0, delta)
+        y0 = traj.state_at(window.start)
+        u_a = synthesize_control(SteeringProblem(y0, z1, window, 1e-1), modes, BETA)
+        u_b = synthesize_control(SteeringProblem(y0, z1, window, 1e-4), modes, BETA)
+        ta = simulate(cfg, u_a)
+        tb = simulate(cfg, u_b)
+        cut = ta.index_at(window.start)
+        # the prefix is the zero-control run's, bitwise
+        for run in (tb, traj):
+            assert np.array_equal(ta.w[: cut + 1], run.w[: cut + 1])
+            assert np.array_equal(ta.v[: cut + 1], run.v[: cut + 1])
+        # and they do differ afterwards
+        assert not np.array_equal(ta.v[cut + 1 :], tb.v[cut + 1 :])
 
 
 def _resume_setup():
@@ -435,12 +470,16 @@ def test_forcing_reads_table_matches_f(kind):
 
 
 def test_resume_rejects_window_not_ending_at_horizon():
+    # controlled runs read the config's window table, so a window must end at
+    # tau exactly, resumed or run in full
     cfg, base, _ = _resume_setup()
-    control = ControlSignal(
-        SteerWindow(0.9, 0.2), np.zeros((1, 4, 2)), cfg.modes, BETA, alpha=[1e-2]
-    )
-    with pytest.raises(InvalidArgumentError, match="end at the horizon"):
-        simulate(cfg, control, prefix=base)
+    for tau in (0.9, cfg.tau + 1e-12):
+        control = ControlSignal(
+            SteerWindow(tau, 0.2), np.zeros((1, 4, 2)), cfg.modes, BETA, alpha=[1e-2]
+        )
+        for prefix in (base, None):
+            with pytest.raises(InvalidArgumentError, match="end at the horizon"):
+                simulate(cfg, control, prefix=prefix)
 
 
 def test_blowup_in_batched_window_names_cell():
@@ -617,10 +656,26 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta, gamma):
     assert [a.tobytes() for a in (free.w, free.v, free.memory)] == before
 
 
+def test_slab_cut_inside_its_first_piece_matches_stepwise_oracle():
+    # an impulse 30 steps in cuts the first slab inside its first collocation
+    # piece, whose rows past the cut hold the workspaces' initial values: they
+    # must be finite, so that the zeros above the tables' diagonals keep them out
+    cat = NonlinearityCatalog(
+        f_kind="linear_growth", f_a=0.5, f_b=0.1, g_kind="rational",
+        kernel_kind="exponential", kappa=0.5, gamma=1.0,
+    )
+    hist = _constant_history(np.full(4, 0.3), np.full(4, 0.1))
+    imp = ImpulseSchedule(times=(0.05,), gains=(0.1,))
+    cfg = _config(catalog=cat, impulses=imp, history=hist)
+    got, ref = simulate(cfg, None), simulate_stepwise(cfg, None)
+    for a, b in ((got.w, ref.w), (got.v, ref.v), (got.memory, ref.memory)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
 def test_slab_tables_cached_per_system():
     # runs on configs differing from the first only in beta, step, modes,
-    # length or grid must match runs from an empty table cache, and the first
-    # config must come back bitwise after them
+    # length, grid, horizon, delay or kernel rate must match runs from an empty
+    # table cache, and the first config must come back bitwise after them
     cat = NonlinearityCatalog(
         f_kind="linear_growth", f_a=0.5, f_b=0.2, g_kind="rational",
         kernel_kind="exponential", kappa=0.5, gamma=1.0,
@@ -630,7 +685,8 @@ def test_slab_tables_cached_per_system():
         replace(first, **change)
         for change in (
             dict(beta=3.0), dict(step=1 / 1200), dict(n_modes=6), dict(length=1.5),
-            dict(grid_points=96),
+            dict(grid_points=96), dict(tau=1.2), dict(delay=0.25),
+            dict(catalog=replace(cat, gamma=2.0)),
         )
     ]
 
@@ -652,7 +708,7 @@ def test_slab_tables_cached_per_system():
         dynamics._slab_tables.cache_clear()
         assert all(np.array_equal(a, b) for a, b in zip(cached, run(cfg)))
     tables = dynamics._slab_tables(
-        first.length, first.grid_points, first.n_modes, first.beta, first.step, CHUNK, 6
+        first.domain, first.n_modes, first.beta, first.step, first.tau, first.delay_steps, cat.gamma
     )
     for table in tables:
         assert not table.flags.writeable

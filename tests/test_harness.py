@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import beamsteer.cli as cli
+import beamsteer.dynamics as dynamics
 from beamsteer import (
     BeamState,
     ExperimentSpec,
@@ -61,7 +62,7 @@ def _spec(**kw):
         beta=2.0,
         tau=1.0,
         delay=0.3,
-        step=1 / 600,
+        step=kw.pop("step", 1 / 600),
         catalog=catalog,
         impulses=kw.pop("impulses", ImpulseSchedule(times=(0.4, 0.7), gains=(0.05, 0.05))),
     )
@@ -192,10 +193,15 @@ BATCH_SPECS = [
         g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=1.0)),
     lambda: _spec(catalog=NonlinearityCatalog(
         f_kind="linear_growth", f_a=0.5, g_kind="rational")),
+    # shaped like the long sweep: the window's last slab is 192 of 256 steps,
+    # so its last collocation piece holds dead rows with one cell and with two
+    lambda: _spec(step=1 / 4800, deltas=[0.2], alphas=[1e-1, 1e-5]),
 ]
 
 
-@pytest.mark.parametrize("make_spec", BATCH_SPECS, ids=["default", "f_zero", "kernel_zero"])
+@pytest.mark.parametrize(
+    "make_spec", BATCH_SPECS, ids=["default", "f_zero", "kernel_zero", "long_clipped"]
+)
 def test_rows_do_not_depend_on_their_batch(make_spec):
     # a cell's row is the same, bitwise, whether its alpha runs alone or in
     # the window batch of every alpha, and whether its delta runs alone or in
@@ -210,6 +216,27 @@ def test_rows_do_not_depend_on_their_batch(make_spec):
             assert (row.error_total, row.error_nl, row.error_lin) == (
                 batched.error_total, batched.error_nl, batched.error_lin
             )
+
+
+def test_sweep_builds_its_window_table_once(monkeypatch):
+    # every window of a sweep slices the one window table of its system: a
+    # cold sweep over three deltas builds it once, a warm sweep not at all
+    spec = load_experiment(None)
+    assert len(spec.deltas) == 3
+    calls = []
+    original = dynamics.exp_entries
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("energy", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "exp_entries", counted)
+    dynamics._slab_tables.cache_clear()
+    run_pullback_experiment(spec)
+    assert calls.count(True) == 1
+    calls.clear()
+    run_pullback_experiment(spec)
+    assert calls == []
 
 
 def test_stacked_synthesis_matches_single_alpha_calls():
