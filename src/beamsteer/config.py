@@ -1,15 +1,8 @@
 """Sectioned key-value experiment configuration.
 
-The format is flat INI text with four sections, numbers written as decimal
-reals and lists comma-separated:
-
-    [simulation]   modes, length, grid_points, beta, tau, delay, step,
-                   history, history_amplitude, history_mode
-    [catalog]      f, f_a, f_b, g, kernel, kappa, gamma
-    [impulses]     times, gains
-    [sweep]        deltas, alphas, epsilon, target, target_mode,
-                   target_scale, seed, out
-
+The format is flat INI text with the sections and keys of ``SCHEMA``,
+numbers written as decimal reals and lists comma-separated.  A key left out
+takes the default of the field it sets; ``[impulses]`` may be left out whole.
 Any other section or key is rejected.
 """
 
@@ -22,15 +15,57 @@ from .dynamics import ImpulseSchedule, NonlinearityCatalog, SimConfig
 from .errors import ConfigError, InvalidArgumentError
 from .harness import ExperimentSpec
 
-# the sections and keys listed above
-KEYS = {
-    "simulation": {"modes", "length", "grid_points", "beta", "tau", "delay", "step", "history",
-                   "history_amplitude", "history_mode"},
-    "catalog": {"f", "f_a", "f_b", "g", "kernel", "kappa", "gamma"},
-    "impulses": {"times", "gains"},
-    "sweep": {"deltas", "alphas", "epsilon", "target", "target_mode", "target_scale", "seed",
-              "out"},
+
+def _floats(text: str) -> list[float]:
+    text = text.strip()
+    if not text:
+        return []
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"could not parse number list {text!r}") from exc
+
+
+# section -> key -> (object, field, parser): the one home of every key; "config" is the
+# SimConfig, "catalog" and "impulses" its parts and "spec" the ExperimentSpec
+SCHEMA = {
+    "simulation": {
+        "modes": ("config", "n_modes", int),
+        "length": ("config", "length", float),
+        "grid_points": ("config", "grid_points", int),
+        "beta": ("config", "beta", float),
+        "tau": ("config", "tau", float),
+        "delay": ("config", "delay", float),
+        "step": ("config", "step", float),
+        "history": ("spec", "history_kind", str),
+        "history_amplitude": ("spec", "history_amplitude", float),
+        "history_mode": ("spec", "history_mode", int),
+    },
+    "catalog": {
+        "f": ("catalog", "f_kind", str),
+        "f_a": ("catalog", "f_a", float),
+        "f_b": ("catalog", "f_b", float),
+        "g": ("catalog", "g_kind", str),
+        "kernel": ("catalog", "kernel_kind", str),
+        "kappa": ("catalog", "kappa", float),
+        "gamma": ("catalog", "gamma", float),
+    },
+    "impulses": {
+        "times": ("impulses", "times", _floats),
+        "gains": ("impulses", "gains", _floats),
+    },
+    "sweep": {
+        "deltas": ("spec", "deltas", _floats),
+        "alphas": ("spec", "alphas", _floats),
+        "epsilon": ("spec", "epsilon", float),
+        "target": ("spec", "target_kind", str),
+        "target_mode": ("spec", "target_mode", int),
+        "target_scale": ("spec", "target_scale", float),
+        "seed": ("spec", "seed", int),
+        "out": ("spec", "out_path", str),
+    },
 }
+
 
 DEFAULT_CONFIG = """\
 [simulation]
@@ -70,16 +105,6 @@ out = pullback.csv
 """
 
 
-def _floats(text: str) -> list[float]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"could not parse number list {text!r}") from exc
-
-
 def _parser_for(text: str) -> configparser.ConfigParser:
     # no section header can hold a newline, so [DEFAULT] is a plain, unknown section
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
@@ -94,61 +119,28 @@ def parse_experiment(text: str, seed_override: int | None = None) -> ExperimentS
     """Build an experiment spec from configuration text."""
     parser = _parser_for(text)
     for name in parser.sections():
-        if name not in KEYS:
+        if name not in SCHEMA:
             raise ConfigError(f"unknown configuration section [{name}]")
-        unknown = sorted(set(parser[name]) - KEYS[name])
+        unknown = sorted(set(parser[name]) - set(SCHEMA[name]))
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r} in section [{name}]")
-    try:
-        sim = parser["simulation"]
-        cat = parser["catalog"]
-        imps = parser["impulses"] if parser.has_section("impulses") else {}
-        sweep = parser["sweep"]
-    except KeyError as exc:
-        raise ConfigError(f"missing configuration section {exc}") from exc
+    for name in SCHEMA:
+        if name != "impulses" and not parser.has_section(name):
+            raise ConfigError(f"missing configuration section {name!r}")
 
+    # only the keys the file sets: every other field keeps its dataclass default
+    fields = {"config": {}, "catalog": {}, "impulses": {}, "spec": {}}
     try:
-        catalog = NonlinearityCatalog(
-            f_kind=cat.get("f", "zero"),
-            f_a=float(cat.get("f_a", 0.0)),
-            f_b=float(cat.get("f_b", 0.0)),
-            g_kind=cat.get("g", "zero"),
-            kernel_kind=cat.get("kernel", "zero"),
-            kappa=float(cat.get("kappa", 0.0)),
-            gamma=float(cat.get("gamma", 0.0)),
-        )
-        impulses = ImpulseSchedule(
-            times=tuple(_floats(imps.get("times", ""))),
-            gains=tuple(_floats(imps.get("gains", ""))),
-        )
-        config = SimConfig(
-            n_modes=int(sim.get("modes", "8")),
-            length=float(sim.get("length", "1.0")),
-            grid_points=int(sim.get("grid_points", "128")),
-            beta=float(sim.get("beta", "2.0")),
-            tau=float(sim.get("tau", "1.0")),
-            delay=float(sim.get("delay", "0.3")),
-            step=float(sim.get("step", "0.001")),
-            catalog=catalog,
-            impulses=impulses,
-        )
-        seed = int(sweep.get("seed", "0"))
+        for name in parser.sections():
+            for key, value in parser[name].items():
+                target, field, parse = SCHEMA[name][key]
+                fields[target][field] = parse(value)
         if seed_override is not None:
-            seed = seed_override
-        return ExperimentSpec(
-            config=config,
-            deltas=_floats(sweep.get("deltas", "")),
-            alphas=_floats(sweep.get("alphas", "")),
-            epsilon=float(sweep.get("epsilon", "0.01")),
-            target_kind=sweep.get("target", "single_mode"),
-            target_mode=int(sweep.get("target_mode", "1")),
-            target_scale=float(sweep.get("target_scale", "1.0")),
-            history_kind=sim.get("history", "zero"),
-            history_amplitude=float(sim.get("history_amplitude", "0.0")),
-            history_mode=int(sim.get("history_mode", "1")),
-            seed=seed,
-            out_path=sweep.get("out", None),
-        )
+            fields["spec"]["seed"] = seed_override
+        catalog = NonlinearityCatalog(**fields["catalog"])
+        impulses = ImpulseSchedule(**fields["impulses"])
+        config = SimConfig(catalog=catalog, impulses=impulses, **fields["config"])
+        return ExperimentSpec(config=config, **fields["spec"])
     except ConfigError:
         raise
     except InvalidArgumentError as exc:

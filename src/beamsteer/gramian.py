@@ -61,10 +61,6 @@ class GramianSet:
     min_eigenvalue: float | np.ndarray
     positive_definite: bool
 
-    @property
-    def count(self) -> int:
-        return int(self.blocks.shape[-3])
-
     @classmethod
     def from_blocks(cls, blocks) -> "GramianSet":
         blocks = np.asarray(blocks, dtype=float)

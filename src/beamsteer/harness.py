@@ -21,7 +21,7 @@ first, then target), so a seed pins the experiment exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +80,14 @@ class ExperimentSpec:
     """Sweep description: simulation template plus target and grids."""
 
     config: SimConfig
-    deltas: list
-    alphas: list
+    deltas: list = field(default_factory=list)
+    alphas: list = field(default_factory=list)
     epsilon: float = 1e-2
     target_kind: str = "single_mode"
     target_mode: int = 1
     target_scale: float = 1.0
-    history_kind: str = "single_mode"
-    history_amplitude: float = 0.2
+    history_kind: str = "zero"
+    history_amplitude: float = 0.0
     history_mode: int = 1
     seed: int = 0
     out_path: str | None = None
@@ -118,11 +118,11 @@ class ExperimentSpec:
                 raise InvalidArgumentError(f"{name} must lie in 1..{self.config.n_modes}")
 
 
-def make_random_state(modes: ModeSet, rng, amplitude: float = 1.0, decay: float = 2.0) -> BeamState:
-    """Smooth random state: modal energy amplitudes fall off like j**-decay,
+def make_random_state(modes: ModeSet, rng, amplitude: float = 1.0) -> BeamState:
+    """Smooth random state: modal energy amplitudes fall off like j**-2,
     normalised so the energy norm equals ``amplitude``."""
     j = np.arange(1, modes.count + 1, dtype=float)
-    coords = rng.standard_normal((modes.count, 2)) * (j**-decay)[:, None]
+    coords = rng.standard_normal((modes.count, 2)) * (j**-2.0)[:, None]
     nrm = np.linalg.norm(coords)
     if nrm == 0:
         coords[0, 1] = 1.0
@@ -259,7 +259,7 @@ def pullback_cell(
     problem = SteeringProblem(z_mid, target, window, alpha)
     control = synthesize_control(problem, modes, config.beta, gramians=gramians)
     traj = simulate(config, control)
-    (y_tau,) = steer_linear(z_mid, control, modes, config.beta, gramians=gramians)
+    (y_tau,) = steer_linear(z_mid, control, gramians=gramians)
     errors = _errors(traj.terminal(), y_tau, target, modes)
     return ResultRow(alpha, delta, *errors, time.perf_counter() - t0, config.horizon_steps), traj
 
@@ -285,7 +285,7 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
     gramians = assemble_gramian(modes, config.beta, windows)
     problem = SteeringProblem(z_mid, target, windows, alphas)
     controls = synthesize_control(problem, modes, config.beta, gramians=gramians)
-    y_tau = steer_linear(z_mid, controls, modes, config.beta, gramians=gramians)
+    y_tau = steer_linear(z_mid, controls, gramians=gramians)
     linear = (timer() - t0) / (len(deltas) * len(alphas))
     runs, shares = [], []
     for control in controls:

@@ -58,7 +58,7 @@ _SERIES = np.array(
 def _roots(lambdas, beta: float):
     """Slow root r1 and gap r1 - r2 = 2 lambda sqrt(beta**2 - 1) per eigenvalue."""
     lam = np.asarray(lambdas, dtype=float)
-    s = np.sqrt((beta - 1.0) * (beta + 1.0))
+    s = np.sqrt(beta - 1.0) * np.sqrt(beta + 1.0)  # the product overflows past 1.34e154
     return -lam / (beta + s), 2.0 * lam * s
 
 
@@ -110,11 +110,12 @@ def gramian_entries(lambdas, beta: float, t):
     z, x = 2.0 * r1 * t, gap * t
     spread = 2.0 * x - z
     near = spread < SERIES_SPREAD
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ez, g = np.exp(z), ratio / t  # g = (1 - exp(-x)) / x
         d2 = (np.expm1(z) / z - ez * g) / (x - z)
         recursion = (d2 - 0.5 * ez * g * g) / spread
-    u, xx = np.where(near, z - x, 0.0).ravel(), np.where(near, x * x, 0.0).ravel()
+        # the entries outside `near` are discarded, overflowed or not
+        u, xx = np.where(near, z - x, 0.0).ravel(), np.where(near, x * x, 0.0).ravel()
     series = np.sum(
         (np.vander(u, 29, increasing=True) @ _SERIES) * np.vander(xx, 15, increasing=True), axis=-1
     ).reshape(near.shape)
@@ -159,4 +160,4 @@ def decay_envelope(modes: ModeSet, beta: float) -> DecayEnvelope:
     if not beta > 1.0:
         raise InvalidArgumentError("the decay envelope needs damping beta > 1")
     rate = -float(_roots(modes.lambdas[0], beta)[0])
-    return DecayEnvelope(float(beta / np.sqrt((beta - 1.0) * (beta + 1.0))), rate)
+    return DecayEnvelope(float(beta / (np.sqrt(beta - 1.0) * np.sqrt(beta + 1.0))), rate)

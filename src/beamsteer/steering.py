@@ -106,24 +106,25 @@ def synthesize_control(
     return [ControlSignal(w, e, modes, beta, alpha=problem.alpha) for w, e in zip(win, eta)]
 
 
-def steer_linear(
-    y0: BeamState, control, modes: ModeSet, beta: float, gramians: GramianSet | None = None,
-) -> BeamState:
+def steer_linear(y0: BeamState, control, gramians: GramianSet | None = None) -> BeamState:
     """Terminal state of the controlled linear dynamics on the window.
 
     y(tau) = T(delta) y0 + G u, and since u = G* eta the mapped control is
     G G* eta = Q eta, exact in the closed-form Gramian blocks (those of
     ``gramians`` when given, which must be the set of the control's window).
+    The modes and damping are the control's own.
     A control gives a batch of states of shape (cells, N), T(delta) y0 formed once;
     the list of controls that a window sequence gives, with its D start states
     ``y0``, gives states of shape (D, cells, N).
     """
+    if isinstance(control, ControlSignal):
+        system, window, eta = control, control.window, control.eta
+    else:  # the controls of one synthesis share its system
+        system, window = control[0], [c.window for c in control]
+        eta = np.stack([c.eta for c in control])
+    modes, beta = system.modes, system.beta
     if y0.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
-    if isinstance(control, ControlSignal):
-        window, eta = control.window, control.eta
-    else:
-        window, eta = [c.window for c in control], np.stack([c.eta for c in control])
     if gramians is None:
         gramians = assemble_gramian(modes, beta, window)
     free = energy_coords(apply_semigroup(y0, window_lengths(window), modes, beta), modes)
@@ -163,7 +164,7 @@ def alpha_sweep(
         gramians = assemble_gramian(modes, beta, window)
     problem = SteeringProblem(y0, z1, window, alphas)
     control = synthesize_control(problem, modes, beta, gramians=gramians)
-    y_tau = steer_linear(y0, control, modes, beta, gramians=gramians)
+    y_tau = steer_linear(y0, control, gramians=gramians)
     errs = np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes), axis=(1, 2))
     return list(zip(alphas, errs.tolist()))
 

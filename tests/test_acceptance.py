@@ -23,7 +23,6 @@ from beamsteer import (
     laplacian_eigenvalues,
     make_history,
     make_random_state,
-    make_target,
     pullback_cell,
     run_pullback_experiment,
     simulate,
@@ -31,7 +30,12 @@ from beamsteer import (
 )
 from beamsteer.config import load_experiment
 from beamsteer.dynamics import SimConfig
-from beamsteer.harness import CROSS_PATH_TOL, gramian_cross_check, residual_identity
+from beamsteer.harness import (
+    CROSS_PATH_TOL,
+    gramian_cross_check,
+    pullback_setup,
+    residual_identity,
+)
 
 from oracles import (
     ModeBlock,
@@ -193,18 +197,7 @@ def test_criterion_5_pullback_experiment():
 def test_criterion_6_pullback_invariance():
     t0 = time.perf_counter()
     spec = load_experiment(None)
-    rng = np.random.default_rng(spec.seed)
-    modes = spec.config.modes
-    history = make_history(
-        spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng
-    )
-    from dataclasses import replace
-
-    config = replace(spec.config, history=history)
-    base = simulate(config, None)
-    target = make_target(
-        spec.target_kind, modes, rng, spec.target_scale, spec.target_mode
-    )
+    config, base, target = pullback_setup(spec)
     delta = 0.2
     assert delta < config.delay
     _, traj_a = pullback_cell(config, target, delta, 1e-1, base)

@@ -337,7 +337,7 @@ def test_steered_linear_simulation_matches_quadrature_path(beta, step):
     z1 = BeamState(rng.standard_normal(4) * 0.1 / modes.lambdas, rng.standard_normal(4) * 0.1)
     control = synthesize_control(SteeringProblem(y0, z1, window, 1e-2), modes, beta)
     steered = simulate(cfg, control)
-    (linear,) = steer_linear(y0, control, modes, beta)
+    (linear,) = steer_linear(y0, control)
     assert energy_norm(steered.terminal() - linear, modes) <= 1e-12 * energy_norm(linear, modes)
 
 

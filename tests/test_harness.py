@@ -1,3 +1,4 @@
+import configparser
 import importlib.util
 import os
 import subprocess
@@ -40,9 +41,14 @@ from beamsteer import (
     summarize_rows,
     synthesize_control,
 )
-from beamsteer.config import DEFAULT_CONFIG, load_experiment
-from beamsteer.errors import ConfigError, InvalidArgumentError
-from beamsteer.harness import CROSS_PATH_TOL, gramian_cross_check, residual_identity
+from beamsteer.config import DEFAULT_CONFIG, SCHEMA, load_experiment
+from beamsteer.errors import BlowUpError, ConfigError, InvalidArgumentError
+from beamsteer.harness import (
+    CROSS_PATH_TOL,
+    gramian_cross_check,
+    pullback_setup,
+    residual_identity,
+)
 
 from oracles import expm_squaring, gauss_integral
 
@@ -123,23 +129,6 @@ def test_error_nl_halving_factor():
         assert 1.5 <= ratio <= 3.0
 
 
-def _base_run(spec):
-    """The sweep's zero-control base run and target, built as the harness does."""
-    rng = np.random.default_rng(spec.seed)
-    modes = spec.config.modes
-    history = make_history(
-        spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng,
-        spec.history_mode,
-    )
-    config = replace(spec.config, history=history)
-    base = simulate(config, None)
-    target = make_target(
-        spec.target_kind, modes, rng, spec.target_scale, spec.target_mode,
-        free_point=base.terminal(),
-    )
-    return config, base, target
-
-
 @pytest.mark.parametrize(
     "make_spec",
     [
@@ -156,7 +145,7 @@ def test_batched_cells_match_from_scratch_runs(make_spec):
     # prefix must equal the base run bitwise, the terminal state and the
     # row errors must match the batched window run
     spec = make_spec()
-    config, base, target = _base_run(spec)
+    config, base, target = pullback_setup(spec)
     modes = config.modes
     rows = {(r.delta, r.alpha): r for r in run_pullback_experiment(spec)}
     assert len(rows) == len(spec.deltas) * len(spec.alphas)
@@ -173,7 +162,7 @@ def test_batched_cells_match_from_scratch_runs(make_spec):
             assert np.array_equal(scratch.v[: cut + 1], base.v[: cut + 1])
             z_tau = scratch.terminal()
             assert energy_norm(z_tau - z_batch, modes) <= 1e-13 * energy_norm(z_tau, modes)
-            (y_tau,) = steer_linear(z_mid, control, modes, config.beta)
+            (y_tau,) = steer_linear(z_mid, control)
             row = rows[(delta, alpha)]
             np.testing.assert_allclose(
                 [row.error_total, row.error_nl, row.error_lin],
@@ -244,7 +233,7 @@ def test_stacked_synthesis_matches_single_alpha_calls():
     # linear steer every alpha's terminal state; a sequence of windows gives
     # every window's eta and terminal states bitwise as its single-window calls
     spec = load_experiment(None)
-    config, base, target = _base_run(spec)
+    config, base, target = pullback_setup(spec)
     modes = config.modes
     window = SteerWindow(config.tau, max(spec.deltas))
     z_mid = base.state_at(window.start)
@@ -252,11 +241,11 @@ def test_stacked_synthesis_matches_single_alpha_calls():
     batch = synthesize_control(problem, modes, config.beta)
     assert batch.eta.shape == (len(spec.alphas), modes.count, 2)
     assert batch.alpha == tuple(spec.alphas)
-    steered = steer_linear(z_mid, batch, modes, config.beta)
+    steered = steer_linear(z_mid, batch)
     for alpha, eta, y_tau in zip(spec.alphas, batch.eta, steered):
         single = synthesize_control(replace(problem, alpha=alpha), modes, config.beta)
         assert np.array_equal(single.eta, eta[None])
-        (want,) = steer_linear(z_mid, single, modes, config.beta)
+        (want,) = steer_linear(z_mid, single)
         assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
     for deltas in (spec.deltas, spec.deltas[:1]):
         windows = [SteerWindow(config.tau, d) for d in deltas]
@@ -265,7 +254,7 @@ def test_stacked_synthesis_matches_single_alpha_calls():
         for alphas in (spec.alphas, spec.alphas[0]):
             stacked = SteeringProblem(starts, target, windows, alphas)
             controls = synthesize_control(stacked, modes, config.beta)
-            steered = steer_linear(starts, controls, modes, config.beta)
+            steered = steer_linear(starts, controls)
             # a single alpha is a batch of one cell
             assert steered.w.shape == (len(windows), np.size(alphas), modes.count)
             for win, y0, control, y_tau in zip(windows, starts, controls, steered):
@@ -274,7 +263,7 @@ def test_stacked_synthesis_matches_single_alpha_calls():
                 )
                 assert control.window == win and control.alpha == tuple(np.atleast_1d(alphas))
                 assert np.array_equal(single.eta, control.eta)
-                want = steer_linear(y0, single, modes, config.beta)
+                want = steer_linear(y0, single)
                 assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
 
 
@@ -454,7 +443,7 @@ def test_single_mode_pipeline_against_hand_computation():
 
     control = synthesize_control(SteeringProblem(y0, z1, window, alpha), modes, beta)
     np.testing.assert_allclose(control.eta[0, 0], eta, atol=1e-10)
-    (got,) = steer_linear(y0, control, modes, beta)
+    (got,) = steer_linear(y0, control)
     np.testing.assert_allclose(energy_coords(got, modes)[0], y_tau, atol=1e-10)
 
 
@@ -580,6 +569,30 @@ def test_config_violations_named():
         parse_experiment("[DEFAULT]\nx = 1\n" + DEFAULT_CONFIG)
 
 
+def test_config_left_out_keys_take_the_dataclass_defaults():
+    spec = parse_experiment("[simulation]\n[catalog]\n[sweep]\ndeltas = 0.2\nalphas = 0.1\n")
+    assert spec == ExperimentSpec(SimConfig(), deltas=[0.2], alphas=[0.1])
+    assert spec.history_kind == "zero" and spec.history_amplitude == 0.0
+
+
+def test_default_config_sets_every_schema_key_in_its_field():
+    spec = load_experiment(None)
+    owners = {
+        "config": spec.config, "catalog": spec.config.catalog,
+        "impulses": spec.config.impulses, "spec": spec,
+    }
+    parser = configparser.ConfigParser()
+    parser.read_string(DEFAULT_CONFIG)
+    assert parser.sections() == list(SCHEMA)
+    targets = [entry[:2] for keys in SCHEMA.values() for entry in keys.values()]
+    assert len(set(targets)) == len(targets)
+    for name, keys in SCHEMA.items():
+        assert set(parser[name]) == set(keys)
+        for key, (owner, field, parse) in keys.items():
+            want = parse(parser[name][key])
+            assert getattr(owners[owner], field) == (tuple(want) if owner == "impulses" else want)
+
+
 def test_config_missing_section():
     with pytest.raises(ConfigError, match="section"):
         parse_experiment("[simulation]\nmodes = 4\n")
@@ -628,6 +641,29 @@ def test_cli_checks_pass_at_critical_damping_and_soft_spectrum(tmp_path, lines):
     for command in ("linear-check", "gramian-check", "steer"):
         assert cli.main([command, "--config", str(path), "--quiet"]) == 0
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_cli_gramian_check_and_steer_pass_at_huge_damping(tmp_path):
+    # sqrt(beta - 1) sqrt(beta + 1) stays finite where (beta - 1)(beta + 1) overflows
+    path = tmp_path / "c.ini"
+    path.write_text(_violating("beta = 2.0", "beta = 1e160"))
+    for command in ("gramian-check", "steer"):
+        assert cli.main([command, "--config", str(path), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize(
+    "line, replacement",
+    [
+        ("f_a = 0.5", "f_a = 1e300"),
+        ("history_amplitude = 0.1", "history_amplitude = 1e300"),
+        ("gains = 0.05, 0.05", "gains = 1e300, 0.05"),
+    ],
+    ids=["f_a", "history_amplitude", "gains"],
+)
+def test_overflow_blowup_raises_blowup_error(line, replacement):
+    # the suite turns warnings into errors, so an overflow warning would escape first
+    with pytest.raises(BlowUpError, match="trajectory norm inf"):
+        run_pullback_experiment(parse_experiment(_violating(line, replacement)))
 
 
 def test_cli_steer():
@@ -718,6 +754,20 @@ CLI_FAILURES = {
         "invalid configuration: unknown key 'kapa'",
     ),
     "blowup": (["sweep"], _violating("f_b = 0.0", "f_b = 1e14"), 1, "error: trajectory norm"),
+    # a blow-up by overflow used to print numpy's warnings first
+    "blowup_overflow": (
+        ["sweep"], _violating("f_a = 0.5", "f_a = 1e300"), 1, "error: trajectory norm inf"
+    ),
+    # damping past 1e154 used to overflow beta**2 - 1: a false blow-up or a traceback;
+    # at 1e300 the Gramian underflows to zero
+    "huge_beta_sweep": (
+        ["sweep"], _violating("beta = 2.0", "beta = 1e300"), 1,
+        "error: Gramian is not positive definite on the window delta=0.2",
+    ),
+    "huge_beta_linear_check": (
+        ["linear-check"], _violating("beta = 2.0", "beta = 1e300"), 1,
+        "error: Gramian is not positive definite on the window delta=0.2",
+    ),
 }
 
 

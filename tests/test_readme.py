@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from beamsteer.config import SCHEMA
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -15,3 +17,12 @@ def test_readme_library_example_runs():
         [sys.executable, "-W", "error", "-c", block], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_configuration_block_names_every_schema_key():
+    (block,) = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    sections = dict(re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", block, re.S | re.M))
+    assert list(sections) == list(SCHEMA)
+    for name, keys in SCHEMA.items():
+        for key in keys:
+            assert re.search(rf"(^|, ){key}( =|,|$)", sections[name], re.M), (name, key)

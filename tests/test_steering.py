@@ -89,7 +89,7 @@ def test_zero_control_is_free_flow():
     rng = np.random.default_rng(2)
     y0 = _random_state(modes, rng)
     control = ControlSignal(WINDOW, np.zeros((1, 5, 2)), modes, BETA, alpha=[1.0])
-    (out,) = steer_linear(y0, control, modes, BETA)
+    (out,) = steer_linear(y0, control)
     free = apply_semigroup(y0, WINDOW.delta, modes, BETA)
     assert energy_norm(out - free, modes) <= 1e-13
 
@@ -104,7 +104,7 @@ def test_residual_identity_per_mode(alpha):
     control = synthesize_control(
         SteeringProblem(y0, z1, WINDOW, alpha), modes, BETA, gramians=gramians
     )
-    y_tau = steer_linear(y0, control, modes, BETA)
+    y_tau = steer_linear(y0, control)
     d = energy_coords(z1, modes) - energy_coords(
         apply_semigroup(y0, WINDOW.delta, modes, BETA), modes
     )
@@ -124,10 +124,8 @@ def test_steering_linearity():
         SteeringProblem(y0, _random_state(modes, rng), WINDOW, 1e-1), modes, BETA
     )
     both = ControlSignal(WINDOW, u1.eta + u2.eta, modes, BETA, alpha=u1.alpha)
-    (left,) = steer_linear(y0, both, modes, BETA)
-    (right,) = steer_linear(y0, u1, modes, BETA) + steer_linear(
-        BeamState.zeros(4), u2, modes, BETA
-    )
+    (left,) = steer_linear(y0, both)
+    (right,) = steer_linear(y0, u1) + steer_linear(BeamState.zeros(4), u2)
     assert energy_norm(left - right, modes) <= 1e-10
 
 
@@ -237,7 +235,7 @@ def test_closed_form_matches_quadrature_oracle(n, delta, alpha):
         SteeringProblem(y0, _random_state(modes, rng), window, alpha), modes, BETA
     )
     mapped, energy = window_control_quadrature(control)
-    (y_tau,) = steer_linear(BeamState.zeros(n), control, modes, BETA)
+    (y_tau,) = steer_linear(BeamState.zeros(n), control)
     got = energy_coords(y_tau, modes)
     assert np.linalg.norm(got - mapped) <= 1e-12 * np.linalg.norm(mapped)
     gramians = assemble_gramian(modes, BETA, control.window)
@@ -288,7 +286,7 @@ def test_stacked_sweeps_match_per_alpha_loops():
     loop = []
     for alpha in alphas:
         control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alpha), modes, BETA)
-        y_tau = steer_linear(y0, control, modes, BETA)
+        y_tau = steer_linear(y0, control)
         loop.append(np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes)))
     sweep = alpha_sweep(y0, z1, WINDOW, alphas, modes, BETA)
     assert [a for a, _ in sweep] == alphas
