@@ -106,8 +106,11 @@ out = pullback.csv
 
 
 def _parser_for(text: str) -> configparser.ConfigParser:
-    # no section header can hold a newline, so [DEFAULT] is a plain, unknown section
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
+    # no section header can hold a newline, so [DEFAULT] is a plain, unknown section;
+    # values are read as written, with no % interpolation
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), default_section="\n", interpolation=None
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:

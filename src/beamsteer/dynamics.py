@@ -238,6 +238,13 @@ class SimConfig:
             raise InvalidArgumentError(
                 "grid_points must be at least twice the mode count"
             )
+        # the stiffest mode's generator [[0, 1], [-lambda**2, -2 beta lambda]] must stay
+        # finite with the factor 2 that the Gramian's closed form multiplies in
+        with np.errstate(over="ignore"):
+            lam = np.square(self.n_modes * np.pi / np.float64(self.length))
+            if not np.isfinite([2.0 * lam * lam, 4.0 * self.beta * lam]).all():
+                what = f"the generator of mode {self.n_modes} overflows"
+                raise InvalidArgumentError(f"{what}: 2 lambda**2 or 4 beta lambda is not finite")
         # the derived facts, set once in this frozen config
         derive = partial(object.__setattr__, self)
         derive("delay_steps", exact_multiple(self.delay, self.step, "the delay"))

@@ -25,9 +25,9 @@ from .errors import InvalidArgumentError
 from .semigroup import _response, _roots, gramian_entries
 from .spectral import ModeSet
 
-# Per-panel span |2 r2| * width kept below this so 64-node Gauss-Legendre
+# Per-panel span |2 r2| * width kept below PANEL_SPAN so PANEL_NODES-point Gauss-Legendre
 # stays converged to machine precision even for the stiffest retained mode.
-PANEL_SPAN = 50.0
+PANEL_SPAN, PANEL_NODES = 50.0, 64
 
 
 @dataclass(frozen=True)
@@ -78,28 +78,26 @@ def window_lengths(window):
     return np.array([w.delta for w in window])[:, None]
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(nodes: int):
-    """Gauss-Legendre rule on [-1, 1], once per node count; imports numpy.polynomial lazily."""
-    return np.polynomial.legendre.leggauss(nodes)
+@lru_cache(maxsize=None)
+def _gauss_rule():
+    """PANEL_NODES-point Gauss-Legendre rule on [-1, 1]; imports numpy.polynomial lazily."""
+    return np.polynomial.legendre.leggauss(PANEL_NODES)
 
 
-def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow, nodes=64) -> np.ndarray:
+def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow) -> np.ndarray:
     """Gramian blocks of all modes at once by composite Gauss-Legendre quadrature.
 
-    ``nodes`` points per panel, the panels graded geometrically from s = 0, where
+    PANEL_NODES points per panel, the panels graded geometrically from s = 0, where
     the fast transient exp(r2 s) lives: PANEL_SPAN / |2 r2| wide first, then
     doubling, the last clipped at delta.  So a mode needs O(log(|r2| delta))
     panels, and one with |2 r2| delta <= PANEL_SPAN keeps the one panel [0, delta].
     Shorter rows are padded with zero-width panels, so one evaluation of the input
     response gives every (N, 2, 2) block: the cross-check of :func:`assemble_gramian`.
     """
-    if nodes < 2:
-        raise InvalidArgumentError("quadrature needs at least 2 nodes")
     lam, delta = modes.lambdas, window.delta
     if delta == 0:
         return np.zeros((lam.size, 2, 2))
-    x, wts = _gauss_rule(nodes)
+    x, wts = _gauss_rule()
     r1, gap = _roots(lam, beta)
     first = PANEL_SPAN / (2.0 * (gap - r1))  # |2 r2| = 2 (gap - r1)
     panels = max(1, int(np.ceil(np.log2(delta / first.min() + 1.0))))

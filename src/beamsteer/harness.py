@@ -377,15 +377,15 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
         CheckResult("gramian_cross_validation", cross <= CROSS_PATH_TOL, cross, CROSS_PATH_TOL)
     )
 
-    # the identity checks map the control through the quadrature blocks, so
-    # they test the closed forms instead of restating them
-    problem = SteeringProblem(y0, z1, window, [1.0, 1e-2, 1e-4])
-    identity, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad)
+    # one synthesis of the alpha grid serves the checks below; the identities map it
+    # through the quadrature blocks, so they test the closed forms instead of restating them
+    alphas = [10.0**-k for k in range(7)]
+    problem = SteeringProblem(y0, z1, window, alphas)
+    control, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad)
     worst = float(np.abs(measured - formula).max())
     results.append(CheckResult("residual_identity", worst <= CROSS_PATH_TOL, worst, CROSS_PATH_TOL))
 
-    alphas = [10.0**-k for k in range(7)]
-    sweep = alpha_sweep(y0, z1, window, alphas, modes, beta, gramians=gramians)
+    sweep = alpha_sweep(y0, z1, control, gramians=gramians)
     errs = [e for _, e in sweep]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     results.append(CheckResult("alpha_sweep_monotone", monotone, errs[-1], errs[0]))
@@ -401,8 +401,8 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
         )
     )
 
-    # the alpha = 1e-2 cell of the identity batch
-    energy, eta = float(control_energy(identity, gramians)[1]), identity.eta[1]
+    # the alpha = 1e-2 cell
+    energy, eta = float(control_energy(control, gramians)[2]), control.eta[2]
     quad_form = float(np.sum(eta[:, None, :] @ q_quad @ eta[:, :, None]))
     rel = abs(energy - quad_form) / max(quad_form, 1e-300)
     results.append(

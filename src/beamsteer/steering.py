@@ -141,30 +141,20 @@ def control_energy(control: ControlSignal, gramians: GramianSet) -> np.ndarray:
 
 
 def alpha_sweep(
-    y0: BeamState,
-    z1: BeamState,
-    window: SteerWindow,
-    alphas,
-    modes: ModeSet,
-    beta: float,
-    gramians: GramianSet | None = None,
+    y0: BeamState, z1: BeamState, control: ControlSignal, gramians: GramianSet | None = None
 ) -> list[tuple[float, float]]:
-    """Terminal error of the steered linear system for each alpha.
+    """Terminal error of the linear system steered from ``y0`` toward ``z1`` by each
+    cell of ``control``, paired with the cell's alpha.
 
-    ``alphas`` must be a strictly decreasing sequence in (0, 1]; the returned
-    errors are nonincreasing and tend to zero with alpha.  ``gramians``, when
-    given, must be the set of ``window``.
+    The control's alphas must be strictly decreasing; the returned errors are then
+    nonincreasing and tend to zero with alpha.  ``gramians``, when given, must be
+    the set of the control's window.
     """
-    alphas = list(alphas)
-    if not alphas:
-        raise InvalidArgumentError("alpha list must not be empty")
+    alphas = control.alpha
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidArgumentError("alphas must be strictly decreasing")
-    if gramians is None:
-        gramians = assemble_gramian(modes, beta, window)
-    problem = SteeringProblem(y0, z1, window, alphas)
-    control = synthesize_control(problem, modes, beta, gramians=gramians)
     y_tau = steer_linear(y0, control, gramians=gramians)
+    modes = control.modes
     errs = np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes), axis=(1, 2))
     return list(zip(alphas, errs.tolist()))
 

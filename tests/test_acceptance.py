@@ -27,6 +27,7 @@ from beamsteer import (
     run_pullback_experiment,
     simulate,
     summarize_rows,
+    synthesize_control,
 )
 from beamsteer.config import load_experiment
 from beamsteer.dynamics import SimConfig
@@ -96,7 +97,8 @@ def test_criterion_2_steering_limit():
     t0 = time.perf_counter()
     modes, window, y0, z1 = _linear_setup()
     alphas = [10.0**-k for k in range(7)]
-    sweep = alpha_sweep(y0, z1, window, alphas, modes, BETA)
+    control = synthesize_control(SteeringProblem(y0, z1, window, alphas), modes, BETA)
+    sweep = alpha_sweep(y0, z1, control)
     errs = [e for _, e in sweep]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     elapsed = time.perf_counter() - t0

@@ -44,16 +44,8 @@ def test_closedform_matches_quadrature_reference_case():
     mb = ModeBlock(1.0, 2.0)
     win = SteerWindow(1.0, 1.0)
     closed = _closed(mb, win)
-    quad = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win, nodes=64)[0]
+    quad = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win)[0]
     np.testing.assert_allclose(closed, quad, atol=1e-12)
-
-
-def test_quadrature_node_doubling_converged():
-    mb = ModeBlock(1.0, 2.0)
-    win = SteerWindow(1.0, 1.0)
-    q32 = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win, nodes=32)[0]
-    q64 = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win, nodes=64)[0]
-    assert np.abs(q32 - q64).max() < 1e-12
 
 
 def test_closedform_matches_quadrature_stiff_mode():
@@ -61,7 +53,7 @@ def test_closedform_matches_quadrature_stiff_mode():
     mb = ModeBlock(64.0 * np.pi**2, 2.0)
     win = SteerWindow(1.0, 0.2)
     closed = _closed(mb, win)
-    quad = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win, nodes=64)[0]
+    quad = gramian_mode_quadrature(ModeSet(mb.lam), mb.beta, win)[0]
     assert np.abs(closed - quad).max() <= 1e-12
 
 
@@ -181,8 +173,3 @@ def test_solve_regularized_invalid_alpha():
     for alpha in ([0.0], [0.1, -1.0], 0.1, [[0.1]]):
         with pytest.raises(InvalidArgumentError):
             solve_regularized(gset, alpha, np.zeros((1, 2)))
-
-
-def test_quadrature_needs_nodes():
-    with pytest.raises(InvalidArgumentError):
-        gramian_mode_quadrature(ModeSet(1.0), 2.0, SteerWindow(1.0, 0.5), nodes=1)

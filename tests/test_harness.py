@@ -12,6 +12,8 @@ import pytest
 
 import beamsteer.cli as cli
 import beamsteer.dynamics as dynamics
+import beamsteer.harness as harness
+import beamsteer.steering as steering
 from beamsteer import (
     BeamState,
     ExperimentSpec,
@@ -768,6 +770,27 @@ CLI_FAILURES = {
         ["linear-check"], _violating("beta = 2.0", "beta = 1e300"), 1,
         "error: Gramian is not positive definite on the window delta=0.2",
     ),
+    # values are read as written: a % used to end in an interpolation traceback
+    "percent_value": (
+        ["sweep"], _violating("beta = 2.0", "beta = 2%"), 2,
+        "invalid configuration: invalid numeric value",
+    ),
+    # the stiffest mode's generator overflows: lambda_8**2 at L = 2e-76 (a false
+    # blow-up), lambda_8 itself at L = 1e-160 and 2 beta lambda_8 at beta = 1e300,
+    # L = 1e-3 (tracebacks)
+    "stiff_length_sweep": (
+        ["sweep"], _violating("length = 3.5", "length = 2e-76"), 2,
+        "invalid configuration: the generator of mode 8 overflows",
+    ),
+    "stiffer_length_linear_check": (
+        ["linear-check"], _violating("length = 3.5", "length = 1e-160"), 2,
+        "invalid configuration: the generator of mode 8 overflows",
+    ),
+    "stiff_damping_gramian_check": (
+        ["gramian-check"],
+        _violating("length = 3.5", "length = 1e-3").replace("beta = 2.0", "beta = 1e300"), 2,
+        "invalid configuration: the generator of mode 8 overflows",
+    ),
 }
 
 
@@ -786,3 +809,59 @@ def test_cli_failure_contract(tmp_path, case):
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "length, beta, outside",
+    [("2.59e-76", "2.0", 2.57e-76), ("0.00375", "1e300", 0.00374)],
+    ids=["lambda_squared", "beta_lambda"],
+)
+def test_generator_limit_admits_a_config_just_inside(tmp_path, length, beta, outside):
+    # just inside the limit on 2 lambda_8**2 (near 1.77e308), or on 4 beta lambda_8
+    # (near 1.797e308), the Gramian underflows and the run ends with one error line
+    text = _violating("length = 3.5", f"length = {length}").replace("beta = 2.0", f"beta = {beta}")
+    (tmp_path / "c.ini").write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "beamsteer", "linear-check", "--config", "c.ini", "--quiet"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: Gramian is not positive definite on the window delta=0.2\n"
+    with pytest.raises(InvalidArgumentError, match="the generator of mode 8 overflows"):
+        SimConfig(n_modes=8, length=outside, beta=float(beta))
+
+
+def test_config_values_are_read_as_written(tmp_path, monkeypatch):
+    # no % interpolation: the out path of the file is the file's name
+    path = tmp_path / "c.ini"
+    path.write_text(_violating("out = pullback.csv", "out = run%1.csv"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--config", str(path), "--quiet"]) == 0
+    assert (tmp_path / "run%1.csv").exists()
+
+
+def test_linear_suite_synthesizes_its_alpha_grid_once(monkeypatch):
+    # one synthesis of the alpha grid serves the residual identity, the alpha sweep
+    # and the minimum-energy identity; the zero-mismatch probe makes the other
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "steer-wide.ini"
+    spec = load_experiment(str(path))
+    calls, original = [], steering.synthesize_control
+    sweeping = []
+
+    def counted(*args, **kwargs):
+        calls.append(bool(sweeping))
+        return original(*args, **kwargs)
+
+    def sweep(*args, **kwargs):
+        sweeping.append(True)
+        try:
+            return steering.alpha_sweep(*args, **kwargs)
+        finally:
+            sweeping.pop()
+
+    monkeypatch.setattr(steering, "synthesize_control", counted)
+    monkeypatch.setattr(harness, "synthesize_control", counted)
+    monkeypatch.setattr(harness, "alpha_sweep", sweep)
+    assert suite_ok(run_linear_suite(spec))
+    assert calls == [False, False]

@@ -135,7 +135,8 @@ def test_alpha_sweep_decreasing_and_bounded():
     y0 = _random_state(modes, rng)
     z1 = _random_state(modes, rng)
     alphas = [10.0**-k for k in range(7)]
-    sweep = alpha_sweep(y0, z1, WINDOW, alphas, modes, BETA)
+    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alphas), modes, BETA)
+    sweep = alpha_sweep(y0, z1, control)
     errs = [e for _, e in sweep]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     gramians = assemble_gramian(modes, BETA, WINDOW)
@@ -166,7 +167,8 @@ def test_alpha_sweep_zero_mismatch():
     rng = np.random.default_rng(7)
     y0 = _random_state(modes, rng)
     z1 = apply_semigroup(y0, WINDOW.delta, modes, BETA)
-    sweep = alpha_sweep(y0, z1, WINDOW, [1.0, 0.1, 0.01], modes, BETA)
+    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, [1.0, 0.1, 0.01]), modes, BETA)
+    sweep = alpha_sweep(y0, z1, control)
     assert all(e == 0.0 for _, e in sweep)
 
 
@@ -174,12 +176,13 @@ def test_alpha_sweep_validation():
     modes = _modes(2)
     y0 = BeamState.zeros(2)
     z1 = BeamState.zeros(2)
-    with pytest.raises(InvalidArgumentError):
-        alpha_sweep(y0, z1, WINDOW, [], modes, BETA)
-    with pytest.raises(InvalidArgumentError):
-        alpha_sweep(y0, z1, WINDOW, [0.1, 0.5], modes, BETA)
-    with pytest.raises(InvalidArgumentError):
-        alpha_sweep(y0, z1, WINDOW, [2.0, 1.0], modes, BETA)
+    # the problem rejects an empty grid and an alpha outside (0, 1]
+    for alphas in ([], [2.0, 1.0]):
+        with pytest.raises(InvalidArgumentError):
+            SteeringProblem(y0, z1, WINDOW, alphas)
+    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, [0.1, 0.5]), modes, BETA)
+    with pytest.raises(InvalidArgumentError, match="strictly decreasing"):
+        alpha_sweep(y0, z1, control)
 
 
 def test_right_inverse_identity_blocks():
@@ -288,7 +291,8 @@ def test_stacked_sweeps_match_per_alpha_loops():
         control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alpha), modes, BETA)
         y_tau = steer_linear(y0, control)
         loop.append(np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes)))
-    sweep = alpha_sweep(y0, z1, WINDOW, alphas, modes, BETA)
+    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alphas), modes, BETA)
+    sweep = alpha_sweep(y0, z1, control)
     assert [a for a, _ in sweep] == alphas
     np.testing.assert_allclose([e for _, e in sweep], loop, rtol=1e-14, atol=0.0)
     probe = rng.standard_normal((8, 2))
@@ -303,10 +307,11 @@ def test_alpha_sweep_reuses_a_given_gramian_set(monkeypatch):
     y0, z1 = _random_state(modes, rng), _random_state(modes, rng)
     alphas = [1.0, 1e-2, 1e-4]
     gramians = assemble_gramian(modes, BETA, WINDOW)
-    want = alpha_sweep(y0, z1, WINDOW, alphas, modes, BETA)
+    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alphas), modes, BETA)
+    want = alpha_sweep(y0, z1, control)
 
     def refused(*args):
         raise AssertionError("alpha_sweep assembled a Gramian it was given")
 
     monkeypatch.setattr(steering, "assemble_gramian", refused)
-    assert alpha_sweep(y0, z1, WINDOW, alphas, modes, BETA, gramians=gramians) == want
+    assert alpha_sweep(y0, z1, control, gramians=gramians) == want
