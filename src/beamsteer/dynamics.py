@@ -82,7 +82,10 @@ CHUNK, OUTER, COLLOCATION_ROWS = 32, 256, 160
 
 def exact_multiple(value: float, step: float, what: str) -> int:
     """Integer n with n*step == value, or an error naming the constraint."""
-    n = int(round(value / step))
+    quotient = float(value) / float(step)  # Python floats overflow to inf, without a warning
+    if not np.isfinite(quotient):
+        raise InvalidArgumentError(f"{what} is not a finite number of steps")
+    n = int(round(quotient))
     if abs(n * step - value) > 1e-9 * max(1.0, abs(value)):
         raise InvalidArgumentError(f"step does not divide {what} exactly")
     return n

@@ -70,6 +70,11 @@ class GramianSet:
         positive = bool((min_eig > 0).all())
         return cls(blocks, float(min_eig) if min_eig.ndim == 0 else min_eig, positive)
 
+    def __getitem__(self, i) -> "GramianSet":
+        """The set of window ``i`` of a stack of windows."""
+        min_eig = float(self.min_eigenvalue[i])
+        return GramianSet(self.blocks[i], min_eig, min_eig > 0)
+
 
 def window_lengths(window):
     """delta of a window, or a (D, 1) column of those of a window sequence."""
@@ -91,8 +96,9 @@ def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow) -> np.nda
     the fast transient exp(r2 s) lives: PANEL_SPAN / |2 r2| wide first, then
     doubling, the last clipped at delta.  So a mode needs O(log(|r2| delta))
     panels, and one with |2 r2| delta <= PANEL_SPAN keeps the one panel [0, delta].
-    Shorter rows are padded with zero-width panels, so one evaluation of the input
-    response gives every (N, 2, 2) block: the cross-check of :func:`assemble_gramian`.
+    The panels of all modes form one flat list, so one evaluation of the input
+    response at their nodes, summed per panel and then per mode, gives every
+    (N, 2, 2) block: the cross-check of :func:`assemble_gramian`.
     """
     lam, delta = modes.lambdas, window.delta
     if delta == 0:
@@ -103,12 +109,15 @@ def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow) -> np.nda
     panels = max(1, int(np.ceil(np.log2(delta / first.min() + 1.0))))
     edges = np.minimum(first[:, None] * (2.0 ** np.arange(panels + 1) - 1.0), delta)
     edges[:, -1] = delta
-    width = np.diff(edges)[..., None]
-    s = (edges[:, :-1, None] + 0.5 * width * (x + 1.0)).reshape(lam.size, -1)
-    ww = (0.5 * width * wts).reshape(s.shape)
-    _, _, phi, g2 = _response(lam[:, None], beta, s)  # a12 / lambda and a22: the input response
-    g1 = lam[:, None] * phi
-    q11, q12, q22 = (np.sum(ww * a * b, axis=-1) for a, b in ((g1, g1), (g1, g2), (g2, g2)))
+    width = np.diff(edges)
+    real = width > 0  # the clip at delta leaves the milder modes fewer panels
+    mode, width = np.nonzero(real)[0], width[real, None]
+    s, ww = edges[:, :-1][real, None] + 0.5 * width * (x + 1.0), 0.5 * width * wts
+    _, _, phi, g2 = _response(lam[mode, None], beta, s)  # a12 / lambda and a22: the input response
+    g1 = lam[mode, None] * phi
+    # one product at a time: a stacked temporary made the heap trim and re-fault every pass
+    panel = (np.sum(ww * a * b, axis=-1) for a, b in ((g1, g1), (g1, g2), (g2, g2)))
+    q11, q12, q22 = (np.bincount(mode, sums, lam.size) for sums in panel)  # per mode
     return np.stack([q11, q12, q12, q22], axis=-1).reshape(-1, 2, 2)
 
 

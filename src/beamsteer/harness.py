@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, simulate
+from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, simulate
 from .errors import InvalidArgumentError
 from .gramian import SteerWindow, assemble_gramian, gramian_mode_quadrature
 from .semigroup import apply_semigroup
@@ -105,8 +105,10 @@ class ExperimentSpec:
             raise InvalidArgumentError("epsilon must be positive and finite")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be nonnegative")
-        if not np.isfinite([self.target_scale, self.history_amplitude]).all():
-            raise InvalidArgumentError("target_scale and history_amplitude must be finite")
+        if not np.isfinite(self.history_amplitude):
+            raise InvalidArgumentError("history_amplitude must be finite")
+        if not abs(self.target_scale) <= BLOWUP_THRESHOLD:  # no run may pass it
+            raise InvalidArgumentError(f"target_scale must lie within {BLOWUP_THRESHOLD:g}")
         for delta in self.deltas:
             self.config.validate_delta(delta)
         if self.target_kind not in ("single_mode", "random", "free_trajectory"):
@@ -207,22 +209,24 @@ def pullback_setup(spec: ExperimentSpec):
     return config, base_traj, target
 
 
-def gramian_cross_check(modes: ModeSet, beta: float, window: SteerWindow):
+def gramian_cross_check(modes: ModeSet, beta: float, window: SteerWindow, gramians=None):
     """Closed-form Gramian set, the quadrature blocks and their largest relative gap.
 
-    Returns ``(gramians, q_quad, gap)``: the :func:`assemble_gramian` set, the
-    (N, 2, 2) stack of quadrature blocks of all modes from one graded 64-node
-    pass of :func:`gramian_mode_quadrature`, and the largest entry difference
-    between the two paths relative to the closed-form scale sqrt(Q_ii Q_jj).
+    Returns ``(gramians, q_quad, gap)``: the :func:`assemble_gramian` set (the one
+    given, which must be that of ``window``), the (N, 2, 2) stack of quadrature
+    blocks of all modes from one graded 64-node pass of
+    :func:`gramian_mode_quadrature`, and the largest entry difference between
+    the two paths relative to the closed-form scale sqrt(Q_ii Q_jj).
     """
-    gramians = assemble_gramian(modes, beta, window)
+    if gramians is None:
+        gramians = assemble_gramian(modes, beta, window)
     q_quad = gramian_mode_quadrature(modes, beta, window)
     d = np.sqrt(np.diagonal(gramians.blocks, axis1=1, axis2=2))
     gap = np.abs(gramians.blocks - q_quad) / np.maximum(d[:, :, None] * d[:, None, :], 1e-300)
     return gramians, q_quad, float(gap.max())
 
 
-def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad):
+def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad, free=None):
     """Regularisation residual of a steering problem by two independent paths.
 
     Returns ``(control, measured, formula)``: the synthesized control,
@@ -231,10 +235,13 @@ def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad):
     alpha ||eta|| = alpha ||(alpha I + Q)^-1 d|| with the closed-form
     ``gramians`` that synthesized eta.  Both measures are arrays with one
     value per cell of the control, that is per alpha of the problem.
+    ``free``, when given, is the free endpoint T(delta) y0 already formed.
     """
     control = synthesize_control(problem, modes, beta, gramians=gramians)
     z1c = energy_coords(problem.z1, modes)
-    free = energy_coords(apply_semigroup(problem.y0, problem.window.delta, modes, beta), modes)
+    if free is None:
+        free = apply_semigroup(problem.y0, problem.window.delta, modes, beta)
+    free = energy_coords(free, modes)
     mapped = (q_quad @ control.eta[..., None])[..., 0]
     measured = np.linalg.norm(free + mapped - z1c, axis=(-2, -1))
     formula = np.asarray(problem.alpha) * np.linalg.norm(control.eta, axis=(-2, -1))
@@ -351,7 +358,10 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     Runs the residual identity, the regularisation sweep, the right-inverse
     limit, the Gramian cross-validation and the minimum-energy identity on
     the configured system, plus a degenerate zero-length-window probe that
-    is expected to lose positive definiteness.
+    is expected to lose positive definiteness.  Each quantity is formed once:
+    one stacked Gramian evaluation gives the window's set and the probe's, one
+    synthesis serves the alpha grid, and T(delta) y0 is both the free endpoint
+    of the residual identity and the target of the zero-mismatch check.
     """
     config = spec.config
     modes = config.modes
@@ -361,29 +371,26 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     rng = np.random.default_rng(spec.seed)
     y0 = make_random_state(modes, rng, 1.0)
     z1 = make_random_state(modes, rng, 1.0)
-    gramians, q_quad, cross = gramian_cross_check(modes, beta, window)
-    results = []
+    stacked = assemble_gramian(modes, beta, [window, SteerWindow(config.tau, 0.0)])
+    gramians, q_quad, cross = gramian_cross_check(modes, beta, window, stacked[0])
+    free = apply_semigroup(y0, delta, modes, beta)
 
-    results.append(
+    def gated(name, gap):  # a gap between the two paths, held to CROSS_PATH_TOL
+        return CheckResult(name, gap <= CROSS_PATH_TOL, gap, CROSS_PATH_TOL)
+
+    results = [
         CheckResult(
-            "gramian_positive_definite",
-            gramians.positive_definite,
-            gramians.min_eigenvalue,
-            0.0,
-        )
-    )
-
-    results.append(
-        CheckResult("gramian_cross_validation", cross <= CROSS_PATH_TOL, cross, CROSS_PATH_TOL)
-    )
+            "gramian_positive_definite", gramians.positive_definite, gramians.min_eigenvalue, 0.0
+        ),
+        gated("gramian_cross_validation", cross),
+    ]
 
     # one synthesis of the alpha grid serves the checks below; the identities map it
     # through the quadrature blocks, so they test the closed forms instead of restating them
     alphas = [10.0**-k for k in range(7)]
     problem = SteeringProblem(y0, z1, window, alphas)
-    control, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad)
-    worst = float(np.abs(measured - formula).max())
-    results.append(CheckResult("residual_identity", worst <= CROSS_PATH_TOL, worst, CROSS_PATH_TOL))
+    control, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad, free)
+    results.append(gated("residual_identity", float(np.abs(measured - formula).max())))
 
     sweep = alpha_sweep(y0, z1, control, gramians=gramians)
     errs = [e for _, e in sweep]
@@ -392,41 +399,24 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
 
     probe = energy_coords(make_random_state(modes, rng, 1.0), modes)
     inverse = approximate_right_inverse_check(gramians, alphas, probe)
-    results.append(
-        CheckResult(
-            "right_inverse_strong_limit",
-            inverse["decreasing"] and inverse["bound_ok"],
-            inverse["errors"][-1],
-            inverse["errors"][0],
-        )
-    )
+    limit, errors = inverse["decreasing"] and inverse["bound_ok"], inverse["errors"]
+    results.append(CheckResult("right_inverse_strong_limit", limit, errors[-1], errors[0]))
 
     # the alpha = 1e-2 cell
     energy, eta = float(control_energy(control, gramians)[2]), control.eta[2]
     quad_form = float(np.sum(eta[:, None, :] @ q_quad @ eta[:, :, None]))
     rel = abs(energy - quad_form) / max(quad_form, 1e-300)
-    results.append(
-        CheckResult("minimum_energy_identity", rel <= CROSS_PATH_TOL, rel, CROSS_PATH_TOL)
-    )
+    results.append(gated("minimum_energy_identity", rel))
 
-    free_target = apply_semigroup(y0, delta, modes, beta)
     null_control = synthesize_control(
-        SteeringProblem(y0, free_target, window, 1e-2), modes, beta, gramians=gramians
+        SteeringProblem(y0, free, window, 1e-2), modes, beta, gramians=gramians
     )
     # u = b^T exp(K^T theta) eta vanishes on the window exactly when eta does
     eta_max = float(np.abs(null_control.eta).max())
     results.append(CheckResult("zero_mismatch_zero_control", eta_max == 0.0, eta_max, 0.0))
 
-    probe_gram = assemble_gramian(modes, beta, SteerWindow(config.tau, 0.0))
-    results.append(
-        CheckResult(
-            "degenerate_window_probe",
-            not probe_gram.positive_definite,
-            probe_gram.min_eigenvalue,
-            0.0,
-            expected_fail=True,
-        )
-    )
+    singular, q_min = not stacked[1].positive_definite, stacked[1].min_eigenvalue
+    results.append(CheckResult("degenerate_window_probe", singular, q_min, 0.0, expected_fail=True))
     return results
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import beamsteer.cli as cli
 import beamsteer.dynamics as dynamics
+import beamsteer.gramian as gramian
 import beamsteer.harness as harness
 import beamsteer.steering as steering
 from beamsteer import (
@@ -45,6 +46,7 @@ from beamsteer import (
 )
 from beamsteer.config import DEFAULT_CONFIG, SCHEMA, load_experiment
 from beamsteer.errors import BlowUpError, ConfigError, InvalidArgumentError
+from beamsteer.gramian import PANEL_SPAN
 from beamsteer.harness import (
     CROSS_PATH_TOL,
     gramian_cross_check,
@@ -791,6 +793,15 @@ CLI_FAILURES = {
         _violating("length = 3.5", "length = 1e-3").replace("beta = 2.0", "beta = 1e300"), 2,
         "invalid configuration: the generator of mode 8 overflows",
     ),
+    # a random target of this size used to overflow its norms: numpy's warnings,
+    # then an infinite terminal error and a NaN identity gap
+    "huge_target_scale_steer": (
+        ["steer"],
+        _violating("target_scale = 0.3", "target_scale = 1e300").replace(
+            "target = single_mode", "target = random"
+        ), 2,
+        "invalid configuration: target_scale",
+    ),
 }
 
 
@@ -865,3 +876,91 @@ def test_linear_suite_synthesizes_its_alpha_grid_once(monkeypatch):
     monkeypatch.setattr(harness, "alpha_sweep", sweep)
     assert suite_ok(run_linear_suite(spec))
     assert calls == [False, False]
+
+
+def _steer_wide():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "steer-wide.ini"
+    return load_experiment(str(path))
+
+
+def test_linear_suite_evaluates_each_quantity_once(monkeypatch):
+    # one closed-form Gramian evaluation (the checked window stacked with the
+    # probe), T(delta) y0 formed at most four times, and a quadrature on real
+    # panels only: 64 nodes on each of the sum over modes of its panel count
+    spec = _steer_wide()
+    calls = {"gramian_entries": 0, "apply_semigroup": 0}
+    nodes = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(gramian, "gramian_entries")
+    counting(harness, "apply_semigroup")
+    counting(steering, "apply_semigroup")
+    response = gramian._response
+
+    def recorded(lam, beta, s):
+        nodes.append(s)
+        return response(lam, beta, s)
+
+    monkeypatch.setattr(gramian, "_response", recorded)
+    assert suite_ok(run_linear_suite(spec))
+    assert calls["gramian_entries"] == 1
+    assert calls["apply_semigroup"] <= 4
+    (s,) = nodes
+    lam, beta, delta = spec.config.modes.lambdas, spec.config.beta, max(spec.deltas)
+    root = np.sqrt(beta**2 - 1.0)
+    first = PANEL_SPAN / (2.0 * lam * (beta + root))  # the width that |2 r2| spans PANEL_SPAN
+    panels = np.maximum(1, np.ceil(np.log2(delta / first + 1.0))).astype(int)
+    assert panels.sum() == 102 and s.shape == (102, 64)
+    assert np.all(s[:, -1] > s[:, 0])  # no panel of zero width
+
+
+def test_stacked_probe_leaves_the_checked_window_bitwise():
+    # the checked window of the stacked evaluation is that window's set alone,
+    # blocks and min eigenvalue bit for bit; the zero-length probe stays singular
+    spec = _steer_wide()
+    modes, beta, tau = spec.config.modes, spec.config.beta, spec.config.tau
+    window = SteerWindow(tau, max(spec.deltas))
+    stacked = assemble_gramian(modes, beta, [window, SteerWindow(tau, 0.0)])
+    alone = assemble_gramian(modes, beta, window)
+    np.testing.assert_array_equal(stacked[0].blocks, alone.blocks)
+    assert stacked[0].min_eigenvalue == alone.min_eigenvalue
+    assert stacked[0].positive_definite and not stacked[1].positive_definite
+    results = {r.name: r for r in run_linear_suite(spec)}
+    assert results["gramian_positive_definite"].measured == alone.min_eigenvalue
+    probe = results["degenerate_window_probe"]
+    assert probe.passed and probe.expected_fail and probe.measured == 0.0
+
+
+@pytest.mark.parametrize(
+    "line, replacement",
+    [("beta = 2.0", "beta = 1e8"), ("length = 3.5", "length = 0.05")],
+    ids=["beta1e8", "length0.05"],
+)
+def test_gramian_check_holds_the_cross_path_gap_on_stiff_configs(
+    tmp_path, capsys, line, replacement
+):
+    # the configs whose graded quadrature used to carry the most padded panels
+    path = tmp_path / "c.ini"
+    path.write_text(_violating(line, replacement).replace("modes = 8", "modes = 32"))
+    assert cli.main(["gramian-check", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    gaps = [float(text.rsplit("cross_path_rel_gap=", 1)[1]) for text in lines]
+    assert len(gaps) == 3 and max(gaps) <= CROSS_PATH_TOL
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_delay_of_no_finite_step_count_is_one_config_line(tmp_path, capsys, command):
+    # delay / step overflows to inf, which used to end in an OverflowError traceback
+    path = tmp_path / "c.ini"
+    path.write_text(_violating("delay = 0.3", "delay = 1e308"))
+    assert cli.main([command, "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid configuration: the delay is not a finite number of steps\n"
