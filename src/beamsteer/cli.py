@@ -96,7 +96,7 @@ def _cmd_steer(spec, args) -> int:
     _say(args, f"  terminal error        = {err:.6e}")
     _say(args, f"  residual formula      = {formula:.6e}")
     _say(args, f"  identity gap          = {gap:.3e}")
-    return 0 if gap <= CROSS_PATH_TOL else 1
+    return 0 if gap <= CROSS_PATH_TOL * max(1.0, formula) else 1
 
 
 def _cmd_pullback(spec, args) -> int:

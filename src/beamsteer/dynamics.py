@@ -26,17 +26,17 @@ The history on [-delay, 0] is an array-valued callable, evaluated once on all
 history nodes.  Stepping follows the method of steps: a slab of at most
 min(OUTER, delay/h) steps, cut at the window start and at impulse nodes, reads
 only delayed states fixed by earlier slabs.  It synthesizes its delayed
-deflection once for f and g (the velocity only if f reads it, see F_READS) into
-grid workspaces, applies f and g there in place on its live rows only, and
-advances the memory recursion and every mode alike in chunks of CHUNK steps: all
-chunks from a zero start by one batched matmul, the chunk starts by a Toeplitz
-table of powers of the chunk propagator (decay**CHUNK, or A^CHUNK with
-A^k = exp(K k h) in closed form), and the propagated chunk starts added back.
-The chunk count is fixed before the window and in it, and every node array
-carries one slab of trailing rows, so slabs read and write full-shape views
-whose rows past the slab's end are finite and meet only zeros above the tables'
-diagonals: with the products run per cell, a node's value depends neither on
-where its slab ends nor on how many cells step together.
+deflection once for f and g (the velocity only if f reads it, see F_READS) and
+the control into grid workspaces, applies f and g there in place on its live
+rows only, projects all L + 1 rows back in one product per cell, L steps being
+its run phase's whole number of chunks, and advances the memory recursion and
+every mode alike in chunks of CHUNK steps: all chunks from a zero start by one
+batched matmul, the chunk starts by a Toeplitz table of powers of the chunk
+propagator (decay**CHUNK, or A^CHUNK with A^k = exp(K k h) in closed form), and
+the propagated chunk starts added back.  Every node array carries one slab of
+trailing rows, so slabs read and write full-shape views whose rows past the
+slab's end are finite and meet only zeros above the tables' diagonals: as no
+product's shape depends on the cut or the batch, neither does a node's value.
 
 Each table that depends only on the system (basis, propagator, memory kernel,
 window) is built once and cached.  Windows end at tau and are shorter than the
@@ -75,9 +75,10 @@ G_KINDS = ("zero", "sin", "rational")
 KERNEL_KINDS = ("zero", "exponential")
 
 BLOWUP_THRESHOLD = 1e12
-# steps of a chunk, most steps of a slab (also bounded by the delay), and
-# about the most cell rows one collocation call synthesizes
-CHUNK, OUTER, COLLOCATION_ROWS = 32, 256, 160
+RUN_BYTES = 2**30  # most bytes one run's arrays may hold, see SimConfig
+# steps of a chunk, and most steps of a slab (also bounded by the delay); a slab's
+# collocation products take its L + 1 <= OUTER + 1 rows whole, per cell
+CHUNK, OUTER = 32, 256
 
 
 def exact_multiple(value: float, step: float, what: str) -> int:
@@ -258,6 +259,16 @@ class SimConfig:
                 raise InvalidArgumentError("impulse times must lie inside (0, tau)")
             impulse_steps.append(exact_multiple(t_k, self.step, f"impulse time {t_k}"))
         derive("impulse_steps", tuple(impulse_steps))
+        # a cell's bytes, in Python ints: W, V and memory padded by a slab of L <= slab steps,
+        # the window table, the basis and its projector, and L + 1 grid rows of y, f and g
+        n_r, grid = self.delay_steps, self.grid_points - 1
+        slab = min(OUTER, n_r + CHUNK)
+        nodes = 3 * (n_r + self.horizon_steps + 1 + slab) + 6 * (n_r + slab) + 2 * grid
+        held = 8 * (nodes * self.n_modes + 3 * (slab + 1) * grid)
+        if held > RUN_BYTES:  # a power of two names any size, where a float may overflow
+            raise InvalidArgumentError(
+                f"a run needs 2**{held.bit_length() - 1} bytes or more, past {RUN_BYTES}"
+            )
         derive("modes", laplacian_eigenvalues(self.length, self.n_modes))
         derive("domain", SpatialDomain(self.length, self.grid_points))
 
@@ -449,16 +460,12 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             count = counts[active]
             L = count * chunk
             outer = outers[:, :, :count, :, :count].reshape(N, 2 * count, 2 * count)
-            # fixed pieces of about COLLOCATION_ROWS cell rows; a cut slab maps f and g on its
-            # live rows only but synthesizes and projects uncut shapes, so BLAS keeps its kernels
-            pieces = -(-cells * (L + 1) // COLLOCATION_ROWS)
-            piece = -(-(L + 1) // pieces)
             fc, gq = np.zeros((cells, L + 1, N)), np.zeros((L + 1, N))
             X, Z = np.empty((2, cells, N, 2 * chunk, count))
             xw, xv = (X[:, :, r * chunk : (r + 1) * chunk].transpose(0, 3, 2, 1) for r in (0, 1))
             E = np.empty((cells, N, 2, count))
             # grid workspaces of the delayed deflection, f (and the control) and g
-            yd = np.empty((piece, len(B)))
+            yd = np.empty((L + 1, len(B)))
             fx = np.zeros((cells, *yd.shape)) if reads else None
             gx = np.zeros(yd.shape) if recurse else None
         s1 = min(s0 + L, next(s for s in stops if s > s0))
@@ -467,15 +474,14 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             # the control b^T p and increments Q(h) p(t + h), from the window table
             c0, c1 = window[:, :, None, :, j : j + L + 1]
             win_u, cw, cv = c0 * e0 + c1 * e1
-        # f and g on the slab's live rows s0..s1, piece by piece
-        for a in range(0, n + 1, piece) if reads or recurse else ():
-            r, live = min(piece, L + 1 - a), min(piece, n + 1 - a)
-            rows = slice(s0 - n_r + a, s0 - n_r + a + r)
+        # f and g on the slab's live rows s0..s1; every product takes all L + 1 rows, per cell
+        if reads or recurse:
+            rows, live = slice(s0 - n_r, s0 - n_r + L + 1), slice(n + 1)
             # delayed deflection on the grid, for f and g; continuous at impulses
-            y = np.matmul(past_w[rows], B.T, out=yd[:r])[:live]
+            y = np.matmul(past_w[rows], B.T, out=yd)[live]
             if recurse:
-                catalog.g(y, out=gx[:live])
-                np.matmul(gx[:r], Bq, out=gq[a : a + r])
+                catalog.g(y, out=gx[live])
+                np.matmul(gx, Bq, out=gq)
             if reads:
                 vd = 0.0  # read by f only where its kind says so
                 if "v" in reads:
@@ -483,12 +489,11 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
                     for d, (_, v_left) in pre_impulse.items():
                         if rows.start <= d < rows.stop:
                             vd[d - rows.start] = v_left
-                    vd = (vd @ B.T)[:live]
-                grid, ud = (fx[:, :r], fx[:, :live]) if active else (fx[0, :r], 0.0)
+                    vd = (vd @ B.T)[live]
                 if active:  # the control's synthesis, mapped to f in place
-                    np.matmul(win_u[..., a : a + r].swapaxes(1, 2), B.T, out=grid)
-                catalog.f(y, vd, ud, out=grid[..., :live, :])
-                np.matmul(grid, Bq, out=fc[:, a : a + r])
+                    np.matmul(win_u.swapaxes(1, 2), B.T, out=fx)
+                catalog.f(y, vd, fx[:, live] if active else 0.0, out=fx[:, live])
+                np.matmul(fx, Bq, out=fc)
         new = slice(s0 - lo + 1, s0 - lo + 1 + L)
         if recurse:
             g, M = (x.reshape(count, chunk, N) for x in (gq[1:], memory[new]))

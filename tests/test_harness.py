@@ -1,9 +1,11 @@
 import configparser
+import ctypes
 import importlib.util
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -187,7 +189,7 @@ BATCH_SPECS = [
     lambda: _spec(catalog=NonlinearityCatalog(
         f_kind="linear_growth", f_a=0.5, g_kind="rational")),
     # shaped like the long sweep: the window's last slab is 192 of 256 steps,
-    # so its last collocation piece holds dead rows with one cell and with two
+    # so its collocation products hold dead rows with one cell and with two
     lambda: _spec(step=1 / 4800, deltas=[0.2], alphas=[1e-1, 1e-5]),
 ]
 
@@ -209,6 +211,51 @@ def test_rows_do_not_depend_on_their_batch(make_spec):
             assert (row.error_total, row.error_nl, row.error_lin) == (
                 batched.error_total, batched.error_nl, batched.error_lin
             )
+
+
+def openblas_corename():
+    """The OpenBLAS kernel numpy runs on, or None where its bundled library has no probe."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        probe = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if probe is not None:
+            probe.argtypes, probe.restype = [], ctypes.c_char_p
+            return probe().decode()
+    return None
+
+
+# the child checks that OPENBLAS_CORETYPE took effect, then runs the tests it is given
+KERNEL_CHILD = """
+import sys, pytest
+from test_harness import openblas_corename
+if openblas_corename() != sys.argv[1]:
+    sys.exit(f"OPENBLAS_CORETYPE={sys.argv[1]} did not take effect: {openblas_corename()}")
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "kernel, flag", [("Nehalem", None), ("Haswell", "avx2"), ("SkylakeX", "avx512f")]
+)
+def test_bitwise_contracts_hold_on_every_kernel(kernel, flag):
+    # a blocked GEMM may round a row by the micro-tile it lands in, so the batch
+    # and cut invariances rest on one result per product shape: rerun their tests
+    # under each OpenBLAS kernel this CPU runs, forced for the child process
+    if openblas_corename() is None:
+        pytest.skip("numpy's OpenBLAS does not report its kernel")
+    cpuinfo = Path("/proc/cpuinfo")
+    if flag and flag not in (cpuinfo.read_text().split() if cpuinfo.exists() else ()):
+        pytest.skip(f"this CPU lacks {flag}")
+    root = Path(__file__).resolve().parents[1]
+    paths = os.pathsep.join(str(root / d) for d in ("src", "tests"))
+    tests = (test_rows_do_not_depend_on_their_batch, test_batched_cells_match_from_scratch_runs)
+    proc = subprocess.run(
+        [sys.executable, "-c", KERNEL_CHILD, kernel, "-q", "-p", "no:cacheprovider",
+         *(f"tests/test_harness.py::{t.__name__}" for t in tests)],
+        capture_output=True, text=True, cwd=root,
+        env=dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=paths),
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr
 
 
 def test_sweep_builds_its_window_table_once(monkeypatch):
@@ -674,6 +721,27 @@ def test_cli_steer():
     assert cli.main(["steer", "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("scale", ["1", "1e3", "1e12"])
+def test_cli_steer_gates_the_identity_relative_to_the_residual(tmp_path, monkeypatch, scale):
+    # the identity's gap grows with the residual (2.6e-12 on a residual of 17.9 at
+    # 1e3): it holds at every admitted scale, and a q_quad off by 1e-10 still fails
+    path = tmp_path / "c.ini"
+    path.write_text(
+        _violating("target_scale = 0.3", f"target_scale = {scale}").replace(
+            "target = single_mode", "target = random"
+        )
+    )
+    assert cli.main(["steer", "--config", str(path), "--quiet"]) == 0
+    original = cli.gramian_cross_check
+
+    def perturbed(*args, **kwargs):
+        gramians, q_quad, cross = original(*args, **kwargs)
+        return gramians, q_quad * (1 + 1e-10), cross
+
+    monkeypatch.setattr(cli, "gramian_cross_check", perturbed)
+    assert cli.main(["steer", "--config", str(path), "--quiet"]) == 1
+
+
 def test_cli_steer_reports_free_trajectory_target_as_invalid(tmp_path, capsys):
     # steer has no base run to take the free-trajectory target from
     path = tmp_path / "free.ini"
@@ -964,3 +1032,40 @@ def test_delay_of_no_finite_step_count_is_one_config_line(tmp_path, capsys, comm
     assert cli.main([command, "--config", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err == "invalid configuration: the delay is not a finite number of steps\n"
+
+
+@pytest.mark.parametrize(
+    "line, replacement",
+    [
+        ("delay = 0.3", "delay = 1e300"),
+        ("step = 0.0016666666666666668", "step = 1e-300"),
+        ("step = 0.0016666666666666668", "step = 1e-308"),
+        ("grid_points = 128", "grid_points = 1000000000"),
+    ],
+    ids=["delay", "step", "subnormal_step", "grid_points"],
+)
+def test_config_past_the_run_budget_is_one_config_line(tmp_path, capsys, line, replacement):
+    # arrays that numpy cannot size, or this machine cannot hold, used to be tried
+    # by sweep and pullback: the config is rejected before anything is allocated
+    text = _violating(line, replacement)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"needs 2\*\*\d+ bytes or more, past 1073741824"):
+            parse_experiment(text)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    (tmp_path / "c.ini").write_text(text)
+    assert cli.main(["sweep", "--config", str(tmp_path / "c.ini"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: a run needs") and err.count("\n") == 1
+
+
+def test_shipped_configs_stay_far_inside_the_run_budget(monkeypatch):
+    # the default config and every benchmark workload pass a hundredth of the budget
+    monkeypatch.setattr(dynamics, "RUN_BYTES", dynamics.RUN_BYTES // 100)
+    root = Path(__file__).resolve().parents[1]
+    workloads = sorted((root / "perfbench" / "workloads").glob("*.ini"))
+    assert len(workloads) == 3
+    for path in [None, *workloads]:
+        load_experiment(path and str(path))
