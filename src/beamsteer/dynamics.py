@@ -37,6 +37,11 @@ the propagated chunk starts added back.  Every node array carries one slab of
 trailing rows, so slabs read and write full-shape views whose rows past the
 slab's end are finite and meet only zeros above the tables' diagonals: as no
 product's shape depends on the cut or the batch, neither does a node's value.
+Every array that does not leave ``simulate`` (the grid workspaces, the window
+products and a resumed run's node arrays) is a view of a per-thread buffer that
+grows and never shrinks, so a warm call maps no new pages.  Rows read past a
+slab's end are zeroed at each run phase's start, whatever an earlier call left
+there; a full run's node arrays are fresh, as its Trajectory returns them.
 
 Each table that depends only on the system (basis, propagator, memory kernel,
 window) is built once and cached.  Windows end at tau and are shorter than the
@@ -51,6 +56,8 @@ states.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -259,18 +266,28 @@ class SimConfig:
                 raise InvalidArgumentError("impulse times must lie inside (0, tau)")
             impulse_steps.append(exact_multiple(t_k, self.step, f"impulse time {t_k}"))
         derive("impulse_steps", tuple(impulse_steps))
-        # a cell's bytes, in Python ints: W, V and memory padded by a slab of L <= slab steps,
-        # the window table, the basis and its projector, and L + 1 grid rows of y, f and g
-        n_r, grid = self.delay_steps, self.grid_points - 1
-        slab = min(OUTER, n_r + CHUNK)
-        nodes = 3 * (n_r + self.horizon_steps + 1 + slab) + 6 * (n_r + slab) + 2 * grid
-        held = 8 * (nodes * self.n_modes + 3 * (slab + 1) * grid)
-        if held > RUN_BYTES:  # a power of two names any size, where a float may overflow
-            raise InvalidArgumentError(
-                f"a run needs 2**{held.bit_length() - 1} bytes or more, past {RUN_BYTES}"
-            )
+        self.check_run_bytes()
         derive("modes", laplacian_eigenvalues(self.length, self.n_modes))
         derive("domain", SpatialDomain(self.length, self.grid_points))
+
+    def check_run_bytes(self, cells: int = 1, window_steps: Optional[int] = None):
+        """Reject a run past RUN_BYTES before anything is allocated: a full run of one cell,
+        or a window run of ``window_steps`` steps and ``cells`` cells.
+
+        Sized in Python ints: W, V and memory padded by a slab of L <= ``slab`` steps, the
+        window table, the basis and its projector, L + 1 grid rows of y and g and per cell of
+        f, and per cell the window products and their temporary, as the held buffers keep them.
+        """
+        n_r, grid = self.delay_steps, self.grid_points - 1
+        steps = n_r + self.horizon_steps if window_steps is None else window_steps
+        slab = min(OUTER, min(n_r, steps) + CHUNK)
+        nodes = (2 * cells + 1) * (steps + 1 + slab) + 6 * (n_r + slab + cells * (slab + 1))
+        held = 8 * ((nodes + 2 * grid) * self.n_modes + (cells + 2) * (slab + 1) * grid)
+        if held > RUN_BYTES:  # a power of two names any size, where a float may overflow
+            what = "a run" if window_steps is None else f"a window run of {cells} cells"
+            raise InvalidArgumentError(
+                f"{what} needs 2**{held.bit_length() - 1} bytes or more, past {RUN_BYTES}"
+            )
 
     def validate_delta(self, delta: float):
         """Check a steering-window length against the delay and impulses."""
@@ -338,6 +355,22 @@ def _toeplitz(p) -> np.ndarray:
     """Lower-triangular Toeplitz view T[k, ..., j] = p[k - j] (0 for j > k) of p's first axis."""
     zeros = np.zeros_like(p[1:])
     return sliding_window_view(np.concatenate([p[::-1], zeros]), len(p), axis=0)[::-1]
+
+
+_held = threading.local()  # this thread's scratch buffers of simulate, by slot
+
+
+def _carve(slot: str, *shapes):
+    """Consecutive float views of ``shapes`` at the start of this thread's held buffer ``slot``.
+
+    The buffer grows to fit and never shrinks, so a warm call maps no new pages.  A view
+    holds whatever an earlier call left there; a grown buffer leaves older views in the old one.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    if getattr(_held, slot, np.empty(0)).size < sum(sizes):
+        setattr(_held, slot, np.empty(sum(sizes)))
+    parts = np.split(getattr(_held, slot)[: sum(sizes)], np.cumsum(sizes[:-1]))
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 @lru_cache(maxsize=16)
@@ -427,9 +460,11 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         counts[True] = -(-min(OUTER, n_total - 1 - start_idx) // chunk)
     pad = chunk * max(counts[s] for s in counts if prefix is None or s)
     lo = 0 if prefix is None else start_idx
-    W = np.zeros((cells, n_total - lo + pad, N))
-    V = np.zeros_like(W)
-    memory = np.zeros((n_total - lo + pad, N))
+    nodes = (cells, n_total - lo + pad, N)
+    if prefix is None:  # the Trajectory returns them
+        W, V, memory = np.zeros(nodes), np.zeros(nodes), np.zeros(nodes[1:])
+    else:  # they serve only the terminal states, and every row is written before it is read
+        W, V, memory = _carve("nodes", nodes, nodes, nodes[1:])
     pre_impulse, impulse_events = {}, []
     if prefix is None:
         if config.history is not None:
@@ -441,6 +476,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     else:  # every impulse precedes the window, so nothing below writes to the prefix
         W[:, 0], V[:, 0] = prefix.w[lo], prefix.v[lo]
         memory[: n_total - lo] = prefix.memory[lo:]
+        memory[n_total - lo :] = 0.0
         past_w, past_v, pre_impulse = prefix.w, prefix.v, prefix.pre_impulse
 
     imp_at = {idx0 + n: k for k, n in enumerate(config.impulse_steps)}
@@ -460,20 +496,26 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             count = counts[active]
             L = count * chunk
             outer = outers[:, :, :count, :, :count].reshape(N, 2 * count, 2 * count)
-            fc, gq = np.zeros((cells, L + 1, N)), np.zeros((L + 1, N))
-            X, Z = np.empty((2, cells, N, 2 * chunk, count))
+            # held workspaces: forcing rows, chunk solves and starts, the grid rows of the
+            # delayed deflection, f (and the control) and g, and the window products; only
+            # what is read past the live rows is zeroed, all else is written before it is read
+            grid = (L + 1, len(B))
+            fc, gq, X, Z, E, yd, fx, gx, prod, tmp = _carve(
+                "phase", (cells, L + 1, N), (L + 1, N), *[(cells, N, 2 * chunk, count)] * 2,
+                (cells, N, 2, count), grid, (cells, *grid), grid, *[(3, cells, N, L + 1)] * 2,
+            )
             xw, xv = (X[:, :, r * chunk : (r + 1) * chunk].transpose(0, 3, 2, 1) for r in (0, 1))
-            E = np.empty((cells, N, 2, count))
-            # grid workspaces of the delayed deflection, f (and the control) and g
-            yd = np.empty((L + 1, len(B)))
-            fx = np.zeros((cells, *yd.shape)) if reads else None
-            gx = np.zeros(yd.shape) if recurse else None
+            if reads and not active:
+                fx[...] = 0.0
+            if recurse:
+                gx[...] = 0.0
         s1 = min(s0 + L, next(s for s in stops if s > s0))
         n, j = s1 - s0, (s0 - start_idx if active else 0)
         if active:
             # the control b^T p and increments Q(h) p(t + h), from the window table
             c0, c1 = window[:, :, None, :, j : j + L + 1]
-            win_u, cw, cv = c0 * e0 + c1 * e1
+            np.multiply(c0, e0, out=prod)
+            win_u, cw, cv = np.add(prod, np.multiply(c1, e1, out=tmp), out=prod)
         # f and g on the slab's live rows s0..s1; every product takes all L + 1 rows, per cell
         if reads or recurse:
             rows, live = slice(s0 - n_r, s0 - n_r + L + 1), slice(n + 1)

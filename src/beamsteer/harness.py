@@ -21,12 +21,13 @@ first, then target), so a seed pins the experiment exactly.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, simulate
+from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, exact_multiple, simulate
 from .errors import InvalidArgumentError
 from .gramian import SteerWindow, assemble_gramian, gramian_mode_quadrature
 from .semigroup import apply_semigroup
@@ -97,9 +98,10 @@ class ExperimentSpec:
         for name, values in (("delta", list(self.deltas)), ("alpha", list(self.alphas))):
             if not values:
                 raise InvalidArgumentError(f"{name} list must not be empty")
-            repeated = [x for x in values if values.count(x) > 1]
-            if repeated:  # duplicate rows would fail the sweep's own checks
-                raise InvalidArgumentError(f"{name}s repeat the value {repeated[0]:g}")
+            counts = Counter(values)
+            if len(counts) < len(values):  # duplicate rows would fail the sweep's own checks
+                repeated = next(x for x in values if counts[x] > 1)
+                raise InvalidArgumentError(f"{name}s repeat the value {repeated:g}")
         if any(not 0 < a <= 1 for a in self.alphas):
             raise InvalidArgumentError("alphas must lie in (0, 1]")
         if not 0 < self.epsilon < np.inf:
@@ -112,6 +114,10 @@ class ExperimentSpec:
             raise InvalidArgumentError(f"target_scale must lie within {BLOWUP_THRESHOLD:g}")
         for delta in self.deltas:
             self.config.validate_delta(delta)
+        # the longest window holds its node arrays and workspaces once per alpha
+        config = self.config
+        start = exact_multiple(config.tau - max(self.deltas), config.step, "the window start")
+        config.check_run_bytes(len(self.alphas), config.horizon_steps - start)
         if self.target_kind not in ("single_mode", "random", "free_trajectory"):
             raise InvalidArgumentError(f"unknown target kind {self.target_kind!r}")
         if self.history_kind not in ("zero", "single_mode", "random"):

@@ -1,4 +1,7 @@
+import threading
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +18,18 @@ from beamsteer import (
     apply_semigroup,
     energy_norm,
     laplacian_eigenvalues,
+    load_experiment,
+    parse_experiment,
+    run_pullback_experiment,
     simulate,
     steer_linear,
     synthesize_control,
 )
 from beamsteer import dynamics, spectral
-from beamsteer.dynamics import BLOWUP_THRESHOLD, CHUNK, F_READS, G_KINDS
+from beamsteer.config import DEFAULT_CONFIG
+from beamsteer.dynamics import BLOWUP_THRESHOLD, CHUNK, F_READS, G_KINDS, OUTER
 from beamsteer.errors import BlowUpError, InvalidArgumentError
+from beamsteer.harness import pullback_setup
 from oracles import (
     apply_impulse,
     evaluate_nonlinearity,
@@ -482,16 +490,107 @@ def test_resume_rejects_window_not_ending_at_horizon():
                 simulate(cfg, control, prefix=prefix)
 
 
-def test_blowup_in_batched_window_names_cell():
+def _blowup_window():
     cfg, base, _ = _resume_setup()
-    modes = cfg.modes
     window = SteerWindow(1.0, 0.1)
     z1 = BeamState.zeros(4)
     z1.v[0] = 1e13  # far target: the weakly regularised cell needs a huge control
     problem = SteeringProblem(base.state_at(0.9), z1, window, (1e-1, 1e-4))
-    controls = synthesize_control(problem, modes, BETA)
+    return cfg, synthesize_control(problem, cfg.modes, BETA), base
+
+
+def test_blowup_in_batched_window_names_cell():
+    cfg, controls, base = _blowup_window()
     with pytest.raises(BlowUpError, match=r"at t=0\.9\d+ in the cell alpha=0\.0001, delta=0\.1"):
         simulate(cfg, controls, prefix=base)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+
+def _workload(name):
+    return load_experiment(str(WORKLOADS / f"{name}.ini"))
+
+
+def _sweep_specs():
+    return [_workload("sweep-default"), _workload("sweep-long")]
+
+
+def _cut_first_slab_spec():
+    # an impulse 30 steps in cuts the base run's first slab, whose rows past the
+    # cut are then read before any slab of the phase has written them
+    return parse_experiment(DEFAULT_CONFIG.replace("times = 0.4, 0.7", "times = 0.05, 0.7"))
+
+
+def _rows(spec):
+    return [(r.alpha, r.delta, r.error_total, r.error_nl, r.error_lin)
+            for r in run_pullback_experiment(spec)]
+
+
+def _clean_rows(specs):
+    """Each spec's rows from fresh held buffers, which are then left sized for all specs."""
+    rows = []
+    for spec in specs:
+        vars(dynamics._held).clear()
+        rows.append(_rows(spec))
+    for spec in specs:
+        _rows(spec)
+    return rows
+
+
+def test_warm_resumed_run_allocates_less_than_one_grid_workspace():
+    # a resumed run's node arrays, grid workspaces and window products live in the
+    # thread's held buffers, so a warm call allocates far less than one grid workspace
+    spec = _workload("sweep-long")
+    config, base, target = pullback_setup(spec)
+    window = SteerWindow(config.tau, max(spec.deltas))
+    assert window.delta / config.step >= OUTER  # the window's slabs are OUTER steps long
+    problem = SteeringProblem(base.state_at(window.start), target, window, spec.alphas)
+    control = synthesize_control(problem, config.modes, config.beta)
+    simulate(config, control, prefix=base)
+    held = dict(vars(dynamics._held))
+    simulate(config, control, prefix=base)
+    assert set(held) == {"nodes", "phase"}
+    assert all(vars(dynamics._held)[slot] is buffer for slot, buffer in held.items())
+    tracemalloc.start()
+    try:
+        simulate(config, control, prefix=base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (OUTER + 1) * (config.grid_points - 1) * 8
+
+
+def test_held_buffers_leak_nothing_between_calls():
+    # whatever an earlier call left in the held buffers (NaN here, a blow-up's
+    # infinities below) never reaches a later call's rows
+    specs = [*_sweep_specs(), _cut_first_slab_spec()]
+    clean = _clean_rows(specs)
+    for spec, rows in zip(specs, clean):
+        for buffer in vars(dynamics._held).values():
+            buffer.fill(np.nan)
+        assert _rows(spec) == rows
+    cfg, controls, base = _blowup_window()
+    with pytest.raises(BlowUpError):
+        simulate(cfg, controls, prefix=base)
+    assert [_rows(spec) for spec in specs] == clean
+
+
+def test_held_buffers_are_per_thread():
+    # two threads sweep at once, each in its own buffers, and match the serial rows
+    specs = _sweep_specs()
+    clean = _clean_rows(specs)
+    passes = [[] for _ in specs]
+
+    def sweep(spec, out):
+        out.extend(_rows(spec) for _ in range(10))
+
+    threads = [threading.Thread(target=sweep, args=job) for job in zip(specs, passes)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert passes == [[rows] * 10 for rows in clean]
 
 
 def test_deflection_continuity_at_impulses():

@@ -2,6 +2,7 @@ import configparser
 import ctypes
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1069,3 +1070,73 @@ def test_shipped_configs_stay_far_inside_the_run_budget(monkeypatch):
     assert len(workloads) == 3
     for path in [None, *workloads]:
         load_experiment(path and str(path))
+
+
+def test_sweep_past_the_run_budget_is_one_config_line(tmp_path, capsys):
+    # one cell of this grid fits the budget, but the sweep's window run holds its
+    # grid workspaces and node arrays once per alpha: rejected before any allocation
+    line = "alphas = 0.1, 0.01, 0.001, 0.0001, 0.00001"
+    big = _violating("grid_points = 128", "grid_points = 100000")
+    assert parse_experiment(big.replace(line, "alphas = 0.1")).alphas == [0.1]  # one cell fits
+    text = big.replace(line, "alphas = " + ", ".join(f"1e-{k}" for k in range(11)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^a window run of 11 cells needs 2\*\*30 bytes"):
+            parse_experiment(text)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    (tmp_path / "c.ini").write_text(text)
+    assert cli.main(["sweep", "--config", str(tmp_path / "c.ini"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: a window run") and err.count("\n") == 1
+
+
+class _CountedFloat(float):
+    """A float that counts its equality tests, and fails past a linear number of them."""
+
+    tests = 0
+
+    def __eq__(self, other):
+        _CountedFloat.tests += 1
+        assert _CountedFloat.tests <= 100_000, "quadratic duplicate check"
+        return float.__eq__(self, other)
+
+    __hash__ = float.__hash__
+
+
+def test_duplicate_check_is_linear():
+    # 10,000 distinct alphas take a linear number of equality tests, and the message
+    # names the first value of the list that repeats, not the first repeat met
+    config = SimConfig(n_modes=1, grid_points=2)
+    alphas = [_CountedFloat((k + 1) / 10_000) for k in range(10_000)]
+    _CountedFloat.tests = 0
+    ExperimentSpec(config=config, deltas=[0.01], alphas=alphas)
+    with pytest.raises(InvalidArgumentError, match=r"alphas repeat the value 0\.001$"):
+        ExperimentSpec(config=config, deltas=[0.01], alphas=[*alphas, alphas[5000], alphas[9]])
+
+
+FUZZ_TOKENS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "abc", "", "2", "0.5",
+               "1e300", "1e-300", "1,2"]
+
+
+@pytest.mark.parametrize("key", [key for keys in SCHEMA.values() for key in keys])
+def test_every_key_and_token_ends_in_one_line(tmp_path, capsys, key):
+    # each key set in turn to each token: the commands that do not simulate end in
+    # exit 0, 1 or 2 with at most one stderr line, and so do the simulating ones
+    # on the configs that validation rejects before anything is allocated
+    path = tmp_path / "c.ini"
+    for token in FUZZ_TOKENS:
+        text, found = re.subn(rf"(?m)^{key} = .*$", f"{key} = {token}", DEFAULT_CONFIG)
+        assert found == 1
+        path.write_text(text)
+        commands = ["gramian-check", "linear-check", "steer"]
+        try:
+            parse_experiment(text)
+        except ConfigError:
+            commands += ["sweep", "pullback"]
+        for command in commands:
+            code = cli.main([command, "--config", str(path), "--quiet"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and err.count("\n") <= 1, (token, command, err)
+            assert "Traceback" not in err
