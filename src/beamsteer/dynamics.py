@@ -15,12 +15,13 @@ coordinates, a step's control increment is Q(h) p(t + h), the one-step Gramian
 times the costate at the step's end.
 
 Every pointwise map (the nonlinearity f, the memory integrand g, the impulse
-jumps) acts through one collocation: synthesize the coefficient arrays onto
-the grid, apply the map, project back.  Velocity jumps at impulse times are
-applied after the step that lands exactly on the impulse node; delayed reads
-at such nodes use the left-limit (pre-jump) velocity, the deflection being
-continuous there.  The memory term is the trapezoid sum of its convolution,
-which the exponential kernel turns into an exact recursion.
+jumps) acts through the slabs' one collocation: synthesize onto the grid by the
+basis, apply the map, project back by the spacing-scaled basis.  Velocity jumps
+at impulse times are applied after the step that lands exactly on the impulse
+node; delayed reads there use the left-limit (pre-jump) velocity, the deflection
+being continuous.  The memory term is the trapezoid sum of its convolution,
+which the exponential kernel turns into an exact recursion seeded by row 0 of
+the first slab's projected g.
 
 The history on [-delay, 0] is an array-valued callable, evaluated once on all
 history nodes.  Stepping follows the method of steps: a slab of at most
@@ -60,6 +61,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -272,7 +274,7 @@ class SimConfig:
 
     def check_run_bytes(self, cells: int = 1, window_steps: Optional[int] = None):
         """Reject a run past RUN_BYTES before anything is allocated: a full run of one cell,
-        or a window run of ``window_steps`` steps and ``cells`` cells.
+        or a window run of ``window_steps`` steps and ``cells`` cells with its base run's nodes.
 
         Sized in Python ints: W, V and memory padded by a slab of L <= ``slab`` steps, the
         window table, the basis and its projector, L + 1 grid rows of y and g and per cell of
@@ -282,6 +284,8 @@ class SimConfig:
         steps = n_r + self.horizon_steps if window_steps is None else window_steps
         slab = min(OUTER, min(n_r, steps) + CHUNK)
         nodes = (2 * cells + 1) * (steps + 1 + slab) + 6 * (n_r + slab + cells * (slab + 1))
+        if window_steps is not None:  # the base run's W, V and memory live through every window run
+            nodes += 3 * (n_r + self.horizon_steps + 1 + min(OUTER, n_r + CHUNK))
         held = 8 * ((nodes + 2 * grid) * self.n_modes + (cells + 2) * (slab + 1) * grid)
         if held > RUN_BYTES:  # a power of two names any size, where a float may overflow
             what = "a run" if window_steps is None else f"a window run of {cells} cells"
@@ -289,8 +293,8 @@ class SimConfig:
                 f"{what} needs 2**{held.bit_length() - 1} bytes or more, past {RUN_BYTES}"
             )
 
-    def validate_delta(self, delta: float):
-        """Check a steering-window length against the delay and impulses."""
+    def validate_delta(self, delta: float) -> int:
+        """Check a window length against the delay and impulses; return the start's node index."""
         if not 0 < delta < self.tau:
             raise InvalidArgumentError("delta must lie in (0, tau)")
         if delta >= self.delay:
@@ -299,7 +303,7 @@ class SimConfig:
             raise InvalidArgumentError(
                 "delta must keep every impulse before the steering window"
             )
-        exact_multiple(self.tau - delta, self.step, "the window start")
+        return self.delay_steps + exact_multiple(self.tau - delta, self.step, "the window start")
 
 
 @dataclass
@@ -341,16 +345,6 @@ class Trajectory:
         return self.state(self.times.size - 1)
 
 
-def _collocate(B, spacing, fn, *coeffs):
-    """Synthesize ``coeffs`` on the grid, apply ``fn`` pointwise, project back.
-
-    ``B`` is the basis matrix of the grid; the leading axes (cells, samples)
-    of the coefficient arrays broadcast.
-    """
-    BT = B.T
-    return spacing * (fn(*[c @ BT for c in coeffs]) @ B)
-
-
 def _toeplitz(p) -> np.ndarray:
     """Lower-triangular Toeplitz view T[k, ..., j] = p[k - j] (0 for j > k) of p's first axis."""
     zeros = np.zeros_like(p[1:])
@@ -369,8 +363,8 @@ def _carve(slot: str, *shapes):
     sizes = [math.prod(shape) for shape in shapes]
     if getattr(_held, slot, np.empty(0)).size < sum(sizes):
         setattr(_held, slot, np.empty(sum(sizes)))
-    parts = np.split(getattr(_held, slot)[: sum(sizes)], np.cumsum(sizes[:-1]))
-    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    held, starts = getattr(_held, slot), accumulate(sizes, initial=0)
+    return [held[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
 
 
 @lru_cache(maxsize=16)
@@ -446,8 +440,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             raise InvalidArgumentError("the control must be synthesized for the config's system")
         if control.window.tau != config.tau:
             raise InvalidArgumentError("control window must end at the horizon")
-        config.validate_delta(control.window.delta)
-        start_idx = idx0 + exact_multiple(control.window.start, h, "the window start")
+        start_idx = config.validate_delta(control.window.delta)
         window = window[..., start_idx - (n_total - n_r) :]  # from this run's window start
         e0, e1 = np.moveaxis(control.eta, -1, 0)[..., None]  # (cells, N, 1) each
 
@@ -486,7 +479,6 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     # the trapezoid sum of the exponential kernel, kappa-free, by the exact recursion
     # S_(k+1) = decay S_k + h g_(k+1), chunked like the state; the carry is S at the slab start
     recurse = prefix is None and catalog.has_memory
-    carry = 0.5 * h * _collocate(B, domain.spacing, catalog.g, W[0, 0]) if recurse else None
 
     stops = sorted(s for s in {n_total - 1, start_idx, *imp_at} if s is not None)
     s0, count = (idx0 if prefix is None else lo), None
@@ -538,6 +530,8 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
                 np.matmul(fx, Bq, out=fc)
         new = slice(s0 - lo + 1, s0 - lo + 1 + L)
         if recurse:
+            if s0 == idx0:  # S_0 = (h/2) P g(w(-delay)), row 0 of the first slab's products
+                carry = half * gq[0]
             g, M = (x.reshape(count, chunk, N) for x in (gq[1:], memory[new]))
             np.matmul(m_chunk, g, out=M)
             M += m_lift * (m_outers[:count, :count] @ np.vstack([carry, M[:-1, -1]]))[:, None]
@@ -568,7 +562,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             k = imp_at[s1]
             wp, vp = W[0, s1].copy(), V[0, s1].copy()
             pre_impulse[s1] = (wp, vp)
-            dv = _collocate(B, domain.spacing, partial(config.impulses.jump, k), wp, vp)
+            dv = config.impulses.jump(k, wp @ B.T, vp @ B.T) @ Bq
             V[0, s1] = vp + dv
             impulse_events.append((k, float(times[s1]), float(np.linalg.norm(dv))))
 

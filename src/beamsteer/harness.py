@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, exact_multiple, simulate
+from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, simulate
 from .errors import InvalidArgumentError
 from .gramian import SteerWindow, assemble_gramian, gramian_mode_quadrature
 from .semigroup import apply_semigroup
@@ -112,12 +112,10 @@ class ExperimentSpec:
             raise InvalidArgumentError("history_amplitude must be finite")
         if not abs(self.target_scale) <= BLOWUP_THRESHOLD:  # no run may pass it
             raise InvalidArgumentError(f"target_scale must lie within {BLOWUP_THRESHOLD:g}")
-        for delta in self.deltas:
-            self.config.validate_delta(delta)
-        # the longest window holds its node arrays and workspaces once per alpha
+        # the longest window holds its arrays once per alpha, beside the base run's nodes
         config = self.config
-        start = exact_multiple(config.tau - max(self.deltas), config.step, "the window start")
-        config.check_run_bytes(len(self.alphas), config.horizon_steps - start)
+        start = min(config.validate_delta(delta) for delta in self.deltas)
+        config.check_run_bytes(len(self.alphas), config.delay_steps + config.horizon_steps - start)
         if self.target_kind not in ("single_mode", "random", "free_trajectory"):
             raise InvalidArgumentError(f"unknown target kind {self.target_kind!r}")
         if self.history_kind not in ("zero", "single_mode", "random"):
@@ -293,7 +291,7 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
     alphas = sorted(spec.alphas, reverse=True)
     deltas = sorted(spec.deltas, reverse=True)
     windows = [SteerWindow(config.tau, delta) for delta in deltas]
-    starts = [base_traj.index_at(window.start) for window in windows]
+    starts = [config.validate_delta(delta) for delta in deltas]
     z_mid = BeamState(base_traj.w[starts], base_traj.v[starts])
     t0 = timer()
     gramians = assemble_gramian(modes, config.beta, windows)

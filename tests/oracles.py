@@ -3,9 +3,9 @@
 These deliberately avoid the closed forms used by the package: the matrix
 exponential is Taylor series with scaling and squaring, quadratures are
 assembled from scratch.  The stepwise simulator and the memory re-sum reuse
-the package's one-step exponential and collocation, and check how the slab
-integrator and its memory recursion combine them; the stepwise control
-increments come from their own quadrature of the control values that
+the package's one-step exponential, collocate through their own helper, and
+check how the slab integrator and its memory recursion combine the two; the
+stepwise control increments come from their own quadrature of the values that
 ``window_coeffs`` evaluates from the costate, the reference for the window
 controls the slab integrator forms inline.  The plain sine
 transforms, the block generator and the left-limit lookup serve only tests, as
@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 
 from beamsteer import BeamState, ModeSet, Trajectory, basis_matrix
-from beamsteer.dynamics import BLOWUP_THRESHOLD, _collocate, exact_multiple
+from beamsteer.dynamics import BLOWUP_THRESHOLD, exact_multiple
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from beamsteer.semigroup import _roots, exp_entries
 
@@ -45,6 +45,15 @@ class ModeBlock:
         """Characteristic roots (r1, r2), slow one first."""
         r1, gap = _roots(self.lam, self.beta)
         return float(r1), float(r1 - gap)
+
+
+def _collocate(B, spacing, fn, *coeffs):
+    """Synthesize ``coeffs`` on the grid, apply ``fn`` pointwise, project back.
+
+    ``B`` is the basis matrix of the grid; the leading axes (cells, samples)
+    of the coefficient arrays broadcast.
+    """
+    return spacing * (fn(*[c @ B.T for c in coeffs]) @ B)
 
 
 def _checked_basis(domain, modes: ModeSet, *coeffs) -> np.ndarray:

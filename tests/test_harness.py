@@ -1092,6 +1092,34 @@ def test_sweep_past_the_run_budget_is_one_config_line(tmp_path, capsys):
     assert err.startswith("invalid configuration: a window run") and err.count("\n") == 1
 
 
+def test_sweep_budget_counts_the_base_run(tmp_path, capsys):
+    # the window run of 150 cells alone fits (about 624 MiB), but the base run's W, V and
+    # memory (about 737 MiB) stay alive through it: the sum is past the budget
+    text = DEFAULT_CONFIG
+    for line, replacement in [
+        ("modes = 8", "modes = 64"),
+        ("tau = 1.0", "tau = 50"),
+        ("step = 0.0016666666666666668", "step = 0.0001"),
+        ("[impulses]\ntimes = 0.4, 0.7\ngains = 0.05, 0.05\n", ""),
+        ("deltas = 0.2, 0.1, 0.05", "deltas = 0.29"),
+        ("alphas = 0.1, 0.01, 0.001, 0.0001, 0.00001",
+         "alphas = " + ", ".join(f"{k / 150:.17g}" for k in range(1, 151))),
+    ]:
+        assert text.count(line) == 1
+        text = text.replace(line, replacement)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^a window run of 150 cells needs 2\*\*30 bytes"):
+            parse_experiment(text)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    (tmp_path / "c.ini").write_text(text)
+    assert cli.main(["sweep", "--config", str(tmp_path / "c.ini"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: a window run") and err.count("\n") == 1
+
+
 class _CountedFloat(float):
     """A float that counts its equality tests, and fails past a linear number of them."""
 
