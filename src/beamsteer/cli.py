@@ -89,7 +89,7 @@ def _cmd_steer(spec, args) -> int:
     gramians, q_quad, _ = gramian_cross_check(modes, config.beta, window)
     problem = SteeringProblem(y0, z1, window, alpha)
     control, measured, formula = residual_identity(problem, modes, config.beta, gramians, q_quad)
-    err = energy_norm(steer_linear(y0, control, gramians=gramians) - z1, modes)
+    err = energy_norm(steer_linear(y0, control) - z1, modes)
     # the one cell of the control
     err, formula, gap = err[0], formula[0], abs(measured - formula)[0]
     _say(args, f"steer: delta={delta:g} alpha={alpha:g}")

@@ -266,12 +266,11 @@ def pullback_cell(
     the sweep's batched window runs.  Returns the row and the trajectory."""
     modes, t0 = config.modes, time.perf_counter()
     window = SteerWindow(config.tau, delta)
-    gramians = assemble_gramian(modes, config.beta, window)
     z_mid = base_traj.state_at(window.start)
     problem = SteeringProblem(z_mid, target, window, alpha)
-    control = synthesize_control(problem, modes, config.beta, gramians=gramians)
+    control = synthesize_control(problem, modes, config.beta)
     traj = simulate(config, control)
-    (y_tau,) = steer_linear(z_mid, control, gramians=gramians)
+    (y_tau,) = steer_linear(z_mid, control)
     errors = _errors(traj.terminal(), y_tau, target, modes)
     return ResultRow(alpha, delta, *errors, time.perf_counter() - t0, config.horizon_steps), traj
 
@@ -294,10 +293,9 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
     starts = [config.validate_delta(delta) for delta in deltas]
     z_mid = BeamState(base_traj.w[starts], base_traj.v[starts])
     t0 = timer()
-    gramians = assemble_gramian(modes, config.beta, windows)
     problem = SteeringProblem(z_mid, target, windows, alphas)
-    controls = synthesize_control(problem, modes, config.beta, gramians=gramians)
-    y_tau = steer_linear(z_mid, controls, gramians=gramians)
+    controls = synthesize_control(problem, modes, config.beta)
+    y_tau = steer_linear(z_mid, controls)
     linear = (timer() - t0) / (len(deltas) * len(alphas))
     runs, shares = [], []
     for control in controls:
@@ -398,7 +396,7 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     gap = np.abs(measured - formula) / np.maximum(1.0, formula)  # see CROSS_PATH_TOL
     results.append(gated("residual_identity", float(gap.max())))
 
-    sweep = alpha_sweep(y0, z1, control, gramians=gramians)
+    sweep = alpha_sweep(y0, z1, control)
     errs = [e for _, e in sweep]
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     results.append(CheckResult("alpha_sweep_monotone", monotone, errs[-1], errs[0]))
@@ -409,7 +407,7 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     results.append(CheckResult("right_inverse_strong_limit", limit, errors[-1], errors[0]))
 
     # the alpha = 1e-2 cell
-    energy, eta = float(control_energy(control, gramians)[2]), control.eta[2]
+    energy, eta = float(control_energy(control)[2]), control.eta[2]
     quad_form = float(np.sum(eta[:, None, :] @ q_quad @ eta[:, :, None]))
     rel = abs(energy - quad_form) / max(quad_form, 1e-300)
     results.append(gated("minimum_energy_identity", rel))

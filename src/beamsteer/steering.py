@@ -8,9 +8,10 @@ Given a start state y0 at tau - delta and a target z1, the control
 drives the linear dynamics so that the terminal mismatch satisfies the
 exact blockwise identity  y(tau) - z1 = -alpha (alpha I + Q)^{-1} d.
 Since u = G* eta, the mapped control G u = G G* eta = Q eta and the energy
-||u||^2 = eta^T Q eta are exact in the closed-form Gramian, so nothing here
-integrates the control numerically.  Everything works per mode in energy
-coordinates; control values are scalars per mode and coordinate-free.
+||u||^2 = eta^T Q eta are exact in the window's closed-form Gramian blocks,
+which a control carries with the eta they solved, so nothing here integrates
+the control numerically.  Everything works per mode in energy coordinates;
+control values are scalars per mode and coordinate-free.
 Every control is a batch of cells, one per alpha: alphas on one window share
 d, so eta of shape (cells, N, 2) comes from one stacked solve, and a single
 alpha is a batch of one.  A sequence of D windows, one start state each, is
@@ -37,7 +38,7 @@ class ControlSignal:
     ``eta`` holds each cell's regularized preimage per mode (energy coordinates),
     shape (cells, N, 2); a cell's control is u_j(t) = b^T exp(K_j^T (tau - t)) eta_j,
     the second component of its costate.  ``alpha`` holds the regularisation of
-    each cell.
+    each cell, and ``blocks`` the (N, 2, 2) Gramian blocks Q of the window.
     """
 
     window: SteerWindow
@@ -45,6 +46,7 @@ class ControlSignal:
     modes: ModeSet
     beta: float
     alpha: tuple
+    blocks: np.ndarray
 
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
@@ -56,6 +58,8 @@ class ControlSignal:
             raise InvalidArgumentError("control preimage is not finite")
         if np.shape(self.alpha) != self.eta.shape[:1]:
             raise InvalidArgumentError("a control needs one alpha per cell")
+        if np.shape(self.blocks) != (self.modes.count, 2, 2):
+            raise InvalidArgumentError("Gramian blocks must have shape (N, 2, 2)")
 
 
 @dataclass(frozen=True)
@@ -90,70 +94,61 @@ def synthesize_control(
     """Regularized steering control for the given problem, one cell per alpha; for a
     sequence of windows a list of each window's control, from one stacked solve."""
     win = problem.window
-    windows = [win] if isinstance(win, SteerWindow) else win
-    if any(w.delta <= 0 for w in windows):
-        raise InvalidArgumentError("steering requires a window of positive length")
     if gramians is None:
         gramians = assemble_gramian(modes, beta, win)
     if not gramians.positive_definite:
-        bad = windows[np.argmin(gramians.min_eigenvalue)].delta
+        bad = np.ravel(window_lengths(win))[np.argmin(gramians.min_eigenvalue)]
         raise InvalidArgumentError(f"Gramian is not positive definite on the window delta={bad:g}")
     moved = apply_semigroup(problem.y0, window_lengths(win), modes, beta)
     d = energy_coords(problem.z1, modes) - energy_coords(moved, modes)
     eta = solve_regularized(gramians, problem.alpha, d)
     if isinstance(win, SteerWindow):
-        return ControlSignal(win, eta, modes, beta, alpha=problem.alpha)
-    return [ControlSignal(w, e, modes, beta, alpha=problem.alpha) for w, e in zip(win, eta)]
+        return ControlSignal(win, eta, modes, beta, problem.alpha, gramians.blocks)
+    per_window = zip(win, eta, gramians.blocks)
+    return [ControlSignal(w, e, modes, beta, problem.alpha, q) for w, e, q in per_window]
 
 
-def steer_linear(y0: BeamState, control, gramians: GramianSet | None = None) -> BeamState:
+def steer_linear(y0: BeamState, control) -> BeamState:
     """Terminal state of the controlled linear dynamics on the window.
 
     y(tau) = T(delta) y0 + G u, and since u = G* eta the mapped control is
-    G G* eta = Q eta, exact in the closed-form Gramian blocks (those of
-    ``gramians`` when given, which must be the set of the control's window).
+    G G* eta = Q eta, exact in the control's closed-form Gramian blocks.
     The modes and damping are the control's own.
     A control gives a batch of states of shape (cells, N), T(delta) y0 formed once;
     the list of controls that a window sequence gives, with its D start states
     ``y0``, gives states of shape (D, cells, N).
     """
     if isinstance(control, ControlSignal):
-        system, window, eta = control, control.window, control.eta
+        system, window, eta, blocks = control, control.window, control.eta, control.blocks
     else:  # the controls of one synthesis share its system
         system, window = control[0], [c.window for c in control]
-        eta = np.stack([c.eta for c in control])
+        eta, blocks = np.stack([c.eta for c in control]), np.stack([c.blocks for c in control])
     modes, beta = system.modes, system.beta
     if y0.count != modes.count:
         raise InvalidArgumentError("state and mode set sizes differ")
-    if gramians is None:
-        gramians = assemble_gramian(modes, beta, window)
     free = energy_coords(apply_semigroup(y0, window_lengths(window), modes, beta), modes)
     # the cell axis goes after the window axis
-    free, blocks = free[..., None, :, :], gramians.blocks[..., None, :, :, :]
+    free, blocks = free[..., None, :, :], blocks[..., None, :, :, :]
     return state_from_coords(free + (blocks @ eta[..., None])[..., 0], modes)
 
 
-def control_energy(control: ControlSignal, gramians: GramianSet) -> np.ndarray:
-    """Squared-integral energy of each cell's window control, eta^T Q eta summed
-    over modes; ``gramians`` is the set of the control's window."""
+def control_energy(control: ControlSignal) -> np.ndarray:
+    """Squared-integral energy of each cell's window control, eta^T Q eta over modes."""
     eta = control.eta
-    return np.sum(eta[..., None, :] @ gramians.blocks @ eta[..., None], axis=(1, 2, 3))
+    return np.sum(eta[..., None, :] @ control.blocks @ eta[..., None], axis=(1, 2, 3))
 
 
-def alpha_sweep(
-    y0: BeamState, z1: BeamState, control: ControlSignal, gramians: GramianSet | None = None
-) -> list[tuple[float, float]]:
+def alpha_sweep(y0: BeamState, z1: BeamState, control: ControlSignal) -> list[tuple[float, float]]:
     """Terminal error of the linear system steered from ``y0`` toward ``z1`` by each
     cell of ``control``, paired with the cell's alpha.
 
     The control's alphas must be strictly decreasing; the returned errors are then
-    nonincreasing and tend to zero with alpha.  ``gramians``, when given, must be
-    the set of the control's window.
+    nonincreasing and tend to zero with alpha.
     """
     alphas = control.alpha
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidArgumentError("alphas must be strictly decreasing")
-    y_tau = steer_linear(y0, control, gramians=gramians)
+    y_tau = steer_linear(y0, control)
     modes = control.modes
     errs = np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes), axis=(1, 2))
     return list(zip(alphas, errs.tolist()))

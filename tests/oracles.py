@@ -265,7 +265,10 @@ def window_control_quadrature(control, nodes=64, span=50.0):
         weights = np.tile(0.5 * width * w, panels)
         coeffs = np.linalg.solve(V, [0.0, 1.0])
         response = V @ (np.exp(np.outer(mu, theta)) * coeffs[:, None])
-        single = replace(control, eta=control.eta[:, j : j + 1], modes=ModeSet(lam))
+        single = replace(
+            control, eta=control.eta[:, j : j + 1], blocks=control.blocks[j : j + 1],
+            modes=ModeSet(lam),
+        )
         (u,) = window_coeffs(single, win.tau - theta)[..., 0]
         mapped[j] = response @ (weights * u)
         energy += float(np.sum(weights * u * u))

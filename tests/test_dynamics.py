@@ -16,6 +16,7 @@ from beamsteer import (
     SteerWindow,
     SteeringProblem,
     apply_semigroup,
+    assemble_gramian,
     energy_norm,
     laplacian_eigenvalues,
     load_experiment,
@@ -416,9 +417,10 @@ def test_resume_rejects_prefix_of_another_config(change):
         other, base = cfg, simulate(cfg, synthesize_control(problem, cfg.modes, BETA))
     else:
         other = replace(cfg, **change)
+    window = SteerWindow(other.tau, 0.2)
     control = ControlSignal(
-        SteerWindow(other.tau, 0.2), np.zeros((1, other.n_modes, 2)), other.modes, other.beta,
-        alpha=[1e-2],
+        window, np.zeros((1, other.n_modes, 2)), other.modes, other.beta, alpha=[1e-2],
+        blocks=assemble_gramian(other.modes, other.beta, window).blocks,
     )
     with pytest.raises(InvalidArgumentError, match="prefix must be a zero-control run"):
         simulate(other, control, prefix=base)
@@ -482,9 +484,9 @@ def test_resume_rejects_window_not_ending_at_horizon():
     # tau exactly, resumed or run in full
     cfg, base, _ = _resume_setup()
     for tau in (0.9, cfg.tau + 1e-12):
-        control = ControlSignal(
-            SteerWindow(tau, 0.2), np.zeros((1, 4, 2)), cfg.modes, BETA, alpha=[1e-2]
-        )
+        window = SteerWindow(tau, 0.2)
+        blocks = assemble_gramian(cfg.modes, BETA, window).blocks
+        control = ControlSignal(window, np.zeros((1, 4, 2)), cfg.modes, BETA, [1e-2], blocks)
         for prefix in (base, None):
             with pytest.raises(InvalidArgumentError, match="end at the horizon"):
                 simulate(cfg, control, prefix=prefix)

@@ -1,5 +1,4 @@
 import configparser
-import ctypes
 import importlib.util
 import os
 import re
@@ -57,6 +56,7 @@ from beamsteer.harness import (
     residual_identity,
 )
 
+from blas_kernel import openblas_corename
 from oracles import expm_squaring, gauss_integral
 
 
@@ -214,21 +214,10 @@ def test_rows_do_not_depend_on_their_batch(make_spec):
             )
 
 
-def openblas_corename():
-    """The OpenBLAS kernel numpy runs on, or None where its bundled library has no probe."""
-    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
-        probe = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if probe is not None:
-            probe.argtypes, probe.restype = [], ctypes.c_char_p
-            return probe().decode()
-    return None
-
-
 # the child checks that OPENBLAS_CORETYPE took effect, then runs the tests it is given
 KERNEL_CHILD = """
 import sys, pytest
-from test_harness import openblas_corename
+from blas_kernel import openblas_corename
 if openblas_corename() != sys.argv[1]:
     sys.exit(f"OPENBLAS_CORETYPE={sys.argv[1]} did not take effect: {openblas_corename()}")
 sys.exit(pytest.main(sys.argv[2:]))
@@ -315,6 +304,8 @@ def test_stacked_synthesis_matches_single_alpha_calls():
                 )
                 assert control.window == win and control.alpha == tuple(np.atleast_1d(alphas))
                 assert np.array_equal(single.eta, control.eta)
+                own = assemble_gramian(modes, config.beta, win).blocks
+                assert np.array_equal(control.blocks, own)  # its own window's Gramian
                 want = steer_linear(y0, single)
                 assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
 

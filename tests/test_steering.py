@@ -59,7 +59,7 @@ def test_unit_deflection_target_energy_identity():
     control = synthesize_control(
         SteeringProblem(y0, z1, WINDOW, 1e-4), modes, BETA, gramians=gramians
     )
-    (energy,) = control_energy(control, gramians)
+    (energy,) = control_energy(control)
     assert np.isfinite(energy) and energy > 0
     (eta,) = control.eta
     quad_form = float(eta[0] @ gramians.blocks[0] @ eta[0])
@@ -88,7 +88,8 @@ def test_zero_control_is_free_flow():
     modes = _modes(5)
     rng = np.random.default_rng(2)
     y0 = _random_state(modes, rng)
-    control = ControlSignal(WINDOW, np.zeros((1, 5, 2)), modes, BETA, alpha=[1.0])
+    blocks = assemble_gramian(modes, BETA, WINDOW).blocks
+    control = ControlSignal(WINDOW, np.zeros((1, 5, 2)), modes, BETA, alpha=[1.0], blocks=blocks)
     (out,) = steer_linear(y0, control)
     free = apply_semigroup(y0, WINDOW.delta, modes, BETA)
     assert energy_norm(out - free, modes) <= 1e-13
@@ -123,7 +124,7 @@ def test_steering_linearity():
     u2 = synthesize_control(
         SteeringProblem(y0, _random_state(modes, rng), WINDOW, 1e-1), modes, BETA
     )
-    both = ControlSignal(WINDOW, u1.eta + u2.eta, modes, BETA, alpha=u1.alpha)
+    both = ControlSignal(WINDOW, u1.eta + u2.eta, modes, BETA, alpha=u1.alpha, blocks=u1.blocks)
     (left,) = steer_linear(y0, both)
     (right,) = steer_linear(y0, u1) + steer_linear(BeamState.zeros(4), u2)
     assert energy_norm(left - right, modes) <= 1e-10
@@ -241,8 +242,7 @@ def test_closed_form_matches_quadrature_oracle(n, delta, alpha):
     (y_tau,) = steer_linear(BeamState.zeros(n), control)
     got = energy_coords(y_tau, modes)
     assert np.linalg.norm(got - mapped) <= 1e-12 * np.linalg.norm(mapped)
-    gramians = assemble_gramian(modes, BETA, control.window)
-    (closed_form,) = control_energy(control, gramians)
+    (closed_form,) = control_energy(control)
     assert closed_form == pytest.approx(energy, rel=1e-12)
 
 
@@ -250,7 +250,8 @@ def test_window_coeffs_at_rounded_horizon():
     # grid times can overshoot tau by an ulp (e.g. 273 steps of 1/91 reach
     # 3 + 4.4e-16); such a node is the window end, not an invalid time
     modes = _modes(3)
-    control = ControlSignal(WINDOW, np.ones((1, 3, 2)), modes, BETA, alpha=[1.0])
+    blocks = assemble_gramian(modes, BETA, WINDOW).blocks
+    control = ControlSignal(WINDOW, np.ones((1, 3, 2)), modes, BETA, alpha=[1.0], blocks=blocks)
     late = np.nextafter(WINDOW.tau, 2.0)
     np.testing.assert_array_equal(window_coeffs(control, late), window_coeffs(control, WINDOW.tau))
 
@@ -260,19 +261,26 @@ def test_control_batch_costate_and_validation():
     # its one-cell control's costate bitwise
     modes = _modes(3)
     eta = np.random.default_rng(5).standard_normal((2, 3, 2))
-    batch = ControlSignal(WINDOW, eta, modes, BETA, alpha=[0.1, 0.01])
+    blocks = assemble_gramian(modes, BETA, WINDOW).blocks
+    batch = ControlSignal(WINDOW, eta, modes, BETA, alpha=[0.1, 0.01], blocks=blocks)
     t = np.linspace(WINDOW.start, WINDOW.tau, 7)
     got = costate(batch, t)
     assert got.shape == (2, 7, 3, 2)
     for cell, e, a in zip(got, eta, batch.alpha):
-        (want,) = costate(ControlSignal(WINDOW, e[None], modes, BETA, alpha=[a]), t)
+        (want,) = costate(ControlSignal(WINDOW, e[None], modes, BETA, [a], blocks), t)
         np.testing.assert_array_equal(cell, want)
     for alpha in ([0.1], 0.1, None):
         with pytest.raises(InvalidArgumentError, match="one alpha per cell"):
-            ControlSignal(WINDOW, eta, modes, BETA, alpha=alpha)
+            ControlSignal(WINDOW, eta, modes, BETA, alpha=alpha, blocks=blocks)
     for bad in (eta[None], eta[0]):  # every control is a batch of cells
         with pytest.raises(InvalidArgumentError, match="cells, N, 2"):
-            ControlSignal(WINDOW, bad, modes, BETA, alpha=[0.1, 0.01])
+            ControlSignal(WINDOW, bad, modes, BETA, alpha=[0.1, 0.01], blocks=blocks)
+    # a control carries the (N, 2, 2) blocks of its one window: not a stacked
+    # (D, N, 2, 2) set, not the blocks of another mode count
+    wider = assemble_gramian(_modes(4), BETA, WINDOW).blocks
+    for bad in (blocks[None], wider):
+        with pytest.raises(InvalidArgumentError, match=r"blocks must have shape \(N, 2, 2\)"):
+            ControlSignal(WINDOW, eta, modes, BETA, alpha=[0.1, 0.01], blocks=bad)
     with pytest.raises(InvalidArgumentError):
         SteeringProblem(BeamState.zeros(3), BeamState.zeros(3), WINDOW, [0.1, 1.5])
 
@@ -306,12 +314,12 @@ def test_alpha_sweep_reuses_a_given_gramian_set(monkeypatch):
     rng = np.random.default_rng(12)
     y0, z1 = _random_state(modes, rng), _random_state(modes, rng)
     alphas = [1.0, 1e-2, 1e-4]
-    gramians = assemble_gramian(modes, BETA, WINDOW)
     control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alphas), modes, BETA)
     want = alpha_sweep(y0, z1, control)
 
     def refused(*args):
-        raise AssertionError("alpha_sweep assembled a Gramian it was given")
+        raise AssertionError("alpha_sweep assembled a Gramian its control carries")
 
+    # the control holds the blocks that solved it, so steering assembles nothing
     monkeypatch.setattr(steering, "assemble_gramian", refused)
-    assert alpha_sweep(y0, z1, control, gramians=gramians) == want
+    assert alpha_sweep(y0, z1, control) == want

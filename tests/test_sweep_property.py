@@ -4,12 +4,13 @@ Draws cover every f, g and kernel kind, soft to stiff spectra, damping from
 critical to 1e8, steps of 1/300 and 1/600, up to two impulses
 before the earliest window, and random or single-mode histories.  Each batched
 row is checked against its cell simulated from scratch (``pullback_cell``).
+The draws come from one seeded numpy generator, each independent of the
+others, so every draw is a new system.
 """
 
 import re
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
 
 import beamsteer.dynamics as dynamics
 from beamsteer import (
@@ -22,53 +23,66 @@ from beamsteer import (
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from beamsteer.harness import pullback_cell, pullback_setup
 
-
-def _log_uniform(lo, hi):
-    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
+DRAWS, SEED = 120, 20240811
 
 
-@st.composite
-def _accepted_sweeps(draw):
+def _log_uniform(rng, lo, hi):
+    return float(10.0 ** rng.uniform(np.log10(lo), np.log10(hi)))
+
+
+def _coefficient(rng, hi):
+    """0 one draw in four (the maps skip a zero term), else uniform in [0, hi]."""
+    return 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, hi))
+
+
+def _beta(rng):
+    """Critical damping one draw in eight, else log-uniform in [1, 1e8] or 1 + 10^[-12, -1]."""
+    kind = rng.random()
+    if kind < 0.125:
+        return 1.0
+    if kind < 0.625:
+        return _log_uniform(rng, 1.0, 1e8)
+    return 1.0 + 10.0 ** rng.uniform(-12.0, -1.0)
+
+
+def _accepted_sweep(rng):
     """A sweep over every f, g and kernel kind, soft to stiff spectra and damping from
     critical to 1e8, with up to two impulses before its earliest window."""
-    h = draw(st.sampled_from([1 / 300, 1 / 600]))
+    h = float(rng.choice([1 / 300, 1 / 600]))
     n_r = round(0.3 / h)
-    deltas = draw(st.lists(st.integers(1, n_r - 1), min_size=1, max_size=2, unique=True))
-    first = round(1.0 / h) - max(deltas)  # steps to the earliest window start
-    kicks = draw(st.lists(st.integers(1, first - 1), max_size=2, unique=True))
+    deltas = rng.choice(np.arange(1, n_r), size=rng.integers(1, 3), replace=False)
+    first = round(1.0 / h) - deltas.max()  # steps to the earliest window start
+    kicks = np.sort(rng.choice(np.arange(1, first), size=rng.integers(0, 3), replace=False))
     catalog = NonlinearityCatalog(
-        f_kind=draw(st.sampled_from(sorted(dynamics.F_READS))),
-        f_a=draw(st.floats(0.0, 3.0)),
-        f_b=draw(st.floats(0.0, 1.0)),
-        g_kind=draw(st.sampled_from(dynamics.G_KINDS)),
-        kernel_kind=draw(st.sampled_from(dynamics.KERNEL_KINDS)),
-        kappa=draw(st.floats(0.0, 3.0)),
-        gamma=draw(_log_uniform(1e-2, 1e4)),
+        f_kind=str(rng.choice(sorted(dynamics.F_READS))),
+        f_a=_coefficient(rng, 3.0),
+        f_b=_coefficient(rng, 1.0),
+        g_kind=str(rng.choice(dynamics.G_KINDS)),
+        kernel_kind=str(rng.choice(dynamics.KERNEL_KINDS)),
+        kappa=_coefficient(rng, 3.0),
+        gamma=_log_uniform(rng, 1e-2, 1e4),
     )
     config = SimConfig(
-        n_modes=draw(st.integers(1, 16)),
-        length=draw(_log_uniform(0.03, 100.0)),
-        beta=draw(_log_uniform(1.0, 1e8) | st.floats(-12.0, -1.0).map(lambda e: 1.0 + 10.0**e)),
+        n_modes=int(rng.integers(1, 17)),
+        length=_log_uniform(rng, 0.03, 100.0),
+        beta=_beta(rng),
         step=h,
         catalog=catalog,
         impulses=ImpulseSchedule(
-            times=[k * h for k in sorted(kicks)],
-            gains=draw(st.lists(st.floats(-1.0, 1.0), min_size=len(kicks), max_size=len(kicks))),
+            times=[k * h for k in kicks.tolist()], gains=rng.uniform(-1.0, 1.0, kicks.size).tolist()
         ),
     )
     return ExperimentSpec(
         config=config,
-        deltas=[m * h for m in deltas],
-        alphas=draw(st.lists(_log_uniform(1e-6, 1.0), min_size=1, max_size=3, unique=True)),
-        history_kind=draw(st.sampled_from(["random", "single_mode"])),
-        history_amplitude=draw(st.floats(0.0, 1.0)),
-        seed=draw(st.integers(0, 2**32)),
+        deltas=[m * h for m in deltas.tolist()],
+        alphas=[_log_uniform(rng, 1e-6, 1.0) for _ in range(rng.integers(1, 4))],
+        history_kind=str(rng.choice(["random", "single_mode"])),
+        history_amplitude=_coefficient(rng, 1.0),
+        seed=int(rng.integers(0, 2**32)),
     )
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None)
-@given(spec=_accepted_sweeps())
-def test_sweep_rows_hold_on_accepted_configs(spec):
+def _check_rows(spec):
     # every row is finite and within 1e-13 of its cell run from scratch, or the sweep
     # stops with an error that names the cell that blew up or the window it cannot steer
     try:
@@ -91,3 +105,15 @@ def test_sweep_rows_hold_on_accepted_configs(spec):
         np.testing.assert_allclose(
             batched, [ref.error_total, ref.error_nl, ref.error_lin], rtol=1e-13, atol=0.0
         )
+
+
+def test_sweep_rows_hold_on_accepted_configs():
+    rng = np.random.default_rng(SEED)
+    specs = [_accepted_sweep(rng) for _ in range(DRAWS)]
+    systems = {(s.config.beta, s.config.length, s.config.n_modes) for s in specs}
+    assert len(systems) >= 100  # the draws must not collapse onto a few systems
+    for draw, spec in enumerate(specs):
+        try:
+            _check_rows(spec)
+        except AssertionError as err:
+            raise AssertionError(f"draw {draw}: {spec!r}") from err
