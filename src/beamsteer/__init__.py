@@ -30,7 +30,6 @@ from .semigroup import (
 )
 from .gramian import (
     GramianSet,
-    SteerWindow,
     assemble_gramian,
     gramian_mode_quadrature,
     solve_regularized,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import load_experiment
 from .errors import BlowUpError, ConfigError, InvalidArgumentError
-from .gramian import SteerWindow
+from .gramian import assemble_gramian
 from .harness import (
     CROSS_PATH_TOL,
     emit_csv,
@@ -63,8 +63,8 @@ def _cmd_gramian_check(spec, args) -> int:
     modes = spec.config.modes
     ok = True
     for delta in sorted(spec.deltas, reverse=True):
-        window = SteerWindow(spec.config.tau, delta)
-        gramians, _, cross = gramian_cross_check(modes, spec.config.beta, window)
+        gramians = assemble_gramian(modes, spec.config.beta, delta)
+        _, cross = gramian_cross_check(gramians)
         good = gramians.positive_definite and cross <= CROSS_PATH_TOL
         ok = ok and good
         _say(
@@ -82,13 +82,13 @@ def _cmd_steer(spec, args) -> int:
     modes = config.modes
     delta = max(spec.deltas)
     alpha = min(spec.alphas)
-    window = SteerWindow(config.tau, delta)
     rng = np.random.default_rng(spec.seed)
     y0 = make_random_state(modes, rng, 1.0)
     z1 = make_target(spec.target_kind, modes, rng, spec.target_scale, spec.target_mode)
-    gramians, q_quad, _ = gramian_cross_check(modes, config.beta, window)
-    problem = SteeringProblem(y0, z1, window, alpha)
-    control, measured, formula = residual_identity(problem, modes, config.beta, gramians, q_quad)
+    gramians = assemble_gramian(modes, config.beta, delta)
+    q_quad, _ = gramian_cross_check(gramians)
+    problem = SteeringProblem(y0, z1, alpha)
+    control, measured, formula = residual_identity(problem, gramians, q_quad)
     err = energy_norm(steer_linear(y0, control) - z1, modes)
     # the one cell of the control
     err, formula, gap = err[0], formula[0], abs(measured - formula)[0]

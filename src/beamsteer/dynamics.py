@@ -325,10 +325,6 @@ class Trajectory:
     config: SimConfig
     control: Optional[ControlSignal]
 
-    @property
-    def memory_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.memory, axis=1)
-
     def index_at(self, t: float) -> int:
         i = self.config.delay_steps + exact_multiple(t, self.config.step, f"time {t}")
         if not 0 <= i < self.times.size:
@@ -414,10 +410,11 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     resumes at the window start as a batch of window-sized cells that read their
     delayed states and memory forcing from the prefix, and returns their
     terminal states as one batch of states.  The control must be synthesized
-    for the config's damping and modes.  Steps whose start lies before the
-    window start never evaluate the window control, so trajectories for
-    different regularisation parameters are bitwise identical up to the window
-    start.
+    for the config's damping and modes, and its window is the last delta of
+    the config's horizon, delta being that of its Gramian set.  Steps whose
+    start lies before the window start never evaluate the window control, so
+    trajectories for different regularisation parameters are bitwise identical
+    up to the window start.
     """
     lam, domain, N, h, catalog = (
         config.modes.lambdas, config.domain, config.n_modes, config.step, config.catalog
@@ -436,11 +433,10 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         raise InvalidArgumentError("prefix must be a zero-control run of the same config")
     start_idx = None
     if control is not None:
-        if control.beta != config.beta or not np.array_equal(control.modes.lambdas, lam):
+        gramians = control.gramians
+        if gramians.beta != config.beta or not np.array_equal(gramians.modes.lambdas, lam):
             raise InvalidArgumentError("the control must be synthesized for the config's system")
-        if control.window.tau != config.tau:
-            raise InvalidArgumentError("control window must end at the horizon")
-        start_idx = config.validate_delta(control.window.delta)
+        start_idx = config.validate_delta(gramians.delta)
         window = window[..., start_idx - (n_total - n_r) :]  # from this run's window start
         e0, e1 = np.moveaxis(control.eta, -1, 0)[..., None]  # (cells, N, 1) each
 
@@ -574,7 +570,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
             j = int(np.argmax(tripped.any(axis=0)))  # the first node that trips
             c = int(np.argmax(norms[:, j]))  # argmax takes a NaN as the largest
             where = "" if control is None else (
-                f" in the cell alpha={control.alpha[c]}, delta={control.window.delta:g}"
+                f" in the cell alpha={control.alpha[c]}, delta={control.gramians.delta:g}"
             )
             raise BlowUpError(
                 f"trajectory norm {norms[c, j]:.3e} at t={times[s0 + 1 + j]:.6f}{where}"

@@ -31,56 +31,28 @@ PANEL_SPAN, PANEL_NODES = 50.0, 64
 
 
 @dataclass(frozen=True)
-class SteerWindow:
-    """Final-interval steering window [tau - delta, tau].
+class GramianSet:
+    """Closed-form Gramian of the steering window [tau - delta, tau] of the system
+    (modes, beta): the (N, 2, 2) blocks, their least eigenvalue and whether all are
+    positive definite.  A stack of D windows holds a tuple of D lengths, (D, N, 2, 2)
+    blocks and one ``min_eigenvalue`` per window.
 
     delta = 0 is admitted as a degenerate probe (empty window, zero Gramian);
     every steering operation requires delta > 0.
     """
 
-    tau: float
-    delta: float
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidArgumentError("tau must be positive")
-        if not 0 <= self.delta <= self.tau:
-            raise InvalidArgumentError("delta must lie in [0, tau]")
-
-    @property
-    def start(self) -> float:
-        return self.tau - self.delta
-
-
-@dataclass(frozen=True)
-class GramianSet:
-    """Per-mode Gramian blocks stacked as an (N, 2, 2) array, or (D, N, 2, 2) for D
-    windows, with one ``min_eigenvalue`` per window."""
-
+    modes: ModeSet
+    beta: float
+    delta: float | tuple
     blocks: np.ndarray
     min_eigenvalue: float | np.ndarray
     positive_definite: bool
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "GramianSet":
-        blocks = np.asarray(blocks, dtype=float)
-        if blocks.ndim not in (3, 4) or blocks.shape[-2:] != (2, 2):
-            raise InvalidArgumentError("blocks must have shape (N, 2, 2) or (D, N, 2, 2)")
-        min_eig = np.linalg.eigvalsh(blocks)[..., 0].min(axis=-1)
-        positive = bool((min_eig > 0).all())
-        return cls(blocks, float(min_eig) if min_eig.ndim == 0 else min_eig, positive)
-
     def __getitem__(self, i) -> "GramianSet":
         """The set of window ``i`` of a stack of windows."""
         min_eig = float(self.min_eigenvalue[i])
-        return GramianSet(self.blocks[i], min_eig, min_eig > 0)
-
-
-def window_lengths(window):
-    """delta of a window, or a (D, 1) column of those of a window sequence."""
-    if isinstance(window, SteerWindow):
-        return window.delta
-    return np.array([w.delta for w in window])[:, None]
+        delta, blocks = self.delta[i], self.blocks[i]
+        return GramianSet(self.modes, self.beta, delta, blocks, min_eig, min_eig > 0)
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +61,7 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(PANEL_NODES)
 
 
-def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow) -> np.ndarray:
+def gramian_mode_quadrature(modes: ModeSet, beta, delta: float) -> np.ndarray:
     """Gramian blocks of all modes at once by composite Gauss-Legendre quadrature.
 
     PANEL_NODES points per panel, the panels graded geometrically from s = 0, where
@@ -100,7 +72,7 @@ def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow) -> np.nda
     response at their nodes, summed per panel and then per mode, gives every
     (N, 2, 2) block: the cross-check of :func:`assemble_gramian`.
     """
-    lam, delta = modes.lambdas, window.delta
+    lam = modes.lambdas
     if delta == 0:
         return np.zeros((lam.size, 2, 2))
     x, wts = _gauss_rule()
@@ -121,12 +93,21 @@ def gramian_mode_quadrature(modes: ModeSet, beta, window: SteerWindow) -> np.nda
     return np.stack([q11, q12, q12, q22], axis=-1).reshape(-1, 2, 2)
 
 
-def assemble_gramian(modes: ModeSet, beta: float, window) -> GramianSet:
-    """Closed-form Gramian blocks for every mode, with the spectral summary; for a
-    sequence of D windows the (D, N, 2, 2) blocks of all from one evaluation."""
-    q11, q12, q22 = gramian_entries(modes.lambdas, beta, window_lengths(window))
+def assemble_gramian(modes: ModeSet, beta: float, delta) -> GramianSet:
+    """Closed-form Gramian set of the window of length ``delta``, with the spectral
+    summary; for a sequence of D lengths the (D, N, 2, 2) blocks of all from one evaluation."""
+    many = isinstance(delta, (list, tuple, np.ndarray))
+    lengths = tuple(delta) if many else (delta,)
+    if not lengths or not all(0 <= d < np.inf for d in lengths):
+        raise InvalidArgumentError("window lengths must be nonnegative and finite")
+    t = np.array(lengths)[:, None] if many else delta  # a (D, 1) column for D windows
+    q11, q12, q22 = gramian_entries(modes.lambdas, beta, t)
     blocks = np.stack([q11, q12, q12, q22], axis=-1).reshape(q11.shape + (2, 2))
-    return GramianSet.from_blocks(blocks)
+    min_eig = np.linalg.eigvalsh(blocks)[..., 0].min(axis=-1)
+    positive = bool((min_eig > 0).all())
+    if not many:
+        lengths, min_eig = delta, float(min_eig)
+    return GramianSet(modes, beta, lengths, blocks, min_eig, positive)
 
 
 def solve_regularized(gramians: GramianSet, alpha, rhs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, simulate
 from .errors import InvalidArgumentError
-from .gramian import SteerWindow, assemble_gramian, gramian_mode_quadrature
+from .gramian import GramianSet, assemble_gramian, gramian_mode_quadrature
 from .semigroup import apply_semigroup
 from .spectral import BeamState, ModeSet, energy_coords, energy_norm, state_from_coords
 from .steering import (
@@ -214,38 +214,36 @@ def pullback_setup(spec: ExperimentSpec):
     return config, base_traj, target
 
 
-def gramian_cross_check(modes: ModeSet, beta: float, window: SteerWindow, gramians=None):
-    """Closed-form Gramian set, the quadrature blocks and their largest relative gap.
+def gramian_cross_check(gramians: GramianSet):
+    """Quadrature blocks of a one-window Gramian set and their largest relative gap.
 
-    Returns ``(gramians, q_quad, gap)``: the :func:`assemble_gramian` set (the one
-    given, which must be that of ``window``), the (N, 2, 2) stack of quadrature
-    blocks of all modes from one graded 64-node pass of
+    Returns ``(q_quad, gap)``: the (N, 2, 2) stack of quadrature blocks of all
+    modes of the set's window from one graded 64-node pass of
     :func:`gramian_mode_quadrature`, and the largest entry difference between
-    the two paths relative to the closed-form scale sqrt(Q_ii Q_jj).
+    them and the set's closed-form blocks relative to the scale sqrt(Q_ii Q_jj).
     """
-    if gramians is None:
-        gramians = assemble_gramian(modes, beta, window)
-    q_quad = gramian_mode_quadrature(modes, beta, window)
+    q_quad = gramian_mode_quadrature(gramians.modes, gramians.beta, gramians.delta)
     d = np.sqrt(np.diagonal(gramians.blocks, axis1=1, axis2=2))
     gap = np.abs(gramians.blocks - q_quad) / np.maximum(d[:, :, None] * d[:, None, :], 1e-300)
-    return gramians, q_quad, float(gap.max())
+    return q_quad, float(gap.max())
 
 
-def residual_identity(problem: SteeringProblem, modes, beta, gramians, q_quad, free=None):
+def residual_identity(problem: SteeringProblem, gramians: GramianSet, q_quad, free=None):
     """Regularisation residual of a steering problem by two independent paths.
 
-    Returns ``(control, measured, formula)``: the synthesized control,
-    ||T(delta) y0 + Q_quad eta - z1|| with the control mapped through the
-    quadrature blocks ``q_quad`` of :func:`gramian_cross_check`, and
-    alpha ||eta|| = alpha ||(alpha I + Q)^-1 d|| with the closed-form
-    ``gramians`` that synthesized eta.  Both measures are arrays with one
-    value per cell of the control, that is per alpha of the problem.
+    Returns ``(control, measured, formula)``: the control synthesized on the
+    window of the one-window set ``gramians``, ||T(delta) y0 + Q_quad eta - z1||
+    with the control mapped through the quadrature blocks ``q_quad`` of
+    :func:`gramian_cross_check`, and alpha ||eta|| = alpha ||(alpha I + Q)^-1 d||
+    with the closed-form blocks that synthesized eta.  Both measures are arrays
+    with one value per cell of the control, that is per alpha of the problem.
     ``free``, when given, is the free endpoint T(delta) y0 already formed.
     """
-    control = synthesize_control(problem, modes, beta, gramians=gramians)
+    control = synthesize_control(problem, gramians)
+    modes = gramians.modes
     z1c = energy_coords(problem.z1, modes)
     if free is None:
-        free = apply_semigroup(problem.y0, problem.window.delta, modes, beta)
+        free = apply_semigroup(problem.y0, gramians.delta, modes, gramians.beta)
     free = energy_coords(free, modes)
     mapped = (q_quad @ control.eta[..., None])[..., 0]
     measured = np.linalg.norm(free + mapped - z1c, axis=(-2, -1))
@@ -265,10 +263,9 @@ def pullback_cell(
     synthesized from the base run's state at the window start: the reference for
     the sweep's batched window runs.  Returns the row and the trajectory."""
     modes, t0 = config.modes, time.perf_counter()
-    window = SteerWindow(config.tau, delta)
-    z_mid = base_traj.state_at(window.start)
-    problem = SteeringProblem(z_mid, target, window, alpha)
-    control = synthesize_control(problem, modes, config.beta)
+    z_mid = base_traj.state_at(config.tau - delta)
+    gramians = assemble_gramian(modes, config.beta, delta)
+    control = synthesize_control(SteeringProblem(z_mid, target, alpha), gramians)
     traj = simulate(config, control)
     (y_tau,) = steer_linear(z_mid, control)
     errors = _errors(traj.terminal(), y_tau, target, modes)
@@ -289,12 +286,11 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
     modes = config.modes
     alphas = sorted(spec.alphas, reverse=True)
     deltas = sorted(spec.deltas, reverse=True)
-    windows = [SteerWindow(config.tau, delta) for delta in deltas]
     starts = [config.validate_delta(delta) for delta in deltas]
     z_mid = BeamState(base_traj.w[starts], base_traj.v[starts])
     t0 = timer()
-    problem = SteeringProblem(z_mid, target, windows, alphas)
-    controls = synthesize_control(problem, modes, config.beta)
+    gramians = assemble_gramian(modes, config.beta, deltas)
+    controls = synthesize_control(SteeringProblem(z_mid, target, alphas), gramians)
     y_tau = steer_linear(z_mid, controls)
     linear = (timer() - t0) / (len(deltas) * len(alphas))
     runs, shares = [], []
@@ -370,12 +366,12 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     modes = config.modes
     beta = config.beta
     delta = max(spec.deltas)
-    window = SteerWindow(config.tau, delta)
     rng = np.random.default_rng(spec.seed)
     y0 = make_random_state(modes, rng, 1.0)
     z1 = make_random_state(modes, rng, 1.0)
-    stacked = assemble_gramian(modes, beta, [window, SteerWindow(config.tau, 0.0)])
-    gramians, q_quad, cross = gramian_cross_check(modes, beta, window, stacked[0])
+    stacked = assemble_gramian(modes, beta, [delta, 0.0])
+    gramians = stacked[0]
+    q_quad, cross = gramian_cross_check(gramians)
     free = apply_semigroup(y0, delta, modes, beta)
 
     def gated(name, gap):  # a gap between the two paths, held to CROSS_PATH_TOL
@@ -391,8 +387,8 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     # one synthesis of the alpha grid serves the checks below; the identities map it
     # through the quadrature blocks, so they test the closed forms instead of restating them
     alphas = [10.0**-k for k in range(7)]
-    problem = SteeringProblem(y0, z1, window, alphas)
-    control, measured, formula = residual_identity(problem, modes, beta, gramians, q_quad, free)
+    problem = SteeringProblem(y0, z1, alphas)
+    control, measured, formula = residual_identity(problem, gramians, q_quad, free)
     gap = np.abs(measured - formula) / np.maximum(1.0, formula)  # see CROSS_PATH_TOL
     results.append(gated("residual_identity", float(gap.max())))
 
@@ -412,9 +408,7 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     rel = abs(energy - quad_form) / max(quad_form, 1e-300)
     results.append(gated("minimum_energy_identity", rel))
 
-    null_control = synthesize_control(
-        SteeringProblem(y0, free, window, 1e-2), modes, beta, gramians=gramians
-    )
+    null_control = synthesize_control(SteeringProblem(y0, free, 1e-2), gramians)
     # u = b^T exp(K^T theta) eta vanishes on the window exactly when eta does
     eta_max = float(np.abs(null_control.eta).max())
     results.append(CheckResult("zero_mismatch_zero_control", eta_max == 0.0, eta_max, 0.0))

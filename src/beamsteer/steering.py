@@ -26,50 +26,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .gramian import GramianSet, SteerWindow, assemble_gramian, solve_regularized, window_lengths
+from .gramian import GramianSet, solve_regularized
 from .semigroup import apply_semigroup
-from .spectral import BeamState, ModeSet, energy_coords, state_from_coords
+from .spectral import BeamState, energy_coords, state_from_coords
 
 
 @dataclass
 class ControlSignal:
-    """Steering control on the window [tau - delta, tau], in closed form, as a batch of cells.
+    """Steering control on the window of its Gramian set, in closed form, as a batch of cells.
 
-    ``eta`` holds each cell's regularized preimage per mode (energy coordinates),
-    shape (cells, N, 2); a cell's control is u_j(t) = b^T exp(K_j^T (tau - t)) eta_j,
-    the second component of its costate.  ``alpha`` holds the regularisation of
-    each cell, and ``blocks`` the (N, 2, 2) Gramian blocks Q of the window.
+    ``gramians`` is the one-window set whose blocks Q solved the control: its length,
+    modes and damping are the control's.  ``eta`` holds each cell's regularized
+    preimage per mode (energy coordinates), shape (cells, N, 2); a cell's control is
+    u_j(t) = b^T exp(K_j^T (tau - t)) eta_j, the second component of its costate.
+    ``alpha`` holds the regularisation of each cell.
     """
 
-    window: SteerWindow
+    gramians: GramianSet
     eta: np.ndarray
-    modes: ModeSet
-    beta: float
     alpha: tuple
-    blocks: np.ndarray
 
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
-        if self.eta.ndim != 3 or self.eta.shape[1:] != (self.modes.count, 2):
+        n = self.gramians.modes.count
+        if self.eta.ndim != 3 or self.eta.shape[1:] != (n, 2):
             raise InvalidArgumentError("eta must have shape (cells, N, 2)")
-        if self.window.delta <= 0:
+        if np.shape(self.gramians.blocks) != (n, 2, 2):
+            raise InvalidArgumentError("a control takes the Gramian set of one window")
+        if self.gramians.delta <= 0:
             raise InvalidArgumentError("control window must have positive length")
         if not np.all(np.isfinite(self.eta)):
             raise InvalidArgumentError("control preimage is not finite")
         if np.shape(self.alpha) != self.eta.shape[:1]:
             raise InvalidArgumentError("a control needs one alpha per cell")
-        if np.shape(self.blocks) != (self.modes.count, 2, 2):
-            raise InvalidArgumentError("Gramian blocks must have shape (N, 2, 2)")
 
 
 @dataclass(frozen=True)
 class SteeringProblem:
     """Start state at tau - delta, target at tau, and one alpha or a sequence of them,
-    kept as a tuple; for a sequence of D windows ``y0`` is the batch of their D start states."""
+    kept as a tuple; for a stack of D windows ``y0`` is the batch of their D start states."""
 
     y0: BeamState
     z1: BeamState
-    window: SteerWindow | tuple
     alpha: tuple
 
     def __post_init__(self):
@@ -79,33 +77,26 @@ class SteeringProblem:
         object.__setattr__(self, "alpha", tuple(alpha.tolist()))
         if self.y0.count != self.z1.count:
             raise InvalidArgumentError("start and target sizes differ")
-        if not isinstance(self.window, SteerWindow):
-            object.__setattr__(self, "window", tuple(self.window))
-            if not self.window or self.y0.w.shape[:-1] != (len(self.window),):
-                raise InvalidArgumentError("a sequence of windows needs one start state each")
 
 
-def synthesize_control(
-    problem: SteeringProblem,
-    modes: ModeSet,
-    beta: float,
-    gramians: GramianSet | None = None,
-):
-    """Regularized steering control for the given problem, one cell per alpha; for a
-    sequence of windows a list of each window's control, from one stacked solve."""
-    win = problem.window
-    if gramians is None:
-        gramians = assemble_gramian(modes, beta, win)
+def synthesize_control(problem: SteeringProblem, gramians: GramianSet):
+    """Regularized steering control of the problem on the window of ``gramians``, one
+    cell per alpha; for a stack of D windows, with one start state each, a list of each
+    window's control from one stacked solve."""
+    delta = gramians.delta
+    if problem.y0.w.shape[:-1] != gramians.blocks.shape[:-3]:
+        raise InvalidArgumentError("a stack of windows needs one start state each")
     if not gramians.positive_definite:
-        bad = np.ravel(window_lengths(win))[np.argmin(gramians.min_eigenvalue)]
+        bad = np.ravel(delta)[np.argmin(gramians.min_eigenvalue)]
         raise InvalidArgumentError(f"Gramian is not positive definite on the window delta={bad:g}")
-    moved = apply_semigroup(problem.y0, window_lengths(win), modes, beta)
+    many, modes = isinstance(delta, tuple), gramians.modes
+    t = np.array(delta)[:, None] if many else delta  # a (D, 1) column for D windows
+    moved = apply_semigroup(problem.y0, t, modes, gramians.beta)
     d = energy_coords(problem.z1, modes) - energy_coords(moved, modes)
     eta = solve_regularized(gramians, problem.alpha, d)
-    if isinstance(win, SteerWindow):
-        return ControlSignal(win, eta, modes, beta, problem.alpha, gramians.blocks)
-    per_window = zip(win, eta, gramians.blocks)
-    return [ControlSignal(w, e, modes, beta, problem.alpha, q) for w, e, q in per_window]
+    if not many:
+        return ControlSignal(gramians, eta, problem.alpha)
+    return [ControlSignal(gramians[i], e, problem.alpha) for i, e in enumerate(eta)]
 
 
 def steer_linear(y0: BeamState, control) -> BeamState:
@@ -113,20 +104,20 @@ def steer_linear(y0: BeamState, control) -> BeamState:
 
     y(tau) = T(delta) y0 + G u, and since u = G* eta the mapped control is
     G G* eta = Q eta, exact in the control's closed-form Gramian blocks.
-    The modes and damping are the control's own.
+    The window, modes and damping are those of the control's Gramian set.
     A control gives a batch of states of shape (cells, N), T(delta) y0 formed once;
-    the list of controls that a window sequence gives, with its D start states
+    the list of controls that a window stack gives, with its D start states
     ``y0``, gives states of shape (D, cells, N).
     """
     if isinstance(control, ControlSignal):
-        system, window, eta, blocks = control, control.window, control.eta, control.blocks
+        gramians, eta = control.gramians, control.eta
+        t, blocks = gramians.delta, gramians.blocks
     else:  # the controls of one synthesis share its system
-        system, window = control[0], [c.window for c in control]
-        eta, blocks = np.stack([c.eta for c in control]), np.stack([c.blocks for c in control])
-    modes, beta = system.modes, system.beta
-    if y0.count != modes.count:
-        raise InvalidArgumentError("state and mode set sizes differ")
-    free = energy_coords(apply_semigroup(y0, window_lengths(window), modes, beta), modes)
+        gramians, eta = control[0].gramians, np.stack([c.eta for c in control])
+        t = np.array([c.gramians.delta for c in control])[:, None]
+        blocks = np.stack([c.gramians.blocks for c in control])
+    modes = gramians.modes
+    free = energy_coords(apply_semigroup(y0, t, modes, gramians.beta), modes)
     # the cell axis goes after the window axis
     free, blocks = free[..., None, :, :], blocks[..., None, :, :, :]
     return state_from_coords(free + (blocks @ eta[..., None])[..., 0], modes)
@@ -135,7 +126,7 @@ def steer_linear(y0: BeamState, control) -> BeamState:
 def control_energy(control: ControlSignal) -> np.ndarray:
     """Squared-integral energy of each cell's window control, eta^T Q eta over modes."""
     eta = control.eta
-    return np.sum(eta[..., None, :] @ control.blocks @ eta[..., None], axis=(1, 2, 3))
+    return np.sum(eta[..., None, :] @ control.gramians.blocks @ eta[..., None], axis=(1, 2, 3))
 
 
 def alpha_sweep(y0: BeamState, z1: BeamState, control: ControlSignal) -> list[tuple[float, float]]:
@@ -149,7 +140,7 @@ def alpha_sweep(y0: BeamState, z1: BeamState, control: ControlSignal) -> list[tu
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidArgumentError("alphas must be strictly decreasing")
     y_tau = steer_linear(y0, control)
-    modes = control.modes
+    modes = control.gramians.modes
     errs = np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes), axis=(1, 2))
     return list(zip(alphas, errs.tolist()))
 

@@ -225,20 +225,23 @@ def gauss_integral(f, a, b, nodes=64, panels=1):
     return total
 
 
-def costate(control, t):
-    """Per-mode costate pairs exp(K^T (tau - t)) eta of every cell of a ControlSignal at
-    time(s) t in [tau - delta, tau], shape (cells, ..., N, 2), from one exp(K^T theta) table."""
+def costate(control, t, tau):
+    """Per-mode costate pairs exp(K^T (tau - t)) eta of every cell of a ControlSignal whose
+    window ends at the horizon ``tau``, at time(s) t in [tau - delta, tau], shape
+    (cells, ..., N, 2), from one exp(K^T theta) table."""
     t = np.asarray(t, dtype=float)
     # time-to-go, clipped where t overshoots tau by rounding
-    theta = np.maximum(control.window.tau - t[..., None], 0.0)
-    A = exp_entries(control.modes.lambdas, control.beta, theta, energy=True)
+    theta = np.maximum(tau - t[..., None], 0.0)
+    gramians = control.gramians
+    A = exp_entries(gramians.modes.lambdas, gramians.beta, theta, energy=True)
     eta = control.eta.reshape(control.eta.shape[:1] + (1,) * t.ndim + control.eta.shape[1:])
     return np.stack([a * eta[..., 0] + b * eta[..., 1] for a, b in zip(A[:2], A[2:])], -1)
 
 
-def window_coeffs(control, t):
-    """Per-mode control values u_j(t) = b^T p_j(t) of every cell at time(s) t in the window."""
-    return costate(control, t)[..., 1]
+def window_coeffs(control, t, tau):
+    """Per-mode control values u_j(t) = b^T p_j(t) of every cell at time(s) t in the window
+    that ends at ``tau``."""
+    return costate(control, t, tau)[..., 1]
 
 
 def window_control_quadrature(control, nodes=64, span=50.0):
@@ -253,31 +256,29 @@ def window_control_quadrature(control, nodes=64, span=50.0):
     Returns G u as an (N, 2) array and the energy summed over modes.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
-    win = control.window
-    mapped = np.zeros((control.modes.count, 2))
+    gramians = control.gramians
+    mapped = np.zeros((gramians.modes.count, 2))
     energy = 0.0
-    for j, lam in enumerate(control.modes.lambdas):
-        A = np.array([[0.0, lam], [-lam, -2.0 * control.beta * lam]])
+    for j, lam in enumerate(gramians.modes.lambdas):
+        A = np.array([[0.0, lam], [-lam, -2.0 * gramians.beta * lam]])
         mu, V = np.linalg.eig(A)
-        panels = max(1, int(np.ceil(2.0 * np.abs(mu).max() * win.delta / span)))
-        width = win.delta / panels
+        panels = max(1, int(np.ceil(2.0 * np.abs(mu).max() * gramians.delta / span)))
+        width = gramians.delta / panels
         theta = (np.arange(panels)[:, None] * width + 0.5 * width * (x + 1.0)).ravel()
         weights = np.tile(0.5 * width * w, panels)
         coeffs = np.linalg.solve(V, [0.0, 1.0])
         response = V @ (np.exp(np.outer(mu, theta)) * coeffs[:, None])
-        single = replace(
-            control, eta=control.eta[:, j : j + 1], blocks=control.blocks[j : j + 1],
-            modes=ModeSet(lam),
-        )
-        (u,) = window_coeffs(single, win.tau - theta)[..., 0]
+        one_mode = replace(gramians, modes=ModeSet(lam), blocks=gramians.blocks[j : j + 1])
+        single = replace(control, gramians=one_mode, eta=control.eta[:, j : j + 1])
+        (u,) = window_coeffs(single, -theta, 0.0)[..., 0]  # times counted from the horizon
         mapped[j] = response @ (weights * u)
         energy += float(np.sum(weights * u * u))
     return mapped, energy
 
 
-def step_control_quadrature(control, starts, h, nodes=32):
+def step_control_quadrature(control, starts, h, tau, nodes=32):
     """Control increments integral_0^h exp(A (h - s)) b u(t + s) ds of steps starting at
-    ``starts``, for a one-cell control.
+    ``starts``, for a one-cell control whose window ends at ``tau``.
 
     Per mode, Gauss-Legendre in s with the response exp(A (h - s)) b of the
     energy-coordinate generator A = [[0, lam], [-lam, -2 beta lam]] from
@@ -287,11 +288,11 @@ def step_control_quadrature(control, starts, h, nodes=32):
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
     s = 0.5 * h * (x + 1.0)
-    (u,) = window_coeffs(control, np.asarray(starts)[:, None] + s)  # (n_steps, nodes, N)
-    lambdas = control.modes.lambdas
+    (u,) = window_coeffs(control, np.asarray(starts)[:, None] + s, tau)  # (n_steps, nodes, N)
+    lambdas, beta = control.gramians.modes.lambdas, control.gramians.beta
     out = np.zeros(u.shape[:1] + (lambdas.size, 2))
     for j, lam in enumerate(lambdas):
-        A = np.array([[0.0, lam], [-lam, -2.0 * control.beta * lam]])
+        A = np.array([[0.0, lam], [-lam, -2.0 * beta * lam]])
         mu, V = np.linalg.eig(A)
         coeffs = np.linalg.solve(V, [0.0, 1.0])
         response = (V @ (np.exp(np.outer(mu, h - s)) * coeffs[:, None])).real
@@ -416,10 +417,11 @@ def simulate_stepwise(config, control=None):
     zero = np.zeros(N)
     start_idx = None
     if control is not None:
-        start_idx = idx0 + exact_multiple(control.window.start, h, "the window start")
+        start = config.tau - control.gramians.delta
+        start_idx = idx0 + exact_multiple(start, h, "the window start")
         win_t = times[start_idx:]
-        (win_u,) = window_coeffs(control, win_t)
-        cw, cv = step_control_quadrature(control, win_t[:-1], h)
+        (win_u,) = window_coeffs(control, win_t, config.tau)
+        cw, cv = step_control_quadrature(control, win_t[:-1], h, config.tau)
 
     a11, a12, a21, a22 = exp_entries(lam, config.beta, h)
     B = basis_matrix(domain, N)

@@ -14,10 +14,10 @@ from beamsteer import (
     BeamState,
     NonlinearityCatalog,
     SpatialDomain,
-    SteerWindow,
     SteeringProblem,
     alpha_sweep,
     apply_semigroup,
+    assemble_gramian,
     decay_envelope,
     energy_norm,
     laplacian_eigenvalues,
@@ -51,7 +51,6 @@ SEED = 20240811
 BETA = 2.0
 N_MODES = 8
 LENGTH = 1.0
-TAU = 1.0
 DELTA = 0.2
 # Scale of the seeded random states for criteria 1-2.  The regularisation
 # floor alpha/(alpha + q_max) ~ 8e-5 at alpha = 1e-6 bounds the reachable
@@ -67,23 +66,22 @@ def _report(num, ok, detail):
 
 def _linear_setup():
     modes = laplacian_eigenvalues(LENGTH, N_MODES)
-    window = SteerWindow(TAU, DELTA)
     rng = np.random.default_rng(SEED)
     y0 = make_random_state(modes, rng, RANDOM_SCALE)
     z1 = make_random_state(modes, rng, RANDOM_SCALE)
-    return modes, window, y0, z1
+    return assemble_gramian(modes, BETA, DELTA), y0, z1
 
 
 def test_criterion_1_residual_identity():
     # the control is mapped through the quadrature Gramian blocks, the formula
     # solves with the closed-form ones: the two paths share no Gramian
     t0 = time.perf_counter()
-    modes, window, y0, z1 = _linear_setup()
-    gramians, q_quad, _ = gramian_cross_check(modes, BETA, window)
+    gramians, y0, z1 = _linear_setup()
+    q_quad, _ = gramian_cross_check(gramians)
     worst = 0.0
     for alpha in (1.0, 1e-2, 1e-4):
-        problem = SteeringProblem(y0, z1, window, alpha)
-        _, (measured,), (formula,) = residual_identity(problem, modes, BETA, gramians, q_quad)
+        problem = SteeringProblem(y0, z1, alpha)
+        _, (measured,), (formula,) = residual_identity(problem, gramians, q_quad)
         worst = max(worst, abs(measured - formula))
     elapsed = time.perf_counter() - t0
     _report(
@@ -95,9 +93,9 @@ def test_criterion_1_residual_identity():
 
 def test_criterion_2_steering_limit():
     t0 = time.perf_counter()
-    modes, window, y0, z1 = _linear_setup()
+    gramians, y0, z1 = _linear_setup()
     alphas = [10.0**-k for k in range(7)]
-    control = synthesize_control(SteeringProblem(y0, z1, window, alphas), modes, BETA)
+    control = synthesize_control(SteeringProblem(y0, z1, alphas), gramians)
     sweep = alpha_sweep(y0, z1, control)
     errs = [e for _, e in sweep]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
@@ -114,9 +112,8 @@ def test_criterion_3_gramian_cross_validation():
     # the production check: every entry's gap relative to sqrt(Q_ii Q_jj), and
     # the absolute gap as well
     t0 = time.perf_counter()
-    modes = laplacian_eigenvalues(LENGTH, N_MODES)
-    window = SteerWindow(TAU, DELTA)
-    gramians, q_quad, rel = gramian_cross_check(modes, BETA, window)
+    gramians = assemble_gramian(laplacian_eigenvalues(LENGTH, N_MODES), BETA, DELTA)
+    q_quad, rel = gramian_cross_check(gramians)
     worst = float(np.abs(gramians.blocks - q_quad).max())
     min_eig = gramians.min_eigenvalue
     elapsed = time.perf_counter() - t0

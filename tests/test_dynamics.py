@@ -13,7 +13,6 @@ from beamsteer import (
     NonlinearityCatalog,
     SimConfig,
     SpatialDomain,
-    SteerWindow,
     SteeringProblem,
     apply_semigroup,
     assemble_gramian,
@@ -164,7 +163,8 @@ def test_memory_term_matches_recorded_diagnostics(step, gamma):
     for t in (0.1, 0.5, 1.0):
         recomputed = memory_term(t, traj, cat, domain, modes)
         i = traj.index_at(t)
-        assert energy_norm(recomputed, modes) == pytest.approx(traj.memory_norms[i], rel=1e-12)
+        norm = np.linalg.norm(traj.memory[i])
+        assert energy_norm(recomputed, modes) == pytest.approx(norm, rel=1e-12)
 
 
 def test_apply_impulse_zero_gain():
@@ -340,11 +340,10 @@ def test_steered_linear_simulation_matches_quadrature_path(beta, step):
     cfg = _config(history=_constant_history(z0.w, z0.v), beta=beta, step=step)
     modes = cfg.modes
     traj = simulate(cfg, None)
-    window = SteerWindow(1.0, 0.2)
     y0 = traj.state_at(0.8)
     rng = np.random.default_rng(2)
     z1 = BeamState(rng.standard_normal(4) * 0.1 / modes.lambdas, rng.standard_normal(4) * 0.1)
-    control = synthesize_control(SteeringProblem(y0, z1, window, 1e-2), modes, beta)
+    control = _steer(cfg, SteeringProblem(y0, z1, 1e-2), 0.2)
     steered = simulate(cfg, control)
     (linear,) = steer_linear(y0, control)
     assert energy_norm(steered.terminal() - linear, modes) <= 1e-12 * energy_norm(linear, modes)
@@ -365,13 +364,12 @@ def test_prefix_bitwise_invariance():
     # at delta = 0.165 the window start cuts the slab from the impulse at 0.7
     # one row into its last collocation piece of 81 rows
     for delta in (0.2, 0.165):
-        window = SteerWindow(1.0, delta)
-        y0 = traj.state_at(window.start)
-        u_a = synthesize_control(SteeringProblem(y0, z1, window, 1e-1), modes, BETA)
-        u_b = synthesize_control(SteeringProblem(y0, z1, window, 1e-4), modes, BETA)
+        y0 = traj.state_at(1.0 - delta)
+        u_a = _steer(cfg, SteeringProblem(y0, z1, 1e-1), delta)
+        u_b = _steer(cfg, SteeringProblem(y0, z1, 1e-4), delta)
         ta = simulate(cfg, u_a)
         tb = simulate(cfg, u_b)
-        cut = ta.index_at(window.start)
+        cut = ta.index_at(1.0 - delta)
         # the prefix is the zero-control run's, bitwise
         for run in (tb, traj):
             assert np.array_equal(ta.w[: cut + 1], run.w[: cut + 1])
@@ -380,13 +378,19 @@ def test_prefix_bitwise_invariance():
         assert not np.array_equal(ta.v[cut + 1 :], tb.v[cut + 1 :])
 
 
+def _steer(config, problem, delta):
+    """The control of ``problem`` on the window of length ``delta`` of the config's system."""
+    return synthesize_control(problem, assemble_gramian(config.modes, config.beta, delta))
+
+
 def _resume_setup():
+    """A config, its zero-control run and a problem posed at the start of the window
+    of length 0.2."""
     cfg = _config(history=_constant_history(np.full(4, 0.1), np.zeros(4)))
     base = simulate(cfg, None)
-    window = SteerWindow(1.0, 0.2)
     z1 = BeamState.zeros(4)
     z1.v[0] = 0.3
-    problem = SteeringProblem(base.state_at(window.start), z1, window, 1e-2)
+    problem = SteeringProblem(base.state_at(0.8), z1, 1e-2)
     return cfg, base, problem
 
 
@@ -414,14 +418,11 @@ def test_resume_rejects_prefix_of_another_config(change):
     # a prefix differing only in beta, length, catalog or impulses used to resume
     cfg, base, problem = _resume_setup()
     if change is None:  # the same config, but the prefix carries a control
-        other, base = cfg, simulate(cfg, synthesize_control(problem, cfg.modes, BETA))
+        other, base = cfg, simulate(cfg, _steer(cfg, problem, 0.2))
     else:
         other = replace(cfg, **change)
-    window = SteerWindow(other.tau, 0.2)
-    control = ControlSignal(
-        window, np.zeros((1, other.n_modes, 2)), other.modes, other.beta, alpha=[1e-2],
-        blocks=assemble_gramian(other.modes, other.beta, window).blocks,
-    )
+    gramians = assemble_gramian(other.modes, other.beta, 0.2)
+    control = ControlSignal(gramians, np.zeros((1, other.n_modes, 2)), alpha=[1e-2])
     with pytest.raises(InvalidArgumentError, match="prefix must be a zero-control run"):
         simulate(other, control, prefix=base)
 
@@ -429,7 +430,7 @@ def test_resume_rejects_prefix_of_another_config(change):
 def test_run_shapes_reject_wrong_pairings():
     # a full run takes None or a one-cell control, a resumed run a control of any size
     cfg, base, problem = _resume_setup()
-    batch = synthesize_control(replace(problem, alpha=(1e-1, 1e-3)), cfg.modes, BETA)
+    batch = _steer(cfg, replace(problem, alpha=(1e-1, 1e-3)), 0.2)
     for control, prefix in ((batch, None), (None, base)):
         with pytest.raises(InvalidArgumentError, match="full run takes None or one cell"):
             simulate(cfg, control, prefix=prefix)
@@ -445,8 +446,7 @@ def test_simulate_rejects_controls_of_another_system(system):
     modes = other.modes
     z1 = BeamState.zeros(modes.count)
     z1.v[0] = 0.3
-    problem = SteeringProblem(BeamState.zeros(modes.count), z1, problem.window, 1e-2)
-    control = synthesize_control(problem, modes, other.beta)
+    control = _steer(other, SteeringProblem(BeamState.zeros(modes.count), z1, 1e-2), 0.2)
     for prefix in (None, base):
         with pytest.raises(InvalidArgumentError, match="synthesized for the config's system"):
             simulate(cfg, control, prefix=prefix)
@@ -457,11 +457,12 @@ def test_resume_takes_a_control_batch_like_a_sequence():
     cfg, base, problem = _resume_setup()
     modes = cfg.modes
     alphas = (1e-1, 1e-3)
-    batch = synthesize_control(replace(problem, alpha=alphas), modes, BETA)
+    gramians = assemble_gramian(modes, BETA, 0.2)
+    batch = synthesize_control(replace(problem, alpha=alphas), gramians)
     got = simulate(cfg, batch, prefix=base)
     assert got.w.shape == (2, 4)
     for cell, alpha in zip(got, alphas):
-        lone = synthesize_control(replace(problem, alpha=alpha), modes, BETA)
+        lone = synthesize_control(replace(problem, alpha=alpha), gramians)
         (want,) = simulate(cfg, lone, prefix=base)
         assert np.array_equal(cell.w, want.w) and np.array_equal(cell.v, want.v)
 
@@ -479,26 +480,12 @@ def test_forcing_reads_table_matches_f(kind):
         assert np.array_equal(cat.f(*moved), base) == (name not in F_READS[kind])
 
 
-def test_resume_rejects_window_not_ending_at_horizon():
-    # controlled runs read the config's window table, so a window must end at
-    # tau exactly, resumed or run in full
-    cfg, base, _ = _resume_setup()
-    for tau in (0.9, cfg.tau + 1e-12):
-        window = SteerWindow(tau, 0.2)
-        blocks = assemble_gramian(cfg.modes, BETA, window).blocks
-        control = ControlSignal(window, np.zeros((1, 4, 2)), cfg.modes, BETA, [1e-2], blocks)
-        for prefix in (base, None):
-            with pytest.raises(InvalidArgumentError, match="end at the horizon"):
-                simulate(cfg, control, prefix=prefix)
-
-
 def _blowup_window():
     cfg, base, _ = _resume_setup()
-    window = SteerWindow(1.0, 0.1)
     z1 = BeamState.zeros(4)
     z1.v[0] = 1e13  # far target: the weakly regularised cell needs a huge control
-    problem = SteeringProblem(base.state_at(0.9), z1, window, (1e-1, 1e-4))
-    return cfg, synthesize_control(problem, cfg.modes, BETA), base
+    problem = SteeringProblem(base.state_at(0.9), z1, (1e-1, 1e-4))
+    return cfg, _steer(cfg, problem, 0.1), base
 
 
 def test_blowup_in_batched_window_names_cell():
@@ -545,10 +532,10 @@ def test_warm_resumed_run_allocates_less_than_one_grid_workspace():
     # thread's held buffers, so a warm call allocates far less than one grid workspace
     spec = _workload("sweep-long")
     config, base, target = pullback_setup(spec)
-    window = SteerWindow(config.tau, max(spec.deltas))
-    assert window.delta / config.step >= OUTER  # the window's slabs are OUTER steps long
-    problem = SteeringProblem(base.state_at(window.start), target, window, spec.alphas)
-    control = synthesize_control(problem, config.modes, config.beta)
+    delta = max(spec.deltas)
+    assert delta / config.step >= OUTER  # the window's slabs are OUTER steps long
+    problem = SteeringProblem(base.state_at(config.tau - delta), target, spec.alphas)
+    control = _steer(config, problem, delta)
     simulate(config, control, prefix=base)
     held = dict(vars(dynamics._held))
     simulate(config, control, prefix=base)
@@ -729,13 +716,12 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta, gamma):
     hist = lambda s: (0.3 * np.cos(3 * s)[:, None] / k**2, 0.2 * np.sin(2 * s)[:, None] / k)
     imp = ImpulseSchedule(times=(0.25, 0.55), gains=(0.1, -0.05))
     cfg = _config(catalog=cat, impulses=imp, history=hist, step=step, delay=delay)
-    window = SteerWindow(cfg.tau, delta)
     z1 = BeamState.zeros(4)
     z1.v[0] = 0.5
     free = simulate(cfg, None)
-    problem = SteeringProblem(free.state_at(window.start), z1, window, 1e-3)
-    modes = cfg.modes
-    steered = synthesize_control(problem, modes, BETA)
+    problem = SteeringProblem(free.state_at(cfg.tau - delta), z1, 1e-3)
+    modes, gramians = cfg.modes, assemble_gramian(cfg.modes, BETA, delta)
+    steered = synthesize_control(problem, gramians)
     for control in (None, steered):
         got, ref = simulate(cfg, control), simulate_stepwise(cfg, control)
         for a, b in ((got.w, ref.w), (got.v, ref.v), (got.memory, ref.memory)):
@@ -748,9 +734,9 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta, gamma):
     # the loop's last pass leaves the steered control's stepwise run; resumed
     # from the free run as a batch of two cells, each cell must agree with
     # its stepwise run, and the prefix must come back bitwise unchanged
-    other = synthesize_control(replace(problem, alpha=1e-1), modes, BETA)
+    other = synthesize_control(replace(problem, alpha=1e-1), gramians)
     refs = [ref.terminal(), simulate_stepwise(cfg, other).terminal()]
-    both = synthesize_control(replace(problem, alpha=(1e-3, 1e-1)), modes, BETA)
+    both = synthesize_control(replace(problem, alpha=(1e-3, 1e-1)), gramians)
     before = [a.tobytes() for a in (free.w, free.v, free.memory)]
     for terminal, want in zip(simulate(cfg, both, prefix=free), refs):
         assert energy_norm(terminal - want, modes) <= 1e-12 * energy_norm(want, modes)
@@ -793,11 +779,9 @@ def test_slab_tables_cached_per_system():
 
     def run(cfg):
         free = simulate(cfg, None)
-        window = SteerWindow(cfg.tau, 0.2)
         z1 = BeamState.zeros(cfg.n_modes)
         z1.v[0] = 0.3
-        problem = SteeringProblem(free.state_at(window.start), z1, window, 1e-2)
-        control = synthesize_control(problem, cfg.modes, cfg.beta)
+        control = _steer(cfg, SteeringProblem(free.state_at(cfg.tau - 0.2), z1, 1e-2), 0.2)
         steered = simulate(cfg, control)
         (terminal,) = simulate(cfg, control, prefix=free)
         return [free.w, free.v, free.memory, steered.w, steered.v, terminal.w, terminal.v]

@@ -20,13 +20,11 @@ import beamsteer.steering as steering
 from beamsteer import (
     BeamState,
     ExperimentSpec,
-    GramianSet,
     ImpulseSchedule,
     ModeSet,
     NonlinearityCatalog,
     ResultRow,
     SimConfig,
-    SteerWindow,
     SteeringProblem,
     assemble_gramian,
     emit_csv,
@@ -157,13 +155,13 @@ def test_batched_cells_match_from_scratch_runs(make_spec):
     rows = {(r.delta, r.alpha): r for r in run_pullback_experiment(spec)}
     assert len(rows) == len(spec.deltas) * len(spec.alphas)
     for delta in spec.deltas:
-        window = SteerWindow(config.tau, delta)
-        z_mid = base.state_at(window.start)
-        cut = base.index_at(window.start)
-        problem = SteeringProblem(z_mid, target, window, spec.alphas)
-        batched = simulate(config, synthesize_control(problem, modes, config.beta), prefix=base)
+        z_mid = base.state_at(config.tau - delta)
+        cut = base.index_at(config.tau - delta)
+        problem = SteeringProblem(z_mid, target, spec.alphas)
+        gramians = assemble_gramian(modes, config.beta, delta)
+        batched = simulate(config, synthesize_control(problem, gramians), prefix=base)
         for alpha, z_batch in zip(spec.alphas, batched):
-            control = synthesize_control(replace(problem, alpha=alpha), modes, config.beta)
+            control = synthesize_control(replace(problem, alpha=alpha), gramians)
             scratch = simulate(config, control)
             assert np.array_equal(scratch.w[: cut + 1], base.w[: cut + 1])
             assert np.array_equal(scratch.v[: cut + 1], base.v[: cut + 1])
@@ -276,36 +274,38 @@ def test_stacked_synthesis_matches_single_alpha_calls():
     spec = load_experiment(None)
     config, base, target = pullback_setup(spec)
     modes = config.modes
-    window = SteerWindow(config.tau, max(spec.deltas))
-    z_mid = base.state_at(window.start)
-    problem = SteeringProblem(z_mid, target, window, spec.alphas)
-    batch = synthesize_control(problem, modes, config.beta)
+    delta = max(spec.deltas)
+    z_mid = base.state_at(config.tau - delta)
+    problem = SteeringProblem(z_mid, target, spec.alphas)
+    gramians = assemble_gramian(modes, config.beta, delta)
+    batch = synthesize_control(problem, gramians)
     assert batch.eta.shape == (len(spec.alphas), modes.count, 2)
     assert batch.alpha == tuple(spec.alphas)
     steered = steer_linear(z_mid, batch)
     for alpha, eta, y_tau in zip(spec.alphas, batch.eta, steered):
-        single = synthesize_control(replace(problem, alpha=alpha), modes, config.beta)
+        single = synthesize_control(replace(problem, alpha=alpha), gramians)
         assert np.array_equal(single.eta, eta[None])
         (want,) = steer_linear(z_mid, single)
         assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
     for deltas in (spec.deltas, spec.deltas[:1]):
-        windows = [SteerWindow(config.tau, d) for d in deltas]
-        at = [base.index_at(w.start) for w in windows]
+        at = [base.index_at(config.tau - d) for d in deltas]
         starts = BeamState(base.w[at], base.v[at])
+        stacked_set = assemble_gramian(modes, config.beta, deltas)
         for alphas in (spec.alphas, spec.alphas[0]):
-            stacked = SteeringProblem(starts, target, windows, alphas)
-            controls = synthesize_control(stacked, modes, config.beta)
+            stacked = SteeringProblem(starts, target, alphas)
+            controls = synthesize_control(stacked, stacked_set)
             steered = steer_linear(starts, controls)
             # a single alpha is a batch of one cell
-            assert steered.w.shape == (len(windows), np.size(alphas), modes.count)
-            for win, y0, control, y_tau in zip(windows, starts, controls, steered):
-                single = synthesize_control(
-                    SteeringProblem(y0, target, win, alphas), modes, config.beta
-                )
-                assert control.window == win and control.alpha == tuple(np.atleast_1d(alphas))
+            assert steered.w.shape == (len(deltas), np.size(alphas), modes.count)
+            for delta, y0, control, y_tau in zip(deltas, starts, controls, steered):
+                own = assemble_gramian(modes, config.beta, delta)
+                single = synthesize_control(SteeringProblem(y0, target, alphas), own)
+                assert control.gramians.delta == delta
+                assert control.alpha == tuple(np.atleast_1d(alphas))
                 assert np.array_equal(single.eta, control.eta)
-                own = assemble_gramian(modes, config.beta, win).blocks
-                assert np.array_equal(control.blocks, own)  # its own window's Gramian
+                # its own window's Gramian, and its system
+                assert np.array_equal(control.gramians.blocks, own.blocks)
+                assert control.gramians.modes is modes and control.gramians.beta == config.beta
                 want = steer_linear(y0, single)
                 assert np.array_equal(want.w, y_tau.w) and np.array_equal(want.v, y_tau.v)
 
@@ -313,26 +313,29 @@ def test_stacked_synthesis_matches_single_alpha_calls():
 def test_stacked_windows_reject_mismatched_inputs():
     spec = load_experiment(None)
     modes = spec.config.modes
-    windows = [SteerWindow(spec.config.tau, d) for d in spec.deltas]
-    stacked = assemble_gramian(modes, spec.config.beta, windows)
-    assert stacked.blocks.shape == (len(windows), modes.count, 2, 2)
-    assert stacked.min_eigenvalue.shape == (len(windows),)
+    d = len(spec.deltas)
+    stacked = assemble_gramian(modes, spec.config.beta, spec.deltas)
+    assert stacked.blocks.shape == (d, modes.count, 2, 2)
+    assert stacked.min_eigenvalue.shape == (d,)
     with pytest.raises(InvalidArgumentError, match="rhs must have shape"):
-        solve_regularized(stacked, [0.1], np.zeros((len(windows) - 1, modes.count, 2)))
+        solve_regularized(stacked, [0.1], np.zeros((d - 1, modes.count, 2)))
     with pytest.raises(InvalidArgumentError, match="rhs must have shape"):
         solve_regularized(stacked, [0.1, 0.01], np.zeros((modes.count, 2)))
-    starts = BeamState(np.zeros((len(windows), modes.count)), np.zeros((len(windows), modes.count)))
+    starts = BeamState(np.zeros((d, modes.count)), np.zeros((d, modes.count)))
     target = BeamState.zeros(modes.count)
-    with pytest.raises(InvalidArgumentError, match="one start state each"):
-        SteeringProblem(BeamState.zeros(modes.count), target, windows, 0.1)
+    # one start state per window of the set: not one for a stack, not a stack for one
+    for y0, gramians in ((BeamState.zeros(modes.count), stacked), (starts, stacked[0])):
+        with pytest.raises(InvalidArgumentError, match="one start state each"):
+            synthesize_control(SteeringProblem(y0, target, 0.1), gramians)
     # a window whose Gramian lost positive definiteness is named by its delta
     blocks = stacked.blocks.copy()
     blocks[1, 3] = -blocks[1, 3]
-    broken = GramianSet.from_blocks(blocks)
+    min_eig = np.linalg.eigvalsh(blocks)[..., 0].min(axis=-1)
+    broken = replace(stacked, blocks=blocks, min_eigenvalue=min_eig, positive_definite=False)
     assert not broken.positive_definite and broken.min_eigenvalue[1] < 0
-    problem = SteeringProblem(starts, target, windows, [0.1, 0.01])
+    problem = SteeringProblem(starts, target, [0.1, 0.01])
     with pytest.raises(InvalidArgumentError, match=f"delta={spec.deltas[1]:g}"):
-        synthesize_control(problem, modes, spec.config.beta, gramians=broken)
+        synthesize_control(problem, broken)
 
 
 def test_library_writes_nothing_to_stdout(capfd):
@@ -433,17 +436,17 @@ def test_residual_identity_batch_matches_single_alphas():
     # the suite checks its three identity alphas as one batch: one value per cell,
     # each what the single-alpha problem gives
     modes = laplacian_eigenvalues(3.5, 8)
-    window = SteerWindow(1.0, 0.2)
     rng = np.random.default_rng(3)
     y0, z1 = make_random_state(modes, rng, 1.0), make_random_state(modes, rng, 1.0)
-    gramians, q_quad, _ = gramian_cross_check(modes, 2.0, window)
+    gramians = assemble_gramian(modes, 2.0, 0.2)
+    q_quad, _ = gramian_cross_check(gramians)
     alphas = [1.0, 1e-2, 1e-4]
-    problem = SteeringProblem(y0, z1, window, alphas)
-    control, measured, formula = residual_identity(problem, modes, 2.0, gramians, q_quad)
+    problem = SteeringProblem(y0, z1, alphas)
+    control, measured, formula = residual_identity(problem, gramians, q_quad)
     assert control.eta.shape == (3, 8, 2) and measured.shape == formula.shape == (3,)
     for k, alpha in enumerate(alphas):
-        single = SteeringProblem(y0, z1, window, alpha)
-        _, (m,), (f,) = residual_identity(single, modes, 2.0, gramians, q_quad)
+        single = SteeringProblem(y0, z1, alpha)
+        _, (m,), (f,) = residual_identity(single, gramians, q_quad)
         np.testing.assert_allclose([measured[k], formula[k]], [m, f], rtol=1e-14, atol=0.0)
     assert np.abs(measured - formula).max() <= CROSS_PATH_TOL
 
@@ -463,7 +466,7 @@ def test_single_mode_pipeline_against_hand_computation():
     modes = laplacian_eigenvalues(1.0, 1)
     lam = float(modes.lambdas[0])
     beta = 2.0
-    window = SteerWindow(1.0, 0.25)
+    delta = 0.25
     alpha = 1e-3
     y0 = BeamState(np.array([0.4]), np.array([-0.2]))
     z1 = BeamState(np.array([0.1]), np.array([0.3]))
@@ -472,19 +475,20 @@ def test_single_mode_pipeline_against_hand_computation():
     b = np.array([0.0, 1.0])
     Q = gauss_integral(
         lambda s: np.outer(expm_squaring(K * s) @ b, expm_squaring(K * s) @ b),
-        0.0, window.delta, nodes=64, panels=4,
+        0.0, delta, nodes=64, panels=4,
     )
-    d = np.array([lam * z1.w[0], z1.v[0]]) - expm_squaring(K * window.delta) @ np.array(
+    d = np.array([lam * z1.w[0], z1.v[0]]) - expm_squaring(K * delta) @ np.array(
         [lam * y0.w[0], y0.v[0]]
     )
     eta = np.linalg.solve(alpha * np.eye(2) + Q, d)
-    y_tau = expm_squaring(K * window.delta) @ np.array([lam * y0.w[0], y0.v[0]])
+    y_tau = expm_squaring(K * delta) @ np.array([lam * y0.w[0], y0.v[0]])
     y_tau = y_tau + gauss_integral(
         lambda s: (expm_squaring(K * s) @ b) * float(b @ (expm_squaring(K * s).T @ eta)),
-        0.0, window.delta, nodes=64, panels=4,
+        0.0, delta, nodes=64, panels=4,
     )
 
-    control = synthesize_control(SteeringProblem(y0, z1, window, alpha), modes, beta)
+    gramians = assemble_gramian(modes, beta, delta)
+    control = synthesize_control(SteeringProblem(y0, z1, alpha), gramians)
     np.testing.assert_allclose(control.eta[0, 0], eta, atol=1e-10)
     (got,) = steer_linear(y0, control)
     np.testing.assert_allclose(energy_coords(got, modes)[0], y_tau, atol=1e-10)
@@ -727,8 +731,8 @@ def test_cli_steer_gates_the_identity_relative_to_the_residual(tmp_path, monkeyp
     original = cli.gramian_cross_check
 
     def perturbed(*args, **kwargs):
-        gramians, q_quad, cross = original(*args, **kwargs)
-        return gramians, q_quad * (1 + 1e-10), cross
+        q_quad, cross = original(*args, **kwargs)
+        return q_quad * (1 + 1e-10), cross
 
     monkeypatch.setattr(cli, "gramian_cross_check", perturbed)
     assert cli.main(["steer", "--config", str(path), "--quiet"]) == 1
@@ -752,7 +756,8 @@ def test_cli_invalid_config(tmp_path):
     assert cli.main(["linear-check", "--config", str(bad), "--quiet"]) == 2
 
 
-def test_cli_critical_damping_runs_and_underdamping_exits_2(tmp_path):
+def test_cli_critical_damping_runs_and_underdamping_exits_2(tmp_path, monkeypatch, capsys):
+    # the damping cases pin the entry point in fresh interpreters, for exits 0 and 2
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     for beta, code in (("1.0", 0), ("1.0000005", 0), ("0.5", 2), ("nan", 2)):
@@ -768,17 +773,18 @@ def test_cli_critical_damping_runs_and_underdamping_exits_2(tmp_path):
         assert (run_dir / "pullback.csv").exists() == (code == 0)
         if code:
             assert proc.stderr.startswith("invalid configuration: damping coefficient")
+    # the violations run in process: an uncaught exception or a warning fails the test
     for k, (line, replacement, word) in enumerate(CONFIG_VIOLATIONS):
         run_dir = tmp_path / f"violation{k}"
         run_dir.mkdir()
         (run_dir / "c.ini").write_text(_violating(line, replacement))
-        proc = subprocess.run(
-            [sys.executable, "-m", "beamsteer", "sweep", "--config", "c.ini", "--quiet"],
-            capture_output=True, text=True, cwd=run_dir, env=env,
-        )
-        assert proc.returncode == 2, (replacement, proc.stderr)
-        assert proc.stderr.startswith("invalid configuration:") and word in proc.stderr
-        assert "Traceback" not in proc.stderr
+        monkeypatch.chdir(run_dir)
+        code = cli.main(["sweep", "--config", "c.ini", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2, (replacement, err)
+        assert err.startswith("invalid configuration:") and word in err
+        assert err.count("\n") == 1 and err.endswith("\n"), err  # one line
+        assert "Traceback" not in err
         assert not (run_dir / "pullback.csv").exists()
 
 
@@ -982,14 +988,37 @@ def test_linear_suite_evaluates_each_quantity_once(monkeypatch):
     assert np.all(s[:, -1] > s[:, 0])  # no panel of zero width
 
 
+def test_sweep_evaluates_each_quantity_once(monkeypatch):
+    # a warm sweep assembles its stacked Gramian set once, in one closed-form
+    # evaluation, and forms T(delta) y0 twice: once to synthesize, once to steer
+    spec = load_experiment(None)
+    run_pullback_experiment(spec)
+    calls = {"gramian_entries": 0, "apply_semigroup": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(gramian, "gramian_entries")
+    counting(harness, "apply_semigroup")
+    counting(steering, "apply_semigroup")
+    run_pullback_experiment(spec)
+    assert calls == {"gramian_entries": 1, "apply_semigroup": 2}
+
+
 def test_stacked_probe_leaves_the_checked_window_bitwise():
     # the checked window of the stacked evaluation is that window's set alone,
     # blocks and min eigenvalue bit for bit; the zero-length probe stays singular
     spec = _steer_wide()
-    modes, beta, tau = spec.config.modes, spec.config.beta, spec.config.tau
-    window = SteerWindow(tau, max(spec.deltas))
-    stacked = assemble_gramian(modes, beta, [window, SteerWindow(tau, 0.0)])
-    alone = assemble_gramian(modes, beta, window)
+    modes, beta = spec.config.modes, spec.config.beta
+    delta = max(spec.deltas)
+    stacked = assemble_gramian(modes, beta, [delta, 0.0])
+    alone = assemble_gramian(modes, beta, delta)
     np.testing.assert_array_equal(stacked[0].blocks, alone.blocks)
     assert stacked[0].min_eigenvalue == alone.min_eigenvalue
     assert stacked[0].positive_definite and not stacked[1].positive_definite

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamsteer import ModeSet, SteerWindow, assemble_gramian
+from beamsteer import ModeSet, assemble_gramian
 from beamsteer.semigroup import exp_entries
 
 from oracles import ModeBlock, modal_reference
@@ -46,7 +46,7 @@ def test_exp_blocks_match_mpmath(beta, length, indices, t):
 @given(beta=BETAS, length=LENGTHS, indices=MODE_INDICES, delta=TIMES)
 def test_gramian_blocks_match_mpmath(beta, length, indices, delta):
     lam = _lambdas(length, indices)
-    blocks = assemble_gramian(ModeSet(lam), beta, SteerWindow(1.0, delta)).blocks
+    blocks = assemble_gramian(ModeSet(lam), beta, delta).blocks
     for j, lj in enumerate(lam):
         _, want = modal_reference(lj, beta, delta)
         for a in range(2):

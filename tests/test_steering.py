@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from beamsteer import (
     BeamState,
     ControlSignal,
     GramianSet,
-    SteerWindow,
     SteeringProblem,
     alpha_sweep,
     apply_semigroup,
@@ -19,17 +20,28 @@ from beamsteer import (
     steer_linear,
     synthesize_control,
 )
-from beamsteer import steering
+from beamsteer import gramian, semigroup
 from beamsteer.errors import InvalidArgumentError
 
 from oracles import costate, window_coeffs, window_control_quadrature
 
 BETA = 2.0
-WINDOW = SteerWindow(1.0, 0.2)
+TAU, DELTA = 1.0, 0.2  # the window [TAU - DELTA, TAU]
 
 
 def _modes(n=8, length=1.0):
     return laplacian_eigenvalues(length, n)
+
+
+def _control(y0, z1, alpha, modes, delta=DELTA):
+    """The control synthesized on the window of length ``delta`` of the system (modes, BETA)."""
+    return synthesize_control(SteeringProblem(y0, z1, alpha), assemble_gramian(modes, BETA, delta))
+
+
+def _identity_set(n):
+    """A set of n identity blocks, least eigenvalue 1."""
+    blocks = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    return GramianSet(_modes(n), BETA, DELTA, blocks, 1.0, True)
 
 
 def _random_state(modes, rng, scale=1.0):
@@ -43,10 +55,10 @@ def test_control_vanishes_on_free_trajectory_target():
     modes = _modes(4)
     rng = np.random.default_rng(0)
     y0 = _random_state(modes, rng)
-    z1 = apply_semigroup(y0, WINDOW.delta, modes, BETA)
-    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, 1e-2), modes, BETA)
-    samples = np.linspace(WINDOW.start, WINDOW.tau, 256)
-    assert np.abs(window_coeffs(control, samples)).max() == 0.0
+    z1 = apply_semigroup(y0, DELTA, modes, BETA)
+    control = _control(y0, z1, 1e-2, modes)
+    samples = np.linspace(TAU - DELTA, TAU, 256)
+    assert np.abs(window_coeffs(control, samples, TAU)).max() == 0.0
     assert np.abs(control.eta).max() == 0.0
 
 
@@ -55,10 +67,8 @@ def test_unit_deflection_target_energy_identity():
     modes = laplacian_eigenvalues(1.0, 1)
     y0 = BeamState.zeros(1)
     z1 = BeamState(np.array([1.0]), np.array([0.0]))
-    gramians = assemble_gramian(modes, BETA, WINDOW)
-    control = synthesize_control(
-        SteeringProblem(y0, z1, WINDOW, 1e-4), modes, BETA, gramians=gramians
-    )
+    gramians = assemble_gramian(modes, BETA, DELTA)
+    control = synthesize_control(SteeringProblem(y0, z1, 1e-4), gramians)
     (energy,) = control_energy(control)
     assert np.isfinite(energy) and energy > 0
     (eta,) = control.eta
@@ -74,10 +84,8 @@ def test_energy_identity_multimode():
     rng = np.random.default_rng(1)
     y0 = _random_state(modes, rng)
     z1 = _random_state(modes, rng)
-    gramians = assemble_gramian(modes, BETA, WINDOW)
-    control = synthesize_control(
-        SteeringProblem(y0, z1, WINDOW, 1e-3), modes, BETA, gramians=gramians
-    )
+    gramians = assemble_gramian(modes, BETA, DELTA)
+    control = synthesize_control(SteeringProblem(y0, z1, 1e-3), gramians)
     _, energy = window_control_quadrature(control)
     (eta,) = control.eta
     quad_form = float(np.sum(eta[:, None, :] @ gramians.blocks @ eta[:, :, None]))
@@ -88,10 +96,9 @@ def test_zero_control_is_free_flow():
     modes = _modes(5)
     rng = np.random.default_rng(2)
     y0 = _random_state(modes, rng)
-    blocks = assemble_gramian(modes, BETA, WINDOW).blocks
-    control = ControlSignal(WINDOW, np.zeros((1, 5, 2)), modes, BETA, alpha=[1.0], blocks=blocks)
+    control = ControlSignal(assemble_gramian(modes, BETA, DELTA), np.zeros((1, 5, 2)), alpha=[1.0])
     (out,) = steer_linear(y0, control)
-    free = apply_semigroup(y0, WINDOW.delta, modes, BETA)
+    free = apply_semigroup(y0, DELTA, modes, BETA)
     assert energy_norm(out - free, modes) <= 1e-13
 
 
@@ -101,13 +108,11 @@ def test_residual_identity_per_mode(alpha):
     rng = np.random.default_rng(4)
     y0 = _random_state(modes, rng)
     z1 = _random_state(modes, rng)
-    gramians = assemble_gramian(modes, BETA, WINDOW)
-    control = synthesize_control(
-        SteeringProblem(y0, z1, WINDOW, alpha), modes, BETA, gramians=gramians
-    )
+    gramians = assemble_gramian(modes, BETA, DELTA)
+    control = synthesize_control(SteeringProblem(y0, z1, alpha), gramians)
     y_tau = steer_linear(y0, control)
     d = energy_coords(z1, modes) - energy_coords(
-        apply_semigroup(y0, WINDOW.delta, modes, BETA), modes
+        apply_semigroup(y0, DELTA, modes, BETA), modes
     )
     expected = -alpha * solve_regularized(gramians, [alpha], d)
     got = energy_coords(y_tau, modes) - energy_coords(z1, modes)
@@ -118,13 +123,9 @@ def test_steering_linearity():
     modes = _modes(4)
     rng = np.random.default_rng(5)
     y0 = _random_state(modes, rng)
-    u1 = synthesize_control(
-        SteeringProblem(y0, _random_state(modes, rng), WINDOW, 1e-2), modes, BETA
-    )
-    u2 = synthesize_control(
-        SteeringProblem(y0, _random_state(modes, rng), WINDOW, 1e-1), modes, BETA
-    )
-    both = ControlSignal(WINDOW, u1.eta + u2.eta, modes, BETA, alpha=u1.alpha, blocks=u1.blocks)
+    u1 = _control(y0, _random_state(modes, rng), 1e-2, modes)
+    u2 = _control(y0, _random_state(modes, rng), 1e-1, modes)
+    both = ControlSignal(u1.gramians, u1.eta + u2.eta, alpha=u1.alpha)
     (left,) = steer_linear(y0, both)
     (right,) = steer_linear(y0, u1) + steer_linear(BeamState.zeros(4), u2)
     assert energy_norm(left - right, modes) <= 1e-10
@@ -136,13 +137,13 @@ def test_alpha_sweep_decreasing_and_bounded():
     y0 = _random_state(modes, rng)
     z1 = _random_state(modes, rng)
     alphas = [10.0**-k for k in range(7)]
-    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alphas), modes, BETA)
+    control = _control(y0, z1, alphas, modes)
     sweep = alpha_sweep(y0, z1, control)
     errs = [e for _, e in sweep]
     assert all(b < a for a, b in zip(errs, errs[1:]))
-    gramians = assemble_gramian(modes, BETA, WINDOW)
+    gramians = assemble_gramian(modes, BETA, DELTA)
     d = energy_coords(z1, modes) - energy_coords(
-        apply_semigroup(y0, WINDOW.delta, modes, BETA), modes
+        apply_semigroup(y0, DELTA, modes, BETA), modes
     )
     d_norm = np.linalg.norm(d)
     q_min = gramians.min_eigenvalue
@@ -153,7 +154,7 @@ def test_alpha_sweep_decreasing_and_bounded():
 def test_alpha_monotone_per_block():
     modes = _modes(6)
     rng = np.random.default_rng(12)
-    gramians = assemble_gramian(modes, BETA, WINDOW)
+    gramians = assemble_gramian(modes, BETA, DELTA)
     d = rng.standard_normal((6, 2))
     prev = None
     for alpha in [1.0, 0.5, 1e-1, 1e-2, 1e-3, 1e-4]:
@@ -167,8 +168,8 @@ def test_alpha_sweep_zero_mismatch():
     modes = _modes(3)
     rng = np.random.default_rng(7)
     y0 = _random_state(modes, rng)
-    z1 = apply_semigroup(y0, WINDOW.delta, modes, BETA)
-    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, [1.0, 0.1, 0.01]), modes, BETA)
+    z1 = apply_semigroup(y0, DELTA, modes, BETA)
+    control = _control(y0, z1, [1.0, 0.1, 0.01], modes)
     sweep = alpha_sweep(y0, z1, control)
     assert all(e == 0.0 for _, e in sweep)
 
@@ -180,14 +181,14 @@ def test_alpha_sweep_validation():
     # the problem rejects an empty grid and an alpha outside (0, 1]
     for alphas in ([], [2.0, 1.0]):
         with pytest.raises(InvalidArgumentError):
-            SteeringProblem(y0, z1, WINDOW, alphas)
-    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, [0.1, 0.5]), modes, BETA)
+            SteeringProblem(y0, z1, alphas)
+    control = _control(y0, z1, [0.1, 0.5], modes)
     with pytest.raises(InvalidArgumentError, match="strictly decreasing"):
         alpha_sweep(y0, z1, control)
 
 
 def test_right_inverse_identity_blocks():
-    gset = GramianSet.from_blocks(np.broadcast_to(np.eye(2), (4, 2, 2)).copy())
+    gset = _identity_set(4)
     probe = np.full((4, 2), 0.5)
     report = approximate_right_inverse_check(gset, [1.0], probe)
     # with q = 1 and alpha = 1 the deviation is exactly half the probe norm
@@ -197,7 +198,7 @@ def test_right_inverse_identity_blocks():
 def test_right_inverse_limit_and_ratio():
     modes = _modes(6)
     rng = np.random.default_rng(8)
-    gset = assemble_gramian(modes, BETA, WINDOW)
+    gset = assemble_gramian(modes, BETA, DELTA)
     probe = rng.standard_normal((6, 2))
     alphas = [10.0**-k for k in range(7)]
     report = approximate_right_inverse_check(gset, alphas, probe)
@@ -208,7 +209,7 @@ def test_right_inverse_limit_and_ratio():
 
 
 def test_right_inverse_zero_probe():
-    gset = GramianSet.from_blocks(np.broadcast_to(np.eye(2), (3, 2, 2)).copy())
+    gset = _identity_set(3)
     report = approximate_right_inverse_check(gset, [1.0, 0.5], np.zeros((3, 2)))
     assert report["errors"] == [0.0, 0.0]
 
@@ -217,13 +218,11 @@ def test_problem_validation():
     modes = _modes(2)
     y0 = BeamState.zeros(2)
     with pytest.raises(InvalidArgumentError):
-        SteeringProblem(y0, y0, WINDOW, 0.0)
+        SteeringProblem(y0, y0, 0.0)
     with pytest.raises(InvalidArgumentError):
-        SteeringProblem(y0, y0, WINDOW, 1.5)
+        SteeringProblem(y0, y0, 1.5)
     with pytest.raises(InvalidArgumentError):
-        synthesize_control(
-            SteeringProblem(y0, y0, SteerWindow(1.0, 0.0), 0.5), modes, BETA
-        )
+        _control(y0, y0, 0.5, modes, delta=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1e-4])
@@ -232,12 +231,9 @@ def test_problem_validation():
 def test_closed_form_matches_quadrature_oracle(n, delta, alpha):
     # G u = Q eta and ||u||^2 = eta^T Q eta against quadrature of the control
     modes = _modes(n)
-    window = SteerWindow(1.0, delta)
     rng = np.random.default_rng(13)
     y0 = _random_state(modes, rng)
-    control = synthesize_control(
-        SteeringProblem(y0, _random_state(modes, rng), window, alpha), modes, BETA
-    )
+    control = _control(y0, _random_state(modes, rng), alpha, modes, delta)
     mapped, energy = window_control_quadrature(control)
     (y_tau,) = steer_linear(BeamState.zeros(n), control)
     got = energy_coords(y_tau, modes)
@@ -250,10 +246,10 @@ def test_window_coeffs_at_rounded_horizon():
     # grid times can overshoot tau by an ulp (e.g. 273 steps of 1/91 reach
     # 3 + 4.4e-16); such a node is the window end, not an invalid time
     modes = _modes(3)
-    blocks = assemble_gramian(modes, BETA, WINDOW).blocks
-    control = ControlSignal(WINDOW, np.ones((1, 3, 2)), modes, BETA, alpha=[1.0], blocks=blocks)
-    late = np.nextafter(WINDOW.tau, 2.0)
-    np.testing.assert_array_equal(window_coeffs(control, late), window_coeffs(control, WINDOW.tau))
+    control = ControlSignal(assemble_gramian(modes, BETA, DELTA), np.ones((1, 3, 2)), alpha=[1.0])
+    late = np.nextafter(TAU, 2.0)
+    want = window_coeffs(control, TAU, TAU)
+    np.testing.assert_array_equal(window_coeffs(control, late, TAU), want)
 
 
 def test_control_batch_costate_and_validation():
@@ -261,28 +257,29 @@ def test_control_batch_costate_and_validation():
     # its one-cell control's costate bitwise
     modes = _modes(3)
     eta = np.random.default_rng(5).standard_normal((2, 3, 2))
-    blocks = assemble_gramian(modes, BETA, WINDOW).blocks
-    batch = ControlSignal(WINDOW, eta, modes, BETA, alpha=[0.1, 0.01], blocks=blocks)
-    t = np.linspace(WINDOW.start, WINDOW.tau, 7)
-    got = costate(batch, t)
+    gset = assemble_gramian(modes, BETA, DELTA)
+    batch = ControlSignal(gset, eta, alpha=[0.1, 0.01])
+    t = np.linspace(TAU - DELTA, TAU, 7)
+    got = costate(batch, t, TAU)
     assert got.shape == (2, 7, 3, 2)
     for cell, e, a in zip(got, eta, batch.alpha):
-        (want,) = costate(ControlSignal(WINDOW, e[None], modes, BETA, [a], blocks), t)
+        (want,) = costate(ControlSignal(gset, e[None], [a]), t, TAU)
         np.testing.assert_array_equal(cell, want)
     for alpha in ([0.1], 0.1, None):
         with pytest.raises(InvalidArgumentError, match="one alpha per cell"):
-            ControlSignal(WINDOW, eta, modes, BETA, alpha=alpha, blocks=blocks)
+            ControlSignal(gset, eta, alpha=alpha)
     for bad in (eta[None], eta[0]):  # every control is a batch of cells
         with pytest.raises(InvalidArgumentError, match="cells, N, 2"):
-            ControlSignal(WINDOW, bad, modes, BETA, alpha=[0.1, 0.01], blocks=blocks)
+            ControlSignal(gset, bad, alpha=[0.1, 0.01])
     # a control carries the (N, 2, 2) blocks of its one window: not a stacked
     # (D, N, 2, 2) set, not the blocks of another mode count
-    wider = assemble_gramian(_modes(4), BETA, WINDOW).blocks
-    for bad in (blocks[None], wider):
-        with pytest.raises(InvalidArgumentError, match=r"blocks must have shape \(N, 2, 2\)"):
-            ControlSignal(WINDOW, eta, modes, BETA, alpha=[0.1, 0.01], blocks=bad)
+    stacked = assemble_gramian(modes, BETA, [DELTA, 0.1])
+    wider = replace(gset, blocks=assemble_gramian(_modes(4), BETA, DELTA).blocks)
+    for bad in (stacked, wider):
+        with pytest.raises(InvalidArgumentError, match="Gramian set of one window"):
+            ControlSignal(bad, eta, alpha=[0.1, 0.01])
     with pytest.raises(InvalidArgumentError):
-        SteeringProblem(BeamState.zeros(3), BeamState.zeros(3), WINDOW, [0.1, 1.5])
+        SteeringProblem(BeamState.zeros(3), BeamState.zeros(3), [0.1, 1.5])
 
 
 def test_stacked_sweeps_match_per_alpha_loops():
@@ -293,13 +290,13 @@ def test_stacked_sweeps_match_per_alpha_loops():
     rng = np.random.default_rng(11)
     y0, z1 = _random_state(modes, rng), _random_state(modes, rng)
     alphas = [10.0**-k for k in range(7)]
-    gramians = assemble_gramian(modes, BETA, WINDOW)
+    gramians = assemble_gramian(modes, BETA, DELTA)
     loop = []
     for alpha in alphas:
-        control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alpha), modes, BETA)
+        control = _control(y0, z1, alpha, modes)
         y_tau = steer_linear(y0, control)
         loop.append(np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes)))
-    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alphas), modes, BETA)
+    control = _control(y0, z1, alphas, modes)
     sweep = alpha_sweep(y0, z1, control)
     assert [a for a, _ in sweep] == alphas
     np.testing.assert_allclose([e for _, e in sweep], loop, rtol=1e-14, atol=0.0)
@@ -314,12 +311,13 @@ def test_alpha_sweep_reuses_a_given_gramian_set(monkeypatch):
     rng = np.random.default_rng(12)
     y0, z1 = _random_state(modes, rng), _random_state(modes, rng)
     alphas = [1.0, 1e-2, 1e-4]
-    control = synthesize_control(SteeringProblem(y0, z1, WINDOW, alphas), modes, BETA)
+    control = _control(y0, z1, alphas, modes)
     want = alpha_sweep(y0, z1, control)
 
     def refused(*args):
-        raise AssertionError("alpha_sweep assembled a Gramian its control carries")
+        raise AssertionError("alpha_sweep evaluated a Gramian its control carries")
 
-    # the control holds the blocks that solved it, so steering assembles nothing
-    monkeypatch.setattr(steering, "assemble_gramian", refused)
+    # the control holds the set that solved it, so steering evaluates no Gramian
+    monkeypatch.setattr(gramian, "gramian_entries", refused)
+    monkeypatch.setattr(semigroup, "gramian_entries", refused)
     assert alpha_sweep(y0, z1, control) == want

@@ -9,8 +9,10 @@ others, so every draw is a new system.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import beamsteer.dynamics as dynamics
 from beamsteer import (
@@ -18,6 +20,7 @@ from beamsteer import (
     ImpulseSchedule,
     NonlinearityCatalog,
     SimConfig,
+    load_experiment,
     run_pullback_experiment,
 )
 from beamsteer.errors import BlowUpError, InvalidArgumentError
@@ -83,19 +86,20 @@ def _accepted_sweep(rng):
 
 
 def _check_rows(spec):
-    # every row is finite and within 1e-13 of its cell run from scratch, or the sweep
-    # stops with an error that names the cell that blew up or the window it cannot steer
+    """Every row is finite and within 1e-13 of its cell run from scratch, or the sweep
+    stops with an error that names the cell that blew up or the window it cannot steer.
+    Returns the outcome checked: "rows", "blowup" or "singular"."""
     try:
         rows = run_pullback_experiment(spec)
     except BlowUpError as err:
         match = re.search(r" in the cell alpha=(\S+), delta=(\S+)$", str(err))
         assert match and float(match[1]) in spec.alphas, str(err)
         assert any(f"{d:g}" == match[2] for d in spec.deltas), str(err)
-        return
+        return "blowup"
     except InvalidArgumentError as err:
         match = re.fullmatch(r"Gramian is not positive definite on the window delta=(\S+)", str(err))
         assert match and any(f"{d:g}" == match[1] for d in spec.deltas), str(err)
-        return
+        return "singular"
     config, base, target = pullback_setup(spec)
     assert len(rows) == len(spec.deltas) * len(spec.alphas)
     for row in rows:
@@ -105,6 +109,7 @@ def _check_rows(spec):
         np.testing.assert_allclose(
             batched, [ref.error_total, ref.error_nl, ref.error_lin], rtol=1e-13, atol=0.0
         )
+    return "rows"
 
 
 def test_sweep_rows_hold_on_accepted_configs():
@@ -117,3 +122,14 @@ def test_sweep_rows_hold_on_accepted_configs():
             _check_rows(spec)
         except AssertionError as err:
             raise AssertionError(f"draw {draw}: {spec!r}") from err
+
+
+@pytest.mark.parametrize(
+    "system", [dict(beta=1e200), dict(length=1e-60)], ids=["beta1e200", "length1e-60"]
+)
+def test_underflowing_gramian_stops_the_sweep_naming_its_window(system):
+    # the validator accepts these systems, but their Gramians underflow: the sweep
+    # stops on the window it cannot steer instead of writing rows
+    spec = load_experiment(None)
+    spec = replace(spec, config=replace(spec.config, **system))
+    assert _check_rows(spec) == "singular"
