@@ -15,7 +15,9 @@ stacked evaluation with the windows on a leading axis.  Per
     error_lin   = ||y(tau) - z1||        (regularisation residual)
 
 All randomness is drawn from one seeded generator in a fixed order (history
-first, then target), so a seed pins the experiment exactly.
+first, then target), so a seed pins the experiment exactly.  The generator is
+built only when a preset draws, so a sweep that draws nothing never imports
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -189,17 +191,15 @@ def make_target(kind, modes, rng, scale=1.0, mode_index=1, free_point=None) -> B
 def pullback_setup(spec: ExperimentSpec):
     """Config with the seeded history, its zero-control base run and the target.
 
-    The generator of ``spec.seed`` draws the history first, then the target.
+    One generator of ``spec.seed`` draws the history first, then the target.  Only
+    the ``random`` presets draw, and the generator is built only when one of them is
+    chosen: otherwise both presets get ``rng=None`` and ``numpy.random`` is never imported.
     """
-    rng = np.random.default_rng(spec.seed)
+    draws = "random" in (spec.history_kind, spec.target_kind)
+    rng = np.random.default_rng(spec.seed) if draws else None
     modes = spec.config.modes
     history = make_history(
-        spec.history_kind,
-        spec.history_amplitude,
-        spec.config.delay,
-        modes,
-        rng,
-        spec.history_mode,
+        spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng, spec.history_mode
     )
     config = replace(spec.config, history=history)
     base_traj = simulate(config, None)

@@ -107,14 +107,18 @@ def steer_linear(y0: BeamState, control) -> BeamState:
     The window, modes and damping are those of the control's Gramian set.
     A control gives a batch of states of shape (cells, N), T(delta) y0 formed once;
     the list of controls that a window stack gives, with its D start states
-    ``y0``, gives states of shape (D, cells, N).
+    ``y0``, gives states of shape (D, cells, N); the controls of a list must share
+    their modes and damping.
     """
     if isinstance(control, ControlSignal):
         gramians, eta = control.gramians, control.eta
         t, blocks = gramians.delta, gramians.blocks
-    else:  # the controls of one synthesis share its system
-        gramians, eta = control[0].gramians, np.stack([c.eta for c in control])
+    else:
+        gramians = control[0].gramians
+        if len({(c.gramians.beta, c.gramians.modes.lambdas.tobytes()) for c in control}) > 1:
+            raise InvalidArgumentError("steered controls must share their modes and damping")
         t = np.array([c.gramians.delta for c in control])[:, None]
+        eta = np.stack([c.eta for c in control])
         blocks = np.stack([c.gramians.blocks for c in control])
     modes = gramians.modes
     free = energy_coords(apply_semigroup(y0, t, modes, gramians.beta), modes)

@@ -871,21 +871,86 @@ CLI_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("case", CLI_FAILURES)
-def test_cli_failure_contract(tmp_path, case):
-    # every failure ends the process with its exit code and one stderr line, no traceback
+def _cli_case(tmp_path, case):
+    """The case's arguments, with its config file written to ``tmp_path``."""
     argv, text, code, prefix = CLI_FAILURES[case]
     if text is not None:
         (tmp_path / "c.ini").write_text(text)
         argv = argv + ["--config", "c.ini"]
+    return [*argv, "--quiet"], code, prefix
+
+
+@pytest.mark.parametrize("case", CLI_FAILURES)
+def test_cli_failure_contract(tmp_path, monkeypatch, capsys, case):
+    # every failure ends with its exit code and one stderr line, no traceback; in
+    # process, an uncaught exception or a warning fails the test
+    argv, code, prefix = _cli_case(tmp_path, case)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["gramian_check", "huge_beta_linear_check", "seed_flag_sweep"])
+def test_cli_entry_point_exit_codes(tmp_path, case):
+    # python -m beamsteer ends its process with each exit code: 0, 1 and 2
+    if case == "gramian_check":
+        argv, code, prefix = ["gramian-check", "--quiet"], 0, ""
+    else:
+        argv, code, prefix = _cli_case(tmp_path, case)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "beamsteer", *argv, "--quiet"],
+        [sys.executable, "-m", "beamsteer", *argv],
         capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == (code > 0), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_sweep_without_draws_never_imports_numpy_random(tmp_path):
+    # pytest and hypothesis import numpy.random themselves, so a fresh interpreter
+    # runs the default config, whose presets draw nothing; steer always draws
+    script = (
+        "import sys\n"
+        "from beamsteer import cli\n"
+        "assert cli.main(['sweep', '--quiet', '--out', 'sweep.csv']) == 0\n"
+        "assert cli.main(['pullback', '--quiet']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+        "assert cli.main(['steer', '--quiet']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("target_kind", ["single_mode", "random", "free_trajectory"])
+@pytest.mark.parametrize("history_kind", ["zero", "single_mode", "random"])
+def test_pullback_setup_draws_history_then_target(history_kind, target_kind):
+    # the generator is built only when a preset draws, yet every pair sees the
+    # stream of one eager default_rng(seed): the history's draws first, then the target's
+    spec = _spec(history_kind=history_kind, target_kind=target_kind)
+    config, base, target = pullback_setup(spec)
+    modes, delay = spec.config.modes, spec.config.delay
+    rng = np.random.default_rng(spec.seed)
+    history = make_history(
+        history_kind, spec.history_amplitude, delay, modes, rng, spec.history_mode
+    )
+    want_base = simulate(replace(spec.config, history=history), None)
+    want = make_target(
+        target_kind, modes, rng, spec.target_scale, spec.target_mode, want_base.terminal()
+    )
+    s = np.linspace(-delay, 0.0, 181)
+    for got, expected in zip(config.history(s), history(s)):
+        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(base.w, want_base.w)
+    np.testing.assert_array_equal(target.w, want.w)
+    np.testing.assert_array_equal(target.v, want.v)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from beamsteer import (
     energy_coords,
     energy_norm,
     laplacian_eigenvalues,
+    make_random_state,
     solve_regularized,
     steer_linear,
     synthesize_control,
@@ -321,3 +322,26 @@ def test_alpha_sweep_reuses_a_given_gramian_set(monkeypatch):
     monkeypatch.setattr(gramian, "gramian_entries", refused)
     monkeypatch.setattr(semigroup, "gramian_entries", refused)
     assert alpha_sweep(y0, z1, control) == want
+
+
+def test_steer_linear_rejects_a_list_of_controls_on_different_systems():
+    # a list used to be steered with the first control's modes and damping: the
+    # beta = 3 control behind a beta = 2 one missed its target by 0.144, not 0.209
+    modes = _modes(4)
+    rng = np.random.default_rng(0)
+    y0, z1 = make_random_state(modes, rng), make_random_state(modes, rng)
+    problem = SteeringProblem(y0, z1, 1e-3)
+    two, three = (synthesize_control(problem, assemble_gramian(modes, b, DELTA)) for b in (2, 3))
+    alone = energy_norm(steer_linear(y0, three) - z1, modes)
+    np.testing.assert_allclose(alone, [0.20937075], rtol=1e-6)
+    starts = BeamState(np.stack([y0.w, y0.w]), np.stack([y0.v, y0.v]))
+    idle = SteeringProblem(BeamState.zeros(3), BeamState.zeros(3), 1e-3)
+    fewer = synthesize_control(idle, assemble_gramian(_modes(3), 2, DELTA))
+    for other in (three, fewer):
+        with pytest.raises(InvalidArgumentError, match="share their modes and damping"):
+            steer_linear(starts, [two, other])
+    # equal systems pass by value: modes built apart, an integer and a float damping
+    again = synthesize_control(problem, assemble_gramian(_modes(4), 3.0, 0.1))
+    steered = steer_linear(starts, [three, again])
+    for got, control in zip(steered.w, (three, again)):
+        np.testing.assert_array_equal(got, steer_linear(y0, control).w)
