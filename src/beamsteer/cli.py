@@ -13,6 +13,8 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 
@@ -49,6 +51,15 @@ def _write_csv(rows, out, seed) -> bool:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return False
+    return True
+
+
+def _folder_missing(out) -> bool:
+    """Report a CSV path whose folder does not exist, before any run, as its write would."""
+    if not out or os.path.isdir(os.path.dirname(out) or "."):
+        return False
+    missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    print(f"error: could not write CSV to {out}: {missing}", file=sys.stderr)
     return True
 
 
@@ -100,6 +111,8 @@ def _cmd_steer(spec, args) -> int:
 
 
 def _cmd_pullback(spec, args) -> int:
+    if _folder_missing(args.out):
+        return 1
     delta, alpha = max(spec.deltas), min(spec.alphas)
     (row,) = run_pullback_experiment(replace(spec, deltas=[delta], alphas=[alpha]))
     _say(args, f"pullback: delta={delta:g} alpha={alpha:g}")
@@ -114,9 +127,11 @@ def _cmd_pullback(spec, args) -> int:
 
 
 def _cmd_sweep(spec, args) -> int:
+    out = args.out or spec.out_path
+    if _folder_missing(out):
+        return 1
     rows = run_pullback_experiment(spec)
     summary = summarize_rows(rows, spec.epsilon)
-    out = args.out or spec.out_path
     if out:
         if not _write_csv(rows, out, spec.seed):
             return 1

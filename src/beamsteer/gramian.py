@@ -11,7 +11,9 @@ positive definite and the Euclidean norm agrees with the state-space energy
 norm.  Two evaluation paths are provided: the closed form of
 :func:`semigroup.gramian_entries`, vectorised over the modes (production),
 and composite Gauss-Legendre quadrature of the input response of all modes
-at once, on panels graded from s = 0 (the cross-check).
+at once, on panels graded from s = 0 (the cross-check).  The 2 x 2 algebra (each
+block's least eigenvalue, the regularized solves) is closed form too, and the Gauss
+rule comes from Newton's method; LAPACK and numpy's leggauss serve only as test oracles.
 """
 
 from __future__ import annotations
@@ -57,8 +59,18 @@ class GramianSet:
 
 @lru_cache(maxsize=None)
 def _gauss_rule():
-    """PANEL_NODES-point Gauss-Legendre rule on [-1, 1]; imports numpy.polynomial lazily."""
-    return np.polynomial.legendre.leggauss(PANEL_NODES)
+    """PANEL_NODES-point Gauss-Legendre rule on [-1, 1], nodes ascending: Newton's method on
+    the three-term recurrence, from Tricomi's guesses for the positive half of the even rule."""
+    n, k = PANEL_NODES, np.arange(PANEL_NODES // 2, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for step in range(5):  # at the nearest double after three steps; the fifth only takes P_n'
+        p, q = x, np.ones_like(x)  # P_j and P_{j-1}
+        for j in range(1, n):
+            p, q = ((2 * j + 1) * x * p - j * q) / (j + 1), p
+        dp = n * (x * p - q) / ((x - 1.0) * (x + 1.0))  # 1 - x * x would round near x = 1
+        x = x - p / dp if step < 4 else x
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 def gramian_mode_quadrature(modes: ModeSet, beta, delta: float) -> np.ndarray:
@@ -103,7 +115,12 @@ def assemble_gramian(modes: ModeSet, beta: float, delta) -> GramianSet:
     t = np.array(lengths)[:, None] if many else delta  # a (D, 1) column for D windows
     q11, q12, q22 = gramian_entries(modes.lambdas, beta, t)
     blocks = np.stack([q11, q12, q12, q22], axis=-1).reshape(q11.shape + (2, 2))
-    min_eig = np.linalg.eigvalsh(blocks)[..., 0].min(axis=-1)
+    # least eigenvalues as LAPACK dlaev2 forms them, never q11 q22 - q12**2; where the
+    # larger root rt1 is 0 the other is the trace
+    rt1 = 0.5 * (q11 + q22 + np.hypot(q11 - q22, 2.0 * q12))
+    r = np.where(rt1 == 0, 1.0, rt1)
+    rt2 = np.maximum(q11, q22) / r * np.minimum(q11, q22) - q12 / r * q12
+    min_eig = np.where(rt1 == 0, q11 + q22, rt2).min(axis=-1)
     positive = bool((min_eig > 0).all())
     if not many:
         lengths, min_eig = delta, float(min_eig)
@@ -123,5 +140,8 @@ def solve_regularized(gramians: GramianSet, alpha, rhs: np.ndarray) -> np.ndarra
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != gramians.blocks.shape[:-1]:
         raise InvalidArgumentError("rhs must have shape (N, 2), or (D, N, 2) for D windows")
-    blocks, rhs = gramians.blocks[..., None, :, :, :], rhs[..., None, :, :, None]
-    return np.linalg.solve(blocks + alpha[:, None, None, None] * np.eye(2), rhs)[..., 0]
+    q, alpha = gramians.blocks[..., None, :, :, :], alpha[:, None]
+    a, b, c = q[..., 0, 0] + alpha, q[..., 0, 1], q[..., 1, 1] + alpha
+    d1, d2 = rhs[..., None, :, 0], rhs[..., None, :, 1]
+    eta2 = (d2 - b / a * d1) / (c - b / a * b)  # LDL^T: Cramer's a c - b**2 would underflow
+    return np.stack([(d1 - b * eta2) / a, eta2], axis=-1)

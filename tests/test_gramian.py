@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamsteer import (
     ModeSet,
@@ -10,8 +11,9 @@ from beamsteer import (
     laplacian_eigenvalues,
     solve_regularized,
 )
+import beamsteer.gramian as gramian
 from beamsteer.errors import InvalidArgumentError
-from beamsteer.gramian import PANEL_SPAN
+from beamsteer.gramian import PANEL_NODES, PANEL_SPAN, _gauss_rule
 from beamsteer.harness import CROSS_PATH_TOL, gramian_cross_check
 from beamsteer.semigroup import exp_entries
 
@@ -115,7 +117,7 @@ def test_graded_quadrature_matches_closed_form(length, n_modes, beta, one_panel)
     roots = np.array([ModeBlock(lam, beta).roots()[1] for lam in modes.lambdas])
     one = 2.0 * np.abs(roots) * delta <= PANEL_SPAN
     assert one.sum() == one_panel
-    x, wts = np.polynomial.legendre.leggauss(64)
+    x, wts = _gauss_rule()
     s, ww = 0.5 * delta * (x + 1.0), 0.5 * delta * wts
     for j in np.flatnonzero(one):
         _, g1, _, g2 = exp_entries(modes.lambdas[j], beta, s, energy=True)
@@ -194,3 +196,110 @@ def test_solve_regularized_invalid_alpha():
     for alpha in ([0.0], [0.1, -1.0], 0.1, [[0.1]]):
         with pytest.raises(InvalidArgumentError):
             solve_regularized(gset, alpha, np.zeros((1, 2)))
+
+
+def _set_of_blocks(blocks):
+    """min_eigenvalue and positive_definite of one-mode windows holding the given
+    (D, 2, 2) blocks, one window per block, through assemble_gramian's own path."""
+    blocks = np.asarray(blocks, dtype=float)
+    entries = (blocks[:, None, 0, 0], blocks[:, None, 0, 1], blocks[:, None, 1, 1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gramian, "gramian_entries", lambda lam, beta, t: entries)
+        return assemble_gramian(laplacian_eigenvalues(1.0, 1), 2.0, [0.1] * len(blocks))
+
+
+def _spd(scale, cond, angle):
+    """The symmetric block with eigenvalues scale and scale / cond, rotated by angle."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([scale, scale / cond]) @ rot.T
+
+
+ALPHAS = [1.0, 1e-6, 1e-12, 1e-300]
+# zero blocks, and blocks of eigenvalue scale 1e-300 to 1e300, condition 1 to 1e12
+# (near singular) and any orientation; each with a right-hand side of O(1)
+BLOCK = st.one_of(
+    st.just((0.0, 1.0, 0.0)),
+    st.tuples(
+        st.floats(-300, 300).map(lambda e: 10.0**e),
+        st.floats(0, 12).map(lambda e: 10.0**e),
+        st.floats(0, np.pi),
+    ),
+)
+RHS = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(BLOCK, RHS), min_size=1, max_size=6))
+def test_two_by_two_closed_forms_match_lapack(cases):
+    # LAPACK is the oracle: the same definiteness verdict, the least eigenvalue a few
+    # ulps of the block's scale apart, and a solve that is finite where LAPACK's is,
+    # within the condition of alpha I + Q times 1e-15
+    blocks = np.array([_spd(*block) for block, _ in cases])
+    rhs = np.array([d for _, d in cases])
+    gset = _set_of_blocks(blocks)
+    eigs = np.linalg.eigvalsh(blocks)
+    want_pd = eigs[:, 0] > 0
+    np.testing.assert_array_equal(gset.min_eigenvalue > 0, want_pd)
+    scale = np.abs(eigs).max(axis=1)
+    assert np.all(np.abs(gset.min_eigenvalue - eigs[:, 0]) <= 4 * np.finfo(float).eps * scale)
+    assert gset.positive_definite == want_pd.all()
+    got = solve_regularized(gset, ALPHAS, rhs[:, None])[:, :, 0]  # (blocks, alphas, 2)
+    for i, alpha in enumerate(ALPHAS):
+        shifted = blocks + alpha * np.eye(2)
+        want = np.linalg.solve(shifted, rhs[..., None])[..., 0]
+        lam = np.linalg.eigvalsh(shifted)
+        cond = lam[:, 1] / lam[:, 0]
+        for j in np.flatnonzero(np.isfinite(want).all(axis=1)):
+            assert np.isfinite(got[j, i]).all()
+            err = np.abs(got[j, i] - want[j]).max()  # max norms: a 2-norm of 1e300 overflows
+            assert err <= cond[j] * 1e-15 * np.abs(want[j]).max(), (blocks[j], alpha)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_solve_regularized_keeps_a_tiny_gramian(alpha):
+    # Cramer's rule would form a c - b**2 of about 1e-600 here: zero, and a zero divisor
+    blocks = np.array([_spd(1e-300, 1e3, 0.3), _spd(1e-300, 1.0, 1.0), np.zeros((2, 2))])
+    rhs = np.array([[1.0, -0.5], [0.25, 1.0], [1.0, 1.0]])
+    (got,) = solve_regularized(_raw_set(blocks), [alpha], rhs)
+    want = np.linalg.solve(blocks + alpha * np.eye(2), rhs[..., None])[..., 0]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_least_eigenvalue_of_zero_and_singular_blocks():
+    # a zero block has least eigenvalue +0.0 (not -0.0, which would print as
+    # -0.000e+00), and so does the zero-length probe; a singular block is no PD block
+    gset = _set_of_blocks([np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]]])
+    np.testing.assert_array_equal(gset.min_eigenvalue, [0.0, 0.0, -2.0])
+    assert not np.signbit(gset.min_eigenvalue[0])
+    assert not gset.positive_definite
+    probe = assemble_gramian(laplacian_eigenvalues(1.0, 3), 2.0, 0.0)
+    assert probe.min_eigenvalue == 0.0 and not np.signbit(probe.min_eigenvalue)
+
+
+def test_gauss_rule_matches_a_50_digit_rule():
+    # the reference rule: Newton's method on the recurrence at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    n, nodes, weights = PANEL_NODES, [], []
+    with mpmath.workdps(50):
+        for k in range(n, 0, -1):
+            t = mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(100):
+                p, q = t, mpmath.mpf(1)
+                for j in range(1, n):
+                    p, q = ((2 * j + 1) * t * p - j * q) / (j + 1), p
+                dp = n * (t * p - q) / (t * t - 1)
+                if abs(p / dp) < mpmath.mpf(10) ** -45:
+                    break
+                t -= p / dp
+            nodes.append(t)
+            weights.append(2 / ((1 - t * t) * dp * dp))
+    x, w = _gauss_rule()
+    assert x.shape == w.shape == (n,) and np.all(np.diff(x) > 0)
+    with mpmath.workdps(50):
+        assert max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(x, nodes)) <= 2e-16
+        assert max(abs((mpmath.mpf(float(a)) - b) / b) for a, b in zip(w, weights)) <= 1e-13
+    # exact for every polynomial of degree 2 n - 1
+    for k in range(2 * PANEL_NODES):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(w * x**k) - exact) <= 1e-14, k

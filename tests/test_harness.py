@@ -222,28 +222,52 @@ sys.exit(pytest.main(sys.argv[2:]))
 """
 
 
-@pytest.mark.parametrize(
-    "kernel, flag", [("Nehalem", None), ("Haswell", "avx2"), ("SkylakeX", "avx512f")]
-)
-def test_bitwise_contracts_hold_on_every_kernel(kernel, flag):
-    # a blocked GEMM may round a row by the micro-tile it lands in, so the batch
-    # and cut invariances rest on one result per product shape: rerun their tests
-    # under each OpenBLAS kernel this CPU runs, forced for the child process
+KERNELS = [("Nehalem", None), ("Haswell", "avx2"), ("SkylakeX", "avx512f")]
+
+
+def _kernel_skip(kernel, flag):
+    """Why a kernel's child cannot run here, or None."""
     if openblas_corename() is None:
-        pytest.skip("numpy's OpenBLAS does not report its kernel")
+        return "numpy's OpenBLAS does not report its kernel"
     cpuinfo = Path("/proc/cpuinfo")
     if flag and flag not in (cpuinfo.read_text().split() if cpuinfo.exists() else ()):
-        pytest.skip(f"this CPU lacks {flag}")
+        return f"this CPU lacks {flag}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def kernel_children():
+    """The child of every kernel this CPU runs, all started at once."""
     root = Path(__file__).resolve().parents[1]
     paths = os.pathsep.join(str(root / d) for d in ("src", "tests"))
     tests = (test_rows_do_not_depend_on_their_batch, test_batched_cells_match_from_scratch_runs)
-    proc = subprocess.run(
-        [sys.executable, "-c", KERNEL_CHILD, kernel, "-q", "-p", "no:cacheprovider",
-         *(f"tests/test_harness.py::{t.__name__}" for t in tests)],
-        capture_output=True, text=True, cwd=root,
-        env=dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=paths),
-    )
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr
+    children = {
+        kernel: subprocess.Popen(
+            [sys.executable, "-c", KERNEL_CHILD, kernel, "-q", "-p", "no:cacheprovider",
+             *(f"tests/test_harness.py::{t.__name__}" for t in tests)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=root,
+            env=dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=paths),
+        )
+        for kernel, flag in KERNELS
+        if _kernel_skip(kernel, flag) is None
+    }
+    yield children
+    for child in children.values():  # the child of a deselected case still runs
+        child.kill()
+        child.communicate()
+
+
+@pytest.mark.parametrize("kernel, flag", KERNELS)
+def test_bitwise_contracts_hold_on_every_kernel(kernel_children, kernel, flag):
+    # a blocked GEMM may round a row by the micro-tile it lands in, so the batch
+    # and cut invariances rest on one result per product shape: rerun their tests
+    # under each OpenBLAS kernel this CPU runs, forced for the child process
+    reason = _kernel_skip(kernel, flag)
+    if reason is not None:
+        pytest.skip(reason)
+    child = kernel_children[kernel]
+    stdout, stderr = child.communicate()
+    assert child.returncode == 0, stdout[-3000:] + stderr
 
 
 def test_sweep_builds_its_window_table_once(monkeypatch):
@@ -892,6 +916,32 @@ def test_cli_failure_contract(tmp_path, monkeypatch, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["sweep"], ["pullback"], ["sweep", "--config", "out.ini"]])
+def test_missing_csv_folder_fails_before_any_run(tmp_path, monkeypatch, capsys, argv):
+    # the CSV's folder is checked before the base run: no simulate call, and the
+    # one stderr line and exit code that the late write would give
+    calls, simulate = [], harness.simulate
+    monkeypatch.setattr(harness, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.ini").write_text(_violating("out = pullback.csv", "out = missing/x.csv"))
+    out = [] if "--config" in argv else ["--out", "missing/x.csv"]
+    assert cli.main([*argv, *out, "--quiet"]) == 1
+    with pytest.raises(RuntimeError) as late:
+        emit_csv([], "missing/x.csv")
+    assert capsys.readouterr().err == f"error: {late.value}\n"
+    assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["out.ini"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "pullback"])
+def test_failed_run_leaves_no_csv(tmp_path, monkeypatch, capsys, command):
+    # a folder that exists passes the early check; a run that then blows up writes nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(_violating("f_b = 0.0", "f_b = 1e14"))
+    assert cli.main([command, "--config", "c.ini", "--out", "x.csv", "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: trajectory norm")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("case", ["gramian_check", "huge_beta_linear_check", "seed_flag_sweep"])
 def test_cli_entry_point_exit_codes(tmp_path, case):
     # python -m beamsteer ends its process with each exit code: 0, 1 and 2
@@ -927,6 +977,47 @@ def test_sweep_without_draws_never_imports_numpy_random(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_linear_check_never_imports_numpy_polynomial(tmp_path):
+    # pytest imports numpy.polynomial itself, so a fresh interpreter runs the two
+    # commands that take the Gauss rule
+    script = (
+        "import sys\n"
+        "from beamsteer import cli\n"
+        "assert cli.main(['linear-check', '--quiet']) == 0\n"
+        "assert cli.main(['gramian-check', '--quiet']) == 0\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+LAPACK = ("solve", "eigvalsh", "eigh", "eig", "inv", "lstsq", "cholesky", "svd")
+
+
+@pytest.mark.parametrize("workload", [None, "sweep-default", "sweep-long", "steer-wide"])
+def test_production_paths_call_no_lapack(monkeypatch, workload):
+    # the 2x2 algebra and the Gauss rule are closed form: with numpy's LAPACK
+    # routines and leggauss made to raise, and the rule rebuilt under that guard,
+    # the sweep and the linear suite still pass
+    root = Path(__file__).resolve().parents[1]
+    spec = load_experiment(workload and str(root / "perfbench" / "workloads" / f"{workload}.ini"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path called LAPACK or leggauss")
+
+    for name in LAPACK:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(gramian, "_gauss_rule", gramian._gauss_rule.__wrapped__)
+    summary = summarize_rows(run_pullback_experiment(spec), spec.epsilon)
+    assert summary["goal_met"] and summary["error_lin_monotone"]
+    assert suite_ok(run_linear_suite(spec))
 
 
 @pytest.mark.parametrize("target_kind", ["single_mode", "random", "free_trajectory"])
