@@ -54,12 +54,13 @@ def _write_csv(rows, out, seed) -> bool:
     return True
 
 
-def _folder_missing(out) -> bool:
-    """Report a CSV path whose folder does not exist, before any run, as its write would."""
-    if not out or os.path.isdir(os.path.dirname(out) or "."):
+def _unwritable(out) -> bool:
+    """Report before any run, as its write would, a CSV path that is a folder or has none."""
+    if not out or not os.path.isdir(out) and os.path.isdir(os.path.dirname(out) or "."):
         return False
-    missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
-    print(f"error: could not write CSV to {out}: {missing}", file=sys.stderr)
+    code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
+    error = OSError(code, os.strerror(code), out)
+    print(f"error: could not write CSV to {out}: {error}", file=sys.stderr)
     return True
 
 
@@ -111,7 +112,7 @@ def _cmd_steer(spec, args) -> int:
 
 
 def _cmd_pullback(spec, args) -> int:
-    if _folder_missing(args.out):
+    if _unwritable(args.out):
         return 1
     delta, alpha = max(spec.deltas), min(spec.alphas)
     (row,) = run_pullback_experiment(replace(spec, deltas=[delta], alphas=[alpha]))
@@ -128,7 +129,7 @@ def _cmd_pullback(spec, args) -> int:
 
 def _cmd_sweep(spec, args) -> int:
     out = args.out or spec.out_path
-    if _folder_missing(out):
+    if _unwritable(out):
         return 1
     rows = run_pullback_experiment(spec)
     summary = summarize_rows(rows, spec.epsilon)

@@ -113,8 +113,9 @@ def _parser_for(text: str) -> configparser.ConfigParser:
     )
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from exc
+    except configparser.Error as exc:  # its message may run over several lines
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed configuration: {message}") from exc
     return parser
 
 
@@ -159,6 +160,6 @@ def load_experiment(path: str | None = None, seed_override: int | None = None) -
     try:
         with io.open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"could not read configuration {path}: {exc}") from exc
     return parse_experiment(text, seed_override)

@@ -409,12 +409,12 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     unchanged, ``control`` is a ControlSignal of any number of cells: the run
     resumes at the window start as a batch of window-sized cells that read their
     delayed states and memory forcing from the prefix, and returns their
-    terminal states as one batch of states.  The control must be synthesized
-    for the config's damping and modes, and its window is the last delta of
-    the config's horizon, delta being that of its Gramian set.  Steps whose
-    start lies before the window start never evaluate the window control, so
-    trajectories for different regularisation parameters are bitwise identical
-    up to the window start.
+    terminal states as one batch of states.  The control must be one window's,
+    synthesized for the config's damping and modes, and its window is the last
+    delta of the config's horizon, delta being that of its Gramian set.  Steps
+    whose start lies before the window start never evaluate the window control,
+    so trajectories for different regularisation parameters are bitwise
+    identical up to the window start.
     """
     lam, domain, N, h, catalog = (
         config.modes.lambdas, config.domain, config.n_modes, config.step, config.catalog
@@ -426,6 +426,8 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         _slab_tables(domain, N, config.beta, h, config.tau, n_r, catalog.gamma)
     )
 
+    if control is not None and control.eta.ndim != 3:
+        raise InvalidArgumentError("a run takes the control of one window, not a stack")
     cells = 1 if control is None else len(control.eta)
     if prefix is None and cells != 1 or prefix is not None and control is None:
         raise InvalidArgumentError("a full run takes None or one cell, a resumed run a control")

@@ -35,9 +35,9 @@ PANEL_SPAN, PANEL_NODES = 50.0, 64
 @dataclass(frozen=True)
 class GramianSet:
     """Closed-form Gramian of the steering window [tau - delta, tau] of the system
-    (modes, beta): the (N, 2, 2) blocks, their least eigenvalue and whether all are
-    positive definite.  A stack of D windows holds a tuple of D lengths, (D, N, 2, 2)
-    blocks and one ``min_eigenvalue`` per window.
+    (modes, beta): the (N, 2, 2) blocks and their least eigenvalue.  A stack of D
+    windows holds a tuple of D lengths, (D, N, 2, 2) blocks and one ``min_eigenvalue``
+    per window.
 
     delta = 0 is admitted as a degenerate probe (empty window, zero Gramian);
     every steering operation requires delta > 0.
@@ -48,13 +48,16 @@ class GramianSet:
     delta: float | tuple
     blocks: np.ndarray
     min_eigenvalue: float | np.ndarray
-    positive_definite: bool
+
+    @property
+    def positive_definite(self) -> bool:
+        """Whether every block of every window is positive definite."""
+        return bool(np.all(self.min_eigenvalue > 0))
 
     def __getitem__(self, i) -> "GramianSet":
         """The set of window ``i`` of a stack of windows."""
         min_eig = float(self.min_eigenvalue[i])
-        delta, blocks = self.delta[i], self.blocks[i]
-        return GramianSet(self.modes, self.beta, delta, blocks, min_eig, min_eig > 0)
+        return GramianSet(self.modes, self.beta, self.delta[i], self.blocks[i], min_eig)
 
 
 @lru_cache(maxsize=None)
@@ -85,8 +88,6 @@ def gramian_mode_quadrature(modes: ModeSet, beta, delta: float) -> np.ndarray:
     (N, 2, 2) block: the cross-check of :func:`assemble_gramian`.
     """
     lam = modes.lambdas
-    if delta == 0:
-        return np.zeros((lam.size, 2, 2))
     x, wts = _gauss_rule()
     r1, gap = _roots(lam, beta)
     first = PANEL_SPAN / (2.0 * (gap - r1))  # |2 r2| = 2 (gap - r1)
@@ -108,12 +109,10 @@ def gramian_mode_quadrature(modes: ModeSet, beta, delta: float) -> np.ndarray:
 def assemble_gramian(modes: ModeSet, beta: float, delta) -> GramianSet:
     """Closed-form Gramian set of the window of length ``delta``, with the spectral
     summary; for a sequence of D lengths the (D, N, 2, 2) blocks of all from one evaluation."""
-    many = isinstance(delta, (list, tuple, np.ndarray))
-    lengths = tuple(delta) if many else (delta,)
-    if not lengths or not all(0 <= d < np.inf for d in lengths):
+    t = np.array(delta, dtype=float)
+    if t.ndim > 1 or t.size == 0 or not np.all((0 <= t) & (t < np.inf)):
         raise InvalidArgumentError("window lengths must be nonnegative and finite")
-    t = np.array(lengths)[:, None] if many else delta  # a (D, 1) column for D windows
-    q11, q12, q22 = gramian_entries(modes.lambdas, beta, t)
+    q11, q12, q22 = gramian_entries(modes.lambdas, beta, t[..., None])
     blocks = np.stack([q11, q12, q12, q22], axis=-1).reshape(q11.shape + (2, 2))
     # least eigenvalues as LAPACK dlaev2 forms them, never q11 q22 - q12**2; where the
     # larger root rt1 is 0 the other is the trace
@@ -121,10 +120,9 @@ def assemble_gramian(modes: ModeSet, beta: float, delta) -> GramianSet:
     r = np.where(rt1 == 0, 1.0, rt1)
     rt2 = np.maximum(q11, q22) / r * np.minimum(q11, q22) - q12 / r * q12
     min_eig = np.where(rt1 == 0, q11 + q22, rt2).min(axis=-1)
-    positive = bool((min_eig > 0).all())
-    if not many:
-        lengths, min_eig = delta, float(min_eig)
-    return GramianSet(modes, beta, lengths, blocks, min_eig, positive)
+    if t.ndim:
+        return GramianSet(modes, beta, tuple(delta), blocks, min_eig)
+    return GramianSet(modes, beta, delta, blocks, float(min_eig))
 
 
 def solve_regularized(gramians: GramianSet, alpha, rhs: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ steering control from the state reached there, continue the full semilinear
 simulation over the window, and compare against the steered linear solution.
 The zero-control run is simulated once; every cell resumes from it at its
 window start, and all alphas of one window run as one batch.  The linear
-layer (Gramians, syntheses, linear steers and errors) of every window is one
-stacked evaluation with the windows on a leading axis.  Per
+layer of every window is one stacked evaluation with the windows on a leading
+axis: one Gramian set, one control and one linear steer of all windows, and
+window i's run resumes with the control's window i.  Per
 (alpha, delta) cell the recorded errors are
 
     error_total = ||z(tau) - z1||        (goal of the experiment)
@@ -277,8 +278,9 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
 
     One zero-control base run serves every cell.  The linear layer of the whole
     grid is one batch: one Gramian evaluation of every window, one stacked
-    synthesis from the window-start states and one linear steer.  Per delta one
-    window run of all alphas resumes from the base run, and one error evaluation
+    control from the window-start states and one linear steer.  Per delta one
+    window run of all alphas resumes from the base run with that window's
+    control, and one error evaluation
     covers every cell.  A row's runtime is an equal share of its window run plus
     an equal share of the linear batch.
     """
@@ -290,13 +292,13 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
     z_mid = BeamState(base_traj.w[starts], base_traj.v[starts])
     t0 = timer()
     gramians = assemble_gramian(modes, config.beta, deltas)
-    controls = synthesize_control(SteeringProblem(z_mid, target, alphas), gramians)
-    y_tau = steer_linear(z_mid, controls)
+    control = synthesize_control(SteeringProblem(z_mid, target, alphas), gramians)
+    y_tau = steer_linear(z_mid, control)
     linear = (timer() - t0) / (len(deltas) * len(alphas))
     runs, shares = [], []
-    for control in controls:
+    for i in range(len(deltas)):
         t0 = timer()
-        runs.append(simulate(config, control, prefix=base_traj))
+        runs.append(simulate(config, control[i], prefix=base_traj))
         shares.append(linear + (timer() - t0) / len(alphas))
     z_tau = BeamState(np.stack([z.w for z in runs]), np.stack([z.v for z in runs]))
     errors = np.stack(_errors(z_tau, y_tau, target, modes), axis=-1)  # (deltas, alphas, 3)

@@ -14,9 +14,9 @@ the control numerically.  Everything works per mode in energy coordinates;
 control values are scalars per mode and coordinate-free.
 Every control is a batch of cells, one per alpha: alphas on one window share
 d, so eta of shape (cells, N, 2) comes from one stacked solve, and a single
-alpha is a batch of one.  A sequence of D windows, one start state each, is
-one stacked evaluation too: one T(delta) y0 of all start states, eta of shape
-(D, cells, N, 2) from one solve, and one steer.
+alpha is a batch of one.  A stack of D windows, one start state each, is one
+control too: one T(delta) y0 of all start states, eta of shape (D, cells, N, 2)
+from one solve, and one steer; ``control[i]`` is the control of window i.
 """
 
 from __future__ import annotations
@@ -35,11 +35,13 @@ from .spectral import BeamState, energy_coords, state_from_coords
 class ControlSignal:
     """Steering control on the window of its Gramian set, in closed form, as a batch of cells.
 
-    ``gramians`` is the one-window set whose blocks Q solved the control: its length,
-    modes and damping are the control's.  ``eta`` holds each cell's regularized
-    preimage per mode (energy coordinates), shape (cells, N, 2); a cell's control is
+    ``gramians`` is the set whose blocks Q solved the control: its length, modes and
+    damping are the control's.  ``eta`` holds each cell's regularized preimage per
+    mode (energy coordinates), shape (cells, N, 2); a cell's control is
     u_j(t) = b^T exp(K_j^T (tau - t)) eta_j, the second component of its costate.
-    ``alpha`` holds the regularisation of each cell.
+    ``alpha`` holds the regularisation of each cell.  On a stack of D windows eta
+    has shape (D, cells, N, 2), and ``control[i]`` is window i's control, as
+    ``gramians[i]`` is its set.
     """
 
     gramians: GramianSet
@@ -48,17 +50,23 @@ class ControlSignal:
 
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
-        n = self.gramians.modes.count
-        if self.eta.ndim != 3 or self.eta.shape[1:] != (n, 2):
-            raise InvalidArgumentError("eta must have shape (cells, N, 2)")
-        if np.shape(self.gramians.blocks) != (n, 2, 2):
-            raise InvalidArgumentError("a control takes the Gramian set of one window")
-        if self.gramians.delta <= 0:
+        n, blocks = self.gramians.modes.count, np.shape(self.gramians.blocks)
+        if blocks[-3:] != (n, 2, 2):
+            raise InvalidArgumentError("a control's Gramian blocks must be those of its modes")
+        if self.eta.ndim != len(blocks) or self.eta.shape[-2:] != (n, 2):
+            raise InvalidArgumentError("eta must have shape (cells, N, 2), or (D, cells, N, 2)")
+        if self.eta.shape[:-3] != blocks[:-3]:
+            raise InvalidArgumentError("a control needs one eta per window")
+        if np.any(np.array(self.gramians.delta) <= 0):
             raise InvalidArgumentError("control window must have positive length")
         if not np.all(np.isfinite(self.eta)):
             raise InvalidArgumentError("control preimage is not finite")
-        if np.shape(self.alpha) != self.eta.shape[:1]:
+        if np.shape(self.alpha) != self.eta.shape[-3:-2]:
             raise InvalidArgumentError("a control needs one alpha per cell")
+
+    def __getitem__(self, i) -> "ControlSignal":
+        """The control of window ``i`` of a stack of windows."""
+        return ControlSignal(self.gramians[i], self.eta[i], self.alpha)
 
 
 @dataclass(frozen=True)
@@ -79,67 +87,54 @@ class SteeringProblem:
             raise InvalidArgumentError("start and target sizes differ")
 
 
-def synthesize_control(problem: SteeringProblem, gramians: GramianSet):
+def synthesize_control(problem: SteeringProblem, gramians: GramianSet) -> ControlSignal:
     """Regularized steering control of the problem on the window of ``gramians``, one
-    cell per alpha; for a stack of D windows, with one start state each, a list of each
-    window's control from one stacked solve."""
-    delta = gramians.delta
+    cell per alpha; for a stack of D windows, with one start state each, the stacked
+    control of all from one solve."""
     if problem.y0.w.shape[:-1] != gramians.blocks.shape[:-3]:
         raise InvalidArgumentError("a stack of windows needs one start state each")
     if not gramians.positive_definite:
-        bad = np.ravel(delta)[np.argmin(gramians.min_eigenvalue)]
+        bad = np.ravel(gramians.delta)[np.argmin(gramians.min_eigenvalue)]
         raise InvalidArgumentError(f"Gramian is not positive definite on the window delta={bad:g}")
-    many, modes = isinstance(delta, tuple), gramians.modes
-    t = np.array(delta)[:, None] if many else delta  # a (D, 1) column for D windows
-    moved = apply_semigroup(problem.y0, t, modes, gramians.beta)
+    modes = gramians.modes
+    moved = apply_semigroup(problem.y0, np.array(gramians.delta)[..., None], modes, gramians.beta)
     d = energy_coords(problem.z1, modes) - energy_coords(moved, modes)
-    eta = solve_regularized(gramians, problem.alpha, d)
-    if not many:
-        return ControlSignal(gramians, eta, problem.alpha)
-    return [ControlSignal(gramians[i], e, problem.alpha) for i, e in enumerate(eta)]
+    return ControlSignal(gramians, solve_regularized(gramians, problem.alpha, d), problem.alpha)
 
 
-def steer_linear(y0: BeamState, control) -> BeamState:
+def steer_linear(y0: BeamState, control: ControlSignal) -> BeamState:
     """Terminal state of the controlled linear dynamics on the window.
 
     y(tau) = T(delta) y0 + G u, and since u = G* eta the mapped control is
     G G* eta = Q eta, exact in the control's closed-form Gramian blocks.
     The window, modes and damping are those of the control's Gramian set.
     A control gives a batch of states of shape (cells, N), T(delta) y0 formed once;
-    the list of controls that a window stack gives, with its D start states
-    ``y0``, gives states of shape (D, cells, N); the controls of a list must share
-    their modes and damping.
+    the control of a stack of D windows, with their D start states ``y0``, gives
+    states of shape (D, cells, N).
     """
-    if isinstance(control, ControlSignal):
-        gramians, eta = control.gramians, control.eta
-        t, blocks = gramians.delta, gramians.blocks
-    else:
-        gramians = control[0].gramians
-        if len({(c.gramians.beta, c.gramians.modes.lambdas.tobytes()) for c in control}) > 1:
-            raise InvalidArgumentError("steered controls must share their modes and damping")
-        t = np.array([c.gramians.delta for c in control])[:, None]
-        eta = np.stack([c.eta for c in control])
-        blocks = np.stack([c.gramians.blocks for c in control])
-    modes = gramians.modes
+    gramians, eta = control.gramians, control.eta
+    modes, t = gramians.modes, np.array(gramians.delta)[..., None]
     free = energy_coords(apply_semigroup(y0, t, modes, gramians.beta), modes)
     # the cell axis goes after the window axis
-    free, blocks = free[..., None, :, :], blocks[..., None, :, :, :]
+    free, blocks = free[..., None, :, :], gramians.blocks[..., None, :, :, :]
     return state_from_coords(free + (blocks @ eta[..., None])[..., 0], modes)
 
 
 def control_energy(control: ControlSignal) -> np.ndarray:
-    """Squared-integral energy of each cell's window control, eta^T Q eta over modes."""
-    eta = control.eta
-    return np.sum(eta[..., None, :] @ control.gramians.blocks @ eta[..., None], axis=(1, 2, 3))
+    """Energy eta^T Q eta of each cell's window control, (cells,) or (D, cells) for D windows."""
+    eta, blocks = control.eta, control.gramians.blocks[..., None, :, :, :]
+    return np.sum(eta[..., None, :] @ blocks @ eta[..., None], axis=(-3, -2, -1))
 
 
 def alpha_sweep(y0: BeamState, z1: BeamState, control: ControlSignal) -> list[tuple[float, float]]:
     """Terminal error of the linear system steered from ``y0`` toward ``z1`` by each
     cell of ``control``, paired with the cell's alpha.
 
-    The control's alphas must be strictly decreasing; the returned errors are then
-    nonincreasing and tend to zero with alpha.
+    The control is that of one window, and its alphas must be strictly decreasing;
+    the returned errors are then nonincreasing and tend to zero with alpha.
     """
+    if control.eta.ndim != 3:
+        raise InvalidArgumentError("alpha_sweep takes the control of one window, not a stack")
     alphas = control.alpha
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidArgumentError("alphas must be strictly decreasing")

@@ -436,6 +436,19 @@ def test_run_shapes_reject_wrong_pairings():
             simulate(cfg, control, prefix=prefix)
 
 
+def test_simulate_rejects_a_stacked_control():
+    # a run steps one window: the control of a stack of windows is rejected in one
+    # line, by a full run and a resumed one alike
+    cfg, base, problem = _resume_setup()
+    ends = [base.state_at(0.8), base.state_at(0.9)]
+    starts = BeamState(np.stack([y.w for y in ends]), np.stack([y.v for y in ends]))
+    stacked = _steer(cfg, replace(problem, y0=starts), [0.2, 0.1])
+    for prefix in (None, base):
+        with pytest.raises(InvalidArgumentError, match="one window, not a stack") as info:
+            simulate(cfg, stacked, prefix=prefix)
+        assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize(
     "system", [dict(beta=3.0), dict(length=1.5), dict(n_modes=3)], ids=["beta", "length", "modes"]
 )

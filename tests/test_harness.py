@@ -318,12 +318,14 @@ def test_stacked_synthesis_matches_single_alpha_calls():
         for alphas in (spec.alphas, spec.alphas[0]):
             stacked = SteeringProblem(starts, target, alphas)
             controls = synthesize_control(stacked, stacked_set)
+            assert controls.gramians is stacked_set
             steered = steer_linear(starts, controls)
             # a single alpha is a batch of one cell
             assert steered.w.shape == (len(deltas), np.size(alphas), modes.count)
-            for delta, y0, control, y_tau in zip(deltas, starts, controls, steered):
+            for i, (delta, y0, y_tau) in enumerate(zip(deltas, starts, steered)):
                 own = assemble_gramian(modes, config.beta, delta)
                 single = synthesize_control(SteeringProblem(y0, target, alphas), own)
+                control = controls[i]
                 assert control.gramians.delta == delta
                 assert control.alpha == tuple(np.atleast_1d(alphas))
                 assert np.array_equal(single.eta, control.eta)
@@ -355,7 +357,7 @@ def test_stacked_windows_reject_mismatched_inputs():
     blocks = stacked.blocks.copy()
     blocks[1, 3] = -blocks[1, 3]
     min_eig = np.linalg.eigvalsh(blocks)[..., 0].min(axis=-1)
-    broken = replace(stacked, blocks=blocks, min_eigenvalue=min_eig, positive_definite=False)
+    broken = replace(stacked, blocks=blocks, min_eigenvalue=min_eig)
     assert not broken.positive_definite and broken.min_eigenvalue[1] < 0
     problem = SteeringProblem(starts, target, [0.1, 0.01])
     with pytest.raises(InvalidArgumentError, match=f"delta={spec.deltas[1]:g}"):
@@ -892,14 +894,30 @@ CLI_FAILURES = {
         ), 2,
         "invalid configuration: target_scale",
     ),
+    # a file that is not UTF-8 used to end in a UnicodeDecodeError traceback
+    "non_utf8_config": (
+        ["sweep"], b"\xff" + DEFAULT_CONFIG.encode(), 2,
+        "invalid configuration: could not read configuration c.ini: 'utf-8' codec",
+    ),
+    # configparser's messages run over several lines: each is one, with its line number
+    "missing_section_header": (
+        ["sweep"], "modes = 8\n" + DEFAULT_CONFIG, 2,
+        "invalid configuration: malformed configuration: File contains no section headers."
+        " file: '<string>', line: 1 'modes = 8\\n'",
+    ),
+    "indented_continuation": (
+        ["sweep"], _violating("[simulation]\n", "[simulation]\n  indented\n"), 2,
+        "invalid configuration: malformed configuration: Source contains parsing errors:"
+        " '<string>' [line  2]: '  indented\\n'",
+    ),
 }
 
 
 def _cli_case(tmp_path, case):
-    """The case's arguments, with its config file written to ``tmp_path``."""
+    """The case's arguments, with its config file, text or bytes, written to ``tmp_path``."""
     argv, text, code, prefix = CLI_FAILURES[case]
     if text is not None:
-        (tmp_path / "c.ini").write_text(text)
+        (tmp_path / "c.ini").write_bytes(text if isinstance(text, bytes) else text.encode())
         argv = argv + ["--config", "c.ini"]
     return [*argv, "--quiet"], code, prefix
 
@@ -918,18 +936,22 @@ def test_cli_failure_contract(tmp_path, monkeypatch, capsys, case):
 
 @pytest.mark.parametrize("argv", [["sweep"], ["pullback"], ["sweep", "--config", "out.ini"]])
 def test_missing_csv_folder_fails_before_any_run(tmp_path, monkeypatch, capsys, argv):
-    # the CSV's folder is checked before the base run: no simulate call, and the
-    # one stderr line and exit code that the late write would give
+    # the CSV path is checked before the base run, a folder that does not exist and a
+    # path that names a directory alike: no simulate call, and the one stderr line and
+    # exit code that the late write would give
     calls, simulate = [], harness.simulate
     monkeypatch.setattr(harness, "simulate", lambda *a, **k: calls.append(a) or simulate(*a, **k))
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "out.ini").write_text(_violating("out = pullback.csv", "out = missing/x.csv"))
-    out = [] if "--config" in argv else ["--out", "missing/x.csv"]
-    assert cli.main([*argv, *out, "--quiet"]) == 1
-    with pytest.raises(RuntimeError) as late:
-        emit_csv([], "missing/x.csv")
-    assert capsys.readouterr().err == f"error: {late.value}\n"
-    assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["out.ini"]
+    (tmp_path / "taken").mkdir()
+    for path in ("missing/x.csv", "taken"):
+        (tmp_path / "out.ini").write_text(_violating("out = pullback.csv", f"out = {path}"))
+        out = [] if "--config" in argv else ["--out", path]
+        assert cli.main([*argv, *out, "--quiet"]) == 1
+        with pytest.raises(RuntimeError) as late:
+            emit_csv([], path)
+        assert capsys.readouterr().err == f"error: {late.value}\n"
+    assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["out.ini", "taken"]
+    assert not any((tmp_path / "taken").iterdir())
 
 
 @pytest.mark.parametrize("command", ["sweep", "pullback"])

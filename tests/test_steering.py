@@ -16,7 +16,6 @@ from beamsteer import (
     energy_coords,
     energy_norm,
     laplacian_eigenvalues,
-    make_random_state,
     solve_regularized,
     steer_linear,
     synthesize_control,
@@ -42,7 +41,7 @@ def _control(y0, z1, alpha, modes, delta=DELTA):
 def _identity_set(n):
     """A set of n identity blocks, least eigenvalue 1."""
     blocks = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-    return GramianSet(_modes(n), BETA, DELTA, blocks, 1.0, True)
+    return GramianSet(_modes(n), BETA, DELTA, blocks, 1.0)
 
 
 def _random_state(modes, rng, scale=1.0):
@@ -272,13 +271,10 @@ def test_control_batch_costate_and_validation():
     for bad in (eta[None], eta[0]):  # every control is a batch of cells
         with pytest.raises(InvalidArgumentError, match="cells, N, 2"):
             ControlSignal(gset, bad, alpha=[0.1, 0.01])
-    # a control carries the (N, 2, 2) blocks of its one window: not a stacked
-    # (D, N, 2, 2) set, not the blocks of another mode count
-    stacked = assemble_gramian(modes, BETA, [DELTA, 0.1])
+    # a control carries the blocks of its own modes, not those of another mode count
     wider = replace(gset, blocks=assemble_gramian(_modes(4), BETA, DELTA).blocks)
-    for bad in (stacked, wider):
-        with pytest.raises(InvalidArgumentError, match="Gramian set of one window"):
-            ControlSignal(bad, eta, alpha=[0.1, 0.01])
+    with pytest.raises(InvalidArgumentError, match="those of its modes"):
+        ControlSignal(wider, eta, alpha=[0.1, 0.01])
     with pytest.raises(InvalidArgumentError):
         SteeringProblem(BeamState.zeros(3), BeamState.zeros(3), [0.1, 1.5])
 
@@ -324,24 +320,47 @@ def test_alpha_sweep_reuses_a_given_gramian_set(monkeypatch):
     assert alpha_sweep(y0, z1, control) == want
 
 
-def test_steer_linear_rejects_a_list_of_controls_on_different_systems():
-    # a list used to be steered with the first control's modes and damping: the
-    # beta = 3 control behind a beta = 2 one missed its target by 0.144, not 0.209
+def test_stacked_control_validation_and_windows():
+    # the control of D windows has one eta per window and one alpha per cell, and
+    # control[i] is window i's control, as gramians[i] is its set
+    modes = _modes(3)
+    stacked = assemble_gramian(modes, BETA, [DELTA, 0.1])
+    eta = np.random.default_rng(6).standard_normal((2, 3, 3, 2))
+    alphas = [0.1, 0.01, 0.001]
+    control = ControlSignal(stacked, eta, alpha=alphas)
+    for i in range(2):
+        window = control[i]
+        assert window.gramians.delta == stacked.delta[i] and window.alpha == control.alpha
+        np.testing.assert_array_equal(window.gramians.blocks, stacked.blocks[i])
+        np.testing.assert_array_equal(window.eta, eta[i])
+    with pytest.raises(InvalidArgumentError, match="one eta per window"):
+        ControlSignal(stacked, np.concatenate([eta, eta[:1]]), alpha=alphas)
+    for gramians, bad in ((stacked, eta[0]), (stacked[0], eta)):  # a window axis or none
+        with pytest.raises(InvalidArgumentError, match="cells, N, 2"):
+            ControlSignal(gramians, bad, alpha=alphas)
+    with pytest.raises(InvalidArgumentError, match="one alpha per cell"):
+        ControlSignal(stacked, eta, alpha=alphas[:2])  # as many as the windows
+    with pytest.raises(InvalidArgumentError, match="positive length"):
+        ControlSignal(assemble_gramian(modes, BETA, [DELTA, 0.0]), eta, alpha=alphas)
+
+
+def test_readers_of_a_stacked_control_follow_its_windows_or_reject_it():
+    # with as many windows as cells a silent broadcast would mix them: control_energy
+    # gives each window's energies bitwise, alpha_sweep takes one window only
     modes = _modes(4)
-    rng = np.random.default_rng(0)
-    y0, z1 = make_random_state(modes, rng), make_random_state(modes, rng)
-    problem = SteeringProblem(y0, z1, 1e-3)
-    two, three = (synthesize_control(problem, assemble_gramian(modes, b, DELTA)) for b in (2, 3))
-    alone = energy_norm(steer_linear(y0, three) - z1, modes)
-    np.testing.assert_allclose(alone, [0.20937075], rtol=1e-6)
-    starts = BeamState(np.stack([y0.w, y0.w]), np.stack([y0.v, y0.v]))
-    idle = SteeringProblem(BeamState.zeros(3), BeamState.zeros(3), 1e-3)
-    fewer = synthesize_control(idle, assemble_gramian(_modes(3), 2, DELTA))
-    for other in (three, fewer):
-        with pytest.raises(InvalidArgumentError, match="share their modes and damping"):
-            steer_linear(starts, [two, other])
-    # equal systems pass by value: modes built apart, an integer and a float damping
-    again = synthesize_control(problem, assemble_gramian(_modes(4), 3.0, 0.1))
-    steered = steer_linear(starts, [three, again])
-    for got, control in zip(steered.w, (three, again)):
-        np.testing.assert_array_equal(got, steer_linear(y0, control).w)
+    rng = np.random.default_rng(9)
+    deltas, alphas = [DELTA, 0.1, 0.05], [1e-1, 1e-2, 1e-3]
+    ends = [_random_state(modes, rng) for _ in deltas]
+    starts = BeamState(np.stack([y.w for y in ends]), np.stack([y.v for y in ends]))
+    z1 = _random_state(modes, rng)
+    control = synthesize_control(
+        SteeringProblem(starts, z1, alphas), assemble_gramian(modes, BETA, deltas)
+    )
+    energy = control_energy(control)
+    assert energy.shape == (len(deltas), len(alphas))
+    for i, (delta, y0) in enumerate(zip(deltas, ends)):
+        np.testing.assert_array_equal(energy[i], control_energy(control[i]))
+        alone = _control(y0, z1, alphas, modes, delta)
+        np.testing.assert_array_equal(energy[i], control_energy(alone))
+    with pytest.raises(InvalidArgumentError, match="one window, not a stack"):
+        alpha_sweep(starts, z1, control)
