@@ -24,13 +24,13 @@ which the exponential kernel turns into an exact recursion seeded by row 0 of
 the first slab's projected g.
 
 The history on [-delay, 0] is an array-valued callable, evaluated once on all
-history nodes.  Stepping follows the method of steps: a slab of at most
-min(OUTER, delay/h) steps, cut at the window start and at impulse nodes, reads
-only delayed states fixed by earlier slabs.  It synthesizes its delayed
-deflection once for f and g (the velocity only if f reads it, see F_READS) and
-the control into grid workspaces, applies f and g there in place on its live
-rows only, projects all L + 1 rows back in one product per cell, L steps being
-its run phase's whole number of chunks, and advances the memory recursion and
+history nodes.  Stepping follows the method of steps: a slab steps as far as
+it allows, min(OUTER, delay/h) steps, cut at the window start and at impulse
+nodes, and reads only delayed states fixed by earlier slabs.  It synthesizes its
+delayed deflection once for f and g (the velocity only if f reads it, see F_READS)
+and the control into grid workspaces, applies f and g there in place on its live
+rows only, projects all L + 1 rows back in one product per cell, L steps being the
+fewest whole chunks covering its run phase's slabs, and advances the memory recursion and
 every mode alike in chunks of CHUNK steps: all chunks from a zero start by one
 batched matmul, the chunk starts by a Toeplitz table of powers of the chunk
 propagator (decay**CHUNK, or A^CHUNK with A^k = exp(K k h) in closed form), and
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 import threading
+from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -85,8 +86,8 @@ KERNEL_KINDS = ("zero", "exponential")
 
 BLOWUP_THRESHOLD = 1e12
 RUN_BYTES = 2**30  # most bytes one run's arrays may hold, see SimConfig
-# steps of a chunk, and most steps of a slab (also bounded by the delay); a slab's
-# collocation products take its L + 1 <= OUTER + 1 rows whole, per cell
+# steps of a chunk, and most steps of a slab, which also steps no further than the delay,
+# inside the fewest whole chunks that cover it: L + 1 <= OUTER + 1 collocation rows per cell
 CHUNK, OUTER = 32, 256
 
 
@@ -223,7 +224,7 @@ class SimConfig:
     Validation derives the system facts once and keeps them: ``modes`` and
     ``domain``, and the step counts ``delay_steps`` and ``horizon_steps`` and
     ``impulse_steps`` (one per impulse time).  The config is frozen, so they
-    cannot go stale; ``dataclasses.replace`` derives them anew.
+    cannot go stale: ``dataclasses.replace`` derives them anew, ``with_history`` keeps them.
     """
 
     n_modes: int = 8
@@ -271,6 +272,11 @@ class SimConfig:
         self.check_run_bytes()
         derive("modes", laplacian_eigenvalues(self.length, self.n_modes))
         derive("domain", SpatialDomain(self.length, self.grid_points))
+
+    def with_history(self, history) -> "SimConfig":
+        """This config with the history ``history``, its derived facts kept as they are."""
+        config = copy(self)
+        return object.__setattr__(config, "history", history) or config
 
     def check_run_bytes(self, cells: int = 1, window_steps: Optional[int] = None):
         """Reject a run past RUN_BYTES before anything is allocated: a full run of one cell,
@@ -421,7 +427,6 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
     )
     n_r = idx0 = config.delay_steps
     n_total = n_r + config.horizon_steps + 1
-    times = (np.arange(n_total) - idx0) * h
     B, Bq, (half_a12, a22), chunk_table, lift, outers, window, m_chunk, m_lift, m_outers = (
         _slab_tables(domain, N, config.beta, h, config.tau, n_r, catalog.gamma)
     )
@@ -435,21 +440,21 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         raise InvalidArgumentError("prefix must be a zero-control run of the same config")
     start_idx = None
     if control is not None:
-        gramians = control.gramians
-        if gramians.beta != config.beta or not np.array_equal(gramians.modes.lambdas, lam):
+        gramians, e0, e1 = control.gramians, control.eta[..., :1], control.eta[..., 1:]
+        same = gramians.modes.lambdas is lam or np.array_equal(gramians.modes.lambdas, lam)
+        if gramians.beta != config.beta or not same:
             raise InvalidArgumentError("the control must be synthesized for the config's system")
         start_idx = config.validate_delta(gramians.delta)
         window = window[..., start_idx - (n_total - n_r) :]  # from this run's window start
-        e0, e1 = np.moveaxis(control.eta, -1, 0)[..., None]  # (cells, N, 1) each
 
     # W and V hold nodes lo.. of every cell: all nodes for a full run, the
-    # window for a resumed one; slabs of `counts[active]` chunks of `chunk`
-    # steps, and every node array carries `pad` trailing rows
+    # window for a resumed one; slabs of at most n_r steps inside `counts[active]`
+    # chunks of `chunk` steps, and every node array carries `pad` trailing rows
     chunk = min(CHUNK, n_r)
-    counts = {False: min(OUTER, n_r) // chunk}
+    counts = {False: -(-min(OUTER, n_r) // chunk)}
     if start_idx is not None:
         counts[True] = -(-min(OUTER, n_total - 1 - start_idx) // chunk)
-    pad = chunk * max(counts[s] for s in counts if prefix is None or s)
+    pad = chunk * counts[prefix is not None]  # a window's slabs are no longer than the delay
     lo = 0 if prefix is None else start_idx
     nodes = (cells, n_total - lo + pad, N)
     if prefix is None:  # the Trajectory returns them
@@ -458,6 +463,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
         W, V, memory = _carve("nodes", nodes, nodes, nodes[1:])
     pre_impulse, impulse_events = {}, []
     if prefix is None:
+        times = (np.arange(n_total) - idx0) * h
         if config.history is not None:
             hist, shape = config.history(times[: idx0 + 1]), (idx0 + 1, N)
             if not (isinstance(hist, tuple) and [np.shape(a) for a in hist] == [shape] * 2):
@@ -499,7 +505,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
                 fx[...] = 0.0
             if recurse:
                 gx[...] = 0.0
-        s1 = min(s0 + L, next(s for s in stops if s > s0))
+        s1 = min(s0 + L, s0 + n_r, next(s for s in stops if s > s0))
         n, j = s1 - s0, (s0 - start_idx if active else 0)
         if active:
             # the control b^T p and increments Q(h) p(t + h), from the window table
@@ -575,7 +581,7 @@ def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = Non
                 f" in the cell alpha={control.alpha[c]}, delta={control.gramians.delta:g}"
             )
             raise BlowUpError(
-                f"trajectory norm {norms[c, j]:.3e} at t={times[s0 + 1 + j]:.6f}{where}"
+                f"trajectory norm {norms[c, j]:.3e} at t={(s0 + 1 + j - idx0) * h:.6f}{where}"
             )
         s0 = s1
 

@@ -14,17 +14,18 @@ and composite Gauss-Legendre quadrature of the input response of all modes
 at once, on panels graded from s = 0 (the cross-check).  The 2 x 2 algebra (each
 block's least eigenvalue, the regularized solves) is closed form too, and the Gauss
 rule comes from Newton's method; LAPACK and numpy's leggauss serve only as test oracles.
+A set also carries its window's propagator T(delta), formed once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .semigroup import _response, _roots, gramian_entries
+from .semigroup import _response, _roots, exp_entries, gramian_entries
 from .spectral import ModeSet
 
 # Per-panel span |2 r2| * width kept below PANEL_SPAN so PANEL_NODES-point Gauss-Legendre
@@ -35,9 +36,9 @@ PANEL_SPAN, PANEL_NODES = 50.0, 64
 @dataclass(frozen=True)
 class GramianSet:
     """Closed-form Gramian of the steering window [tau - delta, tau] of the system
-    (modes, beta): the (N, 2, 2) blocks and their least eigenvalue.  A stack of D
-    windows holds a tuple of D lengths, (D, N, 2, 2) blocks and one ``min_eigenvalue``
-    per window.
+    (modes, beta): the (N, 2, 2) blocks and their least eigenvalue, and the window's
+    propagator T(delta), formed on first use.  A stack of D windows holds a tuple of
+    D lengths, (D, N, 2, 2) blocks and one ``min_eigenvalue`` per window.
 
     delta = 0 is admitted as a degenerate probe (empty window, zero Gramian);
     every steering operation requires delta > 0.
@@ -54,8 +55,15 @@ class GramianSet:
         """Whether every block of every window is positive definite."""
         return bool(np.all(self.min_eigenvalue > 0))
 
+    @cached_property
+    def propagator(self) -> tuple:
+        """Entries (a11, a12, a21, a22) of T(delta) per mode, (D, N) each for D windows."""
+        return exp_entries(self.modes.lambdas, self.beta, np.array(self.delta)[..., None])
+
     def __getitem__(self, i) -> "GramianSet":
         """The set of window ``i`` of a stack of windows."""
+        if np.ndim(self.delta) == 0:
+            raise InvalidArgumentError("only a stack of windows takes a window index")
         min_eig = float(self.min_eigenvalue[i])
         return GramianSet(self.modes, self.beta, self.delta[i], self.blocks[i], min_eig)
 

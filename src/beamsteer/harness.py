@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, simulate
 from .errors import InvalidArgumentError
 from .gramian import GramianSet, assemble_gramian, gramian_mode_quadrature
-from .semigroup import apply_semigroup
+from .semigroup import propagate
 from .spectral import BeamState, ModeSet, energy_coords, energy_norm, state_from_coords
 from .steering import (
     SteeringProblem,
@@ -202,14 +202,10 @@ def pullback_setup(spec: ExperimentSpec):
     history = make_history(
         spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng, spec.history_mode
     )
-    config = replace(spec.config, history=history)
+    config = spec.config.with_history(history)
     base_traj = simulate(config, None)
     target = make_target(
-        spec.target_kind,
-        modes,
-        rng,
-        scale=spec.target_scale,
-        mode_index=spec.target_mode,
+        spec.target_kind, modes, rng, scale=spec.target_scale, mode_index=spec.target_mode,
         free_point=base_traj.terminal(),
     )
     return config, base_traj, target
@@ -229,7 +225,7 @@ def gramian_cross_check(gramians: GramianSet):
     return q_quad, float(gap.max())
 
 
-def residual_identity(problem: SteeringProblem, gramians: GramianSet, q_quad, free=None):
+def residual_identity(problem: SteeringProblem, gramians: GramianSet, q_quad):
     """Regularisation residual of a steering problem by two independent paths.
 
     Returns ``(control, measured, formula)``: the control synthesized on the
@@ -238,14 +234,12 @@ def residual_identity(problem: SteeringProblem, gramians: GramianSet, q_quad, fr
     :func:`gramian_cross_check`, and alpha ||eta|| = alpha ||(alpha I + Q)^-1 d||
     with the closed-form blocks that synthesized eta.  Both measures are arrays
     with one value per cell of the control, that is per alpha of the problem.
-    ``free``, when given, is the free endpoint T(delta) y0 already formed.
+    T(delta) is the set's propagator, the one that synthesized the control.
     """
     control = synthesize_control(problem, gramians)
     modes = gramians.modes
     z1c = energy_coords(problem.z1, modes)
-    if free is None:
-        free = apply_semigroup(problem.y0, gramians.delta, modes, gramians.beta)
-    free = energy_coords(free, modes)
+    free = energy_coords(propagate(gramians.propagator, problem.y0), modes)
     mapped = (q_quad @ control.eta[..., None])[..., 0]
     measured = np.linalg.norm(free + mapped - z1c, axis=(-2, -1))
     formula = np.asarray(problem.alpha) * np.linalg.norm(control.eta, axis=(-2, -1))
@@ -361,12 +355,11 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     the configured system, plus a degenerate zero-length-window probe that
     is expected to lose positive definiteness.  Each quantity is formed once:
     one stacked Gramian evaluation gives the window's set and the probe's, one
-    synthesis serves the alpha grid, and T(delta) y0 is both the free endpoint
-    of the residual identity and the target of the zero-mismatch check.
+    synthesis serves the alpha grid, and the window's set carries the one T(delta)
+    that gives the residual identity's free endpoint and the zero-mismatch target.
     """
     config = spec.config
-    modes = config.modes
-    beta = config.beta
+    modes, beta = config.modes, config.beta
     delta = max(spec.deltas)
     rng = np.random.default_rng(spec.seed)
     y0 = make_random_state(modes, rng, 1.0)
@@ -374,7 +367,6 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     stacked = assemble_gramian(modes, beta, [delta, 0.0])
     gramians = stacked[0]
     q_quad, cross = gramian_cross_check(gramians)
-    free = apply_semigroup(y0, delta, modes, beta)
 
     def gated(name, gap):  # a gap between the two paths, held to CROSS_PATH_TOL
         return CheckResult(name, gap <= CROSS_PATH_TOL, gap, CROSS_PATH_TOL)
@@ -390,7 +382,7 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     # through the quadrature blocks, so they test the closed forms instead of restating them
     alphas = [10.0**-k for k in range(7)]
     problem = SteeringProblem(y0, z1, alphas)
-    control, measured, formula = residual_identity(problem, gramians, q_quad, free)
+    control, measured, formula = residual_identity(problem, gramians, q_quad)
     gap = np.abs(measured - formula) / np.maximum(1.0, formula)  # see CROSS_PATH_TOL
     results.append(gated("residual_identity", float(gap.max())))
 
@@ -410,6 +402,7 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     rel = abs(energy - quad_form) / max(quad_form, 1e-300)
     results.append(gated("minimum_energy_identity", rel))
 
+    free = propagate(gramians.propagator, y0)
     null_control = synthesize_control(SteeringProblem(y0, free, 1e-2), gramians)
     # u = b^T exp(K^T theta) eta vanishes on the window exactly when eta does
     eta_max = float(np.abs(null_control.eta).max())

@@ -126,9 +126,14 @@ def gramian_entries(lambdas, beta: float, t):
 def apply_semigroup(state: BeamState, t, modes: ModeSet, beta: float) -> BeamState:
     """Propagate a state by time t, blockwise over the modes; a batch of D states
     takes one time each as a (D, 1) column."""
-    if state.count != modes.count:
+    return propagate(exp_entries(modes.lambdas, beta, t), state)
+
+
+def propagate(entries, state: BeamState) -> BeamState:
+    """The state moved by the operator of ``entries`` (a11, a12, a21, a22), blockwise."""
+    a11, a12, a21, a22 = entries
+    if state.count != a11.shape[-1]:
         raise InvalidArgumentError("state and mode set sizes differ")
-    a11, a12, a21, a22 = exp_entries(modes.lambdas, beta, t)
     return BeamState(a11 * state.w + a12 * state.v, a21 * state.w + a22 * state.v)
 
 

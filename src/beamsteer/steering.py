@@ -17,17 +17,19 @@ d, so eta of shape (cells, N, 2) comes from one stacked solve, and a single
 alpha is a batch of one.  A stack of D windows, one start state each, is one
 control too: one T(delta) y0 of all start states, eta of shape (D, cells, N, 2)
 from one solve, and one steer; ``control[i]`` is the control of window i.
+T(delta) is the Gramian set's propagator, formed once per set for synthesis and steer.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .gramian import GramianSet, solve_regularized
-from .semigroup import apply_semigroup
+from .semigroup import propagate
 from .spectral import BeamState, energy_coords, state_from_coords
 
 
@@ -63,10 +65,13 @@ class ControlSignal:
             raise InvalidArgumentError("control preimage is not finite")
         if np.shape(self.alpha) != self.eta.shape[-3:-2]:
             raise InvalidArgumentError("a control needs one alpha per cell")
+        self.alpha = tuple(map(float, self.alpha))
 
     def __getitem__(self, i) -> "ControlSignal":
-        """The control of window ``i`` of a stack of windows."""
-        return ControlSignal(self.gramians[i], self.eta[i], self.alpha)
+        """The control of window ``i`` of a stack of windows: a slice of this validated one."""
+        window = copy(self)
+        window.gramians, window.eta = self.gramians[i], self.eta[i]
+        return window
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,7 @@ def synthesize_control(problem: SteeringProblem, gramians: GramianSet) -> Contro
     if not gramians.positive_definite:
         bad = np.ravel(gramians.delta)[np.argmin(gramians.min_eigenvalue)]
         raise InvalidArgumentError(f"Gramian is not positive definite on the window delta={bad:g}")
-    modes = gramians.modes
-    moved = apply_semigroup(problem.y0, np.array(gramians.delta)[..., None], modes, gramians.beta)
+    modes, moved = gramians.modes, propagate(gramians.propagator, problem.y0)
     d = energy_coords(problem.z1, modes) - energy_coords(moved, modes)
     return ControlSignal(gramians, solve_regularized(gramians, problem.alpha, d), problem.alpha)
 
@@ -112,9 +116,8 @@ def steer_linear(y0: BeamState, control: ControlSignal) -> BeamState:
     the control of a stack of D windows, with their D start states ``y0``, gives
     states of shape (D, cells, N).
     """
-    gramians, eta = control.gramians, control.eta
-    modes, t = gramians.modes, np.array(gramians.delta)[..., None]
-    free = energy_coords(apply_semigroup(y0, t, modes, gramians.beta), modes)
+    gramians, eta, modes = control.gramians, control.eta, control.gramians.modes
+    free = energy_coords(propagate(gramians.propagator, y0), modes)
     # the cell axis goes after the window axis
     free, blocks = free[..., None, :, :], gramians.blocks[..., None, :, :, :]
     return state_from_coords(free + (blocks @ eta[..., None])[..., 0], modes)

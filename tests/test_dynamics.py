@@ -27,7 +27,7 @@ from beamsteer import (
 )
 from beamsteer import dynamics, spectral
 from beamsteer.config import DEFAULT_CONFIG
-from beamsteer.dynamics import BLOWUP_THRESHOLD, CHUNK, F_READS, G_KINDS, OUTER
+from beamsteer.dynamics import BLOWUP_THRESHOLD, CHUNK, F_READS, G_KINDS, OUTER, exact_multiple
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from beamsteer.harness import pullback_setup
 from oracles import (
@@ -694,9 +694,9 @@ STEPWISE_F = {
     "bounded_trig": dict(f_kind="bounded_trig", f_a=0.4, f_b=0.2),
 }
 STEPWISE_CASES = [
-    # n_r = 180 is no multiple of CHUNK: slabs of 5 chunks, 160 steps; the
-    # impulses at 0.25 and 0.55 and the window start 0.85 fall mid-chunk, and
-    # the 90-node window runs 3 chunks
+    # n_r = 180 is no multiple of CHUNK: slabs of 180 steps end inside their sixth
+    # chunk; the impulse at 0.25 falls mid-chunk, the impulse at 0.55 and the window
+    # start 0.85 end full-delay slabs, and the 90-node window runs 3 chunks
     pytest.param(f, memory, 1 / 600, 0.3, 0.15, 1.0, id=f"{f}-{'mem' if memory else 'nomem'}-h600")
     for f in STEPWISE_F
     for memory in (False, True)
@@ -705,8 +705,9 @@ STEPWISE_CASES = [
     # n_r = 720 > OUTER: slabs of 8 chunks, the impulse at 0.25 lands in the
     # third slab's third chunk, the window start 0.85 208 steps into a slab
     pytest.param("bounded_trig", True, 1 / 2400, 0.3, 0.15, 1.0, id="bounded_trig-mem-h2400"),
-    # n_r = 150: slabs of 4 chunks, cut mid-chunk by the impulses after 22
-    # and 52 steps and by the window start after 22
+    # n_r = 150: slabs of 150 steps end inside their fifth chunk, the impulse at
+    # 0.25 and the window start end full-delay slabs, and the impulse at 0.55 cuts
+    # one mid-chunk after 30 steps
     pytest.param("linear_growth", True, 1 / 600, 0.25, 0.2, 1.0, id="linear_growth-mem-mid_chunk"),
     # n_r = 6 < CHUNK: the delay bounds the chunks and the slabs
     pytest.param(
@@ -890,3 +891,54 @@ def test_verify_f_bound_bounded_trig():
     cat = NonlinearityCatalog(f_kind="bounded_trig", f_a=0.4, f_b=0.2)
     report = verify_f_bound(cat, domain, modes, samples=500, seed=4)
     assert report["passed"]
+
+
+def _base_run_g_rows(monkeypatch, spec):
+    """Rows of every memory-integrand evaluation of the base run of ``spec``: one per slab."""
+    rows, g = [], NonlinearityCatalog.g
+
+    def counted(self, w, out=None):
+        rows.append(len(w))
+        return g(self, w, out=out)
+
+    monkeypatch.setattr(NonlinearityCatalog, "g", counted)
+    pullback_setup(spec)
+    return rows
+
+
+def test_zero_control_slabs_step_a_full_delay(monkeypatch):
+    # the method of steps lets a slab step the whole delay: the default base run
+    # steps 180 = delay/h steps per slab, the impulse at 0.7 cutting one after 60
+    # (4 slabs, each 6 chunks of 32 wide), where 160-step slabs took 6
+    spec = load_experiment(None)
+    assert spec.config.delay_steps == 180 and spec.config.delay_steps % CHUNK
+    assert _base_run_g_rows(monkeypatch, spec) == [181, 61, 181, 181]
+
+
+def test_zero_control_slabs_past_outer_stay_outer_long(monkeypatch):
+    # delay/h = 1440 > OUTER: the slabs of sweep-long step OUTER steps, cut at the
+    # impulses 1920 and 3360 steps in, as before
+    spec = _workload("sweep-long")
+    assert spec.config.delay_steps > OUTER
+    rows = _base_run_g_rows(monkeypatch, spec)
+    assert rows == [OUTER + 1] * 7 + [129] + ([OUTER + 1] * 5 + [161]) * 2
+
+
+@pytest.mark.parametrize("name", ["sweep-default", "sweep-long"])
+def test_run_bytes_estimate_bounds_the_held_bytes(monkeypatch, name):
+    # check_run_bytes sizes a run before it is made: the held buffers of simulate
+    # and the base run's node arrays never pass its estimate, for the base run
+    # alone and with the sweep's window runs, whose full-delay slabs round up
+    spec = _workload(name)
+    config = spec.config
+    vars(dynamics._held).clear()
+    _, base, _ = pullback_setup(spec)
+    nodes = sum(a.base.nbytes for a in (base.w, base.v, base.memory))
+    held = [nodes + sum(b.nbytes for b in vars(dynamics._held).values())]
+    run_pullback_experiment(spec)
+    held.append(nodes + sum(b.nbytes for b in vars(dynamics._held).values()))
+    window_steps = exact_multiple(max(spec.deltas), config.step, "the window")
+    for actual, args in zip(held, [(), (len(spec.alphas), window_steps)]):
+        monkeypatch.setattr(dynamics, "RUN_BYTES", actual - 1)
+        with pytest.raises(InvalidArgumentError, match="bytes or more"):
+            config.check_run_bytes(*args)

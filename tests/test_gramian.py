@@ -303,3 +303,23 @@ def test_gauss_rule_matches_a_50_digit_rule():
     for k in range(2 * PANEL_NODES):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(np.sum(w * x**k) - exact) <= 1e-14, k
+
+
+def test_propagator_is_the_closed_form_at_the_set_lengths():
+    # a set's T(delta) is exp_entries at its own lengths bit for bit, formed once per
+    # set; window i of a stack, a set built by hand and one built by replace agree
+    modes, deltas = laplacian_eigenvalues(3.5, 8), [0.2, 0.1, 0.05]
+    stacked = assemble_gramian(modes, 2.0, deltas)
+    assert stacked.propagator is stacked.propagator
+    want = exp_entries(modes.lambdas, 2.0, np.array(deltas)[:, None])
+    for got, entry in zip(stacked.propagator, want):
+        assert got.shape == (3, 8)
+        np.testing.assert_array_equal(got, entry)
+    for i, delta in enumerate(deltas):
+        alone = assemble_gramian(modes, 2.0, delta)
+        by_hand = gramian.GramianSet(modes, 2.0, delta, alone.blocks, alone.min_eigenvalue)
+        entries = exp_entries(modes.lambdas, 2.0, delta)
+        for one in (alone, stacked[i], by_hand, replace(stacked[(i + 1) % 3], delta=delta)):
+            for got, entry, of_stack in zip(one.propagator, entries, want):
+                np.testing.assert_array_equal(got, entry)
+                np.testing.assert_array_equal(got, of_stack[i])

@@ -16,6 +16,7 @@ import beamsteer.cli as cli
 import beamsteer.dynamics as dynamics
 import beamsteer.gramian as gramian
 import beamsteer.harness as harness
+import beamsteer.semigroup as semigroup
 import beamsteer.steering as steering
 from beamsteer import (
     BeamState,
@@ -25,6 +26,7 @@ from beamsteer import (
     NonlinearityCatalog,
     ResultRow,
     SimConfig,
+    SpatialDomain,
     SteeringProblem,
     assemble_gramian,
     emit_csv,
@@ -374,23 +376,40 @@ def test_library_writes_nothing_to_stdout(capfd):
 
 
 def test_warm_passes_reuse_the_config_modes(monkeypatch):
-    # the config derives its mode set once; a warm sweep builds only that of the
-    # config with the seeded history, and a warm linear suite builds none
+    # the config derives its mode set and domain once: the config with the seeded
+    # history keeps them, so neither a warm sweep nor a warm linear suite builds one
     spec = load_experiment(None)
     run_pullback_experiment(spec)
     run_linear_suite(spec)
-    built, original = [], ModeSet.__post_init__
+    built = []
+    for cls in (ModeSet, SpatialDomain):
+        def counted(self, original=cls.__post_init__):
+            built.append(self)
+            original(self)
 
-    def counted(self):
-        built.append(self)
-        original(self)
-
-    monkeypatch.setattr(ModeSet, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
     run_pullback_experiment(spec)
-    assert len(built) <= 1
-    built.clear()
+    assert built == []
     run_linear_suite(spec)
     assert built == []
+
+
+def test_config_with_history_keeps_its_system_and_compares_the_history():
+    # the run's config shares the spec config's derived facts, and a resume still
+    # rejects the base run of a config whose history is another
+    spec = load_experiment(None)
+    config, base, target = pullback_setup(spec)
+    other, _, _ = pullback_setup(spec)
+    assert config.history is not None and other.history is not config.history
+    for name in ("modes", "domain", "delay_steps", "horizon_steps", "impulse_steps"):
+        assert getattr(config, name) is getattr(spec.config, name)
+    assert spec.config.history is None  # the spec's config is left as it was
+    gramians = assemble_gramian(config.modes, config.beta, 0.2)
+    problem = SteeringProblem(base.state_at(config.tau - 0.2), target, [1e-2])
+    control = synthesize_control(problem, gramians)
+    simulate(config, control, prefix=base)
+    with pytest.raises(InvalidArgumentError, match="prefix must be a zero-control run"):
+        simulate(other, control, prefix=base)
 
 
 def test_traced_names_resolve_in_the_package():
@@ -1127,26 +1146,29 @@ def _steer_wide():
     return load_experiment(str(path))
 
 
-def test_linear_suite_evaluates_each_quantity_once(monkeypatch):
-    # one closed-form Gramian evaluation (the checked window stacked with the
-    # probe), T(delta) y0 formed at most four times, and a quadrature on real
-    # panels only: 64 nodes on each of the sum over modes of its panel count
-    spec = _steer_wide()
-    calls = {"gramian_entries": 0, "apply_semigroup": 0}
-    nodes = []
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+def _count_time_shapes(monkeypatch, calls):
+    """Record in ``calls`` the shape of the times of every closed-form Gramian evaluation,
+    every propagator of a Gramian set and every evaluation of ``apply_semigroup``."""
+    for module, name, key in [
+        (gramian, "gramian_entries", "gramian_entries"),
+        (gramian, "exp_entries", "propagator"),
+        (semigroup, "exp_entries", "apply_semigroup"),  # whichever module calls it
+    ]:
+        def counted(*args, original=getattr(module, name), key=key):
+            calls.setdefault(key, []).append(np.shape(args[2]))
+            return original(*args)
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(gramian, "gramian_entries")
-    counting(harness, "apply_semigroup")
-    counting(steering, "apply_semigroup")
+
+def test_linear_suite_evaluates_each_quantity_once(monkeypatch):
+    # one closed-form Gramian evaluation (the checked window stacked with the
+    # probe), T(delta) formed once by the checked window's set and the semigroup
+    # never evaluated again, and a quadrature on real panels only: 64 nodes on
+    # each of the sum over modes of its panel count
+    spec = _steer_wide()
+    calls, nodes = {}, []
+    _count_time_shapes(monkeypatch, calls)
     response = gramian._response
 
     def recorded(lam, beta, s):
@@ -1155,8 +1177,7 @@ def test_linear_suite_evaluates_each_quantity_once(monkeypatch):
 
     monkeypatch.setattr(gramian, "_response", recorded)
     assert suite_ok(run_linear_suite(spec))
-    assert calls["gramian_entries"] == 1
-    assert calls["apply_semigroup"] <= 4
+    assert calls == {"gramian_entries": [(2, 1)], "propagator": [(1,)]}
     (s,) = nodes
     lam, beta, delta = spec.config.modes.lambdas, spec.config.beta, max(spec.deltas)
     root = np.sqrt(beta**2 - 1.0)
@@ -1168,25 +1189,14 @@ def test_linear_suite_evaluates_each_quantity_once(monkeypatch):
 
 def test_sweep_evaluates_each_quantity_once(monkeypatch):
     # a warm sweep assembles its stacked Gramian set once, in one closed-form
-    # evaluation, and forms T(delta) y0 twice: once to synthesize, once to steer
+    # evaluation, and forms the stacked set's T(delta) once, for all three windows:
+    # synthesis and steer both apply it, and no call evaluates the semigroup again
     spec = load_experiment(None)
     run_pullback_experiment(spec)
-    calls = {"gramian_entries": 0, "apply_semigroup": 0}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    counting(gramian, "gramian_entries")
-    counting(harness, "apply_semigroup")
-    counting(steering, "apply_semigroup")
+    calls = {}
+    _count_time_shapes(monkeypatch, calls)
     run_pullback_experiment(spec)
-    assert calls == {"gramian_entries": 1, "apply_semigroup": 2}
+    assert calls == {"gramian_entries": [(3, 1)], "propagator": [(3, 1)]}
 
 
 def test_stacked_probe_leaves_the_checked_window_bitwise():

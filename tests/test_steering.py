@@ -364,3 +364,25 @@ def test_readers_of_a_stacked_control_follow_its_windows_or_reject_it():
         np.testing.assert_array_equal(energy[i], control_energy(alone))
     with pytest.raises(InvalidArgumentError, match="one window, not a stack"):
         alpha_sweep(starts, z1, control)
+
+
+def test_a_single_window_takes_no_window_index():
+    # only a stack of windows is indexed by window: a one-window set or control says so
+    # in one line, where a float used to end in "not subscriptable"
+    gramians = assemble_gramian(_modes(3), BETA, DELTA)
+    control = ControlSignal(gramians, np.zeros((1, 3, 2)), alpha=[0.1])
+    for single in (gramians, control):
+        with pytest.raises(InvalidArgumentError, match="only a stack of windows takes a window"):
+            single[0]
+
+
+def test_control_keeps_its_alphas_as_a_tuple_of_floats():
+    # as SteeringProblem does, whatever sequence of alphas the control is given
+    modes = _modes(3)
+    gramians = assemble_gramian(modes, BETA, DELTA)
+    for alpha in ([0.1, 0.01], np.array([0.1, 0.01]), (np.float64(0.1), 0.01)):
+        control = ControlSignal(gramians, np.zeros((2, 3, 2)), alpha=alpha)
+        assert control.alpha == (0.1, 0.01)
+        assert [type(a) for a in control.alpha] == [float, float]
+    stacked = assemble_gramian(modes, BETA, [DELTA, 0.1])
+    assert ControlSignal(stacked, np.zeros((2, 2, 3, 2)), alpha=[0.1, 0.01])[1].alpha == (0.1, 0.01)
