@@ -4,55 +4,42 @@ Per mode the state obeys an exponential-integrator step
 
     z(t+h) = exp(K h) z(t) + integral_0^h exp(K (h - s)) F(t + s) ds,
 
-with F collecting the distributed control, the delayed nonlinearity and the
-Volterra memory term, all entering through the velocity slot.  The grid
-alignment law (the step divides the delay, the horizon, the window start and
-every impulse time) makes all delayed reads exact grid lookups, so no
-interpolation is ever performed.  The state-dependent forcings are integrated
-by the trapezoid rule in s; the closed-form steering control is integrated
-exactly per step: with the costate p(t) = exp(K^T (tau - t)) eta, in energy
-coordinates, a step's control increment is Q(h) p(t + h), the one-step Gramian
-times the costate at the step's end.
+with F, the delayed nonlinearity and the Volterra memory term, entering through
+the velocity slot and integrated by the trapezoid rule in s.  The step divides
+the delay, the horizon, the window start and every impulse time, so every
+delayed read is an exact grid lookup.  Every pointwise map (f, the memory
+integrand g, the impulse jumps) acts through one collocation: synthesize onto
+the grid by the basis, apply the map, project back by the spacing-scaled basis.
+Velocity jumps land after the step onto their node, and delayed reads there use
+the left-limit (pre-jump) velocity.  The memory term is the trapezoid sum of its
+convolution, an exact recursion for the exponential kernel.
 
-Every pointwise map (the nonlinearity f, the memory integrand g, the impulse
-jumps) acts through the slabs' one collocation: synthesize onto the grid by the
-basis, apply the map, project back by the spacing-scaled basis.  Velocity jumps
-at impulse times are applied after the step that lands exactly on the impulse
-node; delayed reads there use the left-limit (pre-jump) velocity, the deflection
-being continuous.  The memory term is the trapezoid sum of its convolution,
-which the exponential kernel turns into an exact recursion seeded by row 0 of
-the first slab's projected g.
+``simulate`` runs the zero control over [-delay, tau] by the method of steps: a
+slab steps as far as it may, min(OUTER, delay/h) steps, cut at impulse nodes,
+and reads only delayed states fixed by earlier slabs.  It synthesizes its delayed
+deflection once for f and g (the velocity only if f reads it, see F_READS),
+applies f and g on its live rows, projects all L + 1 rows back in one product, L
+being the fewest whole chunks covering a slab, and advances the memory and every
+mode in chunks of CHUNK steps: all chunks from a zero start by one batched
+matmul, then the chunk starts by a Toeplitz table of chunk propagators added
+back.  Node arrays carry one slab of trailing rows, so slabs read and write
+full-shape views whose rows past the slab's end are finite and meet only zeros
+above the tables' diagonals: no product's shape depends on the cut.
 
-The history on [-delay, 0] is an array-valued callable, evaluated once on all
-history nodes.  Stepping follows the method of steps: a slab steps as far as
-it allows, min(OUTER, delay/h) steps, cut at the window start and at impulse
-nodes, and reads only delayed states fixed by earlier slabs.  It synthesizes its
-delayed deflection once for f and g (the velocity only if f reads it, see F_READS)
-and the control into grid workspaces, applies f and g there in place on its live
-rows only, projects all L + 1 rows back in one product per cell, L steps being the
-fewest whole chunks covering its run phase's slabs, and advances the memory recursion and
-every mode alike in chunks of CHUNK steps: all chunks from a zero start by one
-batched matmul, the chunk starts by a Toeplitz table of powers of the chunk
-propagator (decay**CHUNK, or A^CHUNK with A^k = exp(K k h) in closed form), and
-the propagated chunk starts added back.  Every node array carries one slab of
-trailing rows, so slabs read and write full-shape views whose rows past the
-slab's end are finite and meet only zeros above the tables' diagonals: as no
-product's shape depends on the cut or the batch, neither does a node's value.
-Every array that does not leave ``simulate`` (the grid workspaces, the window
-products and a resumed run's node arrays) is a view of a per-thread buffer that
-grows and never shrinks, so a warm call maps no new pages.  Rows read past a
-slab's end are zeroed at each run phase's start, whatever an earlier call left
-there; a full run's node arrays are fresh, as its Trajectory returns them.
+A steering window [tau - delta, tau] lies inside one delay, so its delayed reads
+and memory forcing come from the zero-control run, and the controlled solution
+is the steered linear one plus the forced response that the trapezoid steps
+compose to,
 
-Each table that depends only on the system (basis, propagator, memory kernel,
-window) is built once and cached.  Windows end at tau and are shorter than the
-delay, so the window table covers the last delay/h nodes, where theta = tau - t
-depends on the node alone: per node, the coefficients of e0 and e1 in the
-control b^T p and the increment Q(h) p of p = exp(K^T theta) eta.  A full run
-steps one cell, with no control or a one-cell one; a resumed run steps a
-window-sized control of any number of cells, reads its delayed states and
-memory forcing from the zero-control prefix, and returns the cells' terminal
-states.
+    R = h sum_k omega_k exp(K (tau - t_k)) e2 F_k,   omega = 1/2 at both ends.
+
+``window_response`` forms it with no stepping: each node's forcing F_k of every
+cell (the control enters f only) in blocks of at most OUTER + 1 nodes, contracted
+with the (a12, a22) column of exp(K (tau - t_k)).  The tables of one system are
+built once and cached; the window table holds, for the last delay/h nodes, that
+column and the coefficients (k12, k22) of the control b^T exp(K^T theta) eta.
+Workspaces are views of a per-thread buffer that grows and never shrinks, so a
+warm call maps no new pages; rows read past a slab's end are zeroed per run.
 """
 
 from __future__ import annotations
@@ -69,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, InvalidArgumentError
-from .semigroup import exp_entries, gramian_entries
+from .semigroup import exp_entries
 from .spectral import (
     BeamState,
     ModeSet,
@@ -77,7 +64,6 @@ from .spectral import (
     basis_matrix,
     laplacian_eigenvalues,
 )
-from .steering import ControlSignal
 
 # the arguments of f among (y, v, u) that each kind reads
 F_READS = {"zero": "", "linear_growth": "yu", "bounded_trig": "yvu"}
@@ -279,20 +265,22 @@ class SimConfig:
         return object.__setattr__(config, "history", history) or config
 
     def check_run_bytes(self, cells: int = 1, window_steps: Optional[int] = None):
-        """Reject a run past RUN_BYTES before anything is allocated: a full run of one cell,
-        or a window run of ``window_steps`` steps and ``cells`` cells with its base run's nodes.
+        """Reject a run past RUN_BYTES before anything is allocated: the zero-control run,
+        and with ``window_steps`` the window sum of ``cells`` cells over its nodes.
 
         Sized in Python ints: W, V and memory padded by a slab of L <= ``slab`` steps, the
-        window table, the basis and its projector, L + 1 grid rows of y and g and per cell of
-        f, and per cell the window products and their temporary, as the held buffers keep them.
+        basis, its projector and the window table, and the held workspaces, which the window
+        sum's blocks reuse: a slab's L + 1 grid rows of y, f and g and its forcing and chunk
+        arrays, or a block's grid rows of y and v and per cell of f, and its control and F.
         """
-        n_r, grid = self.delay_steps, self.grid_points - 1
-        steps = n_r + self.horizon_steps if window_steps is None else window_steps
-        slab = min(OUTER, min(n_r, steps) + CHUNK)
-        nodes = (2 * cells + 1) * (steps + 1 + slab) + 6 * (n_r + slab + cells * (slab + 1))
-        if window_steps is not None:  # the base run's W, V and memory live through every window run
-            nodes += 3 * (n_r + self.horizon_steps + 1 + min(OUTER, n_r + CHUNK))
-        held = 8 * ((nodes + 2 * grid) * self.n_modes + (cells + 2) * (slab + 1) * grid)
+        n_r, grid, n = self.delay_steps, self.grid_points - 1, self.n_modes
+        slab = min(OUTER, n_r + CHUNK)
+        floats = (3 * (n_r + self.horizon_steps + 1 + slab) + 2 * grid + 4 * n_r) * n
+        held = (slab + 1) * (3 * grid + 8 * n)
+        if window_steps is not None:
+            rows = min(OUTER, window_steps) + 1
+            held = max(held, rows * (2 * grid + cells * (grid + 2 * n)))
+        held = 8 * (floats + held)
         if held > RUN_BYTES:  # a power of two names any size, where a float may overflow
             what = "a run" if window_steps is None else f"a window run of {cells} cells"
             raise InvalidArgumentError(
@@ -314,12 +302,11 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded run: states on the full grid [-delay, tau] plus diagnostics.
+    """Recorded zero-control run: states on the full grid [-delay, tau] plus diagnostics.
 
     States at impulse nodes are the post-jump values; the pre-jump pairs are
     kept aside so delayed reads can use the left limit.  ``memory`` holds the
-    Volterra memory forcing per node.  ``config`` and ``control`` (a
-    ControlSignal or None) are what the run was made with.
+    Volterra memory forcing per node, and ``config`` is what the run was made with.
     """
 
     times: np.ndarray
@@ -329,7 +316,6 @@ class Trajectory:
     pre_impulse: dict
     impulse_events: list
     config: SimConfig
-    control: Optional[ControlSignal]
 
     def index_at(self, t: float) -> int:
         i = self.config.delay_steps + exact_multiple(t, self.config.step, f"time {t}")
@@ -353,7 +339,7 @@ def _toeplitz(p) -> np.ndarray:
     return sliding_window_view(np.concatenate([p[::-1], zeros]), len(p), axis=0)[::-1]
 
 
-_held = threading.local()  # this thread's scratch buffers of simulate, by slot
+_held = threading.local()  # this thread's scratch buffers, by slot
 
 
 def _carve(slot: str, *shapes):
@@ -371,13 +357,12 @@ def _carve(slot: str, *shapes):
 
 @lru_cache(maxsize=16)
 def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
-    """Read-only tables of ``simulate`` for one system and step: basis matrix, its spacing-
-    scaled projector, (h/2 a12, a22) of A = exp(K h), the chunk table taking b_j to
-    sum_{j<=k} A^(k-j) b_j, the lift table of A^(k+1), the outer table of A^(chunk (m - j))
-    for up to a slab's `count` chunks, the window table (module docstring) of the last n_r nodes
-    and one slab of zeros past tau, and the memory kernel's decay tables like the state's."""
-    lam = laplacian_eigenvalues(domain.length, n_modes).lambdas
-    (q11, q12, q22), chunk = gramian_entries(lam, beta, h), min(CHUNK, n_r)
+    """Read-only tables for one system and step: basis matrix, its spacing-scaled projector,
+    (h/2 a12, a22) of A = exp(K h), the chunk table taking b_j to sum_{j<=k} A^(k-j) b_j, the
+    lift table of A^(k+1), the outer table of A^(chunk (m - j)) for a slab's chunks, the
+    memory kernel's decay tables like the state's, and the window table (module docstring)
+    of the last n_r nodes: rows k12, k22, a12, a22, each (n_r, n_modes)."""
+    lam, chunk = laplacian_eigenvalues(domain.length, n_modes).lambdas, min(CHUNK, n_r)
     count = -(-min(OUTER, n_r) // chunk)
     B = basis_matrix(domain, n_modes)
     step, outer = (
@@ -385,210 +370,221 @@ def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
         for t in (h * np.arange(chunk + 1), h * chunk * np.arange(count))
     )
     m = exact_multiple(tau, h, "the horizon")
-    theta = np.maximum(tau - np.arange(m + 1 - n_r, m + 1) * h, 0.0)
-    k11, k12, k21, k22 = exp_entries(lam[:, None], beta, theta, energy=True)
-    qa, qb = np.array([[q11 / lam, q12], [q12 / lam, q22]])[..., None]  # increment qa p1 + qb p2
-    window = np.zeros((2, 3, n_modes, n_r + chunk * count))
-    window[..., :n_r] = [[k12, *(qa * k11 + qb * k12)], [k22, *(qa * k21 + qb * k22)]]
+    theta = np.maximum(tau - np.arange(m + 1 - n_r, m + 1) * h, 0.0)[:, None]
+    (_, k12, _, k22), (_, a12, _, a22) = (
+        exp_entries(lam, beta, theta, energy=energy) for energy in (True, False)
+    )
     decay = np.exp(-gamma * h) ** np.arange(chunk * count + 1)
     tables = (
         B, domain.spacing * B,
         np.stack([0.5 * h * step[1, :, 0, 1], step[1, :, 1, 1]]),
         _toeplitz(step[:-1]).transpose(1, 2, 0, 3, 4).reshape(n_modes, 2 * chunk, 2 * chunk),
         step[1:].transpose(1, 2, 0, 3).reshape(n_modes, 2 * chunk, 2),
-        np.ascontiguousarray(_toeplitz(outer).transpose(1, 2, 0, 3, 4)),
-        window, h * _toeplitz(decay[:chunk]), decay[1 : chunk + 1, None],
-        _toeplitz(decay[: chunk * count : chunk]),
+        np.ascontiguousarray(_toeplitz(outer).transpose(1, 2, 0, 3, 4)).reshape(
+            n_modes, 2 * count, 2 * count
+        ),
+        h * _toeplitz(decay[:chunk]), decay[1 : chunk + 1, None],
+        _toeplitz(decay[: chunk * count : chunk]), np.stack([k12, k22, a12, a22]),
     )
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a blow-up to inf or NaN trips the slab test
-def simulate(config: SimConfig, control=None, prefix: Optional[Trajectory] = None):
-    """Integrate the semilinear system; the control's cells step together.
+def _tables(c: SimConfig):
+    return _slab_tables(c.domain, c.n_modes, c.beta, c.step, c.tau, c.delay_steps, c.catalog.gamma)
 
-    Without ``prefix``, ``control`` is None (zero control) or a one-cell
-    ControlSignal, and the run covers [-delay, tau] and returns its Trajectory.
-    With ``prefix``, a zero-control run of the same config that is left
-    unchanged, ``control`` is a ControlSignal of any number of cells: the run
-    resumes at the window start as a batch of window-sized cells that read their
-    delayed states and memory forcing from the prefix, and returns their
-    terminal states as one batch of states.  The control must be one window's,
-    synthesized for the config's damping and modes, and its window is the last
-    delta of the config's horizon, delta being that of its Gramian set.  Steps
-    whose start lies before the window start never evaluate the window control,
-    so trajectories for different regularisation parameters are bitwise
-    identical up to the window start.
-    """
-    lam, domain, N, h, catalog = (
-        config.modes.lambdas, config.domain, config.n_modes, config.step, config.catalog
-    )
+
+def _delayed_velocity(v, rows: slice, pre_impulse: dict) -> np.ndarray:
+    """A copy of the velocity rows ``rows`` with the left (pre-jump) value at impulse nodes."""
+    vd = v[rows].copy()
+    for d, (_, v_left) in pre_impulse.items():
+        if rows.start <= d < rows.stop:
+            vd[d - rows.start] = v_left
+    return vd
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up to inf or NaN trips the slab test
+def simulate(config: SimConfig) -> Trajectory:
+    """Integrate the semilinear system with zero control over [-delay, tau]."""
+    lam, N, h, catalog = config.modes.lambdas, config.n_modes, config.step, config.catalog
     n_r = idx0 = config.delay_steps
     n_total = n_r + config.horizon_steps + 1
-    B, Bq, (half_a12, a22), chunk_table, lift, outers, window, m_chunk, m_lift, m_outers = (
-        _slab_tables(domain, N, config.beta, h, config.tau, n_r, catalog.gamma)
+    B, Bq, (half_a12, a22), chunk_table, lift, outer, m_chunk, m_lift, m_outer, _ = (
+        _tables(config)
     )
 
-    if control is not None and control.eta.ndim != 3:
-        raise InvalidArgumentError("a run takes the control of one window, not a stack")
-    cells = 1 if control is None else len(control.eta)
-    if prefix is None and cells != 1 or prefix is not None and control is None:
-        raise InvalidArgumentError("a full run takes None or one cell, a resumed run a control")
-    if prefix is not None and not (prefix.config == config and prefix.control is None):
-        raise InvalidArgumentError("prefix must be a zero-control run of the same config")
-    start_idx = None
-    if control is not None:
-        gramians, e0, e1 = control.gramians, control.eta[..., :1], control.eta[..., 1:]
-        same = gramians.modes.lambdas is lam or np.array_equal(gramians.modes.lambdas, lam)
-        if gramians.beta != config.beta or not same:
-            raise InvalidArgumentError("the control must be synthesized for the config's system")
-        start_idx = config.validate_delta(gramians.delta)
-        window = window[..., start_idx - (n_total - n_r) :]  # from this run's window start
-
-    # W and V hold nodes lo.. of every cell: all nodes for a full run, the
-    # window for a resumed one; slabs of at most n_r steps inside `counts[active]`
-    # chunks of `chunk` steps, and every node array carries `pad` trailing rows
+    # slabs of at most n_r steps inside `count` chunks of `chunk` steps, and every
+    # node array carries L trailing rows
     chunk = min(CHUNK, n_r)
-    counts = {False: -(-min(OUTER, n_r) // chunk)}
-    if start_idx is not None:
-        counts[True] = -(-min(OUTER, n_total - 1 - start_idx) // chunk)
-    pad = chunk * counts[prefix is not None]  # a window's slabs are no longer than the delay
-    lo = 0 if prefix is None else start_idx
-    nodes = (cells, n_total - lo + pad, N)
-    if prefix is None:  # the Trajectory returns them
-        W, V, memory = np.zeros(nodes), np.zeros(nodes), np.zeros(nodes[1:])
-    else:  # they serve only the terminal states, and every row is written before it is read
-        W, V, memory = _carve("nodes", nodes, nodes, nodes[1:])
+    count = -(-min(OUTER, n_r) // chunk)
+    L = count * chunk
+    nodes = (n_total + L, N)
+    W, V, memory = np.zeros(nodes), np.zeros(nodes), np.zeros(nodes)
+    times = (np.arange(n_total) - idx0) * h
+    if config.history is not None:
+        hist, shape = config.history(times[: idx0 + 1]), (idx0 + 1, N)
+        if not (isinstance(hist, tuple) and [np.shape(a) for a in hist] == [shape] * 2):
+            raise InvalidArgumentError(f"history must give (w, v) arrays of shape {shape}")
+        W[: idx0 + 1], V[: idx0 + 1] = hist
     pre_impulse, impulse_events = {}, []
-    if prefix is None:
-        times = (np.arange(n_total) - idx0) * h
-        if config.history is not None:
-            hist, shape = config.history(times[: idx0 + 1]), (idx0 + 1, N)
-            if not (isinstance(hist, tuple) and [np.shape(a) for a in hist] == [shape] * 2):
-                raise InvalidArgumentError(f"history must give (w, v) arrays of shape {shape}")
-            W[0, : idx0 + 1], V[0, : idx0 + 1] = hist
-        past_w, past_v = W[0], V[0]
-    else:  # every impulse precedes the window, so nothing below writes to the prefix
-        W[:, 0], V[:, 0] = prefix.w[lo], prefix.v[lo]
-        memory[: n_total - lo] = prefix.memory[lo:]
-        memory[n_total - lo :] = 0.0
-        past_w, past_v, pre_impulse = prefix.w, prefix.v, prefix.pre_impulse
-
     imp_at = {idx0 + n: k for k, n in enumerate(config.impulse_steps)}
 
     half, lam2, ones, reads = 0.5 * h, lam * lam, np.ones(N), F_READS[catalog.f_kind]
 
     # the trapezoid sum of the exponential kernel, kappa-free, by the exact recursion
     # S_(k+1) = decay S_k + h g_(k+1), chunked like the state; the carry is S at the slab start
-    recurse = prefix is None and catalog.has_memory
+    recurse = catalog.has_memory
 
-    stops = sorted(s for s in {n_total - 1, start_idx, *imp_at} if s is not None)
-    s0, count = (idx0 if prefix is None else lo), None
+    # held workspaces: forcing rows, chunk solves and starts, and the grid rows of the
+    # delayed deflection, f and g; only what is read past the live rows is zeroed, all
+    # else is written before it is read
+    grid = (L + 1, len(B))
+    fc, gq, X, Z, E, yd, fx, gx = _carve(
+        "phase", (L + 1, N), (L + 1, N), *[(N, 2 * chunk, count)] * 2, (N, 2, count), grid, grid,
+        grid,
+    )
+    xw, xv = (X[:, r * chunk : (r + 1) * chunk].transpose(2, 1, 0) for r in (0, 1))
+    if reads:
+        fx[...] = 0.0
+    if recurse:
+        gx[...] = 0.0
+
+    stops = sorted({n_total - 1, *imp_at})
+    s0 = idx0
     while s0 < n_total - 1:
-        active = start_idx is not None and s0 >= start_idx
-        if count != counts[active]:
-            count = counts[active]
-            L = count * chunk
-            outer = outers[:, :, :count, :, :count].reshape(N, 2 * count, 2 * count)
-            # held workspaces: forcing rows, chunk solves and starts, the grid rows of the
-            # delayed deflection, f (and the control) and g, and the window products; only
-            # what is read past the live rows is zeroed, all else is written before it is read
-            grid = (L + 1, len(B))
-            fc, gq, X, Z, E, yd, fx, gx, prod, tmp = _carve(
-                "phase", (cells, L + 1, N), (L + 1, N), *[(cells, N, 2 * chunk, count)] * 2,
-                (cells, N, 2, count), grid, (cells, *grid), grid, *[(3, cells, N, L + 1)] * 2,
-            )
-            xw, xv = (X[:, :, r * chunk : (r + 1) * chunk].transpose(0, 3, 2, 1) for r in (0, 1))
-            if reads and not active:
-                fx[...] = 0.0
-            if recurse:
-                gx[...] = 0.0
         s1 = min(s0 + L, s0 + n_r, next(s for s in stops if s > s0))
-        n, j = s1 - s0, (s0 - start_idx if active else 0)
-        if active:
-            # the control b^T p and increments Q(h) p(t + h), from the window table
-            c0, c1 = window[:, :, None, :, j : j + L + 1]
-            np.multiply(c0, e0, out=prod)
-            win_u, cw, cv = np.add(prod, np.multiply(c1, e1, out=tmp), out=prod)
-        # f and g on the slab's live rows s0..s1; every product takes all L + 1 rows, per cell
+        n = s1 - s0
+        # f and g on the slab's live rows s0..s1; every product takes all L + 1 rows
         if reads or recurse:
             rows, live = slice(s0 - n_r, s0 - n_r + L + 1), slice(n + 1)
             # delayed deflection on the grid, for f and g; continuous at impulses
-            y = np.matmul(past_w[rows], B.T, out=yd)[live]
+            y = np.matmul(W[rows], B.T, out=yd)[live]
             if recurse:
                 catalog.g(y, out=gx[live])
                 np.matmul(gx, Bq, out=gq)
             if reads:
                 vd = 0.0  # read by f only where its kind says so
                 if "v" in reads:
-                    vd = past_v[rows].copy()
-                    for d, (_, v_left) in pre_impulse.items():
-                        if rows.start <= d < rows.stop:
-                            vd[d - rows.start] = v_left
-                    vd = (vd @ B.T)[live]
-                if active:  # the control's synthesis, mapped to f in place
-                    np.matmul(win_u.swapaxes(1, 2), B.T, out=fx)
-                catalog.f(y, vd, fx[:, live] if active else 0.0, out=fx[:, live])
+                    vd = (_delayed_velocity(V, rows, pre_impulse) @ B.T)[live]
+                catalog.f(y, vd, 0.0, out=fx[live])
                 np.matmul(fx, Bq, out=fc)
-        new = slice(s0 - lo + 1, s0 - lo + 1 + L)
+        new = slice(s0 + 1, s0 + 1 + L)
         if recurse:
             if s0 == idx0:  # S_0 = (h/2) P g(w(-delay)), row 0 of the first slab's products
                 carry = half * gq[0]
             g, M = (x.reshape(count, chunk, N) for x in (gq[1:], memory[new]))
             np.matmul(m_chunk, g, out=M)
-            M += m_lift * (m_outers[:count, :count] @ np.vstack([carry, M[:-1, -1]]))[:, None]
+            M += m_lift * (m_outer @ np.vstack([carry, M[:-1, -1]]))[:, None]
             carry = M.reshape(L, N)[n - 1].copy()
             np.multiply(M - half * g, catalog.kappa, out=M)
-        # velocity-slot forcing at the slab's nodes s0..s0+L, per cell
-        F = memory[s0 - lo : s0 - lo + L + 1]
+        # velocity-slot forcing at the slab's nodes s0..s0+L
+        F = memory[s0 : s0 + L + 1]
         if reads:
             F = np.add(fc, F, out=fc)
-        left, right = (F[..., r : L + r, :].reshape(-1, count, chunk, N) for r in (0, 1))
+        left, right = (F[r : L + r].reshape(count, chunk, N) for r in (0, 1))
         np.multiply(half_a12, left, out=xw)
         np.multiply(a22, left, out=xv)
         xv += right
         xv *= half
-        if active:
-            xw += cw[..., 1:].reshape(cells, N, count, chunk).transpose(0, 2, 3, 1)
-            xv += cv[..., 1:].reshape(cells, N, count, chunk).transpose(0, 2, 3, 1)
         # every chunk from a zero start, then the chunk starts s_m from the
         # slab start and the chunk ends, then A^(k+1) s_m added back
         np.matmul(chunk_table, X, out=Z)
-        E[:, :, 0, 0], E[:, :, 1, 0] = W[:, s0 - lo], V[:, s0 - lo]
-        E[..., 1:] = Z[:, :, chunk - 1 :: chunk, :-1]
-        Z += lift @ (outer @ E.reshape(cells, N, 2 * count, 1)).reshape(E.shape)
-        W[:, new].reshape(cells, count, chunk, N)[...] = Z[:, :, :chunk].transpose(0, 3, 2, 1)
-        V[:, new].reshape(cells, count, chunk, N)[...] = Z[:, :, chunk:].transpose(0, 3, 2, 1)
+        E[:, 0, 0], E[:, 1, 0] = W[s0], V[s0]
+        E[..., 1:] = Z[:, chunk - 1 :: chunk, :-1]
+        Z += lift @ (outer @ E.reshape(N, 2 * count, 1)).reshape(E.shape)
+        W[new].reshape(count, chunk, N)[...] = Z[:, :chunk].transpose(2, 1, 0)
+        V[new].reshape(count, chunk, N)[...] = Z[:, chunk:].transpose(2, 1, 0)
         if s1 in imp_at:
-            # impulses precede every window, so only single-cell full runs meet one
             k = imp_at[s1]
-            wp, vp = W[0, s1].copy(), V[0, s1].copy()
+            wp, vp = W[s1].copy(), V[s1].copy()
             pre_impulse[s1] = (wp, vp)
             dv = config.impulses.jump(k, wp @ B.T, vp @ B.T) @ Bq
-            V[0, s1] = vp + dv
+            V[s1] = vp + dv
             impulse_events.append((k, float(times[s1]), float(np.linalg.norm(dv))))
 
-        sq = np.square(W[:, new][:, :n]) @ lam2 + np.square(V[:, new][:, :n]) @ ones
+        sq = np.square(W[new][:n]) @ lam2 + np.square(V[new][:n]) @ ones
         # sqrt is monotone, so this is the per-node test; a NaN trips too
         if not np.sqrt(sq.max()) <= BLOWUP_THRESHOLD:
             norms = np.sqrt(sq)
-            tripped = ~(norms <= BLOWUP_THRESHOLD)
-            j = int(np.argmax(tripped.any(axis=0)))  # the first node that trips
-            c = int(np.argmax(norms[:, j]))  # argmax takes a NaN as the largest
-            where = "" if control is None else (
-                f" in the cell alpha={control.alpha[c]}, delta={control.gramians.delta:g}"
-            )
-            raise BlowUpError(
-                f"trajectory norm {norms[c, j]:.3e} at t={(s0 + 1 + j - idx0) * h:.6f}{where}"
-            )
+            j = int(np.argmax(~(norms <= BLOWUP_THRESHOLD)))  # the first node that trips
+            raise BlowUpError(f"trajectory norm {norms[j]:.3e} at t={(s0 + 1 + j - idx0) * h:.6f}")
         s0 = s1
 
-    if prefix is not None:
-        return BeamState(W[:, n_total - 1 - lo].copy(), V[:, n_total - 1 - lo].copy())
     return Trajectory(
-        times=times, w=W[0, :n_total], v=V[0, :n_total], memory=memory[:n_total],
-        pre_impulse=pre_impulse, impulse_events=impulse_events, config=config, control=control,
+        times=times, w=W[:n_total], v=V[:n_total], memory=memory[:n_total],
+        pre_impulse=pre_impulse, impulse_events=impulse_events, config=config,
     )
 
+
+def _window_forcing(base: Trajectory, control, start: int):
+    """The forcing F_k of every cell at the window nodes start..tau, in blocks of at most
+    OUTER + 1 nodes: yields each block's first node and its F, shape (cells, K, N), or
+    (1, K, N) when f reads nothing and the memory forcing alone makes F.
+
+    F is the collocated f at the base run's delayed states and the cell's control, plus
+    the base run's memory forcing, in a held buffer that the next block overwrites; a
+    memory-only F is a read-only view of the base run's rows.
+    """
+    config = base.config
+    B, Bq, *_, window = _tables(config)
+    n_r, reads, N, grid = config.delay_steps, F_READS[config.catalog.f_kind], config.n_modes, len(B)
+    end = n_r + config.horizon_steps
+    first, eta = end + 1 - n_r, control.eta[:, None]  # window table row 0; (cells, 1, N, 2)
+    for lo in range(start, end + 1, OUTER + 1):
+        K = min(OUTER + 1, end + 1 - lo)
+        rows, delayed = slice(lo, lo + K), slice(lo - n_r, lo - n_r + K)
+        if not reads:
+            yield lo, base.memory[None, rows]
+            continue
+        F, u, yd, fx = _carve("phase", *[(len(eta), K, N)] * 2, (K, grid), (len(eta), K, grid))
+        # the control b^T p = k12 e0 + k22 e1 at each node, synthesized on the grid
+        c12, c22 = window[:2, lo - first : lo - first + K]
+        np.multiply(c12, eta[..., 0], out=u)
+        u += np.multiply(c22, eta[..., 1], out=F)
+        np.matmul(u, B.T, out=fx)
+        y = np.matmul(base.w[delayed], B.T, out=yd)
+        vd = 0.0  # read by f only where its kind says so
+        if "v" in reads:
+            vd = _delayed_velocity(base.v, delayed, base.pre_impulse) @ B.T
+        config.catalog.f(y, vd, fx, out=fx)
+        np.matmul(fx, Bq, out=F)
+        F += base.memory[rows]
+        yield lo, F
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up to inf or NaN trips the test
+def window_response(base: Trajectory, control, linear: BeamState) -> BeamState:
+    """The forced response R(tau) of every cell of a one-window control (module docstring).
+
+    ``base`` is the zero-control run, left unchanged, and the control's window is the last
+    delta of its horizon, delta being that of the control's Gramian set.  The cells'
+    terminal states are the steered linear ones, ``linear``, plus R: each is checked
+    against the blow-up threshold, the sum forming no state inside the window.
+    """
+    config, gramians = base.config, control.gramians
+    lam = config.modes.lambdas
+    if control.eta.ndim != 3:
+        raise InvalidArgumentError("a window sum takes the control of one window, not a stack")
+    same = gramians.modes.lambdas is lam or np.array_equal(gramians.modes.lambdas, lam)
+    if gramians.beta != config.beta or not same:
+        raise InvalidArgumentError("the control must be synthesized for the config's system")
+    start = config.validate_delta(gramians.delta)
+    # (a12, a22) of exp(K (tau - t_k)) and the trapezoid weights, from the window start
+    response = _tables(config)[-1][2:, start - config.horizon_steps - 1 :]
+    omega = np.ones(response.shape[1])
+    omega[[0, -1]] = 0.5
+    R = np.zeros((2, len(control.eta), config.n_modes))
+    for lo, F in _window_forcing(base, control, start):
+        k = slice(lo - start, lo - start + F.shape[1])
+        R += np.einsum("ikj,k,ckj->icj", response[:, k], omega[k], F)
+    R *= config.step
+    z_w, z_v = linear.w + R[0], linear.v + R[1]
+    norms = np.sqrt(np.square(z_w) @ (lam * lam) + np.square(z_v).sum(axis=-1))
+    if not norms.max() <= BLOWUP_THRESHOLD:  # a NaN trips too
+        c = int(np.argmax(norms))  # argmax takes a NaN as the largest
+        raise BlowUpError(
+            f"trajectory norm {norms[c]:.3e} at t={config.tau:.6f} in the cell "
+            f"alpha={control.alpha[c]}, delta={gramians.delta:g}"
+        )
+    return BeamState(R[0], R[1])

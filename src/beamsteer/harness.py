@@ -2,18 +2,18 @@
 
 The pullback experiment follows the constructive steering recipe: simulate
 with zero control up to the window start, synthesize the regularized
-steering control from the state reached there, continue the full semilinear
-simulation over the window, and compare against the steered linear solution.
-The zero-control run is simulated once; every cell resumes from it at its
-window start, and all alphas of one window run as one batch.  The linear
-layer of every window is one stacked evaluation with the windows on a leading
-axis: one Gramian set, one control and one linear steer of all windows, and
-window i's run resumes with the control's window i.  Per
-(alpha, delta) cell the recorded errors are
+steering control from the state reached there, and add to the steered linear
+solution the window's forced response R, which ``window_response`` sums from
+the zero-control run.  That run is simulated once for every cell, and all
+alphas of one window form one batch.  The linear layer of every window is one
+stacked evaluation with the windows on a leading axis: one Gramian set, one
+control and one linear steer of all windows, and window i's sum takes the
+control's window i.  Per (alpha, delta) cell, with y(tau) the steered linear
+state and z(tau) = y(tau) + R, the recorded errors are
 
-    error_total = ||z(tau) - z1||        (goal of the experiment)
-    error_nl    = ||z(tau) - y(tau)||    (nonlinear/memory window effect)
-    error_lin   = ||y(tau) - z1||        (regularisation residual)
+    error_total = ||z(tau) - z1|| = ||(y(tau) - z1) + R||  (goal of the experiment)
+    error_nl    = ||R||              (nonlinear/memory window effect)
+    error_lin   = ||y(tau) - z1||    (regularisation residual)
 
 All randomness is drawn from one seeded generator in a fixed order (history
 first, then target), so a seed pins the experiment exactly.  The generator is
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, simulate
+from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, simulate, window_response
 from .errors import InvalidArgumentError
 from .gramian import GramianSet, assemble_gramian, gramian_mode_quadrature
 from .semigroup import propagate
@@ -115,7 +115,7 @@ class ExperimentSpec:
             raise InvalidArgumentError("history_amplitude must be finite")
         if not abs(self.target_scale) <= BLOWUP_THRESHOLD:  # no run may pass it
             raise InvalidArgumentError(f"target_scale must lie within {BLOWUP_THRESHOLD:g}")
-        # the longest window holds its arrays once per alpha, beside the base run's nodes
+        # the longest window's sum holds its blocks once per alpha, beside the base run's nodes
         config = self.config
         start = min(config.validate_delta(delta) for delta in self.deltas)
         config.check_run_bytes(len(self.alphas), config.delay_steps + config.horizon_steps - start)
@@ -203,7 +203,7 @@ def pullback_setup(spec: ExperimentSpec):
         spec.history_kind, spec.history_amplitude, spec.config.delay, modes, rng, spec.history_mode
     )
     config = spec.config.with_history(history)
-    base_traj = simulate(config, None)
+    base_traj = simulate(config)
     target = make_target(
         spec.target_kind, modes, rng, scale=spec.target_scale, mode_index=spec.target_mode,
         free_point=base_traj.terminal(),
@@ -246,25 +246,26 @@ def residual_identity(problem: SteeringProblem, gramians: GramianSet, q_quad):
     return control, measured, formula
 
 
-def _errors(z, y, target, modes):
-    """error_total, error_nl and error_lin of the terminal states z and y, per cell of a batch."""
-    return [energy_norm(a - b, modes) for a, b in ((z, target), (z, y), (y, target))]
+def _errors(y, r, target, modes):
+    """error_total, error_nl and error_lin of the linear terminal states y and the forced
+    responses r, per cell of a batch."""
+    lin = y - target
+    return [energy_norm(lin + r, modes), energy_norm(r, modes), energy_norm(lin, modes)]
 
 
 def pullback_cell(
     config: SimConfig, target: BeamState, delta: float, alpha: float, base_traj: Trajectory
-):
-    """One (delta, alpha) cell simulated from scratch over [-delay, tau], its control
-    synthesized from the base run's state at the window start: the reference for
-    the sweep's batched window runs.  Returns the row and the trajectory."""
+) -> ResultRow:
+    """One (delta, alpha) cell on its own, its control synthesized from the base run's state
+    at the window start and its window summed alone.  Returns the row."""
     modes, t0 = config.modes, time.perf_counter()
     z_mid = base_traj.state_at(config.tau - delta)
     gramians = assemble_gramian(modes, config.beta, delta)
     control = synthesize_control(SteeringProblem(z_mid, target, alpha), gramians)
-    traj = simulate(config, control)
-    (y_tau,) = steer_linear(z_mid, control)
-    errors = _errors(traj.terminal(), y_tau, target, modes)
-    return ResultRow(alpha, delta, *errors, time.perf_counter() - t0, config.horizon_steps), traj
+    y_tau = steer_linear(z_mid, control)
+    errors = _errors(y_tau, window_response(base_traj, control, y_tau), target, modes)
+    runtime = time.perf_counter() - t0
+    return ResultRow(alpha, delta, *np.concatenate(errors).tolist(), runtime, config.horizon_steps)
 
 
 def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> list[ResultRow]:
@@ -273,10 +274,9 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
     One zero-control base run serves every cell.  The linear layer of the whole
     grid is one batch: one Gramian evaluation of every window, one stacked
     control from the window-start states and one linear steer.  Per delta one
-    window run of all alphas resumes from the base run with that window's
-    control, and one error evaluation
-    covers every cell.  A row's runtime is an equal share of its window run plus
-    an equal share of the linear batch.
+    window sum of all alphas reads the base run with that window's control, and
+    one error evaluation covers every cell.  A row's runtime is an equal share of
+    its window sum plus an equal share of the linear batch.
     """
     config, base_traj, target = pullback_setup(spec)
     modes = config.modes
@@ -289,13 +289,13 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
     control = synthesize_control(SteeringProblem(z_mid, target, alphas), gramians)
     y_tau = steer_linear(z_mid, control)
     linear = (timer() - t0) / (len(deltas) * len(alphas))
-    runs, shares = [], []
+    sums, shares = [], []
     for i in range(len(deltas)):
         t0 = timer()
-        runs.append(simulate(config, control[i], prefix=base_traj))
+        sums.append(window_response(base_traj, control[i], BeamState(y_tau.w[i], y_tau.v[i])))
         shares.append(linear + (timer() - t0) / len(alphas))
-    z_tau = BeamState(np.stack([z.w for z in runs]), np.stack([z.v for z in runs]))
-    errors = np.stack(_errors(z_tau, y_tau, target, modes), axis=-1)  # (deltas, alphas, 3)
+    r = BeamState(np.stack([x.w for x in sums]), np.stack([x.v for x in sums]))
+    errors = np.stack(_errors(y_tau, r, target, modes), axis=-1)  # (deltas, alphas, 3)
     return [
         ResultRow(a, delta, *e.tolist(), share, config.horizon_steps)
         for delta, share, row in zip(deltas, shares, errors)

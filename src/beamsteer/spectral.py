@@ -93,7 +93,7 @@ def basis_matrix(domain: SpatialDomain, count: int) -> np.ndarray:
 @dataclass
 class BeamState:
     """Deflection and velocity coefficient vectors of equal length; a batch of
-    states has leading cell axes, shape (..., N), and iterates over the first."""
+    states has leading cell axes, shape (..., N)."""
 
     w: np.ndarray
     v: np.ndarray
@@ -107,9 +107,6 @@ class BeamState:
     @property
     def count(self) -> int:
         return int(self.w.shape[-1])
-
-    def __iter__(self):
-        return (BeamState(w, v) for w, v in zip(self.w, self.v))
 
     @classmethod
     def zeros(cls, count: int) -> "BeamState":

@@ -6,8 +6,9 @@ assembled from scratch.  The stepwise simulator and the memory re-sum reuse
 the package's one-step exponential, collocate through their own helper, and
 check how the slab integrator and its memory recursion combine the two; the
 stepwise control increments come from their own quadrature of the values that
-``window_coeffs`` evaluates from the costate, the reference for the window
-controls the slab integrator forms inline.  The plain sine
+``window_coeffs`` evaluates from the costate.  The stepped window response is
+the reference for the package's closed-form window sum, and the same sum in
+extended precision the reference for its rounding.  The plain sine
 transforms, the block generator and the left-limit lookup serve only tests, as
 do the package-based helpers below: one modal block with its roots, one block's
 exponential, the operator-norm sweep (both in the energy metric, after the
@@ -22,7 +23,7 @@ from functools import partial
 import mpmath
 import numpy as np
 
-from beamsteer import BeamState, ModeSet, Trajectory, basis_matrix
+from beamsteer import BeamState, ModeSet, Trajectory, basis_matrix, dynamics
 from beamsteer.dynamics import BLOWUP_THRESHOLD, exact_multiple
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from beamsteer.semigroup import _roots, exp_entries
@@ -280,24 +281,19 @@ def step_control_quadrature(control, starts, h, tau, nodes=32):
     """Control increments integral_0^h exp(A (h - s)) b u(t + s) ds of steps starting at
     ``starts``, for a one-cell control whose window ends at ``tau``.
 
-    Per mode, Gauss-Legendre in s with the response exp(A (h - s)) b of the
-    energy-coordinate generator A = [[0, lam], [-lam, -2 beta lam]] from
-    numpy's eigendecomposition of A (distinct roots, beta > 1) and u sampled
-    from ``window_coeffs``; one panel per step, so the steps must be short
-    against every mode's decay.  Returns (n_steps, N) arrays for w and v.
+    Per mode, Gauss-Legendre in s with the input response exp(A (h - s)) b of the
+    energy-coordinate generator A = [[0, lam], [-lam, -2 beta lam]] from the package's
+    one-step exponential (critical damping included) and u sampled from
+    ``window_coeffs``; one panel per step, so the steps must be short against every
+    mode's decay.  Returns (n_steps, N) arrays for w and v.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
     s = 0.5 * h * (x + 1.0)
     (u,) = window_coeffs(control, np.asarray(starts)[:, None] + s, tau)  # (n_steps, nodes, N)
     lambdas, beta = control.gramians.modes.lambdas, control.gramians.beta
-    out = np.zeros(u.shape[:1] + (lambdas.size, 2))
-    for j, lam in enumerate(lambdas):
-        A = np.array([[0.0, lam], [-lam, -2.0 * beta * lam]])
-        mu, V = np.linalg.eig(A)
-        coeffs = np.linalg.solve(V, [0.0, 1.0])
-        response = (V @ (np.exp(np.outer(mu, h - s)) * coeffs[:, None])).real
-        out[:, j] = (0.5 * h * w * u[:, :, j]) @ response.T
-    return out[..., 0] / lambdas, out[..., 1]
+    _, rw, _, rv = exp_entries(lambdas, beta, (h - s)[:, None], energy=True)  # (nodes, N)
+    weighted = 0.5 * h * w[:, None] * u
+    return (weighted * rw).sum(axis=1) / lambdas, (weighted * rv).sum(axis=1)
 
 
 def block_exp(block, t: float, energy: bool = False) -> np.ndarray:
@@ -430,6 +426,8 @@ def simulate_stepwise(config, control=None):
 
     def forcing(i, active):
         F = memory[i] if has_memory else zero
+        if catalog.f_kind == "zero":  # f = 0 collocates to exact zeros
+            return F
         u = win_u[i - start_idx] if active else zero
         wd, vd = pre_impulse.get(i - n_r) or (W[i - n_r], V[i - n_r])
         return _collocate(B, qw, catalog.f, wd, vd, u) + F
@@ -467,5 +465,53 @@ def simulate_stepwise(config, control=None):
 
     return Trajectory(
         times=times, w=W, v=V, memory=memory, pre_impulse=pre_impulse,
-        impulse_events=impulse_events, config=config, control=control,
+        impulse_events=impulse_events, config=config,
     )
+
+
+def window_response_stepwise(base, control):
+    """The forced response R(tau) of every cell of a one-window control, stepped.
+
+    The window steps of :func:`simulate_stepwise` from a zero state, without the
+    control increments (the linear steer carries those): per step the forcing of
+    both ends, collocated on the oracle's own helper at the base run's delayed
+    states (left limits at impulse nodes), the cell's control from ``window_coeffs``
+    and the base run's memory forcing, enters by the trapezoid rule through the
+    one-step exponential.  Returns (cells, N) arrays for w and v.
+    """
+    config = base.config
+    modes, domain, h, n_r = config.modes, config.domain, config.step, config.delay_steps
+    end = n_r + config.horizon_steps
+    start = n_r + exact_multiple(config.tau - control.gramians.delta, h, "the window start")
+    nodes = np.arange(start, end + 1)
+    u = window_coeffs(control, base.times[nodes], config.tau)  # (cells, nodes, N)
+    delayed = [left_limit(base, k - n_r) for k in nodes]
+    wd, vd = (np.array([getattr(z, name) for z in delayed]) for name in ("w", "v"))
+    B = basis_matrix(domain, modes.count)
+    F = _collocate(B, domain.spacing, config.catalog.f, wd, vd, u) + base.memory[nodes]
+    a11, a12, a21, a22 = exp_entries(modes.lambdas, config.beta, h)
+    rw, rv, half = np.zeros(u.shape[::2]), np.zeros(u.shape[::2]), 0.5 * h
+    for i in range(nodes.size - 1):
+        left, right = F[:, i], F[:, i + 1]
+        rw, rv = (
+            a11 * rw + a12 * rv + half * a12 * left,
+            a21 * rw + a22 * rv + half * (a22 * left + right),
+        )
+    return rw, rv
+
+
+def window_response_extended(base, control):
+    """The window sum R = h sum_k omega_k T(tau - t_k) e2 F_k of every cell in extended
+    precision: the package's forcing blocks F_k and (a12, a22) table entries, contracted
+    in ``np.longdouble`` with omega = 1/2 at both ends.  Returns (cells, N) longdouble
+    arrays for w and v.
+    """
+    config = base.config
+    n_r, end = config.delay_steps, config.delay_steps + config.horizon_steps
+    start = config.validate_delta(control.gramians.delta)
+    response = dynamics._tables(config)[-1][2:, start - (end + 1 - n_r) :].astype(np.longdouble)
+    blocks = dynamics._window_forcing(base, control, start)
+    F = np.concatenate([block.astype(np.longdouble) for _, block in blocks], axis=1)
+    F[:, [0, -1]] /= 2
+    R = (response[:, None] * F).sum(axis=2) * np.longdouble(config.step)
+    return R[0], R[1]

@@ -6,6 +6,7 @@ criteria 5-8 run the full steering experiment of the default configuration.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from beamsteer import (
     summarize_rows,
     synthesize_control,
 )
+from beamsteer import harness
 from beamsteer.config import load_experiment
 from beamsteer.dynamics import SimConfig
 from beamsteer.harness import (
@@ -193,23 +195,41 @@ def test_criterion_5_pullback_experiment():
     )
 
 
-def test_criterion_6_pullback_invariance():
+def test_criterion_6_pullback_invariance(monkeypatch):
+    # the window reads the zero-control run up to its start only: with every later
+    # state of the base run NaN, the rows come out bitwise the same; and a sweep
+    # leaves its base run bitwise as simulate returned it
     t0 = time.perf_counter()
     spec = load_experiment(None)
     config, base, target = pullback_setup(spec)
     delta = 0.2
     assert delta < config.delay
-    _, traj_a = pullback_cell(config, target, delta, 1e-1, base)
-    _, traj_b = pullback_cell(config, target, delta, 1e-5, base)
-    cut = traj_a.index_at(config.tau - delta)
-    identical = np.array_equal(traj_a.w[: cut + 1], traj_b.w[: cut + 1]) and np.array_equal(
-        traj_a.v[: cut + 1], traj_b.v[: cut + 1]
-    )
+    cut = base.index_at(config.tau - delta)
+    blind = replace(base, w=base.w.copy(), v=base.v.copy())
+    blind.w[cut + 1 :] = blind.v[cut + 1 :] = np.nan
+
+    def errors(run, alpha):
+        row = pullback_cell(config, target, delta, alpha, run)
+        return row.error_total, row.error_nl, row.error_lin
+
+    identical = all(errors(blind, a) == errors(base, a) for a in (1e-1, 1e-5))
+    runs = []
+
+    def recorded(config):
+        run = simulate(config)
+        runs.append((run, [a.tobytes() for a in (run.w, run.v, run.memory)]))
+        return run
+
+    monkeypatch.setattr(harness, "simulate", recorded)
+    run_pullback_experiment(spec)
+    ((run, made),) = runs
+    kept = [a.tobytes() for a in (run.w, run.v, run.memory)] == made
     elapsed = time.perf_counter() - t0
     _report(
         6,
-        identical and elapsed < 10.0,
-        f"prefix bitwise identical={identical}, runtime {elapsed:.2f}s (< 10s)",
+        identical and kept and elapsed < 10.0,
+        f"rows bitwise identical past the window start={identical}, "
+        f"base run kept={kept}, runtime {elapsed:.2f}s (< 10s)",
     )
 
 
@@ -260,7 +280,7 @@ def test_criterion_8_integrator_self_convergence():
             impulses=spec.config.impulses,
             history=history,
         )
-        return simulate(config, None).terminal()
+        return simulate(config).terminal()
 
     h = 1.0 / 150.0
     reference = terminal(h / 8)

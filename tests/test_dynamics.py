@@ -8,7 +8,6 @@ import pytest
 
 from beamsteer import (
     BeamState,
-    ControlSignal,
     ImpulseSchedule,
     NonlinearityCatalog,
     SimConfig,
@@ -27,7 +26,15 @@ from beamsteer import (
 )
 from beamsteer import dynamics, spectral
 from beamsteer.config import DEFAULT_CONFIG
-from beamsteer.dynamics import BLOWUP_THRESHOLD, CHUNK, F_READS, G_KINDS, OUTER, exact_multiple
+from beamsteer.dynamics import (
+    BLOWUP_THRESHOLD,
+    CHUNK,
+    F_READS,
+    G_KINDS,
+    OUTER,
+    exact_multiple,
+    window_response,
+)
 from beamsteer.errors import BlowUpError, InvalidArgumentError
 from beamsteer.harness import pullback_setup
 from oracles import (
@@ -122,7 +129,7 @@ def test_nonlinearity_growth_bound():
 
 def test_memory_term_zero_cases():
     cfg = _config(catalog=NonlinearityCatalog())
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     domain, modes = cfg.domain, cfg.modes
     out = memory_term(0.5, traj, cfg.catalog, domain, modes)
     assert energy_norm(out, modes) == 0.0
@@ -137,7 +144,7 @@ def test_memory_term_constant_history_oracle():
     w0 = np.array([0.4, 0.0, 0.1, 0.0])
     cfg = _config(catalog=cat, history=_constant_history(w0, np.zeros(4)))
     domain, modes = cfg.domain, cfg.modes
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     t = cfg.delay  # delayed reads still inside the constant history
     got = memory_term(t, traj, cat, domain, modes)
     g_vals = cat.g(synthesize(w0, domain))
@@ -158,7 +165,7 @@ def test_memory_term_matches_recorded_diagnostics(step, gamma):
         0.2 * np.cos(s)[:, None] * np.ones(4) / np.arange(1, 5) ** 2, np.zeros((s.size, 4))
     )
     cfg = _config(catalog=cat, history=hist, step=step)
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     domain, modes = cfg.domain, cfg.modes
     for t in (0.1, 0.5, 1.0):
         recomputed = memory_term(t, traj, cat, domain, modes)
@@ -280,7 +287,7 @@ def test_impulse_schedule_validation():
 def test_free_simulation_matches_semigroup():
     z0 = BeamState(np.array([0.3, -0.1, 0.05, 0.02]), np.array([0.1, 0.0, -0.2, 0.01]))
     cfg = _config(history=_constant_history(z0.w, z0.v))
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     modes = cfg.modes
     ref = apply_semigroup(z0, cfg.tau, modes, BETA)
     assert energy_norm(traj.terminal() - ref, modes) <= 1e-6
@@ -290,7 +297,7 @@ def test_simulation_reproduces_history():
     z0 = BeamState(np.full(4, 0.2), np.full(4, -0.3))
     hist = lambda s: ((1.0 + s)[:, None] * z0.w, (1.0 + s)[:, None] * z0.v)
     cfg = _config(history=hist)
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     i = traj.index_at(-0.3)
     np.testing.assert_allclose(traj.state(i).w, 0.7 * z0.w, rtol=1e-14)
     assert traj.index_at(0.0) == cfg.delay_steps
@@ -305,7 +312,7 @@ def test_history_evaluated_once_on_the_delay_grid():
         return (1.0 + s)[:, None] * w0, np.zeros((s.size, 4))
 
     cfg = _config(history=hist)
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     assert len(calls) == 1
     s = calls[0]
     assert s.shape == (181,)
@@ -329,27 +336,34 @@ def test_history_evaluated_once_on_the_delay_grid():
 def test_simulate_rejects_history_of_wrong_shape(returned):
     cfg = _config(history=lambda s: returned)
     with pytest.raises(InvalidArgumentError, match=r"history must give .* \(181, 4\)"):
-        simulate(cfg, None)
+        simulate(cfg)
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.01, 2.0], ids=["beta1", "beta1.01", "beta2"])
 @pytest.mark.parametrize("step", [1 / 600, 1 / 4800], ids=["h600", "h4800"])
 def test_steered_linear_simulation_matches_quadrature_path(beta, step):
-    # with f, g and the kernel zero the window dynamics are exactly linear
+    # with f, g and the kernel zero the window dynamics are exactly linear: the
+    # window sum adds nothing, and the stepwise run, whose control increments come
+    # from quadrature, ends where the closed-form linear steer does
     z0 = BeamState(np.array([0.2, -0.05, 0.02, 0.0]), np.zeros(4))
     cfg = _config(history=_constant_history(z0.w, z0.v), beta=beta, step=step)
     modes = cfg.modes
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     y0 = traj.state_at(0.8)
     rng = np.random.default_rng(2)
     z1 = BeamState(rng.standard_normal(4) * 0.1 / modes.lambdas, rng.standard_normal(4) * 0.1)
     control = _steer(cfg, SteeringProblem(y0, z1, 1e-2), 0.2)
-    steered = simulate(cfg, control)
-    (linear,) = steer_linear(y0, control)
-    assert energy_norm(steered.terminal() - linear, modes) <= 1e-12 * energy_norm(linear, modes)
+    linear = steer_linear(y0, control)
+    response = window_response(traj, control, linear)
+    assert not response.w.any() and not response.v.any()
+    steered = simulate_stepwise(cfg, control).terminal()
+    assert energy_norm(steered - linear, modes) <= 1e-12 * energy_norm(linear, modes)
 
 
 def test_prefix_bitwise_invariance():
+    # the window sum reads the zero-control run up to the window start only: with
+    # every later state NaN its responses come out bitwise the same, and they
+    # differ between the alphas
     cat = NonlinearityCatalog(
         f_kind="linear_growth", f_a=0.5, g_kind="rational",
         kernel_kind="exponential", kappa=0.5, gamma=1.0,
@@ -357,25 +371,19 @@ def test_prefix_bitwise_invariance():
     imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.05, 0.05))
     hist = _constant_history(0.2 * np.ones(4) / np.arange(1, 5) ** 2, np.zeros(4))
     cfg = _config(catalog=cat, impulses=imp, history=hist)
-    modes = cfg.modes
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     z1 = BeamState.zeros(4)
     z1.v[0] = 1.0
-    # at delta = 0.165 the window start cuts the slab from the impulse at 0.7
-    # one row into its last collocation piece of 81 rows
     for delta in (0.2, 0.165):
         y0 = traj.state_at(1.0 - delta)
-        u_a = _steer(cfg, SteeringProblem(y0, z1, 1e-1), delta)
-        u_b = _steer(cfg, SteeringProblem(y0, z1, 1e-4), delta)
-        ta = simulate(cfg, u_a)
-        tb = simulate(cfg, u_b)
-        cut = ta.index_at(1.0 - delta)
-        # the prefix is the zero-control run's, bitwise
-        for run in (tb, traj):
-            assert np.array_equal(ta.w[: cut + 1], run.w[: cut + 1])
-            assert np.array_equal(ta.v[: cut + 1], run.v[: cut + 1])
-        # and they do differ afterwards
-        assert not np.array_equal(ta.v[cut + 1 :], tb.v[cut + 1 :])
+        control = _steer(cfg, SteeringProblem(y0, z1, (1e-1, 1e-4)), delta)
+        linear = steer_linear(y0, control)
+        cut = traj.index_at(1.0 - delta)
+        blind = replace(traj, w=traj.w.copy(), v=traj.v.copy())
+        blind.w[cut + 1 :] = blind.v[cut + 1 :] = np.nan
+        got, want = (window_response(run, control, linear) for run in (blind, traj))
+        assert np.array_equal(got.w, want.w) and np.array_equal(got.v, want.v)
+        assert not np.array_equal(want.v[0], want.v[1])
 
 
 def _steer(config, problem, delta):
@@ -383,101 +391,59 @@ def _steer(config, problem, delta):
     return synthesize_control(problem, assemble_gramian(config.modes, config.beta, delta))
 
 
-def _resume_setup():
-    """A config, its zero-control run and a problem posed at the start of the window
-    of length 0.2."""
-    cfg = _config(history=_constant_history(np.full(4, 0.1), np.zeros(4)))
-    base = simulate(cfg, None)
+def _resume_setup(**kw):
+    """A config (``kw`` changing it), its zero-control run and a problem posed at the
+    start of the window of length 0.2."""
+    cfg = _config(history=_constant_history(np.full(4, 0.1), np.zeros(4)), **kw)
+    base = simulate(cfg)
     z1 = BeamState.zeros(4)
     z1.v[0] = 0.3
     problem = SteeringProblem(base.state_at(0.8), z1, 1e-2)
     return cfg, base, problem
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        dict(step=1 / 1200),
-        dict(delay=0.25),
-        dict(tau=1.2),
-        dict(n_modes=3),
-        dict(beta=3.0),
-        dict(length=1.5),
-        dict(catalog=NonlinearityCatalog(f_kind="linear_growth", f_a=0.5)),
-        dict(impulses=ImpulseSchedule(times=(0.4,), gains=(0.05,))),
-        dict(history=_constant_history(np.full(4, 0.2), np.zeros(4))),
-        None,
-    ],
-    ids=[
-        "step", "delay", "horizon", "modes", "beta", "length", "catalog", "impulses", "history",
-        "controlled",
-    ],
-)
-def test_resume_rejects_prefix_of_another_config(change):
-    # the prefix must be a zero-control run of exactly the config that resumes it;
-    # a prefix differing only in beta, length, catalog or impulses used to resume
-    cfg, base, problem = _resume_setup()
-    if change is None:  # the same config, but the prefix carries a control
-        other, base = cfg, simulate(cfg, _steer(cfg, problem, 0.2))
-    else:
-        other = replace(cfg, **change)
-    gramians = assemble_gramian(other.modes, other.beta, 0.2)
-    control = ControlSignal(gramians, np.zeros((1, other.n_modes, 2)), alpha=[1e-2])
-    with pytest.raises(InvalidArgumentError, match="prefix must be a zero-control run"):
-        simulate(other, control, prefix=base)
-
-
-def test_run_shapes_reject_wrong_pairings():
-    # a full run takes None or a one-cell control, a resumed run a control of any size
-    cfg, base, problem = _resume_setup()
-    batch = _steer(cfg, replace(problem, alpha=(1e-1, 1e-3)), 0.2)
-    for control, prefix in ((batch, None), (None, base)):
-        with pytest.raises(InvalidArgumentError, match="full run takes None or one cell"):
-            simulate(cfg, control, prefix=prefix)
-
-
-def test_simulate_rejects_a_stacked_control():
-    # a run steps one window: the control of a stack of windows is rejected in one
-    # line, by a full run and a resumed one alike
+def test_window_sum_rejects_a_stacked_control():
+    # a window sum takes one window: the control of a stack of windows is rejected
+    # in one line
     cfg, base, problem = _resume_setup()
     ends = [base.state_at(0.8), base.state_at(0.9)]
     starts = BeamState(np.stack([y.w for y in ends]), np.stack([y.v for y in ends]))
     stacked = _steer(cfg, replace(problem, y0=starts), [0.2, 0.1])
-    for prefix in (None, base):
-        with pytest.raises(InvalidArgumentError, match="one window, not a stack") as info:
-            simulate(cfg, stacked, prefix=prefix)
-        assert "\n" not in str(info.value)
+    with pytest.raises(InvalidArgumentError, match="one window, not a stack") as info:
+        window_response(base, stacked, steer_linear(starts, stacked))
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize(
     "system", [dict(beta=3.0), dict(length=1.5), dict(n_modes=3)], ids=["beta", "length", "modes"]
 )
-def test_simulate_rejects_controls_of_another_system(system):
-    # a 3-mode control on the 4-mode config used to fail inside numpy, the others ran silently
+def test_window_sum_rejects_controls_of_another_system(system):
+    # a 3-mode control on the 4-mode config would fail inside numpy, the others run silently
     cfg, base, problem = _resume_setup()
     other = _config(**system)
     modes = other.modes
     z1 = BeamState.zeros(modes.count)
     z1.v[0] = 0.3
-    control = _steer(other, SteeringProblem(BeamState.zeros(modes.count), z1, 1e-2), 0.2)
-    for prefix in (None, base):
-        with pytest.raises(InvalidArgumentError, match="synthesized for the config's system"):
-            simulate(cfg, control, prefix=prefix)
+    y0 = BeamState.zeros(modes.count)
+    control = _steer(other, SteeringProblem(y0, z1, 1e-2), 0.2)
+    with pytest.raises(InvalidArgumentError, match="synthesized for the config's system"):
+        window_response(base, control, steer_linear(y0, control))
 
 
 def test_resume_takes_a_control_batch_like_a_sequence():
-    # each cell of a resumed batch equals, bitwise, its lone resumed run
-    cfg, base, problem = _resume_setup()
-    modes = cfg.modes
+    # each cell of a window sum's batch equals, bitwise, its lone window sum
+    catalog = NonlinearityCatalog(f_kind="bounded_trig", f_a=0.4, f_b=0.2)
+    cfg, base, problem = _resume_setup(catalog=catalog)
     alphas = (1e-1, 1e-3)
-    gramians = assemble_gramian(modes, BETA, 0.2)
+    gramians = assemble_gramian(cfg.modes, BETA, 0.2)
     batch = synthesize_control(replace(problem, alpha=alphas), gramians)
-    got = simulate(cfg, batch, prefix=base)
+    got = window_response(base, batch, steer_linear(problem.y0, batch))
     assert got.w.shape == (2, 4)
-    for cell, alpha in zip(got, alphas):
+    for c, alpha in enumerate(alphas):
         lone = synthesize_control(replace(problem, alpha=alpha), gramians)
-        (want,) = simulate(cfg, lone, prefix=base)
-        assert np.array_equal(cell.w, want.w) and np.array_equal(cell.v, want.v)
+        want = window_response(base, lone, steer_linear(problem.y0, lone))
+        assert np.array_equal(got.w[c], want.w[0]) and np.array_equal(got.v[c], want.v[0])
+    assert not np.array_equal(got.v[0], got.v[1])
 
 
 @pytest.mark.parametrize("kind", F_READS)
@@ -498,13 +464,14 @@ def _blowup_window():
     z1 = BeamState.zeros(4)
     z1.v[0] = 1e13  # far target: the weakly regularised cell needs a huge control
     problem = SteeringProblem(base.state_at(0.9), z1, (1e-1, 1e-4))
-    return cfg, _steer(cfg, problem, 0.1), base
+    controls = _steer(cfg, problem, 0.1)
+    return base, controls, steer_linear(problem.y0, controls)
 
 
 def test_blowup_in_batched_window_names_cell():
-    cfg, controls, base = _blowup_window()
-    with pytest.raises(BlowUpError, match=r"at t=0\.9\d+ in the cell alpha=0\.0001, delta=0\.1"):
-        simulate(cfg, controls, prefix=base)
+    # the sum forms no state inside the window, so the terminal states trip, at tau
+    with pytest.raises(BlowUpError, match=r"at t=1\.000000 in the cell alpha=0\.0001, delta=0\.1$"):
+        window_response(*_blowup_window())
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -541,22 +508,23 @@ def _clean_rows(specs):
 
 
 def test_warm_resumed_run_allocates_less_than_one_grid_workspace():
-    # a resumed run's node arrays, grid workspaces and window products live in the
-    # thread's held buffers, so a warm call allocates far less than one grid workspace
+    # the window sum, which took over from the resumed run, forms its blocks in the
+    # workspaces the base run holds, so a warm call allocates far less than one of them
     spec = _workload("sweep-long")
     config, base, target = pullback_setup(spec)
     delta = max(spec.deltas)
-    assert delta / config.step >= OUTER  # the window's slabs are OUTER steps long
+    assert delta / config.step >= OUTER  # the window takes more than one block
     problem = SteeringProblem(base.state_at(config.tau - delta), target, spec.alphas)
     control = _steer(config, problem, delta)
-    simulate(config, control, prefix=base)
+    linear = steer_linear(problem.y0, control)
+    window_response(base, control, linear)
     held = dict(vars(dynamics._held))
-    simulate(config, control, prefix=base)
-    assert set(held) == {"nodes", "phase"}
+    window_response(base, control, linear)
+    assert set(held) == {"phase"}
     assert all(vars(dynamics._held)[slot] is buffer for slot, buffer in held.items())
     tracemalloc.start()
     try:
-        simulate(config, control, prefix=base)
+        window_response(base, control, linear)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -572,9 +540,8 @@ def test_held_buffers_leak_nothing_between_calls():
         for buffer in vars(dynamics._held).values():
             buffer.fill(np.nan)
         assert _rows(spec) == rows
-    cfg, controls, base = _blowup_window()
     with pytest.raises(BlowUpError):
-        simulate(cfg, controls, prefix=base)
+        window_response(*_blowup_window())
     assert [_rows(spec) for spec in specs] == clean
 
 
@@ -600,7 +567,7 @@ def test_deflection_continuity_at_impulses():
     imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.3, 0.2))
     hist = _constant_history(0.3 * np.ones(4), 0.1 * np.ones(4))
     cfg = _config(catalog=cat, impulses=imp, history=hist)
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     assert len(traj.pre_impulse) == 2
     for idx, (w_pre, v_pre) in traj.pre_impulse.items():
         np.testing.assert_array_equal(traj.w[idx], w_pre)
@@ -613,7 +580,7 @@ def test_impulse_jump_recorded():
     imp = ImpulseSchedule(times=(0.5,), gains=(0.2,))
     hist = _constant_history(np.full(4, 0.5), np.zeros(4))
     cfg = _config(impulses=imp, history=hist)
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     assert len(traj.impulse_events) == 1
     k, t, size = traj.impulse_events[0]
     assert k == 0 and t == pytest.approx(0.5) and 0 < size <= 0.2
@@ -625,7 +592,7 @@ def test_rerun_with_cached_tables_builds_no_basis(monkeypatch):
     imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.05, 0.05))
     hist = _constant_history(np.full(4, 0.5), np.zeros(4))
     cfg = _config(impulses=imp, history=hist)
-    simulate(cfg, None)
+    simulate(cfg)
     calls = []
     original = spectral.basis_matrix
 
@@ -635,7 +602,7 @@ def test_rerun_with_cached_tables_builds_no_basis(monkeypatch):
 
     for module in (spectral, dynamics):
         monkeypatch.setattr(module, "basis_matrix", counted)
-    traj = simulate(cfg, None)
+    traj = simulate(cfg)
     assert len(traj.impulse_events) == 2
     assert calls == []
 
@@ -652,7 +619,7 @@ def test_second_order_self_convergence():
 
     def terminal(step):
         cfg = _config(tau=0.5, delay=0.1, step=step, catalog=cat, impulses=imp, history=hist)
-        return simulate(cfg, None).terminal()
+        return simulate(cfg).terminal()
 
     modes = laplacian_eigenvalues(1.0, 4)
     ref = terminal(1 / 800)
@@ -665,14 +632,14 @@ def test_blowup_guard_triggers():
     cat = NonlinearityCatalog(f_kind="linear_growth", f_a=0.0, f_b=1e14)
     cfg = _config(catalog=cat)
     with pytest.raises(BlowUpError):
-        simulate(cfg, None)
+        simulate(cfg)
 
 
 def test_blowup_guard_trips_on_non_finite_state():
     cfg = _config(history=_constant_history(np.full(4, np.nan), np.zeros(4)))
     for run in (simulate, simulate_stepwise):
         with pytest.raises(BlowUpError, match=r"norm nan at t=0\.001667$"):
-            run(cfg, None)
+            run(cfg)
 
 
 def test_blowup_guard_names_first_trip_like_stepwise_oracle():
@@ -681,7 +648,7 @@ def test_blowup_guard_names_first_trip_like_stepwise_oracle():
     messages = []
     for run in (simulate, simulate_stepwise):
         with pytest.raises(BlowUpError) as err:
-            run(cfg, None)
+            run(cfg)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     trip = round(float(messages[0].rsplit("t=", 1)[1]) / cfg.step)
@@ -732,28 +699,29 @@ def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta, gamma):
     cfg = _config(catalog=cat, impulses=imp, history=hist, step=step, delay=delay)
     z1 = BeamState.zeros(4)
     z1.v[0] = 0.5
-    free = simulate(cfg, None)
-    problem = SteeringProblem(free.state_at(cfg.tau - delta), z1, 1e-3)
-    modes, gramians = cfg.modes, assemble_gramian(cfg.modes, BETA, delta)
-    steered = synthesize_control(problem, gramians)
-    for control in (None, steered):
-        got, ref = simulate(cfg, control), simulate_stepwise(cfg, control)
-        for a, b in ((got.w, ref.w), (got.v, ref.v), (got.memory, ref.memory)):
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-        gap = energy_norm(got.terminal() - ref.terminal(), modes)
-        assert gap <= 1e-12 * energy_norm(ref.terminal(), modes)
-        assert got.pre_impulse.keys() == ref.pre_impulse.keys()
-        assert [e[:2] for e in got.impulse_events] == [e[:2] for e in ref.impulse_events]
-        assert got.config is ref.config is cfg and got.control is ref.control is control
-    # the loop's last pass leaves the steered control's stepwise run; resumed
-    # from the free run as a batch of two cells, each cell must agree with
-    # its stepwise run, and the prefix must come back bitwise unchanged
-    other = synthesize_control(replace(problem, alpha=1e-1), gramians)
-    refs = [ref.terminal(), simulate_stepwise(cfg, other).terminal()]
-    both = synthesize_control(replace(problem, alpha=(1e-3, 1e-1)), gramians)
+    free, ref = simulate(cfg), simulate_stepwise(cfg)
+    for a, b in ((free.w, ref.w), (free.v, ref.v), (free.memory, ref.memory)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    modes = cfg.modes
+    gap = energy_norm(free.terminal() - ref.terminal(), modes)
+    assert gap <= 1e-12 * energy_norm(ref.terminal(), modes)
+    assert free.pre_impulse.keys() == ref.pre_impulse.keys()
+    assert [e[:2] for e in free.impulse_events] == [e[:2] for e in ref.impulse_events]
+    assert free.config is ref.config is cfg
+    # the window sum of a batch of two cells: each cell's linear steer plus its
+    # response must end where its stepwise run does, and the base run must come
+    # back bitwise unchanged
+    problem = SteeringProblem(free.state_at(cfg.tau - delta), z1, (1e-3, 1e-1))
+    gramians = assemble_gramian(modes, BETA, delta)
+    both = synthesize_control(problem, gramians)
     before = [a.tobytes() for a in (free.w, free.v, free.memory)]
-    for terminal, want in zip(simulate(cfg, both, prefix=free), refs):
-        assert energy_norm(terminal - want, modes) <= 1e-12 * energy_norm(want, modes)
+    linear = steer_linear(problem.y0, both)
+    response = window_response(free, both, linear)
+    for c, alpha in enumerate(problem.alpha):
+        control = synthesize_control(replace(problem, alpha=alpha), gramians)
+        want = simulate_stepwise(cfg, control).terminal()
+        got = BeamState(linear.w[c] + response.w[c], linear.v[c] + response.v[c])
+        assert energy_norm(got - want, modes) <= 1e-12 * energy_norm(want, modes)
     assert [a.tobytes() for a in (free.w, free.v, free.memory)] == before
 
 
@@ -768,7 +736,7 @@ def test_slab_cut_inside_its_first_piece_matches_stepwise_oracle():
     hist = _constant_history(np.full(4, 0.3), np.full(4, 0.1))
     imp = ImpulseSchedule(times=(0.05,), gains=(0.1,))
     cfg = _config(catalog=cat, impulses=imp, history=hist)
-    got, ref = simulate(cfg, None), simulate_stepwise(cfg, None)
+    got, ref = simulate(cfg), simulate_stepwise(cfg)
     for a, b in ((got.w, ref.w), (got.v, ref.v), (got.memory, ref.memory)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -792,13 +760,13 @@ def test_slab_tables_cached_per_system():
     ]
 
     def run(cfg):
-        free = simulate(cfg, None)
+        free = simulate(cfg)
         z1 = BeamState.zeros(cfg.n_modes)
+        y0 = free.state_at(cfg.tau - 0.2)
         z1.v[0] = 0.3
-        control = _steer(cfg, SteeringProblem(free.state_at(cfg.tau - 0.2), z1, 1e-2), 0.2)
-        steered = simulate(cfg, control)
-        (terminal,) = simulate(cfg, control, prefix=free)
-        return [free.w, free.v, free.memory, steered.w, steered.v, terminal.w, terminal.v]
+        control = _steer(cfg, SteeringProblem(y0, z1, 1e-2), 0.2)
+        response = window_response(free, control, steer_linear(y0, control))
+        return [free.w, free.v, free.memory, response.w, response.v]
 
     dynamics._slab_tables.cache_clear()
     runs = [run(cfg) for cfg in configs + [first]]
@@ -926,9 +894,9 @@ def test_zero_control_slabs_past_outer_stay_outer_long(monkeypatch):
 
 @pytest.mark.parametrize("name", ["sweep-default", "sweep-long"])
 def test_run_bytes_estimate_bounds_the_held_bytes(monkeypatch, name):
-    # check_run_bytes sizes a run before it is made: the held buffers of simulate
-    # and the base run's node arrays never pass its estimate, for the base run
-    # alone and with the sweep's window runs, whose full-delay slabs round up
+    # check_run_bytes sizes a run before it is made: the held buffers and the base
+    # run's node arrays never pass its estimate, for the base run alone and with the
+    # sweep's window sums, whose blocks reuse the base run's workspaces
     spec = _workload(name)
     config = spec.config
     vars(dynamics._held).clear()

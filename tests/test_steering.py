@@ -97,7 +97,7 @@ def test_zero_control_is_free_flow():
     rng = np.random.default_rng(2)
     y0 = _random_state(modes, rng)
     control = ControlSignal(assemble_gramian(modes, BETA, DELTA), np.zeros((1, 5, 2)), alpha=[1.0])
-    (out,) = steer_linear(y0, control)
+    out = steer_linear(y0, control)
     free = apply_semigroup(y0, DELTA, modes, BETA)
     assert energy_norm(out - free, modes) <= 1e-13
 
@@ -126,8 +126,8 @@ def test_steering_linearity():
     u1 = _control(y0, _random_state(modes, rng), 1e-2, modes)
     u2 = _control(y0, _random_state(modes, rng), 1e-1, modes)
     both = ControlSignal(u1.gramians, u1.eta + u2.eta, alpha=u1.alpha)
-    (left,) = steer_linear(y0, both)
-    (right,) = steer_linear(y0, u1) + steer_linear(BeamState.zeros(4), u2)
+    left = steer_linear(y0, both)
+    right = steer_linear(y0, u1) + steer_linear(BeamState.zeros(4), u2)
     assert energy_norm(left - right, modes) <= 1e-10
 
 
@@ -235,7 +235,7 @@ def test_closed_form_matches_quadrature_oracle(n, delta, alpha):
     y0 = _random_state(modes, rng)
     control = _control(y0, _random_state(modes, rng), alpha, modes, delta)
     mapped, energy = window_control_quadrature(control)
-    (y_tau,) = steer_linear(BeamState.zeros(n), control)
+    y_tau = steer_linear(BeamState.zeros(n), control)
     got = energy_coords(y_tau, modes)
     assert np.linalg.norm(got - mapped) <= 1e-12 * np.linalg.norm(mapped)
     (closed_form,) = control_energy(control)

@@ -3,7 +3,8 @@
 Draws cover every f, g and kernel kind, soft to stiff spectra, damping from
 critical to 1e8, steps of 1/300 and 1/600, up to two impulses
 before the earliest window, and random or single-mode histories.  Each batched
-row is checked against its cell simulated from scratch (``pullback_cell``).
+row is checked against its cell alone: the linear steer of its one alpha plus
+its window's forced response stepped by the oracle (``window_response_stepwise``).
 The draws come from one seeded numpy generator, each independent of the
 others, so every draw is a new system.
 """
@@ -16,15 +17,23 @@ import pytest
 
 import beamsteer.dynamics as dynamics
 from beamsteer import (
+    BeamState,
     ExperimentSpec,
     ImpulseSchedule,
     NonlinearityCatalog,
     SimConfig,
+    SteeringProblem,
+    assemble_gramian,
+    energy_norm,
     load_experiment,
     run_pullback_experiment,
+    steer_linear,
+    synthesize_control,
 )
 from beamsteer.errors import BlowUpError, InvalidArgumentError
-from beamsteer.harness import pullback_cell, pullback_setup
+from beamsteer.harness import pullback_setup
+
+from oracles import window_response_stepwise
 
 DRAWS, SEED = 120, 20240811
 
@@ -86,7 +95,7 @@ def _accepted_sweep(rng):
 
 
 def _check_rows(spec):
-    """Every row is finite and within 1e-13 of its cell run from scratch, or the sweep
+    """Every row is finite and within 1e-13 of its cell alone with its window stepped, or the sweep
     stops with an error that names the cell that blew up or the window it cannot steer.
     Returns the outcome checked: "rows", "blowup" or "singular"."""
     try:
@@ -101,14 +110,20 @@ def _check_rows(spec):
         assert match and any(f"{d:g}" == match[1] for d in spec.deltas), str(err)
         return "singular"
     config, base, target = pullback_setup(spec)
+    modes = config.modes
     assert len(rows) == len(spec.deltas) * len(spec.alphas)
-    for row in rows:
-        batched = [row.error_total, row.error_nl, row.error_lin]
-        assert np.isfinite(batched).all()
-        ref, _ = pullback_cell(config, target, row.delta, row.alpha, base)
-        np.testing.assert_allclose(
-            batched, [ref.error_total, ref.error_nl, ref.error_lin], rtol=1e-13, atol=0.0
-        )
+    by_cell = {(r.delta, r.alpha): [r.error_total, r.error_nl, r.error_lin] for r in rows}
+    for delta in spec.deltas:
+        z_mid = base.state_at(config.tau - delta)
+        gramians = assemble_gramian(modes, config.beta, delta)
+        for alpha in spec.alphas:
+            control = synthesize_control(SteeringProblem(z_mid, target, alpha), gramians)
+            lin = steer_linear(z_mid, control) - target
+            response = BeamState(*window_response_stepwise(base, control))
+            want = [energy_norm(x, modes)[0] for x in (lin + response, response, lin)]
+            batched = by_cell[(delta, alpha)]
+            assert np.isfinite(batched).all()
+            np.testing.assert_allclose(batched, want, rtol=1e-13, atol=0.0)
     return "rows"
 
 
