@@ -9,7 +9,8 @@ the velocity slot and integrated by the trapezoid rule in s.  The step divides
 the delay, the horizon, the window start and every impulse time, so every
 delayed read is an exact grid lookup.  Every pointwise map (f, the memory
 integrand g, the impulse jumps) acts through one collocation: synthesize onto
-the grid by the basis, apply the map, project back by the spacing-scaled basis.
+the grid by the basis, apply the map, project back by the spacing-scaled basis;
+f and g take their cos and sin from tan(x / 2) (see NonlinearityCatalog).
 Velocity jumps land after the step onto their node, and delayed reads there use
 the left-limit (pre-jump) velocity.  The memory term is the trapezoid sum of its
 convolution, an exact recursion for the exponential kernel.
@@ -88,6 +89,17 @@ def exact_multiple(value: float, step: float, what: str) -> int:
     return n
 
 
+def _cos(x, out=None, scale=1.0):
+    t = np.tan(np.multiply(x, 0.5, out=out), out=out)
+    den = np.add(np.square(t, out=out), 1.0, out=out)
+    return np.subtract(np.divide(2.0 * scale, den, out=out), scale, out=out)
+
+
+def _sin(x, out=None):
+    t = np.tan(np.multiply(x, 0.5, out=out), out=out)
+    return np.divide(2.0 * t, t * t + 1.0, out=out)
+
+
 @dataclass(frozen=True)
 class NonlinearityCatalog:
     """Forcing nonlinearity, memory integrand and kernel, by named kind.
@@ -102,6 +114,9 @@ class NonlinearityCatalog:
     The memory integrand g is ``zero``, ``sin`` (g(w) = sin w) or ``rational``
     (g(w) = w / (1 + w**2)); the kernel is ``zero`` or ``exponential``
     (kappa * exp(-gamma * dt), kappa, gamma >= 0).
+
+    Their cos and sin are 2 / (1 + t**2) - 1 and 2 t / (1 + t**2), t = tan(x / 2), within
+    2 * 2**-52 absolute: numpy's float64 tan is vectorized on AVX512, its cos and sin are not.
     """
 
     f_kind: str = "zero"
@@ -128,13 +143,8 @@ class NonlinearityCatalog:
             shape = np.broadcast_shapes(np.shape(y), np.shape(v), np.shape(u))
             return np.zeros(shape) if out is None else np.copyto(out, 0.0) or out
         if self.f_kind == "bounded_trig":
-            return np.add(self.f_a * np.sin(y) * np.cos(v), self.f_b * np.cos(u), out=out)
-        if out is None or np.ndim(u) == 0:  # one cos for a scalar u, not one per grid point
-            out = np.multiply(y, self.f_a * np.cos(u), out=out)
-        else:  # the products of y * (f_a * cos u), in place
-            np.cos(u, out=out)
-            out *= self.f_a
-            out *= y
+            return np.add(_sin(y) * _cos(v, scale=self.f_a), _cos(u, scale=self.f_b), out=out)
+        out = np.multiply(y, _cos(u, out if np.ndim(u) else None, self.f_a), out=out)
         if self.f_b:
             out += self.f_b
         return out
@@ -144,7 +154,7 @@ class NonlinearityCatalog:
         if self.g_kind == "zero":
             return np.zeros(np.shape(w)) if out is None else np.copyto(out, 0.0) or out
         if self.g_kind == "sin":
-            return np.sin(w, out=out)
+            return _sin(w, out)
         w = np.asarray(w, dtype=float)
         den = np.multiply(w, w, out=out)
         den += 1.0

@@ -4,7 +4,10 @@ These deliberately avoid the closed forms used by the package: the matrix
 exponential is Taylor series with scaling and squaring, quadratures are
 assembled from scratch.  The stepwise simulator and the memory re-sum reuse
 the package's one-step exponential, collocate through their own helper, and
-check how the slab integrator and its memory recursion combine the two; the
+check how the slab integrator and its memory recursion combine the two.  They,
+the collocated forcing, the memory re-sum and the sampled growth bound evaluate
+the catalog's f and g from its formulas on numpy's sin and cos, so that every
+stepped comparison also checks the package's half-angle trig; the
 stepwise control increments come from their own quadrature of the values that
 ``window_coeffs`` evaluates from the costate.  The stepped window response is
 the reference for the package's closed-form window sum, and the same sum in
@@ -57,6 +60,24 @@ def _collocate(B, spacing, fn, *coeffs):
     return spacing * (fn(*[c @ B.T for c in coeffs]) @ B)
 
 
+def catalog_f(catalog, y, v, u):
+    """The catalog's forcing f pointwise, written from its formulas on numpy's sin and cos."""
+    if catalog.f_kind == "zero":
+        return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(v), np.shape(u)))
+    if catalog.f_kind == "linear_growth":
+        return catalog.f_a * y * np.cos(u) + catalog.f_b
+    return catalog.f_a * np.sin(y) * np.cos(v) + catalog.f_b * np.cos(u)
+
+
+def catalog_g(catalog, w):
+    """The catalog's memory integrand g pointwise, written from its formulas on numpy's sin."""
+    if catalog.g_kind == "zero":
+        return np.zeros(np.shape(w))
+    if catalog.g_kind == "sin":
+        return np.sin(w)
+    return w / (1.0 + w * w)
+
+
 def _checked_basis(domain, modes: ModeSet, *coeffs) -> np.ndarray:
     """Basis matrix of the grid, once every coefficient array ends in the mode axis."""
     for c in coeffs:
@@ -68,7 +89,7 @@ def _checked_basis(domain, modes: ModeSet, *coeffs) -> np.ndarray:
 def evaluate_nonlinearity(w, v, u, catalog, domain, modes) -> np.ndarray:
     """Velocity increment of the forcing f at delayed state (w, v) and control u."""
     B = _checked_basis(domain, modes, w, v, u)
-    return _collocate(B, domain.spacing, catalog.f, w, v, u)
+    return _collocate(B, domain.spacing, partial(catalog_f, catalog), w, v, u)
 
 
 def apply_impulse(w, v, k: int, schedule, domain, modes) -> np.ndarray:
@@ -197,7 +218,8 @@ def memory_term(t, trajectory, catalog, domain, modes):
         return BeamState.zeros(modes.count)
     h = trajectory.config.step
     B = basis_matrix(domain, modes.count)
-    gproj = _collocate(B, domain.spacing, catalog.g, trajectory.w[: i - n_r + 1])
+    g = partial(catalog_g, catalog)
+    gproj = _collocate(B, domain.spacing, g, trajectory.w[: i - n_r + 1])
     dt = (i - np.arange(i0, i + 1)) * h
     weights = np.full(i - i0 + 1, h)
     weights[0] = weights[-1] = h / 2.0
@@ -369,7 +391,7 @@ def f_bound_per_sample(catalog, domain, modes, samples, seed):
         y = phi @ (coords[s, :, 0] / modes.lambdas)
         v = phi @ coords[s, :, 1]
         u = phi @ controls[s]
-        increment = domain.spacing * (phi.T @ catalog.f(y, v, u))
+        increment = domain.spacing * (phi.T @ catalog_f(catalog, y, v, u))
         fnorm[s] = np.linalg.norm(increment)
         norms[s] = np.linalg.norm(coords[s])
     a, b = catalog.bound_constants(domain, modes)
@@ -423,6 +445,7 @@ def simulate_stepwise(config, control=None):
     B = basis_matrix(domain, N)
     qw = domain.spacing
     has_memory = catalog.has_memory
+    f, g = partial(catalog_f, catalog), partial(catalog_g, catalog)
 
     def forcing(i, active):
         F = memory[i] if has_memory else zero
@@ -430,21 +453,21 @@ def simulate_stepwise(config, control=None):
             return F
         u = win_u[i - start_idx] if active else zero
         wd, vd = pre_impulse.get(i - n_r) or (W[i - n_r], V[i - n_r])
-        return _collocate(B, qw, catalog.f, wd, vd, u) + F
+        return _collocate(B, qw, f, wd, vd, u) + F
 
     if has_memory:
         decay = np.exp(-catalog.gamma * h)
-        acc = 0.5 * h * _collocate(B, qw, catalog.g, W[idx0 - n_r])
+        acc = 0.5 * h * _collocate(B, qw, g, W[idx0 - n_r])
     half = 0.5 * h
     for i in range(idx0, n_total - 1):
         active = start_idx is not None and i >= start_idx
         if i == idx0 or i == start_idx:
             F_left = forcing(i, active)
         if has_memory:
-            g = _collocate(B, qw, catalog.g, W[i + 1 - n_r])
+            gi = _collocate(B, qw, g, W[i + 1 - n_r])
             acc = decay * acc
-            memory[i + 1] = catalog.kappa * (acc + half * g)
-            acc = acc + h * g
+            memory[i + 1] = catalog.kappa * (acc + half * gi)
+            acc = acc + h * gi
         F_right = forcing(i + 1, active)
         w1 = a11 * W[i] + a12 * V[i] + half * a12 * F_left
         v1 = a21 * W[i] + a22 * V[i] + half * (a22 * F_left + F_right)
@@ -488,7 +511,8 @@ def window_response_stepwise(base, control):
     delayed = [left_limit(base, k - n_r) for k in nodes]
     wd, vd = (np.array([getattr(z, name) for z in delayed]) for name in ("w", "v"))
     B = basis_matrix(domain, modes.count)
-    F = _collocate(B, domain.spacing, config.catalog.f, wd, vd, u) + base.memory[nodes]
+    f = partial(catalog_f, config.catalog)
+    F = _collocate(B, domain.spacing, f, wd, vd, u) + base.memory[nodes]
     a11, a12, a21, a22 = exp_entries(modes.lambdas, config.beta, h)
     rw, rv, half = np.zeros(u.shape[::2]), np.zeros(u.shape[::2]), 0.5 * h
     for i in range(nodes.size - 1):

@@ -3,6 +3,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -230,6 +231,47 @@ def test_stacked_rows_match_row_by_row_calls(cat):
     jumps = apply_impulse(W, V, 0, schedule, domain, modes)
     rows = [apply_impulse(w, v, 0, schedule, domain, modes) for w, v in zip(W, V)]
     np.testing.assert_allclose(jumps, rows, rtol=1e-13, atol=1e-15)
+
+
+HALF_ANGLE = {
+    "cos": (dynamics._cos, np.cos, mpmath.cos, (1.0, 0.3)),
+    "sin": (lambda x, out=None, scale=1.0: dynamics._sin(x, out), np.sin, mpmath.sin, (1.0,)),
+}
+
+
+@pytest.mark.parametrize("name", HALF_ANGLE)
+def test_half_angle_trig_within_two_ulps_of_one(name):
+    # the catalog's scale * cos and sin from t = tan(x / 2) miss by at most
+    # 2 * scale * 2**-52: against extended precision up to 1e4, and against mpmath
+    # for huge arguments and the doubles around k pi / 2
+    ours, libm, exact, scales = HALF_ANGLE[name]
+    rng = np.random.default_rng(13)
+    x = np.concatenate([rng.uniform(-r, r, 50_000) for r in (1.0, 10.0, 100.0, 1e4)])
+    y = np.pi / 2 * np.arange(1, 201)
+    edge = [y, *(np.nextafter(y, s * np.inf) for s in (-1, 1))]
+    edge += [np.nextafter(z, s * np.inf) for z, s in zip(edge[1:], (-1, 1))]
+    edge = np.concatenate([10.0 ** rng.uniform(4, 15, 500), *edge])
+    with mpmath.workdps(40):
+        want = np.array([float(exact(mpmath.mpf(a))) for a in edge])
+    for scale in scales:
+        bound = 2 * scale * 2.0**-52
+        assert np.abs(ours(x, scale=scale) - scale * libm(x.astype(np.longdouble))).max() <= bound
+        assert np.abs(ours(edge, scale=scale) - scale * want).max() <= bound
+    # libm's special values, the sign of zero included
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        got, ref = ours(special), libm(special)
+    np.testing.assert_array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    # the same bits whatever the layout: scalars, strided views, in place
+    x = rng.uniform(-10, 10, (64, 33))
+    want = ours(x)
+    assert [ours(a) for a in x[0]] == list(want[0])
+    assert np.array_equal(ours(x[::3, 1::2]), want[::3, 1::2])
+    assert np.array_equal(ours(x.T), want.T)
+    out = np.full(x.shape, np.nan)
+    assert ours(x, out) is out and np.array_equal(out, want)
+    assert ours(x, x) is x and np.array_equal(x, want)
 
 
 @pytest.mark.parametrize("f_b", [0.0, 0.3])
@@ -664,35 +706,47 @@ STEPWISE_CASES = [
     # n_r = 180 is no multiple of CHUNK: slabs of 180 steps end inside their sixth
     # chunk; the impulse at 0.25 falls mid-chunk, the impulse at 0.55 and the window
     # start 0.85 end full-delay slabs, and the 90-node window runs 3 chunks
-    pytest.param(f, memory, 1 / 600, 0.3, 0.15, 1.0, id=f"{f}-{'mem' if memory else 'nomem'}-h600")
+    pytest.param(f, g, 1 / 600, 0.3, 0.15, 1.0, id=f"{f}-{'mem' if g else 'nomem'}-h600")
     for f in STEPWISE_F
-    for memory in (False, True)
+    for g in (None, "rational")
 ] + [
-    pytest.param("linear_growth", True, 1 / 4800, 0.3, 0.15, 1.0, id="linear_growth-mem-h4800"),
+    # g = sin memory, on the half-angle sine in the base run's memory recursion
+    pytest.param("linear_growth", "sin", 1 / 600, 0.3, 0.15, 1.0, id="linear_growth-mem_sin-h600"),
+    pytest.param(
+        "linear_growth", "rational", 1 / 4800, 0.3, 0.15, 1.0, id="linear_growth-mem-h4800"
+    ),
     # n_r = 720 > OUTER: slabs of 8 chunks, the impulse at 0.25 lands in the
     # third slab's third chunk, the window start 0.85 208 steps into a slab
-    pytest.param("bounded_trig", True, 1 / 2400, 0.3, 0.15, 1.0, id="bounded_trig-mem-h2400"),
+    pytest.param(
+        "bounded_trig", "rational", 1 / 2400, 0.3, 0.15, 1.0, id="bounded_trig-mem-h2400"
+    ),
     # n_r = 150: slabs of 150 steps end inside their fifth chunk, the impulse at
     # 0.25 and the window start end full-delay slabs, and the impulse at 0.55 cuts
     # one mid-chunk after 30 steps
-    pytest.param("linear_growth", True, 1 / 600, 0.25, 0.2, 1.0, id="linear_growth-mem-mid_chunk"),
+    pytest.param(
+        "linear_growth", "rational", 1 / 600, 0.25, 0.2, 1.0, id="linear_growth-mem-mid_chunk"
+    ),
     # n_r = 6 < CHUNK: the delay bounds the chunks and the slabs
     pytest.param(
-        "bounded_trig", True, 1 / 600, 0.01, 0.005, 1.0, id="bounded_trig-mem-short_delay"
+        "bounded_trig", "rational", 1 / 600, 0.01, 0.005, 1.0, id="bounded_trig-mem-short_delay"
     ),
     # the memory recursion's edges: at gamma = 0 every decay power is 1; at
     # gamma = 1e5 decay**k underflows to 0 from k = 5 on, so the chunk-start
     # table is the identity and the memory forcing is, to 1e-72 relative, the
     # last trapezoid term
-    pytest.param("linear_growth", True, 1 / 600, 0.3, 0.15, 0.0, id="linear_growth-mem-gamma0"),
-    pytest.param("linear_growth", True, 1 / 600, 0.3, 0.15, 1e5, id="linear_growth-mem-gamma1e5"),
+    pytest.param(
+        "linear_growth", "rational", 1 / 600, 0.3, 0.15, 0.0, id="linear_growth-mem-gamma0"
+    ),
+    pytest.param(
+        "linear_growth", "rational", 1 / 600, 0.3, 0.15, 1e5, id="linear_growth-mem-gamma1e5"
+    ),
 ]
 
 
-@pytest.mark.parametrize("f_kind, memory, step, delay, delta, gamma", STEPWISE_CASES)
-def test_slabs_match_stepwise_oracle(f_kind, memory, step, delay, delta, gamma):
-    memory_kw = dict(g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=gamma)
-    cat = NonlinearityCatalog(**STEPWISE_F[f_kind], **(memory_kw if memory else {}))
+@pytest.mark.parametrize("f_kind, g_kind, step, delay, delta, gamma", STEPWISE_CASES)
+def test_slabs_match_stepwise_oracle(f_kind, g_kind, step, delay, delta, gamma):
+    memory_kw = dict(g_kind=g_kind, kernel_kind="exponential", kappa=0.5, gamma=gamma)
+    cat = NonlinearityCatalog(**STEPWISE_F[f_kind], **(memory_kw if g_kind else {}))
     k = np.arange(1, 5)
     hist = lambda s: (0.3 * np.cos(3 * s)[:, None] / k**2, 0.2 * np.sin(2 * s)[:, None] / k)
     imp = ImpulseSchedule(times=(0.25, 0.55), gains=(0.1, -0.05))
