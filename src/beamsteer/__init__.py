@@ -38,7 +38,6 @@ from .steering import (
     ControlSignal,
     SteeringProblem,
     alpha_sweep,
-    approximate_right_inverse_check,
     control_energy,
     steer_linear,
     synthesize_control,

@@ -72,10 +72,10 @@ def _cmd_linear_check(spec, args) -> int:
 
 
 def _cmd_gramian_check(spec, args) -> int:
-    modes = spec.config.modes
-    ok = True
-    for delta in sorted(spec.deltas, reverse=True):
-        gramians = assemble_gramian(modes, spec.config.beta, delta)
+    deltas, ok = sorted(spec.deltas, reverse=True), True
+    stacked = assemble_gramian(spec.config.modes, spec.config.beta, deltas)
+    for i, delta in enumerate(deltas):
+        gramians = stacked[i]
         _, cross = gramian_cross_check(gramians)
         good = gramians.positive_definite and cross <= CROSS_PATH_TOL
         ok = ok and good

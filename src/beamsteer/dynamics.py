@@ -37,8 +37,8 @@ compose to,
 ``window_response`` forms it with no stepping: each node's forcing F_k of every
 cell (the control enters f only) in blocks of at most OUTER + 1 nodes, contracted
 with the (a12, a22) column of exp(K (tau - t_k)).  The tables of one system are
-built once and cached; the window table holds, for the last delay/h nodes, that
-column and the coefficients (k12, k22) of the control b^T exp(K^T theta) eta.
+built once and cached; the window table holds that column for the last delay/h
+nodes, and the control b^T exp(K^T theta) eta reads it as (lambda a12, a22).
 Workspaces are views of a per-thread buffer that grows and never shrinks, so a
 warm call maps no new pages; rows read past a slab's end are zeroed per run.
 """
@@ -279,13 +279,13 @@ class SimConfig:
         and with ``window_steps`` the window sum of ``cells`` cells over its nodes.
 
         Sized in Python ints: W, V and memory padded by a slab of L <= ``slab`` steps, the
-        basis, its projector and the window table, and the held workspaces, which the window
-        sum's blocks reuse: a slab's L + 1 grid rows of y, f and g and its forcing and chunk
-        arrays, or a block's grid rows of y and v and per cell of f, and its control and F.
+        basis, its projector and the window table's two rows, and the held workspaces, which
+        the window sum's blocks reuse: a slab's L + 1 grid rows of y, f and g and its forcing
+        and chunk arrays, or a block's grid rows of y and v and per cell of f, its control and F.
         """
         n_r, grid, n = self.delay_steps, self.grid_points - 1, self.n_modes
         slab = min(OUTER, n_r + CHUNK)
-        floats = (3 * (n_r + self.horizon_steps + 1 + slab) + 2 * grid + 4 * n_r) * n
+        floats = (3 * (n_r + self.horizon_steps + 1 + slab) + 2 * grid + 2 * n_r) * n
         held = (slab + 1) * (3 * grid + 8 * n)
         if window_steps is not None:
             rows = min(OUTER, window_steps) + 1
@@ -349,19 +349,19 @@ def _toeplitz(p) -> np.ndarray:
     return sliding_window_view(np.concatenate([p[::-1], zeros]), len(p), axis=0)[::-1]
 
 
-_held = threading.local()  # this thread's scratch buffers, by slot
+_held = threading.local()  # this thread's scratch buffer
 
 
-def _carve(slot: str, *shapes):
-    """Consecutive float views of ``shapes`` at the start of this thread's held buffer ``slot``.
+def _carve(*shapes):
+    """Consecutive float views of ``shapes`` at the start of this thread's held buffer.
 
     The buffer grows to fit and never shrinks, so a warm call maps no new pages.  A view
     holds whatever an earlier call left there; a grown buffer leaves older views in the old one.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    if getattr(_held, slot, np.empty(0)).size < sum(sizes):
-        setattr(_held, slot, np.empty(sum(sizes)))
-    held, starts = getattr(_held, slot), accumulate(sizes, initial=0)
+    if getattr(_held, "buffer", np.empty(0)).size < sum(sizes):
+        _held.buffer = np.empty(sum(sizes))
+    held, starts = _held.buffer, accumulate(sizes, initial=0)
     return [held[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
 
 
@@ -371,7 +371,7 @@ def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
     (h/2 a12, a22) of A = exp(K h), the chunk table taking b_j to sum_{j<=k} A^(k-j) b_j, the
     lift table of A^(k+1), the outer table of A^(chunk (m - j)) for a slab's chunks, the
     memory kernel's decay tables like the state's, and the window table (module docstring)
-    of the last n_r nodes: rows k12, k22, a12, a22, each (n_r, n_modes)."""
+    of the last n_r nodes: rows a12, a22 of exp(K (tau - t_k)), each (n_r, n_modes)."""
     lam, chunk = laplacian_eigenvalues(domain.length, n_modes).lambdas, min(CHUNK, n_r)
     count = -(-min(OUTER, n_r) // chunk)
     B = basis_matrix(domain, n_modes)
@@ -381,9 +381,7 @@ def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
     )
     m = exact_multiple(tau, h, "the horizon")
     theta = np.maximum(tau - np.arange(m + 1 - n_r, m + 1) * h, 0.0)[:, None]
-    (_, k12, _, k22), (_, a12, _, a22) = (
-        exp_entries(lam, beta, theta, energy=energy) for energy in (True, False)
-    )
+    _, a12, _, a22 = exp_entries(lam, beta, theta)
     decay = np.exp(-gamma * h) ** np.arange(chunk * count + 1)
     tables = (
         B, domain.spacing * B,
@@ -394,7 +392,7 @@ def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
             n_modes, 2 * count, 2 * count
         ),
         h * _toeplitz(decay[:chunk]), decay[1 : chunk + 1, None],
-        _toeplitz(decay[: chunk * count : chunk]), np.stack([k12, k22, a12, a22]),
+        _toeplitz(decay[: chunk * count : chunk]), np.stack([a12, a22]),
     )
     for table in tables:
         table.flags.writeable = False
@@ -451,8 +449,7 @@ def simulate(config: SimConfig) -> Trajectory:
     # else is written before it is read
     grid = (L + 1, len(B))
     fc, gq, X, Z, E, yd, fx, gx = _carve(
-        "phase", (L + 1, N), (L + 1, N), *[(N, 2 * chunk, count)] * 2, (N, 2, count), grid, grid,
-        grid,
+        (L + 1, N), (L + 1, N), *[(N, 2 * chunk, count)] * 2, (N, 2, count), grid, grid, grid
     )
     xw, xv = (X[:, r * chunk : (r + 1) * chunk].transpose(2, 1, 0) for r in (0, 1))
     if reads:
@@ -539,19 +536,19 @@ def _window_forcing(base: Trajectory, control, start: int):
     config = base.config
     B, Bq, *_, window = _tables(config)
     n_r, reads, N, grid = config.delay_steps, F_READS[config.catalog.f_kind], config.n_modes, len(B)
-    end = n_r + config.horizon_steps
-    first, eta = end + 1 - n_r, control.eta[:, None]  # window table row 0; (cells, 1, N, 2)
+    lam, end = config.modes.lambdas, n_r + config.horizon_steps
+    first, eta = end + 1 - n_r, control.eta[:, None]  # window table node 0; (cells, 1, N, 2)
     for lo in range(start, end + 1, OUTER + 1):
         K = min(OUTER + 1, end + 1 - lo)
         rows, delayed = slice(lo, lo + K), slice(lo - n_r, lo - n_r + K)
         if not reads:
             yield lo, base.memory[None, rows]
             continue
-        F, u, yd, fx = _carve("phase", *[(len(eta), K, N)] * 2, (K, grid), (len(eta), K, grid))
-        # the control b^T p = k12 e0 + k22 e1 at each node, synthesized on the grid
-        c12, c22 = window[:2, lo - first : lo - first + K]
-        np.multiply(c12, eta[..., 0], out=u)
-        u += np.multiply(c22, eta[..., 1], out=F)
+        F, u, yd, fx = _carve(*[(len(eta), K, N)] * 2, (K, grid), (len(eta), K, grid))
+        # the control b^T p = lambda a12 e0 + a22 e1 at each node, synthesized on the grid
+        a12, a22 = window[:, lo - first : lo - first + K]
+        np.multiply(lam * a12, eta[..., 0], out=u)
+        u += np.multiply(a22, eta[..., 1], out=F)
         np.matmul(u, B.T, out=fx)
         y = np.matmul(base.w[delayed], B.T, out=yd)
         vd = 0.0  # read by f only where its kind says so
@@ -559,6 +556,7 @@ def _window_forcing(base: Trajectory, control, start: int):
             vd = _delayed_velocity(base.v, delayed, base.pre_impulse) @ B.T
         config.catalog.f(y, vd, fx, out=fx)
         np.matmul(fx, Bq, out=F)
+        # summed with f, not once per window: the memory and f parts of R partly cancel
         F += base.memory[rows]
         yield lo, F
 
@@ -581,7 +579,7 @@ def window_response(base: Trajectory, control, linear: BeamState) -> BeamState:
         raise InvalidArgumentError("the control must be synthesized for the config's system")
     start = config.validate_delta(gramians.delta)
     # (a12, a22) of exp(K (tau - t_k)) and the trapezoid weights, from the window start
-    response = _tables(config)[-1][2:, start - config.horizon_steps - 1 :]
+    response = _tables(config)[-1][:, start - config.horizon_steps - 1 :]
     omega = np.ones(response.shape[1])
     omega[[0, -1]] = 0.5
     R = np.zeros((2, len(control.eta), config.n_modes))

@@ -32,13 +32,12 @@ import numpy as np
 
 from .dynamics import BLOWUP_THRESHOLD, SimConfig, Trajectory, simulate, window_response
 from .errors import InvalidArgumentError
-from .gramian import GramianSet, assemble_gramian, gramian_mode_quadrature
+from .gramian import GramianSet, assemble_gramian, gramian_mode_quadrature, solve_regularized
 from .semigroup import propagate
 from .spectral import BeamState, ModeSet, energy_coords, energy_norm, state_from_coords
 from .steering import (
     SteeringProblem,
     alpha_sweep,
-    approximate_right_inverse_check,
     control_energy,
     steer_linear,
     synthesize_control,
@@ -350,12 +349,12 @@ def emit_csv(rows: list[ResultRow], path, seed: int | None = None) -> None:
 def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     """Verification suite for the linear steering machinery.
 
-    Runs the residual identity, the regularisation sweep, the right-inverse
-    limit, the Gramian cross-validation and the minimum-energy identity on
-    the configured system, plus a degenerate zero-length-window probe that
-    is expected to lose positive definiteness.  Each quantity is formed once:
-    one stacked Gramian evaluation gives the window's set and the probe's, one
-    synthesis serves the alpha grid, and the window's set carries the one T(delta)
+    Runs the residual identity, the regularisation sweep, the right-inverse limit
+    (alpha (alpha I + Q)^-1 of a random probe by ``solve_regularized``), the Gramian
+    cross-validation and the minimum-energy identity on the configured system, and a
+    zero-length-window probe expected to lose positive definiteness.  Each quantity is
+    formed once: one stacked Gramian evaluation gives the window's set and the probe's,
+    one synthesis serves the alpha grid, and the window's set carries the one T(delta)
     that gives the residual identity's free endpoint and the zero-mismatch target.
     """
     config = spec.config
@@ -391,10 +390,12 @@ def run_linear_suite(spec: ExperimentSpec) -> list[CheckResult]:
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     results.append(CheckResult("alpha_sweep_monotone", monotone, errs[-1], errs[0]))
 
-    probe = energy_coords(make_random_state(modes, rng, 1.0), modes)
-    inverse = approximate_right_inverse_check(gramians, alphas, probe)
-    limit, errors = inverse["decreasing"] and inverse["bound_ok"], inverse["errors"]
-    results.append(CheckResult("right_inverse_strong_limit", limit, errors[-1], errors[0]))
+    # alpha (alpha I + Q)^-1 z on a probe z: decreasing, within alpha ||z|| / (alpha + q_min)
+    z, a = energy_coords(make_random_state(modes, rng, 1.0), modes), np.asarray(alphas)
+    errors = a * np.linalg.norm(solve_regularized(gramians, a, z), axis=(1, 2))
+    bound = a * np.linalg.norm(z) / (a + gramians.min_eigenvalue) + 1e-12
+    limit = bool(np.all(errors[1:] <= errors[:-1] + 1e-15) and np.all(errors <= bound))
+    results.append(CheckResult("right_inverse_strong_limit", limit, *errors[[-1, 0]].tolist()))
 
     # the alpha = 1e-2 cell
     energy, eta = float(control_energy(control)[2]), control.eta[2]

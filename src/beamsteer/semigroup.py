@@ -80,22 +80,19 @@ def _response(lambdas, beta: float, t):
     return r1, e, e * ratio, e * (np.exp(-gap * t) + r1 * ratio)
 
 
-def exp_entries(lambdas, beta: float, t, energy: bool = False):
+def exp_entries(lambdas, beta: float, t):
     """Entries (a11, a12, a21, a22) of exp(K_j t) for every eigenvalue.
 
     ``t`` is a time or an array of times broadcasting against the
-    eigenvalues.  With ``energy=True`` the entries are those of the
-    energy-similarity transformed block exp(D K D^{-1} t); its second column
-    (a12, a22) is the input response exp(D K D^{-1} t) b.
+    eigenvalues.  In energy coordinates, after the similarity D = diag(lambda, 1),
+    the entries are (a11, lambda a12, -lambda a12, a22), and the input response
+    exp(D K D^{-1} t) b is (lambda a12, a22).
     """
     if np.any(np.asarray(t) < 0):
         raise InvalidArgumentError("time must be nonnegative")
     lam = np.asarray(lambdas, dtype=float)
     r1, e, phi, a22 = _response(lam, beta, t)
-    a11 = e - r1 * phi
-    if energy:
-        return a11, lam * phi, -lam * phi, a22
-    return a11, phi, -lam * lam * phi, a22
+    return e - r1 * phi, phi, -lam * lam * phi, a22
 
 
 def gramian_entries(lambdas, beta: float, t):

@@ -145,27 +145,3 @@ def alpha_sweep(y0: BeamState, z1: BeamState, control: ControlSignal) -> list[tu
     modes = control.gramians.modes
     errs = np.linalg.norm(energy_coords(y_tau, modes) - energy_coords(z1, modes), axis=(1, 2))
     return list(zip(alphas, errs.tolist()))
-
-
-def approximate_right_inverse_check(gramians: GramianSet, alphas, probe: np.ndarray) -> dict:
-    """How fast G Gamma_alpha approaches the identity on a probe vector.
-
-    The deviation for each alpha is ||alpha (alpha I + Q)^{-1} z||; it must
-    decrease along a decreasing alpha sequence and obey the spectral bound
-    alpha ||z|| / (alpha + q_min).
-    """
-    probe = np.asarray(probe, dtype=float)
-    alphas = list(alphas)
-    if not alphas:
-        raise InvalidArgumentError("alpha list must not be empty")
-    a = np.asarray(alphas)
-    norms = a * np.linalg.norm(solve_regularized(gramians, a, probe), axis=(1, 2))
-    z_norm = float(np.linalg.norm(probe))
-    q_min = gramians.min_eigenvalue
-    return {
-        "alphas": alphas,
-        "errors": norms.tolist(),
-        "decreasing": bool(np.all(norms[1:] <= norms[:-1] + 1e-15)),
-        "bound_ok": bool(np.all(norms <= a * z_norm / (a + q_min) + 1e-12)),
-        "min_eigenvalue": q_min,
-    }

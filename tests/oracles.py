@@ -14,10 +14,10 @@ the reference for the package's closed-form window sum, and the same sum in
 extended precision the reference for its rounding.  The plain sine
 transforms, the block generator and the left-limit lookup serve only tests, as
 do the package-based helpers below: one modal block with its roots, one block's
-exponential, the operator-norm sweep (both in the energy metric, after the
-similarity D = diag(lambda, 1) per block), the memory kernel, the forcing and
-impulse collocations on their own basis, and the sampled check of the forcing's
-growth bound.
+exponential, the entries of ``exp_entries`` and the operator-norm sweep in the
+energy metric (after the similarity D = diag(lambda, 1) per block), the memory
+kernel, the forcing and impulse collocations on their own basis, and the sampled
+check of the forcing's growth bound.
 """
 
 from dataclasses import dataclass, replace
@@ -248,6 +248,14 @@ def gauss_integral(f, a, b, nodes=64, panels=1):
     return total
 
 
+def energy_entries(lambdas, beta, t):
+    """Entries of exp(D K D^{-1} t), D = diag(lambda, 1), from the package's exp_entries:
+    (a11, lambda a12, -lambda a12, a22), whose second column is the input response."""
+    lam = np.asarray(lambdas, dtype=float)
+    a11, a12, _, a22 = exp_entries(lam, beta, t)
+    return a11, lam * a12, -lam * a12, a22
+
+
 def costate(control, t, tau):
     """Per-mode costate pairs exp(K^T (tau - t)) eta of every cell of a ControlSignal whose
     window ends at the horizon ``tau``, at time(s) t in [tau - delta, tau], shape
@@ -256,7 +264,7 @@ def costate(control, t, tau):
     # time-to-go, clipped where t overshoots tau by rounding
     theta = np.maximum(tau - t[..., None], 0.0)
     gramians = control.gramians
-    A = exp_entries(gramians.modes.lambdas, gramians.beta, theta, energy=True)
+    A = energy_entries(gramians.modes.lambdas, gramians.beta, theta)
     eta = control.eta.reshape(control.eta.shape[:1] + (1,) * t.ndim + control.eta.shape[1:])
     return np.stack([a * eta[..., 0] + b * eta[..., 1] for a, b in zip(A[:2], A[2:])], -1)
 
@@ -313,14 +321,14 @@ def step_control_quadrature(control, starts, h, tau, nodes=32):
     s = 0.5 * h * (x + 1.0)
     (u,) = window_coeffs(control, np.asarray(starts)[:, None] + s, tau)  # (n_steps, nodes, N)
     lambdas, beta = control.gramians.modes.lambdas, control.gramians.beta
-    _, rw, _, rv = exp_entries(lambdas, beta, (h - s)[:, None], energy=True)  # (nodes, N)
+    _, rw, _, rv = energy_entries(lambdas, beta, (h - s)[:, None])  # (nodes, N)
     weighted = 0.5 * h * w[:, None] * u
     return (weighted * rw).sum(axis=1) / lambdas, (weighted * rv).sum(axis=1)
 
 
-def block_exp(block, t: float, energy: bool = False) -> np.ndarray:
+def block_exp(block, t: float) -> np.ndarray:
     """Exact 2x2 exponential exp(K t) of one modal block."""
-    a11, a12, a21, a22 = exp_entries(np.array([block.lam]), block.beta, t, energy)
+    a11, a12, a21, a22 = exp_entries(np.array([block.lam]), block.beta, t)
     return np.array([[a11[0], a12[0]], [a21[0], a22[0]]])
 
 
@@ -334,7 +342,7 @@ def operator_norms(modes: ModeSet, beta: float, times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise InvalidArgumentError("times must be nonnegative")
-    a11, a12, a21, a22 = exp_entries(modes.lambdas, beta, times[:, None], energy=True)
+    a11, a12, a21, a22 = energy_entries(modes.lambdas, beta, times[:, None])
     return 0.5 * (np.hypot(a11 + a22, a21 - a12) + np.hypot(a11 - a22, a21 + a12)).max(axis=1)
 
 
@@ -533,7 +541,7 @@ def window_response_extended(base, control):
     config = base.config
     n_r, end = config.delay_steps, config.delay_steps + config.horizon_steps
     start = config.validate_delta(control.gramians.delta)
-    response = dynamics._tables(config)[-1][2:, start - (end + 1 - n_r) :].astype(np.longdouble)
+    response = dynamics._tables(config)[-1][:, start - (end + 1 - n_r) :].astype(np.longdouble)
     blocks = dynamics._window_forcing(base, control, start)
     F = np.concatenate([block.astype(np.longdouble) for _, block in blocks], axis=1)
     F[:, [0, -1]] /= 2

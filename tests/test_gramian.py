@@ -17,7 +17,7 @@ from beamsteer.gramian import PANEL_NODES, PANEL_SPAN, _gauss_rule
 from beamsteer.harness import CROSS_PATH_TOL, gramian_cross_check
 from beamsteer.semigroup import exp_entries
 
-from oracles import ModeBlock, expm_squaring, gauss_integral
+from oracles import ModeBlock, energy_entries, expm_squaring, gauss_integral
 
 
 def _closed(block, delta):
@@ -120,7 +120,7 @@ def test_graded_quadrature_matches_closed_form(length, n_modes, beta, one_panel)
     x, wts = _gauss_rule()
     s, ww = 0.5 * delta * (x + 1.0), 0.5 * delta * wts
     for j in np.flatnonzero(one):
-        _, g1, _, g2 = exp_entries(modes.lambdas[j], beta, s, energy=True)
+        _, g1, _, g2 = energy_entries(modes.lambdas[j], beta, s)
         off = np.sum(ww * g1 * g2)
         rule = np.array([[np.sum(ww * g1 * g1), off], [off, np.sum(ww * g2 * g2)]])
         np.testing.assert_array_equal(quad[j], rule)

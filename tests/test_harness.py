@@ -294,21 +294,22 @@ def test_bitwise_contracts_hold_on_every_kernel(kernel_children, kernel, flag):
 
 
 def test_sweep_builds_its_window_table_once(monkeypatch):
-    # every window of a sweep slices the one window table of its system: a
-    # cold sweep over three deltas builds it once, a warm sweep not at all
+    # every window of a sweep slices the one window table of its system: a cold
+    # sweep over three deltas evaluates exp_entries three times (the step table,
+    # the outer table and the window table), a warm sweep not at all
     spec = load_experiment(None)
     assert len(spec.deltas) == 3
     calls = []
     original = dynamics.exp_entries
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("energy", False))
-        return original(*args, **kwargs)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(dynamics, "exp_entries", counted)
     dynamics._slab_tables.cache_clear()
     run_pullback_experiment(spec)
-    assert calls.count(True) == 1
+    assert len(calls) == 3
     calls.clear()
     run_pullback_experiment(spec)
     assert calls == []
@@ -722,6 +723,32 @@ def test_cli_linear_check():
 
 def test_cli_gramian_check():
     assert cli.main(["gramian-check", "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("workload", ["sweep-default", "sweep-long", "steer-wide"])
+def test_gramian_check_evaluates_every_window_at_once(monkeypatch, capsys, workload):
+    # gramian-check reads every delta's set from one stacked evaluation, as the sweep
+    # does: blocks, least eigenvalue and cross gap bitwise those of one call per delta
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / f"{workload}.ini"
+    spec = load_experiment(str(path))
+    deltas = sorted(spec.deltas, reverse=True)
+    stacked = assemble_gramian(spec.config.modes, spec.config.beta, deltas)
+    lines = []
+    for i, delta in enumerate(deltas):
+        single = assemble_gramian(spec.config.modes, spec.config.beta, delta)
+        np.testing.assert_array_equal(stacked[i].blocks, single.blocks)
+        assert stacked[i].min_eigenvalue == single.min_eigenvalue
+        cross = gramian_cross_check(single)[1]
+        assert gramian_cross_check(stacked[i])[1] == cross
+        lines.append(
+            f"PASS delta={delta:g}: min_eig={single.min_eigenvalue:.3e} "
+            f"cross_path_rel_gap={cross:.3e}"
+        )
+    calls, original = [], gramian.gramian_entries
+    monkeypatch.setattr(gramian, "gramian_entries", lambda *a: calls.append(a) or original(*a))
+    assert cli.main(["gramian-check", "--config", str(path)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 @pytest.mark.parametrize(

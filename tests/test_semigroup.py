@@ -12,12 +12,12 @@ from beamsteer import (
     laplacian_eigenvalues,
 )
 from beamsteer.errors import InvalidArgumentError
-from beamsteer.semigroup import exp_entries
 
 from oracles import (
     ModeBlock,
     block_exp,
     block_matrix,
+    energy_entries,
     expm_squaring,
     interleaved_generator,
     operator_norms,
@@ -168,7 +168,7 @@ def test_operator_norms_match_per_time_svd(beta):
     ts = np.concatenate([[0.0], np.geomspace(1e-6, 1e-2, 100), np.linspace(0.01, 20.0, 4100)])
     got = operator_norms(modes, beta, ts)
     # one LAPACK SVD per (time, mode) block
-    blocks = np.stack(exp_entries(modes.lambdas, beta, ts[:, None], energy=True), axis=-1)
+    blocks = np.stack(energy_entries(modes.lambdas, beta, ts[:, None]), axis=-1)
     ref = np.linalg.svd(blocks.reshape(ts.size, -1, 2, 2), compute_uv=False)[..., 0].max(axis=1)
     assert got.shape == ts.shape
     assert np.all(np.abs(got - ref) <= 1e-14 * ref)

@@ -10,7 +10,6 @@ from beamsteer import (
     SteeringProblem,
     alpha_sweep,
     apply_semigroup,
-    approximate_right_inverse_check,
     assemble_gramian,
     control_energy,
     energy_coords,
@@ -42,6 +41,12 @@ def _identity_set(n):
     """A set of n identity blocks, least eigenvalue 1."""
     blocks = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
     return GramianSet(_modes(n), BETA, DELTA, blocks, 1.0)
+
+
+def _right_inverse_norms(gramians, alphas, probe):
+    """||alpha (alpha I + Q)^-1 z|| of the probe z for each alpha, as linear-check forms it."""
+    alphas = np.asarray(alphas)
+    return alphas * np.linalg.norm(solve_regularized(gramians, alphas, probe), axis=(1, 2))
 
 
 def _random_state(modes, rng, scale=1.0):
@@ -190,9 +195,8 @@ def test_alpha_sweep_validation():
 def test_right_inverse_identity_blocks():
     gset = _identity_set(4)
     probe = np.full((4, 2), 0.5)
-    report = approximate_right_inverse_check(gset, [1.0], probe)
     # with q = 1 and alpha = 1 the deviation is exactly half the probe norm
-    assert report["errors"][0] == pytest.approx(0.5 * np.linalg.norm(probe), rel=1e-12)
+    assert _right_inverse_norms(gset, [1.0], probe).tolist() == [0.5 * np.linalg.norm(probe)]
 
 
 def test_right_inverse_limit_and_ratio():
@@ -200,18 +204,18 @@ def test_right_inverse_limit_and_ratio():
     rng = np.random.default_rng(8)
     gset = assemble_gramian(modes, BETA, DELTA)
     probe = rng.standard_normal((6, 2))
-    alphas = [10.0**-k for k in range(7)]
-    report = approximate_right_inverse_check(gset, alphas, probe)
-    assert report["decreasing"]
-    assert report["bound_ok"]
-    for alpha, err in zip(report["alphas"], report["errors"]):
-        assert err / alpha <= np.linalg.norm(probe) / gset.min_eigenvalue + 1e-9
+    alphas = np.array([10.0**-k for k in range(7)])
+    errors = _right_inverse_norms(gset, alphas, probe)
+    # decreasing, and within the spectral bound alpha ||z|| / (alpha + q_min)
+    assert np.all(errors[1:] <= errors[:-1] + 1e-15)
+    z_norm = np.linalg.norm(probe)
+    assert np.all(errors <= alphas * z_norm / (alphas + gset.min_eigenvalue) + 1e-12)
+    assert np.all(errors / alphas <= z_norm / gset.min_eigenvalue + 1e-9)
 
 
 def test_right_inverse_zero_probe():
     gset = _identity_set(3)
-    report = approximate_right_inverse_check(gset, [1.0, 0.5], np.zeros((3, 2)))
-    assert report["errors"] == [0.0, 0.0]
+    assert _right_inverse_norms(gset, [1.0, 0.5], np.zeros((3, 2))).tolist() == [0.0, 0.0]
 
 
 def test_problem_validation():
@@ -299,8 +303,8 @@ def test_stacked_sweeps_match_per_alpha_loops():
     np.testing.assert_allclose([e for _, e in sweep], loop, rtol=1e-14, atol=0.0)
     probe = rng.standard_normal((8, 2))
     loop = [alpha * np.linalg.norm(solve_regularized(gramians, [alpha], probe)) for alpha in alphas]
-    report = approximate_right_inverse_check(gramians, alphas, probe)
-    np.testing.assert_allclose(report["errors"], loop, rtol=1e-14, atol=0.0)
+    stacked = _right_inverse_norms(gramians, alphas, probe)
+    np.testing.assert_allclose(stacked, loop, rtol=1e-14, atol=0.0)
 
 
 def test_alpha_sweep_reuses_a_given_gramian_set(monkeypatch):
