@@ -9,23 +9,24 @@ the velocity slot and integrated by the trapezoid rule in s.  The step divides
 the delay, the horizon, the window start and every impulse time, so every
 delayed read is an exact grid lookup.  Every pointwise map (f, the memory
 integrand g, the impulse jumps) acts through one collocation: synthesize onto
-the grid by the basis, apply the map, project back by the spacing-scaled basis;
+the grid by B^T, apply the map, project back by the spacing-scaled basis Bq;
 f and g take their cos and sin from tan(x / 2) (see NonlinearityCatalog).
 Velocity jumps land after the step onto their node, and delayed reads there use
 the left-limit (pre-jump) velocity.  The memory term is the trapezoid sum of its
 convolution, an exact recursion for the exponential kernel.
 
 ``simulate`` runs the zero control over [-delay, tau] by the method of steps: a
-slab steps as far as it may, min(OUTER, delay/h) steps, cut at impulse nodes,
-and reads only delayed states fixed by earlier slabs.  It synthesizes its delayed
-deflection once for f and g (the velocity only if f reads it, see F_READS),
-applies f and g on its live rows, projects all L + 1 rows back in one product, L
-being the fewest whole chunks covering a slab, and advances the memory and every
-mode in chunks of CHUNK steps: all chunks from a zero start by one batched
-matmul, then the chunk starts by a Toeplitz table of chunk propagators added
-back.  Node arrays carry one slab of trailing rows, so slabs read and write
-full-shape views whose rows past the slab's end are finite and meet only zeros
-above the tables' diagonals: no product's shape depends on the cut.
+slab steps as far as it may, min(OUTER, delay/h) steps, cut at impulse nodes, and
+reads only delayed states fixed by earlier slabs.  At zero control linear_growth's
+f is f_a y + f_b, projected as f_a w + f_b Bq^T 1 since Bq^T B = I on the retained
+modes (grid_points >= 2N); g and bounded_trig's f are collocated on the live rows,
+all L + 1 rows (whole chunks covering the slab) projected in one product.  The
+memory and every mode advance in chunks of CHUNK steps: all chunks from a zero
+start by one batched matmul of the chunk table, which holds the trapezoid weights,
+with each chunk's CHUNK + 1 forcing rows, then the chunk starts by a Toeplitz table
+of chunk propagators added back.  Node arrays carry one slab of trailing rows, so
+slabs read and write full-shape views whose rows past the slab's end are finite and
+meet only zeros above the tables' diagonals: no product's shape depends on the cut.
 
 A steering window [tau - delta, tau] lies inside one delay, so its delayed reads
 and memory forcing come from the zero-control run, and the controlled solution
@@ -279,14 +280,16 @@ class SimConfig:
         and with ``window_steps`` the window sum of ``cells`` cells over its nodes.
 
         Sized in Python ints: W, V and memory padded by a slab of L <= ``slab`` steps, the
-        basis, its projector and the window table's two rows, and the held workspaces, which
-        the window sum's blocks reuse: a slab's L + 1 grid rows of y, f and g and its forcing
-        and chunk arrays, or a block's grid rows of y and v and per cell of f, its control and F.
+        synthesis matrix, projector and window table's two rows, and the held workspaces, which
+        the window sum's blocks reuse: a slab's L + 1 grid rows of y, g and f where the run
+        collocates them and its forcing rows, chunk forcing, solves and starts, at most 7 N floats
+        per row, or a block's grid rows of y and v and per cell of f, its control and F.
         """
         n_r, grid, n = self.delay_steps, self.grid_points - 1, self.n_modes
         slab = min(OUTER, n_r + CHUNK)
+        memory, collocate = self.catalog.has_memory, self.catalog.f_kind == "bounded_trig"
         floats = (3 * (n_r + self.horizon_steps + 1 + slab) + 2 * grid + 2 * n_r) * n
-        held = (slab + 1) * (3 * grid + 8 * n)
+        held = (slab + 1) * (((memory or collocate) + memory + collocate) * grid + 7 * n)
         if window_steps is not None:
             rows = min(OUTER, window_steps) + 1
             held = max(held, rows * (2 * grid + cells * (grid + 2 * n)))
@@ -367,11 +370,12 @@ def _carve(*shapes):
 
 @lru_cache(maxsize=16)
 def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
-    """Read-only tables for one system and step: basis matrix, its spacing-scaled projector,
-    (h/2 a12, a22) of A = exp(K h), the chunk table taking b_j to sum_{j<=k} A^(k-j) b_j, the
-    lift table of A^(k+1), the outer table of A^(chunk (m - j)) for a slab's chunks, the
-    memory kernel's decay tables like the state's, and the window table (module docstring)
-    of the last n_r nodes: rows a12, a22 of exp(K (tau - t_k)), each (n_r, n_modes)."""
+    """Read-only tables for one system and step: the synthesis matrix B^T, C-contiguous, its
+    spacing-scaled projector Bq, the chunk table taking a chunk's forcing rows F_i to its
+    zero-start states h sum_i omega_i A^(k+1-i) e2 F_i, omega = 1/2 at i = 0 and i = k + 1 (the
+    window's sum on one chunk), the lift table of A^(k+1), A = exp(K h), the outer table of
+    A^(chunk (m - j)) for a slab's chunks, the memory kernel's decay tables like the state's,
+    and the window table of the last n_r nodes: rows a12, a22 of exp(K (tau - t_k))."""
     lam, chunk = laplacian_eigenvalues(domain.length, n_modes).lambdas, min(CHUNK, n_r)
     count = -(-min(OUTER, n_r) // chunk)
     B = basis_matrix(domain, n_modes)
@@ -379,14 +383,17 @@ def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
         np.stack(exp_entries(lam, beta, t[:, None]), -1).reshape(t.size, n_modes, 2, 2)
         for t in (h * np.arange(chunk + 1), h * chunk * np.arange(count))
     )
+    omega = np.full((chunk, chunk + 1), h)
+    omega[:, 0] = omega[range(chunk), range(1, chunk + 1)] = 0.5 * h
     m = exact_multiple(tau, h, "the horizon")
     theta = np.maximum(tau - np.arange(m + 1 - n_r, m + 1) * h, 0.0)[:, None]
     _, a12, _, a22 = exp_entries(lam, beta, theta)
     decay = np.exp(-gamma * h) ** np.arange(chunk * count + 1)
     tables = (
-        B, domain.spacing * B,
-        np.stack([0.5 * h * step[1, :, 0, 1], step[1, :, 1, 1]]),
-        _toeplitz(step[:-1]).transpose(1, 2, 0, 3, 4).reshape(n_modes, 2 * chunk, 2 * chunk),
+        np.ascontiguousarray(B.T), domain.spacing * B,
+        (_toeplitz(step[..., 1])[1:] * omega[:, None, None]).transpose(1, 2, 0, 3).reshape(
+            n_modes, 2 * chunk, chunk + 1
+        ),
         step[1:].transpose(1, 2, 0, 3).reshape(n_modes, 2 * chunk, 2),
         np.ascontiguousarray(_toeplitz(outer).transpose(1, 2, 0, 3, 4)).reshape(
             n_modes, 2 * count, 2 * count
@@ -418,14 +425,11 @@ def simulate(config: SimConfig) -> Trajectory:
     lam, N, h, catalog = config.modes.lambdas, config.n_modes, config.step, config.catalog
     n_r = idx0 = config.delay_steps
     n_total = n_r + config.horizon_steps + 1
-    B, Bq, (half_a12, a22), chunk_table, lift, outer, m_chunk, m_lift, m_outer, _ = (
-        _tables(config)
-    )
+    Bt, Bq, chunk_table, lift, outer, m_chunk, m_lift, m_outer, _ = _tables(config)
 
-    # slabs of at most n_r steps inside `count` chunks of `chunk` steps, and every
-    # node array carries L trailing rows
-    chunk = min(CHUNK, n_r)
-    count = -(-min(OUTER, n_r) // chunk)
+    # slabs of at most n_r steps inside `count` chunks of `chunk` steps, as the tables
+    # hold them, and every node array carries L trailing rows
+    chunk, count = len(m_lift), len(m_outer)
     L = count * chunk
     nodes = (n_total + L, N)
     W, V, memory = np.zeros(nodes), np.zeros(nodes), np.zeros(nodes)
@@ -443,19 +447,18 @@ def simulate(config: SimConfig) -> Trajectory:
     # the trapezoid sum of the exponential kernel, kappa-free, by the exact recursion
     # S_(k+1) = decay S_k + h g_(k+1), chunked like the state; the carry is S at the slab start
     recurse = catalog.has_memory
+    # linear_growth's f is affine at zero control (module docstring); bounded_trig is collocated
+    affine, collocate = catalog.f_kind == "linear_growth", catalog.f_kind == "bounded_trig"
+    constant = catalog.f_b * Bq.sum(axis=0)
 
-    # held workspaces: forcing rows, chunk solves and starts, and the grid rows of the
-    # delayed deflection, f and g; only what is read past the live rows is zeroed, all
-    # else is written before it is read
-    grid = (L + 1, len(B))
-    fc, gq, X, Z, E, yd, fx, gx = _carve(
-        (L + 1, N), (L + 1, N), *[(N, 2 * chunk, count)] * 2, (N, 2, count), grid, grid, grid
+    # held workspaces: forcing rows, chunk forcing, solves and starts, and the grid rows of
+    # the delayed deflection, g and f, carved empty where unused; only what is read past the
+    # live rows is zeroed, all else is written before it is read
+    fc, gq, X, Z, E, yd, gx, fx = _carve(
+        (L + 1, N), (L + 1, N), (N, chunk + 1, count), (N, 2 * chunk, count), (N, 2, count),
+        *[(L + 1 if use else 0, Bt.shape[1]) for use in (recurse or collocate, recurse, collocate)],
     )
-    xw, xv = (X[:, r * chunk : (r + 1) * chunk].transpose(2, 1, 0) for r in (0, 1))
-    if reads:
-        fx[...] = 0.0
-    if recurse:
-        gx[...] = 0.0
+    fx[...] = gx[...] = 0.0
 
     stops = sorted({n_total - 1, *imp_at})
     s0 = idx0
@@ -463,19 +466,20 @@ def simulate(config: SimConfig) -> Trajectory:
         s1 = min(s0 + L, s0 + n_r, next(s for s in stops if s > s0))
         n = s1 - s0
         # f and g on the slab's live rows s0..s1; every product takes all L + 1 rows
-        if reads or recurse:
-            rows, live = slice(s0 - n_r, s0 - n_r + L + 1), slice(n + 1)
-            # delayed deflection on the grid, for f and g; continuous at impulses
-            y = np.matmul(W[rows], B.T, out=yd)[live]
+        rows, live = slice(s0 - n_r, s0 - n_r + L + 1), slice(n + 1)
+        if recurse or collocate:
+            # delayed deflection on the grid, for g and a collocated f; continuous at impulses
+            y = np.matmul(W[rows], Bt, out=yd)[live]
             if recurse:
                 catalog.g(y, out=gx[live])
                 np.matmul(gx, Bq, out=gq)
-            if reads:
-                vd = 0.0  # read by f only where its kind says so
-                if "v" in reads:
-                    vd = (_delayed_velocity(V, rows, pre_impulse) @ B.T)[live]
+            if collocate:  # bounded_trig reads the delayed velocity
+                vd = (_delayed_velocity(V, rows, pre_impulse) @ Bt)[live]
                 catalog.f(y, vd, 0.0, out=fx[live])
                 np.matmul(fx, Bq, out=fc)
+        if affine:
+            np.multiply(W[rows], catalog.f_a, out=fc)
+            fc += constant
         new = slice(s0 + 1, s0 + 1 + L)
         if recurse:
             if s0 == idx0:  # S_0 = (h/2) P g(w(-delay)), row 0 of the first slab's products
@@ -485,15 +489,12 @@ def simulate(config: SimConfig) -> Trajectory:
             M += m_lift * (m_outer @ np.vstack([carry, M[:-1, -1]]))[:, None]
             carry = M.reshape(L, N)[n - 1].copy()
             np.multiply(M - half * g, catalog.kappa, out=M)
-        # velocity-slot forcing at the slab's nodes s0..s0+L
+        # velocity-slot forcing at nodes s0..s0+L; a chunk takes its rows and the next one's first
         F = memory[s0 : s0 + L + 1]
         if reads:
             F = np.add(fc, F, out=fc)
-        left, right = (F[r : L + r].reshape(count, chunk, N) for r in (0, 1))
-        np.multiply(half_a12, left, out=xw)
-        np.multiply(a22, left, out=xv)
-        xv += right
-        xv *= half
+        X[:, :chunk] = F[:L].reshape(count, chunk, N).transpose(2, 1, 0)
+        X[:, chunk] = F[chunk::chunk].T
         # every chunk from a zero start, then the chunk starts s_m from the
         # slab start and the chunk ends, then A^(k+1) s_m added back
         np.matmul(chunk_table, X, out=Z)
@@ -506,7 +507,7 @@ def simulate(config: SimConfig) -> Trajectory:
             k = imp_at[s1]
             wp, vp = W[s1].copy(), V[s1].copy()
             pre_impulse[s1] = (wp, vp)
-            dv = config.impulses.jump(k, wp @ B.T, vp @ B.T) @ Bq
+            dv = config.impulses.jump(k, wp @ Bt, vp @ Bt) @ Bq
             V[s1] = vp + dv
             impulse_events.append((k, float(times[s1]), float(np.linalg.norm(dv))))
 
@@ -534,8 +535,8 @@ def _window_forcing(base: Trajectory, control, start: int):
     memory-only F is a read-only view of the base run's rows.
     """
     config = base.config
-    B, Bq, *_, window = _tables(config)
-    n_r, reads, N, grid = config.delay_steps, F_READS[config.catalog.f_kind], config.n_modes, len(B)
+    Bt, Bq, *_, window = _tables(config)
+    n_r, reads, (N, grid) = config.delay_steps, F_READS[config.catalog.f_kind], Bt.shape
     lam, end = config.modes.lambdas, n_r + config.horizon_steps
     first, eta = end + 1 - n_r, control.eta[:, None]  # window table node 0; (cells, 1, N, 2)
     for lo in range(start, end + 1, OUTER + 1):
@@ -549,11 +550,9 @@ def _window_forcing(base: Trajectory, control, start: int):
         a12, a22 = window[:, lo - first : lo - first + K]
         np.multiply(lam * a12, eta[..., 0], out=u)
         u += np.multiply(a22, eta[..., 1], out=F)
-        np.matmul(u, B.T, out=fx)
-        y = np.matmul(base.w[delayed], B.T, out=yd)
-        vd = 0.0  # read by f only where its kind says so
-        if "v" in reads:
-            vd = _delayed_velocity(base.v, delayed, base.pre_impulse) @ B.T
+        np.matmul(u, Bt, out=fx)
+        y = np.matmul(base.w[delayed], Bt, out=yd)
+        vd = _delayed_velocity(base.v, delayed, base.pre_impulse) @ Bt if "v" in reads else 0.0
         config.catalog.f(y, vd, fx, out=fx)
         np.matmul(fx, Bq, out=F)
         # summed with f, not once per window: the memory and f parts of R partly cancel
@@ -585,6 +584,7 @@ def window_response(base: Trajectory, control, linear: BeamState) -> BeamState:
     R = np.zeros((2, len(control.eta), config.n_modes))
     for lo, F in _window_forcing(base, control, start):
         k = slice(lo - start, lo - start + F.shape[1])
+        # not a matmul, which puts the cell count in the GEMM's N: rows would hang on the batch
         R += np.einsum("ikj,k,ckj->icj", response[:, k], omega[k], F)
     R *= config.step
     z_w, z_v = linear.w + R[0], linear.v + R[1]

@@ -40,6 +40,7 @@ from beamsteer.errors import BlowUpError, InvalidArgumentError
 from beamsteer.harness import pullback_setup
 from oracles import (
     apply_impulse,
+    catalog_f,
     evaluate_nonlinearity,
     f_bound_per_sample,
     left_limit,
@@ -946,12 +947,103 @@ def test_zero_control_slabs_past_outer_stay_outer_long(monkeypatch):
     assert rows == [OUTER + 1] * 7 + [129] + ([OUTER + 1] * 5 + [161]) * 2
 
 
-@pytest.mark.parametrize("name", ["sweep-default", "sweep-long"])
+def _collocation_gate(grid_points):
+    """Gate on |(spacing B)^T B - I|, see test_sine_collocation_inverts_synthesis."""
+    return grid_points * 2.0**-52
+
+
+@pytest.mark.parametrize("grid_points, n", [(16, 8), (128, 8), (128, 64), (1024, 512)])
+def test_sine_collocation_inverts_synthesis(grid_points, n):
+    """The spacing-scaled projector inverts the sine synthesis on the retained modes,
+    (spacing B)^T B = I for n < grid_points; grid_points = 2n is the validator's edge.
+
+    Entry (j, k) is a sum of grid_points - 1 products spacing B_ij B_ik whose absolute
+    values add up to at most 1 (Cauchy-Schwarz on the discrete orthonormality), so its
+    summation error is below (grid_points - 1) 2**-53; the entries' own rounding adds
+    terms of either sign.  The gate, grid_points 2**-52, is twice the summation bound;
+    the largest value measured is 0.26 of it, at (128, 64) and length 1e3.
+    """
+    for length in (1e-3, 1.0, 3.5, 1e3):
+        domain = SpatialDomain(length, grid_points)
+        B = spectral.basis_matrix(domain, n)
+        gap = np.abs((domain.spacing * B).T @ B - np.eye(n)).max()
+        assert gap <= _collocation_gate(grid_points), length
+
+
+def _spy_rows(monkeypatch, name):
+    """Rows of every call of the catalog's method ``name`` from now on."""
+    rows, method = [], getattr(NonlinearityCatalog, name)
+
+    def counted(self, *args, **kwargs):
+        rows.append(len(args[0]))
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(NonlinearityCatalog, name, counted)
+    return rows
+
+
+@pytest.mark.parametrize("memory", [False, True], ids=["nomem", "mem"])
+def test_zero_control_linear_growth_forcing_is_affine(monkeypatch, memory):
+    # at zero control linear_growth's f is f_a y + f_b, which the base run projects as
+    # f_a w + f_b Bq^T 1: the last slab's forcing rows match f on the grid followed by
+    # projection within the gate of test_sine_collocation_inverts_synthesis, f is never
+    # called, and no grid rows are carved for f (none at all without memory)
+    memory_kw = dict(g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=1.0)
+    cat = NonlinearityCatalog(
+        f_kind="linear_growth", f_a=0.7, f_b=0.4, **(memory_kw if memory else {})
+    )
+    k = np.arange(1, 5)
+    hist = lambda s: (0.3 * np.cos(3 * s)[:, None] / k**2, 0.2 * np.sin(2 * s)[:, None] / k)
+    imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.1, -0.05))
+    cfg = _config(catalog=cat, impulses=imp, history=hist)
+    held, carve = [], dynamics._carve
+
+    def kept(*shapes):
+        held[:] = carve(*shapes)
+        return held
+
+    monkeypatch.setattr(dynamics, "_carve", kept)
+    calls = _spy_rows(monkeypatch, "f")
+    vars(dynamics._held).clear()
+    traj = simulate(cfg)
+    assert calls == []
+    # the held forcing rows, the first workspace, end as those of the last slab, 600..780,
+    # which read the delayed rows 420..600 across both impulse nodes
+    n_r, s1 = cfg.delay_steps, traj.times.size - 1
+    s0 = s1 - n_r
+    forcing = held[0][: n_r + 1]
+    y = synthesize(traj.w[s0 - n_r : s1 - n_r + 1], cfg.domain)
+    want = project(catalog_f(cat, y, 0.0, 0.0), cfg.domain, cfg.modes) + traj.memory[s0 : s1 + 1]
+    assert np.abs(forcing - want).max() <= _collocation_gate(cfg.grid_points) * np.abs(want).max()
+    # a grid-row workspace holds L + 1 rows, L the chunks covering a full-delay slab
+    grid_rows = (-(-n_r // CHUNK) * CHUNK + 1) * (cfg.grid_points - 1)
+    size = dynamics._held.buffer.size
+    assert 2 * grid_rows <= size < 3 * grid_rows if memory else size < grid_rows
+
+
+def test_zero_control_bounded_trig_collocates_once_per_slab(monkeypatch):
+    # bounded_trig has no modal form: f is collocated on each slab's live rows, like g
+    memory_kw = dict(g_kind="rational", kernel_kind="exponential", kappa=0.5, gamma=1.0)
+    cat = NonlinearityCatalog(f_kind="bounded_trig", f_a=0.4, f_b=0.2, **memory_kw)
+    imp = ImpulseSchedule(times=(0.4, 0.7), gains=(0.1, -0.05))
+    cfg = _config(catalog=cat, impulses=imp, history=_constant_history(np.full(4, 0.3), np.zeros(4)))
+    f_rows, g_rows = _spy_rows(monkeypatch, "f"), _spy_rows(monkeypatch, "g")
+    simulate(cfg)
+    assert f_rows == g_rows == [181, 61, 181, 181]
+
+
+@pytest.mark.parametrize("name", ["sweep-default", "sweep-long", "bounded_trig"])
 def test_run_bytes_estimate_bounds_the_held_bytes(monkeypatch, name):
     # check_run_bytes sizes a run before it is made: the held buffers and the base
     # run's node arrays never pass its estimate, for the base run alone and with the
-    # sweep's window sums, whose blocks reuse the base run's workspaces
-    spec = _workload(name)
+    # sweep's window sums, whose blocks reuse the base run's workspaces; bounded_trig
+    # is sweep-default with the f that the base run collocates, on grid rows of its own
+    if name == "bounded_trig":
+        text = (WORKLOADS / "sweep-default.ini").read_text()
+        spec = parse_experiment(text.replace("f = linear_growth", "f = bounded_trig"))
+    else:
+        spec = _workload(name)
+    assert (spec.config.catalog.f_kind == "bounded_trig") == (name == "bounded_trig")
     config = spec.config
     vars(dynamics._held).clear()
     _, base, _ = pullback_setup(spec)
