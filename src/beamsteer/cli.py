@@ -16,7 +16,6 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .harness import (
     gramian_cross_check,
     make_random_state,
     make_target,
+    pullback_cell,
+    pullback_setup,
     residual_identity,
     run_linear_suite,
     run_pullback_experiment,
@@ -115,7 +116,8 @@ def _cmd_pullback(spec, args) -> int:
     if _unwritable(args.out):
         return 1
     delta, alpha = max(spec.deltas), min(spec.alphas)
-    (row,) = run_pullback_experiment(replace(spec, deltas=[delta], alphas=[alpha]))
+    config, base_traj, target = pullback_setup(spec)
+    row = pullback_cell(config, target, delta, alpha, base_traj)
     _say(args, f"pullback: delta={delta:g} alpha={alpha:g}")
     _say(args, f"  error_total = {row.error_total:.6e}  (epsilon = {spec.epsilon:g})")
     _say(args, f"  error_nl    = {row.error_nl:.6e}")
@@ -167,12 +169,7 @@ def main(argv=None) -> int:
         p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     try:
-        spec = load_experiment(args.config, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](spec, args)
+        return _COMMANDS[args.command](load_experiment(args.config, seed_override=args.seed), args)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -80,12 +80,19 @@ CHUNK, OUTER = 32, 256
 
 
 def exact_multiple(value: float, step: float, what: str) -> int:
-    """Integer n with n*step == value, or an error naming the constraint."""
+    """Integer n with n*step == value, or an error naming the constraint.
+
+    The slack is 1e-9 of the larger of |value| and the step: far above the rounding of n*step,
+    and relative, since an absolute one would pass any value once the step is below it.  A
+    positive value must be at least one step, or it would land on the node it starts from.
+    """
     quotient = float(value) / float(step)  # Python floats overflow to inf, without a warning
     if not np.isfinite(quotient):
         raise InvalidArgumentError(f"{what} is not a finite number of steps")
     n = int(round(quotient))
-    if abs(n * step - value) > 1e-9 * max(1.0, abs(value)):
+    if value > 0 and n < 1:
+        raise InvalidArgumentError(f"{what} is shorter than one step")
+    if abs(n * step - value) > 1e-9 * max(step, abs(value)):
         raise InvalidArgumentError(f"step does not divide {what} exactly")
     return n
 
@@ -301,16 +308,16 @@ class SimConfig:
             )
 
     def validate_delta(self, delta: float) -> int:
-        """Check a window length against the delay and impulses; return the start's node index."""
-        if not 0 < delta < self.tau:
+        """Check a window length against the horizon, the delay and the impulses in whole steps,
+        which a delta within the slack of a bound does not pass; return the start's node index."""
+        n = exact_multiple(delta, self.step, "the window") if 0 < delta < self.tau else 0
+        if not 0 < n < self.horizon_steps:
             raise InvalidArgumentError("delta must lie in (0, tau)")
-        if delta >= self.delay:
+        if n >= self.delay_steps:
             raise InvalidArgumentError("delta must be smaller than the delay")
-        if delta >= self.tau - self.impulses.last_time:
-            raise InvalidArgumentError(
-                "delta must keep every impulse before the steering window"
-            )
-        return self.delay_steps + exact_multiple(self.tau - delta, self.step, "the window start")
+        if n >= self.horizon_steps - max(self.impulse_steps, default=0):
+            raise InvalidArgumentError("delta must keep every impulse before the steering window")
+        return self.delay_steps + self.horizon_steps - n
 
 
 @dataclass
@@ -527,12 +534,10 @@ def simulate(config: SimConfig) -> Trajectory:
 
 def _window_forcing(base: Trajectory, control, start: int):
     """The forcing F_k of every cell at the window nodes start..tau, in blocks of at most
-    OUTER + 1 nodes: yields each block's first node and its F, shape (cells, K, N), or
-    (1, K, N) when f reads nothing and the memory forcing alone makes F.
+    OUTER + 1 nodes: yields each block's first node and its F, shape (cells, K, N).
 
     F is the collocated f at the base run's delayed states and the cell's control, plus
-    the base run's memory forcing, in a held buffer that the next block overwrites; a
-    memory-only F is a read-only view of the base run's rows.
+    the base run's memory forcing, in a held buffer that the next block overwrites.
     """
     config = base.config
     Bt, Bq, *_, window = _tables(config)
@@ -542,9 +547,6 @@ def _window_forcing(base: Trajectory, control, start: int):
     for lo in range(start, end + 1, OUTER + 1):
         K = min(OUTER + 1, end + 1 - lo)
         rows, delayed = slice(lo, lo + K), slice(lo - n_r, lo - n_r + K)
-        if not reads:
-            yield lo, base.memory[None, rows]
-            continue
         F, u, yd, fx = _carve(*[(len(eta), K, N)] * 2, (K, grid), (len(eta), K, grid))
         # the control b^T p = lambda a12 e0 + a22 e1 at each node, synthesized on the grid
         a12, a22 = window[:, lo - first : lo - first + K]

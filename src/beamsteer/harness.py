@@ -245,46 +245,19 @@ def residual_identity(problem: SteeringProblem, gramians: GramianSet, q_quad):
     return control, measured, formula
 
 
-def _errors(y, r, target, modes):
-    """error_total, error_nl and error_lin of the linear terminal states y and the forced
-    responses r, per cell of a batch."""
-    lin = y - target
-    return [energy_norm(lin + r, modes), energy_norm(r, modes), energy_norm(lin, modes)]
+def _pullback_rows(config, base_traj, target, deltas, alphas, timer) -> list[ResultRow]:
+    """The rows of the grid ``deltas`` x ``alphas``, deltas outer, in the order given.
 
-
-def pullback_cell(
-    config: SimConfig, target: BeamState, delta: float, alpha: float, base_traj: Trajectory
-) -> ResultRow:
-    """One (delta, alpha) cell on its own, its control synthesized from the base run's state
-    at the window start and its window summed alone.  Returns the row."""
-    modes, t0 = config.modes, time.perf_counter()
-    z_mid = base_traj.state_at(config.tau - delta)
-    gramians = assemble_gramian(modes, config.beta, delta)
-    control = synthesize_control(SteeringProblem(z_mid, target, alpha), gramians)
-    y_tau = steer_linear(z_mid, control)
-    errors = _errors(y_tau, window_response(base_traj, control, y_tau), target, modes)
-    runtime = time.perf_counter() - t0
-    return ResultRow(alpha, delta, *np.concatenate(errors).tolist(), runtime, config.horizon_steps)
-
-
-def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> list[ResultRow]:
-    """Full sweep over (delta, alpha), deltas outer, both descending.
-
-    One zero-control base run serves every cell.  The linear layer of the whole
-    grid is one batch: one Gramian evaluation of every window, one stacked
-    control from the window-start states and one linear steer.  Per delta one
-    window sum of all alphas reads the base run with that window's control, and
-    one error evaluation covers every cell.  A row's runtime is an equal share of
-    its window sum plus an equal share of the linear batch.
+    The linear layer of the whole grid is one batch: one Gramian evaluation of every
+    window, one stacked control from the base run's window-start states and one linear
+    steer.  Per delta one window sum of all alphas reads the base run with that window's
+    control, and one error evaluation covers every cell.  A row's runtime is an equal
+    share of its window sum plus an equal share of the linear batch.
     """
-    config, base_traj, target = pullback_setup(spec)
-    modes = config.modes
-    alphas = sorted(spec.alphas, reverse=True)
-    deltas = sorted(spec.deltas, reverse=True)
     starts = [config.validate_delta(delta) for delta in deltas]
     z_mid = BeamState(base_traj.w[starts], base_traj.v[starts])
     t0 = timer()
-    gramians = assemble_gramian(modes, config.beta, deltas)
+    gramians = assemble_gramian(config.modes, config.beta, deltas)
     control = synthesize_control(SteeringProblem(z_mid, target, alphas), gramians)
     y_tau = steer_linear(z_mid, control)
     linear = (timer() - t0) / (len(deltas) * len(alphas))
@@ -294,12 +267,29 @@ def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> li
         sums.append(window_response(base_traj, control[i], BeamState(y_tau.w[i], y_tau.v[i])))
         shares.append(linear + (timer() - t0) / len(alphas))
     r = BeamState(np.stack([x.w for x in sums]), np.stack([x.v for x in sums]))
-    errors = np.stack(_errors(y_tau, r, target, modes), axis=-1)  # (deltas, alphas, 3)
+    lin = y_tau - target
+    errors = np.stack([energy_norm(x, config.modes) for x in (lin + r, r, lin)], axis=-1)
     return [
         ResultRow(a, delta, *e.tolist(), share, config.horizon_steps)
-        for delta, share, row in zip(deltas, shares, errors)
+        for delta, share, row in zip(deltas, shares, errors)  # row: (alphas, 3)
         for a, e in zip(alphas, row)
     ]
+
+
+def pullback_cell(
+    config: SimConfig, target: BeamState, delta: float, alpha: float, base_traj: Trajectory
+) -> ResultRow:
+    """One (delta, alpha) cell: the sweep's batch on a one-cell grid.  Returns the row."""
+    (row,) = _pullback_rows(config, base_traj, target, [delta], [alpha], time.perf_counter)
+    return row
+
+
+def run_pullback_experiment(spec: ExperimentSpec, timer=time.perf_counter) -> list[ResultRow]:
+    """Full sweep over (delta, alpha), deltas outer, both descending: one zero-control base
+    run serves every cell, and the grid's rows are one batch (``pullback_cell``'s path)."""
+    config, base_traj, target = pullback_setup(spec)
+    deltas, alphas = (sorted(x, reverse=True) for x in (spec.deltas, spec.alphas))
+    return _pullback_rows(config, base_traj, target, deltas, alphas, timer)
 
 
 def summarize_rows(rows: list[ResultRow], epsilon: float) -> dict:

@@ -443,8 +443,7 @@ def simulate_stepwise(config, control=None):
     zero = np.zeros(N)
     start_idx = None
     if control is not None:
-        start = config.tau - control.gramians.delta
-        start_idx = idx0 + exact_multiple(start, h, "the window start")
+        start_idx = n_total - 1 - exact_multiple(control.gramians.delta, h, "the window")
         win_t = times[start_idx:]
         (win_u,) = window_coeffs(control, win_t, config.tau)
         cw, cv = step_control_quadrature(control, win_t[:-1], h, config.tau)
@@ -513,7 +512,7 @@ def window_response_stepwise(base, control):
     config = base.config
     modes, domain, h, n_r = config.modes, config.domain, config.step, config.delay_steps
     end = n_r + config.horizon_steps
-    start = n_r + exact_multiple(config.tau - control.gramians.delta, h, "the window start")
+    start = end - exact_multiple(control.gramians.delta, h, "the window")
     nodes = np.arange(start, end + 1)
     u = window_coeffs(control, base.times[nodes], config.tau)  # (cells, nodes, N)
     delayed = [left_limit(base, k - n_r) for k in nodes]

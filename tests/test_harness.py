@@ -887,9 +887,28 @@ def test_cli_sweep_writes_csv(tmp_path):
 
 
 def test_cli_pullback(tmp_path):
-    out = tmp_path / "cell.csv"
-    assert cli.main(["pullback", "--quiet", "--out", str(out)]) == 0
-    assert out.exists()
+    # beamsteer pullback writes the sweep's (largest delta, smallest alpha) row, and
+    # pullback_cell gives it too: every column but runtime_s, on the default config and
+    # on the long-step workload
+    def columns(line):
+        return line.split(",")[:5] + line.split(",")[6:]
+
+    workload = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "sweep-long.ini"
+    for path in (None, str(workload)):
+        written, given = {}, [] if path is None else ["--config", path]
+        for command in ("pullback", "sweep"):
+            out = tmp_path / f"{command}.csv"
+            assert cli.main([command, "--quiet", "--out", str(out), *given]) == 0
+            written[command] = out.read_text().splitlines()
+        spec = load_experiment(path)
+        delta, alpha = max(spec.deltas), min(spec.alphas)
+        config, base, target = pullback_setup(spec)
+        emit_csv([harness.pullback_cell(config, target, delta, alpha, base)], tmp_path / "cell.csv")
+        sweep = written["sweep"]  # the seed comment, the header, then the cells
+        (want,) = [r for r in sweep[2:] if r.split(",")[:2] == [f"{alpha:.12g}", f"{delta:.12g}"]]
+        assert written["pullback"][:2] == sweep[:2] and len(written["pullback"]) == 3
+        for row in (written["pullback"][2], (tmp_path / "cell.csv").read_text().splitlines()[1]):
+            assert columns(row) == columns(want)
 
 
 # case -> (arguments, config text or None, exit code, start of the one stderr line)
@@ -913,6 +932,16 @@ CLI_FAILURES = {
         "invalid configuration: unknown key 'kapa'",
     ),
     "blowup": (["sweep"], _violating("f_b = 0.0", "f_b = 1e14"), 1, "error: trajectory norm"),
+    # a delay or horizon below one step used to validate with zero steps; the delay's
+    # run then raised ZeroDivisionError
+    "delay_below_one_step": (
+        ["sweep"], _violating("delay = 0.3", "delay = 1e-10"), 2,
+        "invalid configuration: the delay is shorter than one step",
+    ),
+    "tau_below_one_step": (
+        ["pullback"], _violating("tau = 1.0", "tau = 1e-300"), 2,
+        "invalid configuration: the horizon is shorter than one step",
+    ),
     # a blow-up by overflow used to print numpy's warnings first
     "blowup_overflow": (
         ["sweep"], _violating("f_a = 0.5", "f_a = 1e300"), 1, "error: trajectory norm inf"
