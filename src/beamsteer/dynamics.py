@@ -12,21 +12,21 @@ integrand g, the impulse jumps) acts through one collocation: synthesize onto
 the grid by B^T, apply the map, project back by the spacing-scaled basis Bq;
 f and g take their cos and sin from tan(x / 2) (see NonlinearityCatalog).
 Velocity jumps land after the step onto their node, and delayed reads there use
-the left-limit (pre-jump) velocity.  The memory term is the trapezoid sum of its
-convolution, an exact recursion for the exponential kernel.
+the left-limit (pre-jump) velocity.  The memory term M, kappa exp(-gamma t)
+convolved with P g, has the same mild form with exp(-gamma h) and kappa P g: the
+trapezoid steps of both are z_(k+1) = A z_k + (h/2) (A b F_k + b F_(k+1)), with
+(A, b) = (exp(K h), e2) for the state and (exp(-gamma h), 1) for the memory.
 
 ``simulate`` runs the zero control over [-delay, tau] by the method of steps: a
 slab steps as far as it may, min(OUTER, delay/h) steps, cut at impulse nodes, and
 reads only delayed states fixed by earlier slabs.  At zero control linear_growth's
 f is f_a y + f_b, projected as f_a w + f_b Bq^T 1 since Bq^T B = I on the retained
 modes (grid_points >= 2N); g and bounded_trig's f are collocated on the live rows,
-all L + 1 rows (whole chunks covering the slab) projected in one product.  The
-memory and every mode advance in chunks of CHUNK steps: all chunks from a zero
-start by one batched matmul of the chunk table, which holds the trapezoid weights,
-with each chunk's CHUNK + 1 forcing rows, then the chunk starts by a Toeplitz table
-of chunk propagators added back.  Node arrays carry one slab of trailing rows, so
-slabs read and write full-shape views whose rows past the slab's end are finite and
-meet only zeros above the tables' diagonals: no product's shape depends on the cut.
+all L + 1 rows (whole chunks covering the slab) projected in one product.  Both
+recursions, the memory's first, advance in chunks of CHUNK steps (``_advance``).
+Node arrays carry one slab of trailing rows, so slabs read and write full-shape
+views whose rows past the slab's end are finite and meet only zeros above the
+tables' diagonals: no product's shape depends on the cut.
 
 A steering window [tau - delta, tau] lies inside one delay, so its delayed reads
 and memory forcing come from the zero-control run, and the controlled solution
@@ -47,6 +47,7 @@ warm call maps no new pages; rows read past a slab's end are zeroed per run.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from copy import copy
 from dataclasses import dataclass, field
@@ -248,6 +249,12 @@ class SimConfig:
     impulse_steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the derived facts, set once in this frozen config; the counts are stored as ints
+        derive = partial(object.__setattr__, self)
+        for name, n in (("n_modes", self.n_modes), ("grid_points", self.grid_points)):
+            if not (isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()):
+                raise InvalidArgumentError(f"{name} must be an integer, not {n!r}")
+            derive(name, int(n))
         if not 1.0 <= self.beta < np.inf:
             raise InvalidArgumentError("damping coefficient must be at least 1 and finite")
         if not all(0 < x < np.inf for x in (self.length, self.tau, self.delay, self.step)):
@@ -263,8 +270,6 @@ class SimConfig:
             if not np.isfinite([2.0 * lam * lam, 4.0 * self.beta * lam]).all():
                 what = f"the generator of mode {self.n_modes} overflows"
                 raise InvalidArgumentError(f"{what}: 2 lambda**2 or 4 beta lambda is not finite")
-        # the derived facts, set once in this frozen config
-        derive = partial(object.__setattr__, self)
         derive("delay_steps", exact_multiple(self.delay, self.step, "the delay"))
         derive("horizon_steps", exact_multiple(self.tau, self.step, "the horizon"))
         impulse_steps = []
@@ -378,36 +383,36 @@ def _carve(*shapes):
 @lru_cache(maxsize=16)
 def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
     """Read-only tables for one system and step: the synthesis matrix B^T, C-contiguous, its
-    spacing-scaled projector Bq, the chunk table taking a chunk's forcing rows F_i to its
-    zero-start states h sum_i omega_i A^(k+1-i) e2 F_i, omega = 1/2 at i = 0 and i = k + 1 (the
-    window's sum on one chunk), the lift table of A^(k+1), A = exp(K h), the outer table of
-    A^(chunk (m - j)) for a slab's chunks, the memory kernel's decay tables like the state's,
-    and the window table of the last n_r nodes: rows a12, a22 of exp(K (tau - t_k))."""
+    spacing-scaled projector Bq, three tables from A's powers for each recursion, the state's
+    then the memory's (module docstring), and the window table of the last n_r nodes: rows a12,
+    a22 of exp(K (tau - t_k)).  With b = A's last column, the chunk table takes a chunk's forcing
+    rows F_i to its zero-start states h sum_i omega_i A^(k+1-i) b F_i, omega = 1/2 at i = 0 and
+    i = k + 1, the lift table holds A^(k+1) and the outer table A^(chunk (m - j))."""
     lam, chunk = laplacian_eigenvalues(domain.length, n_modes).lambdas, min(CHUNK, n_r)
     count = -(-min(OUTER, n_r) // chunk)
     B = basis_matrix(domain, n_modes)
-    step, outer = (
-        np.stack(exp_entries(lam, beta, t[:, None]), -1).reshape(t.size, n_modes, 2, 2)
-        for t in (h * np.arange(chunk + 1), h * chunk * np.arange(count))
-    )
     omega = np.full((chunk, chunk + 1), h)
     omega[:, 0] = omega[range(chunk), range(1, chunk + 1)] = 0.5 * h
+    recursions = []
+    for powers in (
+        lambda t: np.stack(exp_entries(lam, beta, t[:, None]), -1).reshape(t.size, n_modes, 2, 2),
+        lambda t: np.exp(-gamma * t).reshape(t.size, 1, 1, 1),
+    ):
+        step, outer = powers(h * np.arange(chunk + 1)), powers(h * chunk * np.arange(count))
+        n, d = step.shape[1:3]
+        recursions += [
+            (_toeplitz(step[..., -1])[1:] * omega[:, None, None]).transpose(1, 2, 0, 3).reshape(
+                n, d * chunk, chunk + 1
+            ),
+            step[1:].transpose(1, 2, 0, 3).reshape(n, d * chunk, d),
+            np.ascontiguousarray(_toeplitz(outer).transpose(1, 2, 0, 3, 4)).reshape(
+                n, d * count, d * count
+            ),
+        ]
     m = exact_multiple(tau, h, "the horizon")
     theta = np.maximum(tau - np.arange(m + 1 - n_r, m + 1) * h, 0.0)[:, None]
     _, a12, _, a22 = exp_entries(lam, beta, theta)
-    decay = np.exp(-gamma * h) ** np.arange(chunk * count + 1)
-    tables = (
-        np.ascontiguousarray(B.T), domain.spacing * B,
-        (_toeplitz(step[..., 1])[1:] * omega[:, None, None]).transpose(1, 2, 0, 3).reshape(
-            n_modes, 2 * chunk, chunk + 1
-        ),
-        step[1:].transpose(1, 2, 0, 3).reshape(n_modes, 2 * chunk, 2),
-        np.ascontiguousarray(_toeplitz(outer).transpose(1, 2, 0, 3, 4)).reshape(
-            n_modes, 2 * count, 2 * count
-        ),
-        h * _toeplitz(decay[:chunk]), decay[1 : chunk + 1, None],
-        _toeplitz(decay[: chunk * count : chunk]), np.stack([a12, a22]),
-    )
+    tables = (np.ascontiguousarray(B.T), domain.spacing * B, *recursions, np.stack([a12, a22]))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -415,6 +420,23 @@ def _slab_tables(domain, n_modes, beta, h, tau, n_r, gamma):
 
 def _tables(c: SimConfig):
     return _slab_tables(c.domain, c.n_modes, c.beta, c.step, c.tau, c.delay_steps, c.catalog.gamma)
+
+
+def _advance(chunk_table, lift, outer, F, X, Z, E, s0, *nodes):
+    """Advance one recursion's node arrays ``nodes`` from node s0 to nodes s0 + 1 .. s0 + L by
+    F's L + 1 forcing rows: every chunk from a zero start by one batched matmul of the chunk
+    table with its rows and the next one's first in X, into Z, then the chunk starts s_m in E
+    from the slab start and the chunk ends by the outer table, and A^(k+1) s_m added back."""
+    N, chunk, count = len(X), X.shape[1] - 1, X.shape[2]
+    X[:, :chunk] = F[:-1].reshape(count, chunk, N).transpose(2, 1, 0)
+    X[:, chunk] = F[chunk::chunk].T
+    np.matmul(chunk_table, X, out=Z)
+    for i, z in enumerate(nodes):
+        E[:, i, 0] = z[s0]
+    E[..., 1:] = Z[:, chunk - 1 :: chunk, :-1]
+    Z += lift @ (outer @ E.reshape(N, -1, 1)).reshape(E.shape)
+    for z, zk in zip(nodes, Z.reshape(N, -1, chunk, count).swapaxes(0, 1)):
+        z[s0 + 1 : s0 + 1 + chunk * count].reshape(count, chunk, N)[...] = zk.T
 
 
 def _delayed_velocity(v, rows: slice, pre_impulse: dict) -> np.ndarray:
@@ -432,11 +454,11 @@ def simulate(config: SimConfig) -> Trajectory:
     lam, N, h, catalog = config.modes.lambdas, config.n_modes, config.step, config.catalog
     n_r = idx0 = config.delay_steps
     n_total = n_r + config.horizon_steps + 1
-    Bt, Bq, chunk_table, lift, outer, m_chunk, m_lift, m_outer, _ = _tables(config)
+    Bt, Bq, *state, m_chunk, m_lift, m_outer, _ = _tables(config)
 
     # slabs of at most n_r steps inside `count` chunks of `chunk` steps, as the tables
     # hold them, and every node array carries L trailing rows
-    chunk, count = len(m_lift), len(m_outer)
+    chunk, count = m_lift.shape[1], m_outer.shape[1]
     L = count * chunk
     nodes = (n_total + L, N)
     W, V, memory = np.zeros(nodes), np.zeros(nodes), np.zeros(nodes)
@@ -449,10 +471,7 @@ def simulate(config: SimConfig) -> Trajectory:
     pre_impulse, impulse_events = {}, []
     imp_at = {idx0 + n: k for k, n in enumerate(config.impulse_steps)}
 
-    half, lam2, ones, reads = 0.5 * h, lam * lam, np.ones(N), F_READS[catalog.f_kind]
-
-    # the trapezoid sum of the exponential kernel, kappa-free, by the exact recursion
-    # S_(k+1) = decay S_k + h g_(k+1), chunked like the state; the carry is S at the slab start
+    lam2, ones, reads = lam * lam, np.ones(N), F_READS[catalog.f_kind]
     recurse = catalog.has_memory
     # linear_growth's f is affine at zero control (module docstring); bounded_trig is collocated
     affine, collocate = catalog.f_kind == "linear_growth", catalog.f_kind == "bounded_trig"
@@ -466,6 +485,8 @@ def simulate(config: SimConfig) -> Trajectory:
         *[(L + 1 if use else 0, Bt.shape[1]) for use in (recurse or collocate, recurse, collocate)],
     )
     fx[...] = gx[...] = 0.0
+    # the memory's advance ends before the state's begins: its solves and starts reuse Z and E
+    Zm, Em = (a.reshape(-1)[: a.size // 2].reshape(N, -1, count) for a in (Z, E))
 
     stops = sorted({n_total - 1, *imp_at})
     s0 = idx0
@@ -480,6 +501,8 @@ def simulate(config: SimConfig) -> Trajectory:
             if recurse:
                 catalog.g(y, out=gx[live])
                 np.matmul(gx, Bq, out=gq)
+                gq *= catalog.kappa  # the memory recursion's forcing at nodes s0..s0+L
+                _advance(m_chunk, m_lift, m_outer, gq, X, Zm, Em, s0, memory)
             if collocate:  # bounded_trig reads the delayed velocity
                 vd = (_delayed_velocity(V, rows, pre_impulse) @ Bt)[live]
                 catalog.f(y, vd, 0.0, out=fx[live])
@@ -487,29 +510,11 @@ def simulate(config: SimConfig) -> Trajectory:
         if affine:
             np.multiply(W[rows], catalog.f_a, out=fc)
             fc += constant
-        new = slice(s0 + 1, s0 + 1 + L)
-        if recurse:
-            if s0 == idx0:  # S_0 = (h/2) P g(w(-delay)), row 0 of the first slab's products
-                carry = half * gq[0]
-            g, M = (x.reshape(count, chunk, N) for x in (gq[1:], memory[new]))
-            np.matmul(m_chunk, g, out=M)
-            M += m_lift * (m_outer @ np.vstack([carry, M[:-1, -1]]))[:, None]
-            carry = M.reshape(L, N)[n - 1].copy()
-            np.multiply(M - half * g, catalog.kappa, out=M)
-        # velocity-slot forcing at nodes s0..s0+L; a chunk takes its rows and the next one's first
+        # velocity-slot forcing at nodes s0..s0+L
         F = memory[s0 : s0 + L + 1]
         if reads:
             F = np.add(fc, F, out=fc)
-        X[:, :chunk] = F[:L].reshape(count, chunk, N).transpose(2, 1, 0)
-        X[:, chunk] = F[chunk::chunk].T
-        # every chunk from a zero start, then the chunk starts s_m from the
-        # slab start and the chunk ends, then A^(k+1) s_m added back
-        np.matmul(chunk_table, X, out=Z)
-        E[:, 0, 0], E[:, 1, 0] = W[s0], V[s0]
-        E[..., 1:] = Z[:, chunk - 1 :: chunk, :-1]
-        Z += lift @ (outer @ E.reshape(N, 2 * count, 1)).reshape(E.shape)
-        W[new].reshape(count, chunk, N)[...] = Z[:, :chunk].transpose(2, 1, 0)
-        V[new].reshape(count, chunk, N)[...] = Z[:, chunk:].transpose(2, 1, 0)
+        _advance(*state, F, X, Z, E, s0, W, V)
         if s1 in imp_at:
             k = imp_at[s1]
             wp, vp = W[s1].copy(), V[s1].copy()
@@ -518,7 +523,7 @@ def simulate(config: SimConfig) -> Trajectory:
             V[s1] = vp + dv
             impulse_events.append((k, float(times[s1]), float(np.linalg.norm(dv))))
 
-        sq = np.square(W[new][:n]) @ lam2 + np.square(V[new][:n]) @ ones
+        sq = np.square(W[s0 + 1 : s1 + 1]) @ lam2 + np.square(V[s0 + 1 : s1 + 1]) @ ones
         # sqrt is monotone, so this is the per-node test; a NaN trips too
         if not np.sqrt(sq.max()) <= BLOWUP_THRESHOLD:
             norms = np.sqrt(sq)

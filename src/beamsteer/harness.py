@@ -97,12 +97,14 @@ class ExperimentSpec:
     out_path: str | None = None
 
     def __post_init__(self):
-        for name, values in (("delta", list(self.deltas)), ("alpha", list(self.alphas))):
-            if not values:
+        config = self.config
+        starts = [config.validate_delta(delta) for delta in self.deltas]  # windows are whole steps
+        for name, grid, keys in ("delta", self.deltas, starts), ("alpha", self.alphas, self.alphas):
+            if not len(grid):
                 raise InvalidArgumentError(f"{name} list must not be empty")
-            counts = Counter(values)
-            if len(counts) < len(values):  # duplicate rows would fail the sweep's own checks
-                repeated = next(x for x in values if counts[x] > 1)
+            counts = Counter(keys)
+            if len(counts) < len(grid):  # duplicate rows would fail the sweep's own checks
+                repeated = next(x for x, key in zip(grid, keys) if counts[key] > 1)
                 raise InvalidArgumentError(f"{name}s repeat the value {repeated:g}")
         if any(not 0 < a <= 1 for a in self.alphas):
             raise InvalidArgumentError("alphas must lie in (0, 1]")
@@ -115,8 +117,7 @@ class ExperimentSpec:
         if not abs(self.target_scale) <= BLOWUP_THRESHOLD:  # no run may pass it
             raise InvalidArgumentError(f"target_scale must lie within {BLOWUP_THRESHOLD:g}")
         # the longest window's sum holds its blocks once per alpha, beside the base run's nodes
-        config = self.config
-        start = min(config.validate_delta(delta) for delta in self.deltas)
+        start = min(starts)
         config.check_run_bytes(len(self.alphas), config.delay_steps + config.horizon_steps - start)
         if self.target_kind not in ("single_mode", "random", "free_trajectory"):
             raise InvalidArgumentError(f"unknown target kind {self.target_kind!r}")

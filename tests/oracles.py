@@ -227,6 +227,23 @@ def memory_term(t, trajectory, catalog, domain, modes):
     return BeamState(np.zeros(modes.count), (kern * weights) @ gproj)
 
 
+def memory_forcing_extended(trajectory, nodes):
+    """The memory forcing of a trajectory at node indices ``nodes`` past t = 0: memory_term's
+    trapezoid sum, its kernel and sum in extended precision on the float64 projected g."""
+    config = trajectory.config
+    catalog, h, n_r = config.catalog, np.longdouble(config.step), config.delay_steps
+    B = basis_matrix(config.domain, config.n_modes)
+    g = partial(catalog_g, catalog)
+    gproj = _collocate(B, config.domain.spacing, g, trajectory.w[: max(nodes) - n_r + 1])
+    sums = []
+    for k in np.asarray(nodes) - n_r:
+        weights = np.full(k + 1, h)
+        weights[[0, -1]] = h / 2
+        lags = (k - np.arange(k + 1)) * h
+        sums.append((catalog.kappa * np.exp(-catalog.gamma * lags) * weights) @ gproj[: k + 1])
+    return np.array(sums)
+
+
 def trapezoid(values, spacing):
     """Plain composite trapezoid for sampled values."""
     values = np.asarray(values, dtype=float)

@@ -161,6 +161,10 @@ FOUND = {
     "delta_within_slack_of_impulse": (
         dict(delay=0.8), 0.6 - 1e-12, "delta must keep every impulse before the steering window"
     ),
+    # a float grid size reached check_run_bytes' int.bit_length as an AttributeError
+    "grid_points_1e10": (dict(grid_points=1e10), 0.1, r"a run needs 2\*\*\d+ bytes or more"),
+    # a count that is no integer was rejected only past the run-size check, without its name
+    "n_modes_2.5": (dict(n_modes=2.5), 0.1, "n_modes must be an integer"),
     # an absolute slack of 1e-9 passed a delay 0.2 steps off its boundary at a step of 1e-9
     "delay_off_by_a_fifth_step": (
         dict(step=1e-9, delay=1.2e-9, tau=4e-9, impulses=dict(times=[], gains=[])), 1e-9,
@@ -176,6 +180,16 @@ def test_found_input_is_rejected_by_name(case):
     assert _run(fields, delta, 1e-2) in ("rejected", "stopped")
     with pytest.raises(InvalidArgumentError, match=f"^{message}"):
         _config(fields).validate_delta(delta)
+
+
+def test_integral_float_counts_run_as_ints():
+    # n_modes=8.0 validated, then simulate raised a bare TypeError at its first array
+    fields = {**DEFAULT, "n_modes": 8, "grid_points": 64}
+    as_int, as_float = (_config({**fields, "n_modes": n}) for n in (8, 8.0))
+    assert type(as_float.n_modes) is int and as_float == as_int
+    runs = [simulate(config) for config in (as_int, as_float)]
+    for a, b in zip(*[(run.w, run.v, run.memory) for run in runs]):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_default_fields_run():

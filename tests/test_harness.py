@@ -235,6 +235,23 @@ def test_rows_do_not_depend_on_their_batch(make_spec):
             )
 
 
+@pytest.mark.parametrize("name", ["sweep-default", "sweep-long"])
+def test_base_run_does_not_depend_on_its_cuts(name):
+    # a zero-gain impulse at t* ends a slab there and changes no value: W, V and the memory
+    # forcing must equal the uncut run's bitwise at every node up to t*
+    root = Path(__file__).resolve().parents[1]
+    spec = load_experiment(str(root / "perfbench" / "workloads" / f"{name}.ini"))
+    config, base, _ = pullback_setup(spec)
+    kicks = dict(zip(config.impulses.times, config.impulses.gains))
+    for t_cut in (0.05, 0.25, 0.55, 0.9):
+        times = sorted({*kicks, t_cut})
+        gains = [kicks.get(t, 0.0) for t in times]
+        cut = simulate(replace(config, impulses=ImpulseSchedule(times, gains)))
+        end = cut.index_at(t_cut) + 1
+        for a, b in ((cut.w, base.w), (cut.v, base.v), (cut.memory, base.memory)):
+            assert np.array_equal(a[:end], b[:end]), (t_cut, np.abs(a[:end] - b[:end]).max())
+
+
 # the child checks that OPENBLAS_CORETYPE took effect, then runs the tests it is given
 KERNEL_CHILD = """
 import sys, pytest
@@ -263,7 +280,10 @@ def kernel_children():
     """The child of every kernel this CPU runs, all started at once."""
     root = Path(__file__).resolve().parents[1]
     paths = os.pathsep.join(str(root / d) for d in ("src", "tests"))
-    tests = (test_rows_do_not_depend_on_their_batch, test_batched_cells_match_from_scratch_runs)
+    tests = (
+        test_rows_do_not_depend_on_their_batch, test_batched_cells_match_from_scratch_runs,
+        test_base_run_does_not_depend_on_its_cuts,
+    )
     children = {
         kernel: subprocess.Popen(
             [sys.executable, "-c", KERNEL_CHILD, kernel, "-q", "-p", "no:cacheprovider",
@@ -941,6 +961,12 @@ CLI_FAILURES = {
     "tau_below_one_step": (
         ["pullback"], _violating("tau = 1.0", "tau = 1e-300"), 2,
         "invalid configuration: the horizon is shorter than one step",
+    ),
+    # windows are whole steps: both windows started on node 660, and the sweep wrote two
+    # blocks of rows printing delta 0.2 with the same errors
+    "near_duplicate_deltas": (
+        ["sweep"], _violating("deltas = 0.2, 0.1, 0.05", "deltas = 0.2, 0.2000000000001, 0.05"),
+        2, "invalid configuration: deltas repeat the value 0.2",
     ),
     # a blow-up by overflow used to print numpy's warnings first
     "blowup_overflow": (
